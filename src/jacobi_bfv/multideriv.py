@@ -478,93 +478,88 @@ def _from_symbols(sym, chart, rank):
     return out
 
 
-def _dR_oddmom(key, c, item, chart):
-    "Right derivative by an odd momentum; removes item with suffix sign."
+def _momenta(key):
+    """The momenta a symbol term carries, each named by its conjugate
+    generator, in the order the bracket visits them: odd coordinate
+    momenta in chart order, then pi_t, then per ghost index the ghost
+    and the anti-ghost momentum."""
     odd, pg, pa, w = key
-    if item not in odd:
-        return None
-    pos = odd.index(item)
-    after = len(odd) - pos - 1
-    c2 = -c if after % 2 else c
-    return (odd[:pos] + odd[pos + 1:], pg, pa, w), c2
+    out = [it for it in odd if it[0] == "X"]
+    if ("T",) in odd:
+        out.append(("T",))
+    for A in sorted(set(pg) | set(pa)):
+        if A in pg:
+            out.append(("G", A))
+        if A in pa:
+            out.append(("A", A))
+    return out
 
 
-def _dR_evenmom(key, c, A, which):
+def _dR_mom(key, c, gen):
+    """Right derivative of a symbol term by a momentum it carries, named
+    by its conjugate generator gen: odd momenta leave with a suffix
+    sign, even ones with their multiplicity."""
     odd, pg, pa, w = key
-    bag = pg if which == "g" else pa
-    k = bag.count(A)
-    if not k:
-        return None
-    i = bag.index(A)
+    if gen[0] in ("X", "T"):
+        pos = odd.index(gen)
+        c2 = -c if (len(odd) - pos - 1) % 2 else c
+        return (odd[:pos] + odd[pos + 1:], pg, pa, w), c2
+    bag = pg if gen[0] == "G" else pa
+    k = bag.count(gen[1])
+    i = bag.index(gen[1])
     bag2 = bag[:i] + bag[i + 1:]
-    c2 = c.scale(k)
-    if which == "g":
-        return (odd, bag2, pa, w), c2
-    return (odd, pg, bag2, w), c2
+    if gen[0] == "G":
+        return (odd, bag2, pa, w), c.scale(k)
+    return (odd, pg, bag2, w), c.scale(k)
 
 
-def _dL_oddgen(key, c, item):
-    "Left derivative by a ghost or anti-ghost; prefix sign."
+def _dL_gen(key, c, gen):
+    """Left derivative of a symbol term by the generator gen: a
+    coordinate acts on the coefficient, t lowers the t-weight, and a
+    ghost or anti-ghost leaves with a prefix sign."""
     odd, pg, pa, w = key
-    if item not in odd:
+    if gen[0] == "X":
+        c2 = c.partial(gen[1])
+        return None if c2.is_zero() else (key, c2)
+    if gen[0] == "T":
+        return None if w == 0 else ((odd, pg, pa, w - 1), c.scale(w))
+    if gen not in odd:
         return None
-    pos = odd.index(item)
-    c2 = -c if pos % 2 else c
-    return (odd[:pos] + odd[pos + 1:], pg, pa, w), c2
-
-
-def _dL_t(key, c):
-    odd, pg, pa, w = key
-    if w == 0:
-        return None
-    return (odd, pg, pa, w - 1), c.scale(w)
-
-
-def _dL_coord(key, c, coord):
-    c2 = c.partial(coord)
-    if c2.is_zero():
-        return None
-    return key, c2
+    pos = odd.index(gen)
+    return (odd[:pos] + odd[pos + 1:], pg, pa, w), (-c if pos % 2 else c)
 
 
 def _half_bracket(F, G, chart, rank):
-    "sum over u of (dR F / dpi_u)(dL G / du), as a symbol dict"
+    """sum over u of (dR F / dpi_u)(dL G / du), as a symbol dict.
+
+    Only the momenta an F-term carries are visited; its right
+    derivatives are taken once per F-term, and each left derivative of
+    a G-term once per call.  Terms accumulate in (F-term, G-term,
+    momentum) order."""
     out = {}
-    pairs = []
+    dL = {}
+    Gs = list(G.items())
     for kF, cF in F.items():
-        for kG, cG in G.items():
-            for coord in chart.coords:
-                a = _dR_oddmom(kF, cF, ("X", coord), chart)
-                if a:
-                    b = _dL_coord(kG, cG, coord)
-                    if b:
-                        pairs.append((a, b))
-            a = _dR_oddmom(kF, cF, ("T",), chart)
-            if a:
-                b = _dL_t(kG, cG)
-                if b:
-                    pairs.append((a, b))
-            for A in range(rank):
-                a = _dR_evenmom(kF, cF, A, "g")
-                if a:
-                    b = _dL_oddgen(kG, cG, ("G", A))
-                    if b:
-                        pairs.append((a, b))
-                a = _dR_evenmom(kF, cF, A, "a")
-                if a:
-                    b = _dL_oddgen(kG, cG, ("A", A))
-                    if b:
-                        pairs.append((a, b))
-    for (kA, cA), (kB, cB) in pairs:
-        key, c = _symbol_mul(kA, cA, kB, cB, chart)
-        if key is None:
+        dRs = [(gen, _dR_mom(kF, cF, gen)) for gen in _momenta(kF)]
+        if not dRs:
             continue
-        c0 = out.get(key)
-        c0 = c if c0 is None else c0 + c
-        if c0.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = c0
+        for j, (kG, cG) in enumerate(Gs):
+            for gen, (kA, cA) in dRs:
+                if (j, gen) in dL:
+                    b = dL[(j, gen)]
+                else:
+                    b = dL[(j, gen)] = _dL_gen(kG, cG, gen)
+                if b is None:
+                    continue
+                key, c = _symbol_mul(kA, cA, b[0], b[1], chart)
+                if key is None:
+                    continue
+                c0 = out.get(key)
+                c0 = c if c0 is None else c0 + c
+                if c0.is_zero():
+                    out.pop(key, None)
+                else:
+                    out[key] = c0
     return out
 
 

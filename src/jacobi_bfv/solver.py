@@ -3,9 +3,12 @@ operations built on top of it.
 
 The generic loop lives in obstruction_solve: given contraction data, a
 filtration and a candidate Qbar, it corrects Qbar by half the homotopy
-of the bracket residual until the residual vanishes.  The projected
-residual is the one genuine obstruction; when it is nonzero the solve
-stops with an ObstructionError carrying it.
+of the bracket residual until the residual vanishes.  The residual is
+bracketed in full only once, for Qbar; after a correction c it is
+updated as R + 2 [[Q, c]] + [[c, c]], which needs the bracket to be
+graded symmetric on Maurer-Cartan degree elements (see MCProblem).
+The projected residual is the one genuine obstruction; when it is
+nonzero the solve stops with an ObstructionError carrying it.
 
 Instantiations: lifting a Jacobi operator along a connection (the
 corrections carry ghost/anti-ghost pairs), BRST charges over a lifting
@@ -23,7 +26,7 @@ from fractions import Fraction
 from .scalar import ScalarExpr
 from .ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
 from .multideriv import (d_letter, MultiDerivation, evaluate, sj_bracket,
-                         build_G, is_jacobi, NotJacobiError, jacobi_bracket)
+                         build_G, NotJacobiError, jacobi_bracket)
 from .contraction import (ConnectionSpec, imm_i_nabla, proj_p,
                           homotopy_H_nabla, BrstContraction, hpl_deform)
 
@@ -55,7 +58,13 @@ def section_antighost_level(lam):
 
 
 class MCProblem:
-    "Bracket, candidate, filtration and contraction data for one solve."
+    """Bracket, candidate, filtration and contraction data for one solve.
+
+    bracket must be bilinear and graded symmetric on the candidates and
+    their corrections: bracket(a, b) == bracket(b, a) in the degree of
+    the Maurer-Cartan element.  (An antisymmetric bracket would make
+    every self-bracket vanish.)  obstruction_solve relies on this to
+    update the residual instead of re-bracketing the whole candidate."""
 
     __slots__ = ("bracket", "Qbar", "filtration", "H", "P")
 
@@ -81,6 +90,15 @@ class ObstructionError(ValueError):
 def obstruction_solve(prob, max_iter=64):
     """Deform prob.Qbar into an exact Maurer-Cartan element.
 
+    The residual R = [[Qbar, Qbar]] is bracketed once.  Each step adds
+    the correction c = H(R)/2 to Q and updates the residual by
+    bilinearity and the symmetry contract of MCProblem.bracket:
+
+        [[Q + c, Q + c]] = R + 2 [[Q, c]] + [[c, c]].
+
+    Every correction must lie at least at filtration level N + 1 + step;
+    a homotopy that breaks this raises ValueError.
+
     Returns (Q, trace); the trace records one entry per correction with
     the residual, its filtration level and the correction added.
     Raises ObstructionError when the projected residual is nonzero.
@@ -95,7 +113,6 @@ def obstruction_solve(prob, max_iter=64):
     Q = prob.Qbar
     trace = []
     for step in range(max_iter):
-        R = prob.bracket(Q, Q)
         if R.is_zero():
             return Q, trace
         obs = prob.P(R)
@@ -105,12 +122,17 @@ def obstruction_solve(prob, max_iter=64):
         if corr.is_zero():
             raise ValueError("nonzero residual with zero correction; "
                              "contraction data is inconsistent")
-        assert filt.level(corr) >= filt.N + 1 + step
-        Q = Q + corr
+        lev, need = filt.level(corr), filt.N + 1 + step
+        if lev < need:
+            raise ValueError("correction %d sits at filtration level %d, "
+                             "below %d; the homotopy does not raise the "
+                             "filtration" % (step + 1, lev, need))
         trace.append({"step": step + 1,
                       "residual": R,
                       "level": filt.level(R),
                       "correction": corr})
+        R = R + prob.bracket(Q, corr).scale(2) + prob.bracket(corr, corr)
+        Q = Q + corr
     raise ValueError("no Maurer-Cartan element within %d corrections"
                      % max_iter)
 
@@ -181,8 +203,9 @@ def lifting_problem(J, conn):
 
 def lift_jacobi(J, conn, max_iter=64):
     "Lift a Jacobi operator along a connection.  Returns (Jhat, trace)."
-    if not is_jacobi(J):
-        raise NotJacobiError(sj_bracket(J, J))
+    residual = sj_bracket(J, J)
+    if not residual.is_zero():
+        raise NotJacobiError(residual)
     return obstruction_solve(lifting_problem(J, conn), max_iter)
 
 

@@ -84,7 +84,7 @@ def all_letters(chart, rank):
         + [e_letter(A) for A in range(rank)] + [f_letter(A) for A in range(rank)]
 
 
-def random_md(rng, chart, rank, arity, fr=1, max_terms=3):
+def random_md(rng, chart, rank, arity, fr=1, max_terms=3, allow_abstract=False):
     from jacobi_bfv.ghost import GhostMonomial
     from jacobi_bfv.multideriv import MultiDerivation, sort_word
     letters = all_letters(chart, rank)
@@ -96,7 +96,7 @@ def random_md(rng, chart, rank, arity, fr=1, max_terms=3):
         mono = GhostMonomial(
             tuple(sorted(rng.sample(range(rank), rng.randint(0, 1)))),
             tuple(sorted(rng.sample(range(rank), rng.randint(0, 1)))))
-        c = random_scalar(rng, chart, max_terms=2)
+        c = random_scalar(rng, chart, max_terms=2, allow_abstract=allow_abstract)
         if c.is_zero():
             continue
         D = D + MultiDerivation(chart, rank, {(mono, w, fr): c.scale(s)})

@@ -272,3 +272,154 @@ def test_operator_bookkeeping():
                mono=GhostMonomial((0,), ()))
     assert D.op_bidegrees() == [(0, 0)]
     assert str(D) == "(-sin(phi3)) xi^1 d_phi4 e_1 [mu]"
+
+
+# -- the indexed bracket against the full scan -----------------------
+
+# Reference derivatives of symbol terms, written out per generator kind.
+
+def _ref_dR_oddmom(key, c, item):
+    odd, pg, pa, w = key
+    if item not in odd:
+        return None
+    pos = odd.index(item)
+    c2 = -c if (len(odd) - pos - 1) % 2 else c
+    return (odd[:pos] + odd[pos + 1:], pg, pa, w), c2
+
+
+def _ref_dR_evenmom(key, c, A, which):
+    odd, pg, pa, w = key
+    bag = pg if which == "g" else pa
+    k = bag.count(A)
+    if not k:
+        return None
+    i = bag.index(A)
+    bag2 = bag[:i] + bag[i + 1:]
+    if which == "g":
+        return (odd, bag2, pa, w), c.scale(k)
+    return (odd, pg, bag2, w), c.scale(k)
+
+
+def _ref_dL_oddgen(key, c, item):
+    odd, pg, pa, w = key
+    if item not in odd:
+        return None
+    pos = odd.index(item)
+    return (odd[:pos] + odd[pos + 1:], pg, pa, w), (-c if pos % 2 else c)
+
+
+def _ref_dL_t(key, c):
+    odd, pg, pa, w = key
+    if w == 0:
+        return None
+    return (odd, pg, pa, w - 1), c.scale(w)
+
+
+def _ref_dL_coord(key, c, coord):
+    c2 = c.partial(coord)
+    return None if c2.is_zero() else (key, c2)
+
+
+def _full_scan_half_bracket(F, G, chart, rank):
+    """Reference half-bracket: every (F-term, G-term) pair against every
+    coordinate, pi_t and every ghost index, as a plain scan."""
+    from jacobi_bfv.multideriv import _symbol_mul
+    out = {}
+    pairs = []
+    for kF, cF in F.items():
+        for kG, cG in G.items():
+            for coord in chart.coords:
+                a = _ref_dR_oddmom(kF, cF, ("X", coord))
+                if a:
+                    b = _ref_dL_coord(kG, cG, coord)
+                    if b:
+                        pairs.append((a, b))
+            a = _ref_dR_oddmom(kF, cF, ("T",))
+            if a:
+                b = _ref_dL_t(kG, cG)
+                if b:
+                    pairs.append((a, b))
+            for A in range(rank):
+                a = _ref_dR_evenmom(kF, cF, A, "g")
+                if a:
+                    b = _ref_dL_oddgen(kG, cG, ("G", A))
+                    if b:
+                        pairs.append((a, b))
+                a = _ref_dR_evenmom(kF, cF, A, "a")
+                if a:
+                    b = _ref_dL_oddgen(kG, cG, ("A", A))
+                    if b:
+                        pairs.append((a, b))
+    for (kA, cA), (kB, cB) in pairs:
+        key, c = _symbol_mul(kA, cA, kB, cB, chart)
+        if key is None:
+            continue
+        c0 = out.get(key)
+        c0 = c if c0 is None else c0 + c
+        if c0.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = c0
+    return out
+
+
+def _full_scan_bracket(monkeypatch, D, E):
+    from jacobi_bfv import multideriv
+    with monkeypatch.context() as mp:
+        mp.setattr(multideriv, "_half_bracket", _full_scan_half_bracket)
+        return sj_bracket(D, E)
+
+
+def _same_terms(X, Y):
+    # equal normal forms, and the terms were inserted in the same order
+    return X == Y and list(X.terms.items()) == list(Y.terms.items())
+
+
+def test_indexed_bracket_matches_full_scan(monkeypatch):
+    rng = rng_for("indexed-bracket")
+    abstract = t5_chart(abstract=True)
+    seen = {"trig": 0, "func": 0, "ghost": 0, "antighost": 0, "m": 0}
+    nonzero = 0
+    for trial in range(80):
+        chart = abstract if trial % 2 else CH
+        D = random_md(rng, chart, RANK, rng.randint(0, 3), fr=1,
+                      max_terms=5, allow_abstract=True)
+        E = random_md(rng, chart, RANK, rng.randint(0, 3),
+                      fr=rng.randint(0, 1), max_terms=5, allow_abstract=True)
+        for X in (D, E):
+            for (mono, word, fr), c in X.terms.items():
+                text = str(c)
+                seen["trig"] += "sin" in text or "cos" in text
+                seen["func"] += "f1" in text or "f2" in text
+                seen["ghost"] += bool(mono.g) or any(l[0] == "e" for l in word)
+                seen["antighost"] += bool(mono.a) or any(l[0] == "f" for l in word)
+                seen["m"] += M in word
+        got = sj_bracket(D, E)
+        assert _same_terms(got, _full_scan_bracket(monkeypatch, D, E))
+        nonzero += not got.is_zero()
+    assert nonzero >= 40
+    assert all(n >= 10 for n in seen.values()), seen
+    # repeated even letters: their momenta leave with a multiplicity
+    x1 = ScalarExpr.coord(CH, "phi1")
+    D = single((e_letter(0), e_letter(0), f_letter(1), f_letter(1)), coeff=x1)
+    E = single((d_letter("phi1"),), mono=GhostMonomial((0,), (1,)), coeff=x1)
+    for X, Y in ((D, E), (E, D)):
+        got = sj_bracket(X, Y)
+        assert not got.is_zero()
+        assert _same_terms(got, _full_scan_bracket(monkeypatch, X, Y))
+
+
+def test_indexed_bracket_matches_full_scan_on_lifts(monkeypatch):
+    from jacobi_bfv.models import t5_contact
+    from jacobi_bfv.contraction import ConnectionSpec
+    from jacobi_bfv.solver import lift_jacobi
+    model = t5_contact()
+    conn = ConnectionSpec(model.chart, model.rank,
+                          {(0, 1): ScalarExpr.sin(model.chart, "phi3"),
+                           (1, 0): ScalarExpr.sin(model.chart, "phi4")})
+    Jhat, trace = lift_jacobi(model.J, conn)
+    for rec in trace:
+        c = rec["correction"]
+        for D, E in ((Jhat, Jhat), (Jhat, c), (c, Jhat), (c, c)):
+            assert _same_terms(sj_bracket(D, E),
+                               _full_scan_bracket(monkeypatch, D, E))

@@ -273,3 +273,84 @@ def test_generic_solve_guard():
     prob = brst_problem(Jhat, (ScalarExpr.sin(CH, "phi1"), 0))
     Q, trace = obstruction_solve(prob)
     assert prob.bracket(Q, Q).is_zero()
+
+
+# -- the incremental residual ----------------------------------------
+
+def _curved(vert, coef=None):
+    return ConnectionSpec(CH, RANK, vert, coef or {})
+
+
+def _assert_trace_residuals_fresh(prob, Q, trace):
+    cur = prob.Qbar
+    for rec in trace:
+        assert rec["residual"] == prob.bracket(cur, cur)
+        c = rec["correction"]
+        # the symmetry the residual update relies on
+        assert prob.bracket(cur, c) == prob.bracket(c, cur)
+        cur = cur + c
+    assert cur == Q
+    assert prob.bracket(Q, Q).is_zero()
+
+
+def test_incremental_residual_matches_fresh_brackets():
+    sin = lambda c: ScalarExpr.sin(CH, c)
+    conn = _curved({(0, 1): sin("phi3"), (1, 0): sin("phi4")})
+    prob = lifting_problem(J, conn)
+    Q, trace = obstruction_solve(prob)
+    assert len(trace) >= 2
+    _assert_trace_residuals_fresh(prob, Q, trace)
+
+    conn = _curved({(0, 1): ScalarExpr.coord(CH, "phi3")},
+                   {("phi2", 1, 0): sin("phi3"),
+                    ("phi1", 0, 1): ScalarExpr.coord(CH, "phi4")})
+    Jhat, lift_trace = lift_jacobi(J, conn)
+    assert len(lift_trace) >= 2
+    _assert_trace_residuals_fresh(lifting_problem(J, conn), Jhat, lift_trace)
+    prob = brst_problem(Jhat, (sin("phi1"), 0))
+    Q, trace = obstruction_solve(prob)
+    assert len(trace) >= 1
+    _assert_trace_residuals_fresh(prob, Q, trace)
+
+
+def test_obstruction_residual_is_fresh_bracket():
+    conn = _curved({(0, 1): ScalarExpr.coord(CH, "phi3")},
+                   {("phi2", 1, 0): ScalarExpr.sin(CH, "phi3")})
+    Jhat, _ = lift_jacobi(J, conn)
+    prob = brst_problem(Jhat, (ScalarExpr.sin(CH, "phi2"), 0))
+    with pytest.raises(ObstructionError) as err:
+        obstruction_solve(prob)
+    assert err.value.residual == prob.bracket(prob.Qbar, prob.Qbar)
+    assert err.value.obstruction == prob.P(err.value.residual)
+
+    # a projection that reports the whole residual from the second step
+    # on, so the error carries a residual updated after a correction
+    sin = lambda c: ScalarExpr.sin(CH, c)
+    prob = lifting_problem(J, _curved({(0, 1): sin("phi3"),
+                                       (1, 0): sin("phi4")}))
+    P, calls = prob.P, []
+
+    def late_P(X):
+        calls.append(X)
+        return P(X) if len(calls) == 1 else X
+
+    prob.P = late_P
+    with pytest.raises(ObstructionError) as err:
+        obstruction_solve(prob)
+    assert len(calls) == 2
+    c = prob.H(calls[0]).scale(Fraction(1, 2))
+    cur = prob.Qbar + c
+    assert err.value.residual == prob.bracket(cur, cur)
+
+
+def test_filtration_guard_rejects_low_correction():
+    # a homotopy that adds a level-0 term to every correction, below
+    # the level N + 1 the first correction must reach
+    conn = _curved({(0, 1): ScalarExpr.sin(CH, "phi3")})
+    prob = lifting_problem(J, conn)
+    H = prob.H
+    low = imm_i_nabla(J, MODEL.flat)
+    assert md_antighost_level(low) == 0
+    prob.H = lambda X: H(X) + low
+    with pytest.raises(ValueError, match="filtration level 0, below 1"):
+        obstruction_solve(prob)
