@@ -110,18 +110,40 @@ def _build(node, chart):
         n = _number(args[1])
         if n is None or n.denominator != 1 or n < 0:
             raise ScenarioError("^ exponent must be a nonnegative integer")
-        base = _build(args[0], chart)
-        out = ScalarExpr.one(chart)
-        for _ in range(int(n)):
-            out = out * base
-        return out
+        return _build(args[0], chart) ** int(n)
     raise ScenarioError("unknown operator %r" % op)
+
+
+def _count(value, what):
+    """A nonnegative integer read from JSON or the command line: an int,
+    or a float of integral value.  Anything else, a bool or a fractional
+    number included, is bad input and is never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ScenarioError("%s must be a nonnegative integer, got %r"
+                            % (what, value))
+    return value
+
+
+def _entries(items, size, what):
+    "A JSON list of lists with size items each."
+    if not isinstance(items, list) or not all(
+            isinstance(it, list) and len(it) == size for it in items):
+        raise ScenarioError("%s must be a list of %d-item lists"
+                            % (what, size))
+    return items
 
 
 def parse_expr(src, chart):
     "Prefix syntax: symbols, rationals, (+ ...), (* ...), (^ x n), (neg x), (sin c), (cos c)."
-    if isinstance(src, (int, float)):
-        src = str(int(src))
+    if isinstance(src, float) and src.is_integer():
+        src = int(src)
+    if isinstance(src, int) and not isinstance(src, bool):
+        src = str(src)
+    elif not isinstance(src, str):
+        raise ScenarioError("expression expected (a string or an integer), "
+                            "got %r" % (src,))
     tokens = _tokenize(src)
     node, pos = _read(tokens, 0)
     if pos != len(tokens):
@@ -180,26 +202,31 @@ def _parse_connection(obj, chart, rank):
     stray = sorted(set(obj) - {"vert", "coef"})
     if stray:
         raise ScenarioError("unknown connection keys: %s" % ", ".join(stray))
+
+    def index(A):
+        A = _count(A, "connection frame index")
+        if A >= rank:
+            raise ScenarioError("connection frame index %d is out of range "
+                                "for rank %d" % (A, rank))
+        return A
+
     vert = {}
-    for item in obj.get("vert", []):
-        A, B, src = item
-        vert[(int(A), int(B))] = parse_expr(src, chart)
+    for A, B, src in _entries(obj.get("vert", []), 3, "connection vert"):
+        vert[(index(A), index(B))] = parse_expr(src, chart)
     coef = {}
-    for item in obj.get("coef", []):
-        i, A, B, src = item
-        coef[(i, int(A), int(B))] = parse_expr(src, chart)
-    try:
-        return ConnectionSpec(chart, rank, vert, coef)
-    except AssertionError as exc:
-        raise ScenarioError("bad connection: %s" % exc)
+    for i, A, B, src in _entries(obj.get("coef", []), 4, "connection coef"):
+        if not isinstance(i, str) or i not in chart._pos:
+            raise ScenarioError("unknown coordinate %r in connection coef"
+                                % (i,))
+        coef[(i, index(A), index(B))] = parse_expr(src, chart)
+    return ConnectionSpec(chart, rank, vert, coef)
 
 
 def _jacobi_from_terms(items, chart, rank):
     """Explicit coefficient form of the structure operator.  Letters
     are "m" or "d:<coord>"; words hold at most two of them."""
     out = MultiDerivation.zero(chart, rank)
-    for item in items:
-        word_src, src = item
+    for word_src, src in _entries(items, 2, "jacobi terms"):
         word = []
         for tok in word_src:
             if tok == "m":
@@ -235,6 +262,8 @@ def parse_scenario(source):
         raise ScenarioError("cannot read scenario: %s" % exc)
     except json.JSONDecodeError as exc:
         raise ScenarioError("scenario is not valid JSON: %s" % exc)
+    if not isinstance(obj, dict):
+        raise ScenarioError("a scenario is a JSON object")
     if obj.get("schema") != SCHEMA:
         raise ScenarioError("unsupported schema %r (expected %r)"
                             % (obj.get("schema"), SCHEMA))
@@ -245,7 +274,7 @@ def parse_scenario(source):
         raise ScenarioError("unknown scenario keys: %s" % ", ".join(stray))
     chart = _parse_chart(obj.get("chart"))
     rank = obj.get("rank")
-    if rank != len(chart.fiber):
+    if not isinstance(rank, int) or rank != len(chart.fiber):
         raise ScenarioError("rank must equal the number of fiber "
                             "coordinates (%d)" % len(chart.fiber))
     jac = obj.get("jacobi") or {}
@@ -259,10 +288,9 @@ def parse_scenario(source):
         J = _jacobi_from_terms(jac["terms"], chart, rank)
     else:
         biv = {}
-        for item in jac.get("biv", []):
-            ci, cj, src = item
+        for ci, cj, src in _entries(jac.get("biv", []), 3, "jacobi biv"):
             for c in (ci, cj):
-                if c not in chart._pos:
+                if not isinstance(c, str) or c not in chart._pos:
                     raise ScenarioError("unknown coordinate %r in biv" % c)
             e = parse_expr(src, chart)
             if chart.axis(ci) > chart.axis(cj):
@@ -283,7 +311,7 @@ def parse_scenario(source):
     raw_section = obj.get("section")
     if raw_section is None:
         raw_section = [0] * rank
-    if len(raw_section) != rank:
+    if not isinstance(raw_section, list) or len(raw_section) != rank:
         raise ScenarioError("section needs exactly %d components" % rank)
     section = tuple(parse_expr(src, chart) for src in raw_section)
     for c in section:
@@ -291,10 +319,13 @@ def parse_scenario(source):
             raise ScenarioError("section components must not involve "
                                 "fiber coordinates")
     opts = obj.get("options") or {}
+    if not isinstance(opts, dict):
+        raise ScenarioError("options must be an object")
     return ScenarioSpec(obj.get("name", source), chart, rank, J, conn,
                         conn2, section,
-                        kmax=int(opts.get("kmax", 3)),
-                        max_iter=int(opts.get("max_iter", 64)))
+                        kmax=_count(opts.get("kmax", 3), "options.kmax"),
+                        max_iter=_count(opts.get("max_iter", 64),
+                                        "options.max_iter"))
 
 
 # -- reports ---------------------------------------------------------
@@ -528,9 +559,9 @@ def main(argv=None):
     try:
         spec = parse_scenario(args.scenario)
         if args.kmax is not None:
-            spec.kmax = args.kmax
+            spec.kmax = _count(args.kmax, "--kmax")
         if args.max_iter is not None:
-            spec.max_iter = args.max_iter
+            spec.max_iter = _count(args.max_iter, "--max-iter")
         code, out = run(args.command, spec, trace=args.trace)
     except ScenarioError as exc:
         print("error: %s" % exc, file=sys.stderr)

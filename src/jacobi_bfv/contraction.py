@@ -4,7 +4,9 @@ The first one compares word operators with their plain (ghost-free)
 skeletons.  A connection on the model bundle turns a plain operator
 into one that pairs against the ghost directions: every m and d_i
 letter picks up connection terms with one ghost generator and one e/f
-letter.  The associated homotopy works in the twisted letter basis,
+letter.  That immersion, imm_i_nabla, also reads an operator written
+in the twisted letter basis back in the plain one; to_twisted inverts
+it.  The associated homotopy works in the twisted letter basis,
 trading e/f letters back for generators, with a 1/weight normalization.
 
 The second one contracts the section module along a chosen section of
@@ -19,7 +21,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
 
-from .scalar import ScalarExpr
+from .scalar import ScalarExpr, add_term
 from .ghost import GhostMonomial, GradedFunction, Section, ONE_MONO, mono_mul
 from .multideriv import (M, d_letter, e_letter, f_letter, MultiDerivation,
                          md_mul, evaluate, sj_bracket)
@@ -82,10 +84,9 @@ def _substitute_letters(D, image):
         for ell in word:
             cur = md_mul(cur, image(ell))
         if fr:
-            lifted = MultiDerivation.zero(chart, rank)
-            lifted.terms = {(m2, w2, 1): c2
-                            for (m2, w2, _), c2 in cur.terms.items()}
-            cur = lifted
+            cur = MultiDerivation._new(chart, rank,
+                                       {(m2, w2, 1): c2
+                                        for (m2, w2, _), c2 in cur.terms.items()})
         out = out + cur
     return out
 
@@ -118,11 +119,6 @@ def imm_i_nabla(D, conn):
     return _substitute_letters(D, lambda ell: _conn_image(ell, conn, 1))
 
 
-def from_twisted(D, conn):
-    "Expand twisted letters in the plain basis (same map as imm_i_nabla)."
-    return _substitute_letters(D, lambda ell: _conn_image(ell, conn, 1))
-
-
 def to_twisted(D, conn):
     "Rewrite a plain-basis operator in the twisted letter basis."
     return _substitute_letters(D, lambda ell: _conn_image(ell, conn, -1))
@@ -130,13 +126,10 @@ def to_twisted(D, conn):
 
 def proj_p(D):
     "Keep the plain skeleton: unit ghost coefficient, only m/d letters."
-    out = {}
-    for (mono, word, fr), c in D.terms.items():
-        if mono == ONE_MONO and all(ell[0] in ("m", "d") for ell in word):
-            out[(mono, word, fr)] = c
-    res = MultiDerivation.zero(D.chart, D.rank)
-    res.terms = out
-    return res
+    return MultiDerivation._new(
+        D.chart, D.rank,
+        {(mono, word, fr): c for (mono, word, fr), c in D.terms.items()
+         if mono == ONE_MONO and all(ell[0] in ("m", "d") for ell in word)})
 
 
 def _twisted_weight_parts(D):
@@ -145,19 +138,15 @@ def _twisted_weight_parts(D):
         k = len(mono.g) + len(mono.a) + \
             sum(1 for ell in word if ell[0] in ("e", "f"))
         parts.setdefault(k, {})[(mono, word, fr)] = c
-    out = {}
-    for k, terms in sorted(parts.items()):
-        md = MultiDerivation.zero(D.chart, D.rank)
-        md.terms = terms
-        out[k] = md
-    return out
+    return {k: MultiDerivation._new(D.chart, D.rank, terms)
+            for k, terms in sorted(parts.items())}
 
 
 def weight(D, conn):
     """Decompose an operator by connection weight: the count of ghost
     generators plus e/f letters in the twisted basis.  Returns a dict
     {k: operator}; the parts sum back to D."""
-    return {k: from_twisted(part, conn)
+    return {k: imm_i_nabla(part, conn)
             for k, part in _twisted_weight_parts(to_twisted(D, conn)).items()}
 
 
@@ -165,7 +154,6 @@ def _h_twist(D):
     """The raw homotopy in the twisted basis: each e_A (f^A) letter is
     traded for an anti-ghost (ghost) generator multiplied from the
     left; the word closes up in place."""
-    chart, rank = D.chart, D.rank
     terms = {}
     for (mono, word, fr), c in D.terms.items():
         for pos, ell in enumerate(word):
@@ -178,18 +166,9 @@ def _h_twist(D):
             s, mono2 = mono_mul(gen, mono)
             if not s:
                 continue
-            word2 = word[:pos] + word[pos + 1:]
-            key = (mono2, word2, fr)
-            c2 = c.scale(s)
-            c0 = terms.get(key)
-            c0 = c2 if c0 is None else c0 + c2
-            if c0.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = c0
-    out = MultiDerivation.zero(chart, rank)
-    out.terms = terms
-    return out
+            add_term(terms, (mono2, word[:pos] + word[pos + 1:], fr),
+                     c.scale(s))
+    return MultiDerivation._new(D.chart, D.rank, terms)
 
 
 def homotopy_H_nabla(D, conn):
@@ -198,7 +177,7 @@ def homotopy_H_nabla(D, conn):
     for k, part in _twisted_weight_parts(to_twisted(D, conn)).items():
         if k == 0:
             continue
-        total = total + from_twisted(_h_twist(part), conn).scale(Fraction(-1, k))
+        total = total + imm_i_nabla(_h_twist(part), conn).scale(Fraction(-1, k))
     return total
 
 
@@ -247,17 +226,10 @@ class BrstContraction:
     def proj(self, sec):
         "Project to the reduced side: drop anti-ghosts, evaluate on s."
         ymap = self._ymap()
-        terms = {}
-        for mono, c in sec.fun.terms.items():
-            if mono.a:
-                continue
-            c0 = c.substitute(ymap).with_chart(self.red)
-            if c0.is_zero():
-                continue
-            key = GhostMonomial(mono.g, ())
-            prev = terms.get(key)
-            terms[key] = c0 if prev is None else prev + c0
-        return Section(GradedFunction(self.red, self.rank, terms))
+        return Section(GradedFunction(
+            self.red, self.rank,
+            {mono: c.substitute(ymap).with_chart(self.red)
+             for mono, c in sec.fun.terms.items() if not mono.a}))
 
     def imm(self, red_sec):
         "Pull a reduced section back over the full chart."
@@ -306,27 +278,9 @@ class BrstContraction:
                 if total.is_zero():
                     continue
                 sgn = (-1) ** (len(S) + sum(1 for B in T if B < A))
-                mono2 = GhostMonomial(S, tuple(sorted(T + (A,))))
-                c2 = total.scale(-sgn)
-                prev = terms.get(mono2)
-                c2 = c2 if prev is None else prev + c2
-                if c2.is_zero():
-                    terms.pop(mono2, None)
-                else:
-                    terms[mono2] = c2
-        return Section(GradedFunction(chart, rank, terms))
-
-
-def proj_wp(con, sec):
-    return con.proj(sec)
-
-
-def imm_iota(con, red_sec):
-    return con.imm(red_sec)
-
-
-def homotopy_h(con, sec):
-    return con.homotopy(sec)
+                add_term(terms, GhostMonomial(S, tuple(sorted(T + (A,)))),
+                         total.scale(-sgn))
+        return Section(GradedFunction._new(chart, rank, terms))
 
 
 # -- homological perturbation transfer -------------------------------

@@ -8,9 +8,7 @@ annihilates the term.  Indices are 0-based internally and rendered
 1-based.
 """
 
-from fractions import Fraction
-
-from .scalar import ScalarExpr
+from .scalar import ScalarExpr, add_term
 
 
 class GhostMonomial:
@@ -75,10 +73,72 @@ def mono_mul(m1, m2):
                                tuple(sorted(m1.a + m2.a)))
 
 
-class GradedFunction:
-    """Element of the ghost algebra: finite map monomial -> ScalarExpr."""
+class Combination:
+    """Finite linear combination key -> ScalarExpr over one chart and
+    rank, with no zero coefficient stored.
+
+    Holds the linear structure shared by the ghost algebra and the
+    word operators; subclasses pick the keys and validate them in
+    their own __init__.  _new wraps a term dict that is already valid
+    without checking it again."""
 
     __slots__ = ("chart", "rank", "terms")
+
+    @classmethod
+    def _new(cls, chart, rank, terms):
+        out = cls.__new__(cls)
+        out.chart = chart
+        out.rank = rank
+        out.terms = terms
+        return out
+
+    @classmethod
+    def zero(cls, chart, rank):
+        return cls._new(chart, rank, {})
+
+    def is_zero(self):
+        return not self.terms
+
+    def _like(self, other):
+        return isinstance(other, type(self)) and \
+            self.chart == other.chart and self.rank == other.rank
+
+    def __add__(self, other):
+        assert self._like(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            add_term(terms, k, c)
+        return self._new(self.chart, self.rank, terms)
+
+    def __neg__(self):
+        return self._new(self.chart, self.rank,
+                         {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, q):
+        "Multiply by a number or a ScalarExpr, dropping zero products."
+        if isinstance(q, ScalarExpr):
+            terms = {}
+            for k, c in self.terms.items():
+                c = c * q
+                if c:
+                    terms[k] = c
+        elif q:
+            terms = {k: c.scale(q) for k, c in self.terms.items()}
+        else:
+            terms = {}
+        return self._new(self.chart, self.rank, terms)
+
+    def __eq__(self, other):
+        return self._like(other) and self.terms == other.terms
+
+
+class GradedFunction(Combination):
+    """Element of the ghost algebra: finite map monomial -> ScalarExpr."""
+
+    __slots__ = ()
 
     def __init__(self, chart, rank, terms=None):
         self.chart = chart
@@ -91,10 +151,6 @@ class GradedFunction:
             self.terms[mono] = coeff
 
     # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zero(cls, chart, rank):
-        return cls(chart, rank, {})
 
     @classmethod
     def scalar(cls, chart, rank, expr):
@@ -112,44 +168,6 @@ class GradedFunction:
     def antighost(cls, chart, rank, B):
         return cls(chart, rank, {GhostMonomial((), (B,)): ScalarExpr.one(chart)})
 
-    # -- linear structure --------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        assert self._like(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            c0 = terms.get(m)
-            c0 = c if c0 is None else c0 + c
-            if c0.is_zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = c0
-        return GradedFunction(self.chart, self.rank, terms)
-
-    def __neg__(self):
-        return GradedFunction(self.chart, self.rank,
-                              {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, q):
-        if isinstance(q, ScalarExpr):
-            return GradedFunction(self.chart, self.rank,
-                                  {m: c * q for m, c in self.terms.items()})
-        return GradedFunction(self.chart, self.rank,
-                              {m: c.scale(q) for m, c in self.terms.items()})
-
-    def _like(self, other):
-        return isinstance(other, GradedFunction) and \
-            self.chart == other.chart and self.rank == other.rank
-
-    def __eq__(self, other):
-        return self._like(other) and self.terms == other.terms
-
     def __hash__(self):
         return hash((self.chart, self.rank,
                      tuple(sorted((m.key(), hash(c)) for m, c in self.terms.items()))))
@@ -165,16 +183,9 @@ class GradedFunction:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 sign, m = mono_mul(m1, m2)
-                if not sign:
-                    continue
-                c = (c1 * c2).scale(sign)
-                c0 = out.get(m)
-                c0 = c if c0 is None else c0 + c
-                if c0.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = c0
-        return GradedFunction(self.chart, self.rank, out)
+                if sign:
+                    add_term(out, m, (c1 * c2).scale(sign))
+        return GradedFunction._new(self.chart, self.rank, out)
 
     def __mul__(self, other):
         if isinstance(other, (GradedFunction, Section)):
@@ -238,7 +249,8 @@ class GradedFunction:
 
 class Section:
     """Element of the section module: a GradedFunction tensored with the
-    fixed frame mu.  Kept nominally distinct from GradedFunction."""
+    fixed frame mu.  The type tells frame-valued results from
+    function-valued ones, and the rendering carries mu."""
 
     __slots__ = ("fun",)
 

@@ -28,9 +28,9 @@ probe-based reconstruction routine round out the module.
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product as iproduct
 
-from .scalar import ScalarExpr
-from .ghost import (GhostMonomial, GradedFunction, Section, ONE_MONO,
-                    mono_mul, shifted_parity)
+from .scalar import ScalarExpr, add_term
+from .ghost import (Combination, GhostMonomial, GradedFunction, Section,
+                    ONE_MONO, mono_mul, shifted_parity)
 
 
 # -- letters ---------------------------------------------------------
@@ -113,10 +113,10 @@ def _letter_str(ell):
 
 # -- the operator class ----------------------------------------------
 
-class MultiDerivation:
+class MultiDerivation(Combination):
     """Finite sum of word terms; keys are (mono, word, fr)."""
 
-    __slots__ = ("chart", "rank", "terms")
+    __slots__ = ()
 
     def __init__(self, chart, rank, terms=None):
         self.chart = chart
@@ -139,10 +139,6 @@ class MultiDerivation:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls, chart, rank):
-        return cls(chart, rank, {})
-
-    @classmethod
     def single(cls, chart, rank, word, coeff=None, mono=ONE_MONO, fr=1):
         coeff = ScalarExpr.one(chart) if coeff is None else coeff
         return cls(chart, rank, {(mono, tuple(word), fr): coeff})
@@ -152,73 +148,12 @@ class MultiDerivation:
         terms = {(mono, (), 1): c for mono, c in sec.fun.terms.items()}
         return cls(sec.chart, sec.rank, terms)
 
-    @classmethod
-    def from_function(cls, fun):
-        terms = {(mono, (), 0): c for mono, c in fun.terms.items()}
-        return cls(fun.chart, fun.rank, terms)
-
     def to_section(self):
         out = {}
         for (mono, word, fr), c in self.terms.items():
             assert word == () and fr == 1, "not an arity-0 section term"
             out[mono] = c
         return Section(GradedFunction(self.chart, self.rank, out))
-
-    def to_function(self):
-        out = {}
-        for (mono, word, fr), c in self.terms.items():
-            assert word == () and fr == 0
-            out[mono] = c
-        return GradedFunction(self.chart, self.rank, out)
-
-    # -- linear structure --------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
-
-    def _like(self, other):
-        return isinstance(other, MultiDerivation) and \
-            self.chart == other.chart and self.rank == other.rank
-
-    def __add__(self, other):
-        assert self._like(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            c0 = terms.get(k)
-            c0 = c if c0 is None else c0 + c
-            if c0.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = c0
-        out = MultiDerivation.zero(self.chart, self.rank)
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        out = MultiDerivation.zero(self.chart, self.rank)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, q):
-        if isinstance(q, ScalarExpr):
-            out = {}
-            for k, c in self.terms.items():
-                c0 = c * q
-                if not c0.is_zero():
-                    out[k] = c0
-            o = MultiDerivation.zero(self.chart, self.rank)
-            o.terms = out
-            return o
-        out = MultiDerivation.zero(self.chart, self.rank)
-        if Fraction(q) != 0:
-            out.terms = {k: c.scale(q) for k, c in self.terms.items()}
-        return out
-
-    def __eq__(self, other):
-        return self._like(other) and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.chart, self.rank,
@@ -266,22 +201,6 @@ class MultiDerivation:
     def op_bidegrees(self):
         return sorted({self.term_bidegree(k) for k in self.terms})
 
-    def pr_op_bidegree(self, h, k):
-        return MultiDerivation(self.chart, self.rank,
-                               {key: c for key, c in self.terms.items()
-                                if self.term_bidegree(key) == (h, k)})
-
-    def map_coeffs(self, f):
-        "Apply f to every scalar coefficient (used for substitutions)."
-        out = {}
-        for key, c in self.terms.items():
-            c0 = f(c)
-            if not c0.is_zero():
-                out[key] = c0
-        o = MultiDerivation.zero(self.chart, self.rank)
-        o.terms = out
-        return o
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -310,7 +229,6 @@ def md_mul(D1, D2):
     the frame flag."""
     assert D1.chart == D2.chart and D1.rank == D2.rank
     chart, rank = D1.chart, D1.rank
-    out = MultiDerivation.zero(chart, rank)
     terms = {}
     for (m1, w1, fr1), c1 in D1.terms.items():
         pw1 = word_parity(w1)
@@ -323,16 +241,9 @@ def md_mul(D1, D2):
             s_w, word = sort_word(w1 + w2, chart)
             if not s_w:
                 continue
-            c = (c1 * c2).scale(sgn * s_m * s_w)
-            key = (mono, word, fr1 + fr2)
-            c0 = terms.get(key)
-            c0 = c if c0 is None else c0 + c
-            if c0.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = c0
-    out.terms = terms
-    return out
+            add_term(terms, (mono, word, fr1 + fr2),
+                     (c1 * c2).scale(sgn * s_m * s_w))
+    return MultiDerivation._new(chart, rank, terms)
 
 
 # -- evaluation ------------------------------------------------------
@@ -444,13 +355,7 @@ def _to_symbols(D):
         odd += [("X", ell[1]) for ell in word if ell[0] == "d"]
         pg = tuple(sorted(ell[1] for ell in word if ell[0] == "e"))
         pa = tuple(sorted(ell[1] for ell in word if ell[0] == "f"))
-        key = (tuple(odd), pg, pa, fr - len(word) + eps)
-        c0 = out.get(key)
-        c0 = c if c0 is None else c0 + c
-        if c0.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = c0
+        add_term(out, (tuple(odd), pg, pa, fr - len(word) + eps), c)
     return out
 
 
@@ -466,16 +371,8 @@ def _from_symbols(sym, chart, rank):
         fr = w + len(word) - eps
         assert fr in (0, 1), \
             "symbol with t-weight %d does not come from an operator" % w
-        key = (GhostMonomial(gs, as_), word, fr)
-        c0 = terms.get(key)
-        c0 = c if c0 is None else c0 + c
-        if c0.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = c0
-    out = MultiDerivation.zero(chart, rank)
-    out.terms = terms
-    return out
+        add_term(terms, (GhostMonomial(gs, as_), word, fr), c)
+    return MultiDerivation._new(chart, rank, terms)
 
 
 def _momenta(key):
@@ -552,14 +449,8 @@ def _half_bracket(F, G, chart, rank):
                 if b is None:
                     continue
                 key, c = _symbol_mul(kA, cA, b[0], b[1], chart)
-                if key is None:
-                    continue
-                c0 = out.get(key)
-                c0 = c if c0 is None else c0 + c
-                if c0.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = c0
+                if key is not None:
+                    add_term(out, key, c)
     return out
 
 
@@ -574,20 +465,9 @@ def sj_bracket(D, E):
             part1 = _half_bracket(FD, FE, chart, rank)
             part2 = _half_bracket(FE, FD, chart, rank)
             for key, c in part1.items():
-                c0 = out.get(key)
-                c0 = c if c0 is None else c0 + c
-                if c0.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = c0
+                add_term(out, key, c)
             for key, c in part2.items():
-                c = c.scale(-flip)
-                c0 = out.get(key)
-                c0 = c if c0 is None else c0 + c
-                if c0.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = c0
+                add_term(out, key, c.scale(-flip))
     return _from_symbols(out, chart, rank)
 
 

@@ -102,6 +102,22 @@ def _mul_keys(k1, k2):
     return tuple(sorted(exps.items()))
 
 
+def add_term(terms, key, c):
+    """Add c at key of a sparse key -> coefficient dict, in place.
+
+    The one merge step of every linear combination in the engine.  A
+    key whose sum cancels is dropped, so a later term at that key goes
+    to the end; a key that survives keeps its place.  Coefficients are
+    Fractions or ring elements, and falsy exactly when zero."""
+    old = terms.get(key)
+    if old is not None:
+        c = old + c
+    if c:
+        terms[key] = c
+    else:
+        terms.pop(key, None)
+
+
 def _reduce_terms(raw):
     # Exhaustive cos^2 -> 1 - sin^2 rewrite, then merge and drop zeros.
     out = {}
@@ -116,11 +132,7 @@ def _reduce_terms(raw):
                 hit = (atom, e)
                 break
         if hit is None:
-            c0 = out.get(key, Fraction(0)) + c
-            if c0 == 0:
-                out.pop(key, None)
-            else:
-                out[key] = c0
+            add_term(out, key, c)
             continue
         atom, e = hit
         rest = tuple((a, x) for a, x in key if a != atom)
@@ -185,11 +197,7 @@ class ScalarExpr:
         assert self.chart == other.chart
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            c0 = terms.get(k, Fraction(0)) + c
-            if c0 == 0:
-                terms.pop(k, None)
-            else:
-                terms[k] = c0
+            add_term(terms, k, c)
         out = ScalarExpr.zero(self.chart)
         out.terms = terms
         return out

@@ -101,8 +101,11 @@ def obstruction_solve(prob, max_iter=64):
 
     Returns (Q, trace); the trace records one entry per correction with
     the residual, its filtration level and the correction added.
-    Raises ObstructionError when the projected residual is nonzero.
+    Raises ObstructionError when the projected residual is nonzero, and
+    ValueError when max_iter corrections leave a nonzero residual.
     """
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative, got %d" % max_iter)
     filt = prob.filtration
     R = prob.bracket(prob.Qbar, prob.Qbar)
     if not R.is_zero():
@@ -112,12 +115,14 @@ def obstruction_solve(prob, max_iter=64):
                              "(level %d < base %d)" % (lev, filt.N))
     Q = prob.Qbar
     trace = []
-    for step in range(max_iter):
-        if R.is_zero():
-            return Q, trace
+    while not R.is_zero():
         obs = prob.P(R)
         if not obs.is_zero():
             raise ObstructionError(obs, R)
+        step = len(trace)
+        if step == max_iter:
+            raise ValueError("no Maurer-Cartan element within %d "
+                             "corrections" % max_iter)
         corr = prob.H(R).scale(Fraction(1, 2))
         if corr.is_zero():
             raise ValueError("nonzero residual with zero correction; "
@@ -133,8 +138,7 @@ def obstruction_solve(prob, max_iter=64):
                       "correction": corr})
         R = R + prob.bracket(Q, corr).scale(2) + prob.bracket(corr, corr)
         Q = Q + corr
-    raise ValueError("no Maurer-Cartan element within %d corrections"
-                     % max_iter)
+    return Q, trace
 
 
 def exp_ad(R, x, bracket, cap=64):
@@ -167,7 +171,10 @@ class GaugeAutomorphism:
 
 def gauge_intertwine(Q0, Q1, prob, max_iter=64):
     """Automorphism phi with phi(Q0) = Q1, for two Maurer-Cartan
-    elements agreeing below the filtration cut."""
+    elements agreeing below the filtration cut, composed of at most
+    max_iter exponentials."""
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative, got %d" % max_iter)
     for Q in (Q0, Q1):
         if not prob.bracket(Q, Q).is_zero():
             raise ValueError("gauge endpoints must be Maurer-Cartan")
@@ -176,17 +183,18 @@ def gauge_intertwine(Q0, Q1, prob, max_iter=64):
         raise ValueError("gauge endpoints differ in the projected part")
     gens = []
     cur = Q0
-    for _ in range(max_iter):
-        diff = Q1 - cur
-        if diff.is_zero():
-            return GaugeAutomorphism(gens, prob.bracket)
+    while not diff.is_zero():
+        if len(gens) == max_iter:
+            raise ValueError("no intertwiner within %d exponentials"
+                             % max_iter)
         R = prob.H(diff)
         if R.is_zero():
             raise ValueError("intertwining stalled: homotopy of the "
                              "difference vanishes")
         gens.append(R)
         cur = exp_ad(R, cur, prob.bracket)
-    raise ValueError("no intertwiner within %d exponentials" % max_iter)
+        diff = Q1 - cur
+    return GaugeAutomorphism(gens, prob.bracket)
 
 
 # -- lifting ---------------------------------------------------------

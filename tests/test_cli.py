@@ -210,6 +210,70 @@ def test_scenario_rejects(tmp_path):
         parse_scenario(scenario_file(tmp_path, section=["y1", "0"]))
 
 
+CURVED = {"vert": [[0, 1, "(sin phi3)"]]}
+
+
+@pytest.mark.parametrize("patch, match", [
+    ({"jacobi": {"biv": [["phi3", "phi4"]]}}, "jacobi biv"),
+    ({"jacobi": {"terms": [[["d:phi3", "d:phi4"]]]}}, "jacobi terms"),
+    ({"connection": {"vert": [[0, "(sin phi3)"]]}}, "connection vert"),
+    ({"connection": {"coef": [["phi4", 1, "y1"]]}}, "connection coef"),
+    ({"connection": {"vert": [[0, 2, "1"]]}}, "out of range"),
+    ({"connection": {"vert": [[0.5, 1, "1"]]}}, "nonnegative integer"),
+    ({"connection": {"coef": [["zz", 0, 1, "1"]]}}, "unknown coordinate"),
+    ({"options": {"kmax": "abc"}}, "options.kmax must be a nonnegative"),
+    ({"options": {"kmax": -1}}, "options.kmax must be a nonnegative"),
+    ({"options": {"max_iter": -1}}, "options.max_iter must be a nonnegative"),
+    ({"options": {"max_iter": 2.5}}, "got 2.5"),
+    ({"options": [3]}, "options must be an object"),
+    ({"section": [3.5, "0"]}, "got 3.5"),
+    ({"section": [True, "0"]}, "expression expected"),
+    ({"section": [["y1"], "0"]}, "expression expected"),
+    ({"section": "12"}, "exactly 2 components"),
+    ({"rank": 2.0}, "rank"),
+])
+def test_scenario_rejects_malformed_values(tmp_path, patch, match):
+    with pytest.raises(ScenarioError, match=match):
+        parse_scenario(scenario_file(tmp_path, **patch))
+
+
+def test_scenario_integral_numbers_accepted(tmp_path):
+    spec = parse_scenario(scenario_file(
+        tmp_path, section=[-2.0, 0], options={"kmax": 2, "max_iter": 5.0}))
+    assert spec.section == (ScalarExpr.number(CH, -2), ScalarExpr.zero(CH))
+    assert (spec.kmax, spec.max_iter) == (2, 5)
+
+
+def test_scenario_top_level_array(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text("[]")
+    with pytest.raises(ScenarioError, match="JSON object"):
+        parse_scenario(str(path))
+    assert cli.main(["--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == "error: a scenario is a JSON object\n"
+
+
+def test_main_iteration_caps(tmp_path, capsys):
+    assert cli.main(["--command", "lift", "--max-iter", "-1"]) == 1
+    assert "--max-iter must be a nonnegative" in capsys.readouterr().err
+    assert cli.main(["--command", "linf", "--kmax", "-1"]) == 1
+    assert "--kmax must be a nonnegative" in capsys.readouterr().err
+    src = scenario_file(tmp_path, options={"max_iter": -1})
+    assert cli.main(["--scenario", src, "--command", "lift"]) == 1
+    assert "options.max_iter" in capsys.readouterr().err
+    # the flat lift is exact, so a cap of 0 suffices
+    assert cli.main(["--command", "lift", "--max-iter", "0"]) == 0
+    assert "corrections: 0" in capsys.readouterr().out
+    # exhausting a valid cap is a residual, not bad input
+    src = scenario_file(tmp_path, connection=CURVED)
+    assert cli.main(["--scenario", src, "--command", "lift",
+                     "--max-iter", "0"]) == 2
+    assert "within 0 corrections" in capsys.readouterr().err
+    assert cli.main(["--scenario", src, "--command", "lift",
+                     "--max-iter", "1"]) == 0
+    assert "corrections: 1" in capsys.readouterr().out
+
+
 # -- command execution ------------------------------------------------
 
 def test_main_check_passes(capsys):

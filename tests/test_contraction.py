@@ -8,9 +8,9 @@ from jacobi_bfv.multideriv import (
     M, d_letter, e_letter, f_letter, MultiDerivation, evaluate, sj_bracket,
     build_G)
 from jacobi_bfv.contraction import (
-    ConnectionSpec, imm_i_nabla, from_twisted, to_twisted, proj_p, weight,
+    ConnectionSpec, imm_i_nabla, to_twisted, proj_p, weight,
     _twisted_weight_parts, _h_twist, homotopy_H_nabla, BrstContraction,
-    proj_wp, imm_iota, homotopy_h, hpl_deform)
+    hpl_deform)
 from jacobi_bfv.models import t5_contact
 from conftest import (t5_chart, random_scalar, rng_for, random_ghost_fun,
                       random_md, random_connection, random_plain_md,
@@ -64,8 +64,8 @@ def test_twist_roundtrip():
     for trial in range(12):
         conn = random_connection(rng, CH, RANK)
         D = random_md(rng, CH, RANK, rng.randint(1, 2))
-        assert from_twisted(to_twisted(D, conn), conn) == D
-        assert to_twisted(from_twisted(D, conn), conn) == D
+        assert imm_i_nabla(to_twisted(D, conn), conn) == D
+        assert to_twisted(imm_i_nabla(D, conn), conn) == D
 
 
 def test_lift_section_and_closure():
@@ -83,12 +83,12 @@ def test_weight_commutator():
     # the unnormalized twist homotopy brackets with d_G to the weight
     # operator; this is what makes the 1/k normalization work
     def Htilde(D, conn):
-        return from_twisted(_h_twist(to_twisted(D, conn)), conn)
+        return imm_i_nabla(_h_twist(to_twisted(D, conn)), conn)
 
     def weight_op(D, conn):
         out = MultiDerivation.zero(CH, RANK)
         for k, part in _twisted_weight_parts(to_twisted(D, conn)).items():
-            out = out + from_twisted(part, conn).scale(k)
+            out = out + imm_i_nabla(part, conn).scale(k)
         return out
 
     rng = rng_for("contr-weight")
@@ -156,15 +156,6 @@ def test_section_must_be_basic():
     y1 = ScalarExpr.coord(CH, "y1")
     with pytest.raises(AssertionError):
         BrstContraction(CH, RANK, (y1, 0))
-
-
-def test_wrappers_delegate():
-    con = BrstContraction(CH, RANK, (0, 0))
-    lam = Section(GradedFunction.scalar(CH, RANK, ScalarExpr.coord(CH, "y2")))
-    assert proj_wp(con, lam) == con.proj(lam)
-    assert homotopy_h(con, lam) == con.homotopy(lam)
-    red = con.proj(lam)
-    assert imm_iota(con, red) == con.imm(red)
 
 
 def test_hpl_recovers_plain_bracket():

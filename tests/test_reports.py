@@ -1,0 +1,53 @@
+"""Every CLI report must match its recorded SHA-256 digest byte for byte.
+
+The reference digests and the scenario list belong to the benchmark
+(perfbench/digests.json, perfbench/workloads.py), which is imported
+read-only: the shipped scenarios plus every value variant of each
+generated scenario, each run through all commands in-process.
+"""
+
+import json
+import os
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import workloads  # noqa: E402
+from jacobi_bfv import cli  # noqa: E402
+
+
+def _scenarios():
+    out = [s for s in workloads.cli_scenarios(0) if s[2] is None]
+    for params in workloads.CLI_GENERATED:
+        for v in range(workloads.CLI_VARIANTS):
+            out.append(workloads.generated_scenario(params, v))
+    return out
+
+
+SCENARIOS = _scenarios()
+
+with open(workloads.DIGESTS) as _fh:
+    DIGESTS = json.load(_fh)
+
+
+def test_every_recorded_report_is_enumerated():
+    names = {"%s/%s" % (s[0], command)
+             for s in SCENARIOS for command in cli.COMMANDS}
+    assert names == set(DIGESTS)
+
+
+@pytest.mark.parametrize("name, path, doc, codes", SCENARIOS,
+                         ids=[s[0] for s in SCENARIOS])
+def test_reports_match_recorded_digests(tmp_path, name, path, doc, codes):
+    if doc is not None:
+        path = workloads.write_scenario(str(tmp_path), name, doc)
+    wrong = []
+    for command in cli.COMMANDS:
+        got = workloads.report_digest(workloads.run_cli(cli, path, command))
+        want = (codes.get(command, 0), DIGESTS["%s/%s" % (name, command)])
+        if got != want:
+            wrong.append((command, got, want))
+    assert not wrong

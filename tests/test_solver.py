@@ -172,6 +172,31 @@ def test_gauge_rejects_bad_endpoints():
         gauge_intertwine(om0, bad, prob)
 
 
+def test_caps_count_the_last_step():
+    # a cap of k admits a solve that needs exactly k steps
+    conn = ConnectionSpec(CH, RANK, vert={(0, 1): ScalarExpr.sin(CH, "phi3")})
+    Q0, trace = lift_jacobi(J, MODEL.flat, max_iter=0)
+    assert trace == []
+    Q1, trace = lift_jacobi(J, conn, max_iter=1)
+    assert len(trace) == 1 and sj_bracket(Q1, Q1).is_zero()
+    with pytest.raises(ValueError, match="within 0 corrections"):
+        lift_jacobi(J, conn, max_iter=0)
+    prob = lifting_problem(J, MODEL.flat)
+    phi = gauge_intertwine(Q0, Q1, prob, max_iter=1)
+    assert len(phi.generators) == 1 and phi(Q0) == Q1
+    assert gauge_intertwine(Q0, Q0, prob, max_iter=0).generators == []
+    with pytest.raises(ValueError, match="within 0 exponentials"):
+        gauge_intertwine(Q0, Q1, prob, max_iter=0)
+
+
+def test_negative_caps_are_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        lift_jacobi(J, MODEL.flat, max_iter=-1)
+    Q0, _ = lift_jacobi(J, MODEL.flat)
+    with pytest.raises(ValueError, match="nonnegative"):
+        gauge_intertwine(Q0, Q0, lifting_problem(J, MODEL.flat), max_iter=-1)
+
+
 def test_bfv_assemble_t5():
     bfv = bfv_assemble(J, MODEL.flat)
     mu = Section.frame(CH, RANK)

@@ -1,5 +1,7 @@
-"""Checks that must hold when Python strips assert statements (-O)."""
+"""Checks that must hold when Python strips assert statements (-O), and
+the contract between the engine and the benchmark's tracer."""
 
+from fractions import Fraction
 import os
 import subprocess
 import sys
@@ -7,6 +9,12 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import tracing  # noqa: E402
+from jacobi_bfv import cli, scalar, ghost, contraction, solver  # noqa: E402,F401
+from jacobi_bfv.contraction import ConnectionSpec  # noqa: E402
+from jacobi_bfv.models import t5_contact  # noqa: E402
 SCENARIOS = ["t5-contact",
              os.path.join(ROOT, "demos", "scenarios", "small_rank1.json"),
              os.path.join(ROOT, "demos", "scenarios", "t5_abstract.json")]
@@ -56,3 +64,37 @@ def test_check_command_same_under_optimize(scenario):
     opt = run_python(args, optimize=True)
     assert plain.stdout
     assert (opt.returncode, opt.stdout) == (plain.returncode, plain.stdout)
+
+
+def test_tracer_installs_counts_and_uninstalls():
+    # the tracer patches these methods through cls.__dict__, so they
+    # must stay defined on their own classes
+    methods = [(scalar.ScalarExpr, "__mul__"), (scalar.ScalarExpr, "partial"),
+               (scalar.ScalarExpr, "substitute"),
+               (ghost.GradedFunction, "ghost_mul"),
+               (ghost.GradedFunction, "partial"),
+               (contraction.BrstContraction, "homotopy")]
+    owners = [m for name, m in sorted(sys.modules.items())
+              if name.startswith("jacobi_bfv")]
+    owners += [cls for cls, _ in methods] + [Fraction]
+    before = [(owner, dict(vars(owner))) for owner in owners]
+    model = t5_contact()
+    conn = ConnectionSpec(model.chart, model.rank,
+                          {(0, 1): scalar.ScalarExpr.sin(model.chart, "phi3")})
+    tr = tracing.Tracer()
+    tr.install()
+    try:
+        for cls, attr in methods:
+            assert vars(cls)[attr].__wrapped__ is dict(before)[cls][attr]
+        tr.active = True
+        _, trace = solver.lift_jacobi(model.J, conn)
+        tr.active = False
+    finally:
+        tr.uninstall()
+    assert len(trace) == 1
+    assert tr.counts["multideriv.sj_bracket.calls"] > 0
+    assert tr.counts["scalar.partial.calls"] > 0
+    for owner, attrs in before:
+        now = vars(owner)
+        assert set(now) == set(attrs), owner
+        assert all(now[k] is v for k, v in attrs.items()), owner
