@@ -10,7 +10,7 @@ from .contraction import (ConnectionSpec, BrstContraction, imm_i_nabla,
                           proj_p, homotopy_H_nabla, hpl_deform)
 from .solver import (ObstructionError, obstruction_solve, lift_jacobi,
                      brst_charge, coisotropy_residual, mc_check,
-                     bfv_assemble, reduced_differential, derived_brackets,
+                     BfvData, bfv_assemble, reduced_differential, derived_brackets,
                      gauge_intertwine)
 from .models import Model, t5_contact
 
@@ -21,7 +21,7 @@ __all__ = [
     "NotJacobiError", "ConnectionSpec", "BrstContraction", "imm_i_nabla",
     "proj_p", "homotopy_H_nabla", "hpl_deform", "ObstructionError",
     "obstruction_solve", "lift_jacobi", "brst_charge",
-    "coisotropy_residual", "mc_check", "bfv_assemble",
+    "coisotropy_residual", "mc_check", "BfvData", "bfv_assemble",
     "reduced_differential", "derived_brackets", "gauge_intertwine",
     "Model", "t5_contact",
 ]

@@ -21,7 +21,7 @@ from .multideriv import (M, d_letter, sort_word, MultiDerivation, evaluate,
 from .contraction import ConnectionSpec, BrstContraction, proj_p
 from .solver import (ObstructionError, lift_jacobi, lifting_problem,
                      brst_problem, brst_charge, omega_section,
-                     coisotropy_residual, mc_check, bfv_assemble,
+                     coisotropy_residual, mc_check, BfvData,
                      reduced_differential, derived_brackets, v_immersion,
                      v_projection, gauge_intertwine, exp_ad)
 from .models import t5_contact
@@ -135,6 +135,16 @@ def _entries(items, size, what):
     return items
 
 
+def _object(obj, key):
+    "An optional JSON object: absent or null reads as empty."
+    value = obj.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ScenarioError("%s must be an object" % key)
+    return value
+
+
 def parse_expr(src, chart):
     "Prefix syntax: symbols, rationals, (+ ...), (* ...), (^ x n), (neg x), (sin c), (cos c)."
     if isinstance(src, float) and src.is_integer():
@@ -188,9 +198,9 @@ def _parse_chart(obj):
         return Chart(list(obj["coords"]),
                      angular=list(obj.get("angular", [])),
                      fiber=list(obj["fiber"]),
-                     funcs={k: tuple(v) for k, v in obj["funcs"].items()}
-                     if obj.get("funcs") else None)
-    except (KeyError, AssertionError, TypeError) as exc:
+                     funcs={k: tuple(v)
+                            for k, v in _object(obj, "funcs").items()})
+    except (KeyError, ValueError, TypeError) as exc:
         raise ScenarioError("bad chart: %s" % exc)
 
 
@@ -227,6 +237,9 @@ def _jacobi_from_terms(items, chart, rank):
     are "m" or "d:<coord>"; words hold at most two of them."""
     out = MultiDerivation.zero(chart, rank)
     for word_src, src in _entries(items, 2, "jacobi terms"):
+        if not isinstance(word_src, list):
+            raise ScenarioError("jacobi terms words must be lists of "
+                                "letters, got %r" % (word_src,))
         word = []
         for tok in word_src:
             if tok == "m":
@@ -277,7 +290,7 @@ def parse_scenario(source):
     if not isinstance(rank, int) or rank != len(chart.fiber):
         raise ScenarioError("rank must equal the number of fiber "
                             "coordinates (%d)" % len(chart.fiber))
-    jac = obj.get("jacobi") or {}
+    jac = _object(obj, "jacobi")
     stray = sorted(set(jac) - {"biv", "vec", "terms"})
     if stray:
         raise ScenarioError("unknown jacobi keys: %s" % ", ".join(stray))
@@ -292,6 +305,8 @@ def parse_scenario(source):
             for c in (ci, cj):
                 if not isinstance(c, str) or c not in chart._pos:
                     raise ScenarioError("unknown coordinate %r in biv" % c)
+            if ci == cj:
+                raise ScenarioError("biv entry pairs %r with itself" % ci)
             e = parse_expr(src, chart)
             if chart.axis(ci) > chart.axis(cj):
                 ci, cj, e = cj, ci, -e
@@ -299,7 +314,7 @@ def parse_scenario(source):
                 e = biv[(ci, cj)] + e
             biv[(ci, cj)] = e
         vec = {}
-        for c, src in sorted((jac.get("vec") or {}).items()):
+        for c, src in sorted(_object(jac, "vec").items()):
             if c not in chart._pos:
                 raise ScenarioError("unknown coordinate %r in vec" % c)
             vec[c] = parse_expr(src, chart)
@@ -318,9 +333,7 @@ def parse_scenario(source):
         if c.max_degree(chart.fiber) != 0:
             raise ScenarioError("section components must not involve "
                                 "fiber coordinates")
-    opts = obj.get("options") or {}
-    if not isinstance(opts, dict):
-        raise ScenarioError("options must be an object")
+    opts = _object(obj, "options")
     return ScenarioSpec(obj.get("name", source), chart, rank, J, conn,
                         conn2, section,
                         kmax=_count(opts.get("kmax", 3), "options.kmax"),
@@ -372,21 +385,25 @@ def _reduced_probes(chart, rank):
 
 def run(command, spec, trace=False):
     """Execute one command.  Returns (exit_code, report_dict)."""
+    if command not in COMMANDS:
+        raise ScenarioError("unknown command %r" % command)
+    if command == "intertwine" and spec.conn2 is None:
+        raise ScenarioError("intertwine needs a second connection "
+                            "(connection2)")
     out = {"schema": "bfv-report/1", "scenario": spec.name,
            "command": command}
     code = 0
+    Jhat, lift_tr = lift_jacobi(spec.J, spec.conn, spec.max_iter)
 
     if command == "lift":
-        Jhat, tr = lift_jacobi(spec.J, spec.conn, spec.max_iter)
         out["J"] = str(spec.J)
         out["Jhat"] = str(Jhat)
-        out["corrections"] = len(tr)
+        out["corrections"] = len(lift_tr)
         out["mc"] = sj_bracket(Jhat, Jhat).is_zero()
         if trace:
-            out["trace"] = _trace_rows(tr)
+            out["trace"] = _trace_rows(lift_tr)
 
     elif command == "brst":
-        Jhat, _ = lift_jacobi(spec.J, spec.conn, spec.max_iter)
         try:
             om, tr = brst_charge(Jhat, spec.section, spec.max_iter)
         except ObstructionError as exc:
@@ -400,7 +417,7 @@ def run(command, spec, trace=False):
             out["trace"] = _trace_rows(tr)
 
     elif command == "bfv":
-        bfv = bfv_assemble(spec.J, spec.conn, spec.max_iter)
+        bfv = BfvData(spec.J, Jhat, spec.max_iter)
         out["Jhat"] = str(bfv.Jhat)
         out["omega"] = str(bfv.omega)
         out["d_bfv"] = str(bfv.op)
@@ -408,10 +425,9 @@ def run(command, spec, trace=False):
                              for nm, sec in
                              _generator_probes(spec.chart, spec.rank)]
         if trace:
-            out["trace"] = _trace_rows(bfv.lift_trace + bfv.charge_trace)
+            out["trace"] = _trace_rows(lift_tr + bfv.charge_trace)
 
     elif command == "residual":
-        Jhat, _ = lift_jacobi(spec.J, spec.conn, spec.max_iter)
         res = coisotropy_residual(Jhat, spec.section)
         out["residual"] = _red_str(res)
         out["coisotropic"] = res.is_zero()
@@ -419,14 +435,12 @@ def run(command, spec, trace=False):
             code = 2
 
     elif command == "reduce":
-        bfv = bfv_assemble(spec.J, spec.conn, spec.max_iter)
-        red = reduced_differential(bfv)
+        red = reduced_differential(BfvData(spec.J, Jhat, spec.max_iter))
         out["generators"] = [[nm, _red_str(red.dif(sec))]
                              for nm, sec in
                              _reduced_probes(spec.chart, spec.rank)]
 
     elif command == "linf":
-        Jhat, _ = lift_jacobi(spec.J, spec.conn, spec.max_iter)
         mk = derived_brackets(Jhat, max(spec.kmax, 1))
         probes = _reduced_probes(spec.chart, spec.rank)
         out["m1"] = [[nm, _red_str(mk[1](sec))] for nm, sec in probes]
@@ -441,18 +455,14 @@ def run(command, spec, trace=False):
                                          scalars[2][1]))]]
 
     elif command == "intertwine":
-        if spec.conn2 is None:
-            raise ScenarioError("intertwine needs a second connection "
-                                "(connection2)")
-        Q0, _ = lift_jacobi(spec.J, spec.conn, spec.max_iter)
         Q1, _ = lift_jacobi(spec.J, spec.conn2, spec.max_iter)
         prob = lifting_problem(spec.J, spec.conn)
-        phi = gauge_intertwine(Q0, Q1, prob, spec.max_iter)
+        phi = gauge_intertwine(Jhat, Q1, prob, spec.max_iter)
         out["lift_generators"] = [str(R) for R in phi.generators]
-        out["lift_intertwined"] = phi(Q0) == Q1
+        out["lift_intertwined"] = phi(Jhat) == Q1
         # a second charge, displaced inside the gauge group, and back
-        om0, _ = brst_charge(Q0, spec.section, spec.max_iter)
-        bprob = brst_problem(Q0, spec.section)
+        om0, _ = brst_charge(Jhat, spec.section, spec.max_iter)
+        bprob = brst_problem(Jhat, spec.section)
         gen = GradedFunction.one(spec.chart, spec.rank)
         for A in range(spec.rank):
             gen = gen.ghost_mul(GradedFunction.ghost(spec.chart,
@@ -468,14 +478,13 @@ def run(command, spec, trace=False):
         out["charge_generators"] = [str(R) for R in psi.generators]
         out["charge_intertwined"] = psi(om0) == om1
 
-    elif command == "check":
+    else:  # check
         rows = []
 
         def row(name, flag):
             rows.append([name, "PASS" if flag else "FAIL"])
 
         row("jacobi", is_jacobi(spec.J))
-        Jhat, _ = lift_jacobi(spec.J, spec.conn, spec.max_iter)
         row("lift-mc", sj_bracket(Jhat, Jhat).is_zero())
         row("lift-plain-part", proj_p(Jhat) == spec.J)
         try:
@@ -487,7 +496,7 @@ def run(command, spec, trace=False):
         except ObstructionError as exc:
             rows.append(["charge-mc", "FAIL (obstruction %s)"
                          % _red_str(exc.obstruction)])
-        bfv = bfv_assemble(spec.J, spec.conn, spec.max_iter)
+        bfv = BfvData(spec.J, Jhat, spec.max_iter)
         row("dif-squared", all(
             bfv.dif(bfv.dif(sec)).is_zero()
             for _, sec in _generator_probes(spec.chart, spec.rank)))
@@ -510,9 +519,6 @@ def run(command, spec, trace=False):
         out["checks"] = rows
         if any(not r[1].startswith("PASS") for r in rows):
             code = 2
-
-    else:
-        raise ScenarioError("unknown command %r" % command)
 
     return code, out
 

@@ -556,7 +556,9 @@ def jacobi_from_pair(chart, rank, biv, vec):
     out = MultiDerivation.zero(chart, rank)
     for (i, j), c in sorted(biv.items(), key=lambda kv: (chart.axis(kv[0][0]),
                                                          chart.axis(kv[0][1]))):
-        assert chart.axis(i) < chart.axis(j), (i, j)
+        if chart.axis(i) >= chart.axis(j):
+            raise ValueError("biv key %r must pair two distinct coordinates "
+                             "in chart order" % ((i, j),))
         if isinstance(c, (int, Fraction)):
             c = ScalarExpr.number(chart, c)
         out = out + MultiDerivation.single(chart, rank,

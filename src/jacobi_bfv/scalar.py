@@ -26,22 +26,26 @@ class Chart:
 
     def __init__(self, coords, angular=(), fiber=(), funcs=None):
         self.coords = tuple(coords)
-        assert len(set(self.coords)) == len(self.coords), "coordinate name clash"
+        if len(set(self.coords)) != len(self.coords):
+            raise ValueError("coordinate name clash in %r" % (self.coords,))
         self.angular = frozenset(angular)
-        for a in self.angular:
-            assert a in self.coords, a
         self.fiber = tuple(fiber)
-        for y in self.fiber:
-            assert y in self.coords, y
-        assert not (self.angular & set(self.fiber)), \
-            "fiber coordinates must be polynomial atoms"
+        for role, names in (("angular", self.angular), ("fiber", self.fiber)):
+            for c in sorted(names):
+                if c not in self.coords:
+                    raise ValueError("unknown %s coordinate %r" % (role, c))
+        if self.angular & set(self.fiber):
+            raise ValueError("fiber coordinates must be polynomial atoms")
         self.funcs = {}
         for name, deps in dict(funcs or {}).items():
-            assert name not in self.coords, name
+            if name in self.coords:
+                raise ValueError("function %r clashes with a coordinate"
+                                 % name)
             deps = tuple(deps)
             for d in deps:
-                assert d in self.coords and d not in self.fiber, \
-                    "abstract functions depend on base coordinates only"
+                if d not in self.coords or d in self.fiber:
+                    raise ValueError("abstract functions depend on base "
+                                     "coordinates only, got %r" % (d,))
             self.funcs[name] = deps
         self._pos = {c: i for i, c in enumerate(self.coords)}
 

@@ -26,7 +26,8 @@ from fractions import Fraction
 from .scalar import ScalarExpr
 from .ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
 from .multideriv import (d_letter, MultiDerivation, evaluate, sj_bracket,
-                         build_G, NotJacobiError, jacobi_bracket)
+                         build_G, NotJacobiError, jacobi_bracket,
+                         hamiltonian)
 from .contraction import (ConnectionSpec, imm_i_nabla, proj_p,
                           homotopy_H_nabla, BrstContraction, hpl_deform)
 
@@ -260,10 +261,8 @@ def brst_charge(Jhat, section, max_iter=64):
 def coisotropy_residual(Jhat, section):
     """Projected self-bracket of the candidate charge; vanishes exactly
     when the image of the section is coisotropic."""
-    chart, rank = Jhat.chart, Jhat.rank
-    con = BrstContraction(chart, rank, _section_tuple(chart, rank, section))
-    om = omega_section(chart, rank, con.section)
-    return con.proj(jacobi_bracket(om, om, Jhat))
+    prob = brst_problem(Jhat, section)
+    return prob.P(prob.bracket(prob.Qbar, prob.Qbar))
 
 
 def mc_check(Om, Jhat):
@@ -275,38 +274,28 @@ def mc_check(Om, Jhat):
 # -- BFV assembly ----------------------------------------------------
 
 class BfvData:
-    "Lifting, charge and differential of one model, bundled."
+    """Charge over the zero section and the differential d = [[Jhat, Omega]]
+    of one lifting, bundled.  The zero section must be coisotropic."""
 
-    __slots__ = ("chart", "rank", "J", "conn", "Jhat", "lift_trace",
-                 "omega", "charge_trace", "op", "con")
+    __slots__ = ("chart", "rank", "J", "Jhat", "omega", "charge_trace",
+                 "op", "con")
 
-    def __init__(self, chart, rank, J, conn, Jhat, lift_trace, omega,
-                 charge_trace):
-        self.chart = chart
-        self.rank = rank
+    def __init__(self, J, Jhat, max_iter=64):
+        self.chart, self.rank = J.chart, J.rank
         self.J = J
-        self.conn = conn
         self.Jhat = Jhat
-        self.lift_trace = lift_trace
-        self.omega = omega
-        self.charge_trace = charge_trace
-        self.op = sj_bracket(Jhat, MultiDerivation.from_section(omega))
-        self.con = BrstContraction(chart, rank,
-                                   tuple(0 for _ in range(rank)))
+        self.con = BrstContraction(J.chart, J.rank, (0,) * J.rank)
+        self.omega, self.charge_trace = brst_charge(Jhat, self.con.section,
+                                                    max_iter)
+        self.op = hamiltonian(self.omega, Jhat)
 
     def dif(self, lam):
         return evaluate(self.op, [lam])
 
 
 def bfv_assemble(J, conn, max_iter=64):
-    """Lift, solve for the charge over the zero section and form the
-    differential.  The zero section must be coisotropic."""
-    chart, rank = J.chart, J.rank
-    Jhat, lift_trace = lift_jacobi(J, conn, max_iter)
-    omega, charge_trace = brst_charge(Jhat, tuple(0 for _ in range(rank)),
-                                      max_iter)
-    return BfvData(chart, rank, J, conn, Jhat, lift_trace, omega,
-                   charge_trace)
+    "Lift J along conn and assemble the BFV data over the lifting."
+    return BfvData(J, lift_jacobi(J, conn, max_iter)[0], max_iter)
 
 
 # -- reduced side ----------------------------------------------------

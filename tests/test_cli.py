@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jacobi_bfv.scalar import ScalarExpr
-from jacobi_bfv import cli
+from jacobi_bfv import cli, solver
 from jacobi_bfv.cli import ScenarioError, parse_expr, parse_scenario
 from jacobi_bfv.models import t5_contact
 from conftest import t5_chart
@@ -231,6 +231,16 @@ CURVED = {"vert": [[0, 1, "(sin phi3)"]]}
     ({"section": [["y1"], "0"]}, "expression expected"),
     ({"section": "12"}, "exactly 2 components"),
     ({"rank": 2.0}, "rank"),
+    ({"jacobi": [["phi3", "phi4", "1"]]}, "jacobi must be an object"),
+    ({"jacobi": {"vec": [["phi4", "1"]]}}, "vec must be an object"),
+    ({"jacobi": {"biv": [["phi3", "phi3", "1"]]}}, "pairs 'phi3' with itself"),
+    ({"chart": {"coords": ["phi1", "phi1", "y1", "y2"],
+                "fiber": ["y1", "y2"]}}, "bad chart: coordinate name clash"),
+    ({"jacobi": {"vec": []}}, "vec must be an object"),
+    ({"options": 0}, "options must be an object"),
+    ({"chart": dict(T5_DOC["chart"], funcs=[["f1", "phi1"]])},
+     "bad chart: funcs must be an object"),
+    ({"jacobi": {"terms": [["m", "1"]]}}, "words must be lists"),
 ])
 def test_scenario_rejects_malformed_values(tmp_path, patch, match):
     with pytest.raises(ScenarioError, match=match):
@@ -275,6 +285,25 @@ def test_main_iteration_caps(tmp_path, capsys):
 
 
 # -- command execution ------------------------------------------------
+
+@pytest.mark.parametrize("command, solves", [
+    ("lift", 1), ("brst", 2), ("bfv", 2), ("residual", 1), ("reduce", 2),
+    ("linf", 1), ("intertwine", 3), ("check", 3)])
+def test_main_lifts_once(monkeypatch, capsys, command, solves):
+    # every command lifts J along the scenario connection once and
+    # reuses that lift; only intertwine lifts again, along connection2
+    calls = []
+    solve = solver.obstruction_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "obstruction_solve", counted)
+    assert cli.main(["--command", command]) == 0
+    capsys.readouterr()
+    assert len(calls) == solves
+
 
 def test_main_check_passes(capsys):
     assert cli.main(["--command", "check"]) == 0

@@ -210,6 +210,12 @@ def test_broken_pair_raises():
     assert not err.value.residual.is_zero()
 
 
+@pytest.mark.parametrize("key", [("phi3", "phi3"), ("phi4", "phi3")])
+def test_pair_keys_must_be_ordered(key):
+    with pytest.raises(ValueError, match="two distinct coordinates"):
+        jacobi_from_pair(CH, RANK, {key: ScalarExpr.one(CH)}, {})
+
+
 def test_jacobi_bracket_values():
     biv, vec = t5_pair()
     J = jacobi_from_pair(CH, RANK, biv, vec)

@@ -94,6 +94,19 @@ def test_substitute_examples():
     assert got == t * t
 
 
+@pytest.mark.parametrize("args, match", [
+    ((["x", "x"],), "name clash"),
+    ((["x"], ["z"]), "unknown angular coordinate 'z'"),
+    ((["x"], (), ["z"]), "unknown fiber coordinate 'z'"),
+    ((["x", "y"], ["y"], ["y"]), "polynomial atoms"),
+    ((["x"], (), (), {"x": ()}), "clashes with a coordinate"),
+    ((["x", "y"], (), ["y"], {"f": ("y",)}), "base coordinates only"),
+])
+def test_chart_rejects_bad_roles(args, match):
+    with pytest.raises(ValueError, match=match):
+        Chart(*args)
+
+
 def test_substitute_rejects_base_coords():
     ch = t5_chart()
     with pytest.raises(AssertionError):

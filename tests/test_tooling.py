@@ -2,6 +2,7 @@
 the contract between the engine and the benchmark's tracer."""
 
 from fractions import Fraction
+import json
 import os
 import subprocess
 import sys
@@ -56,14 +57,48 @@ def test_filtration_guard_survives_optimize():
     assert "filtration level" in out.stdout
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_check_command_same_under_optimize(scenario):
-    args = ["-m", "jacobi_bfv.cli", "--scenario", scenario,
-            "--command", "check"]
-    plain = run_python(args, optimize=False)
-    opt = run_python(args, optimize=True)
-    assert plain.stdout
+SMALL = os.path.join(ROOT, "demos", "scenarios", "small_rank1.json")
+# malformed variants of the small scenario; each must end in a clean
+# error (exit 1, no traceback) whether or not asserts run
+MALFORMED = {
+    "biv-self-pair": ("jacobi", {"biv": [["x1", "x1", "1"]]}),
+    "vec-list": ("jacobi", {"vec": [["x2", "x1"]]}),
+    "chart-clash": ("chart", {"coords": ["x1", "x1", "y1"], "fiber": ["y1"]}),
+}
+
+# one interpreter runs every command; errors go to stdout so that the
+# order of reports and messages is compared too
+EVERY_COMMAND = """
+import sys
+from jacobi_bfv import cli
+sys.stderr = sys.stdout
+for command in cli.COMMANDS:
+    print("$", command)
+    print("exit", cli.main(["--scenario", sys.argv[1], "--command", command]))
+"""
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS + sorted(MALFORMED))
+def test_check_command_same_under_optimize(scenario, tmp_path):
+    malformed = scenario in MALFORMED
+    if malformed:
+        with open(SMALL) as fh:
+            doc = json.load(fh)
+        key, value = MALFORMED[scenario]
+        doc[key] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        scenario = str(path)
+    plain = run_python(["-c", EVERY_COMMAND, scenario], optimize=False)
+    opt = run_python(["-c", EVERY_COMMAND, scenario], optimize=True)
+    assert plain.returncode == 0, plain.stderr
     assert (opt.returncode, opt.stdout) == (plain.returncode, plain.stdout)
+    codes = [ln for ln in plain.stdout.splitlines() if ln.startswith("exit ")]
+    assert len(codes) == len(cli.COMMANDS)
+    assert "Traceback" not in plain.stdout
+    if malformed:
+        assert codes == ["exit 1"] * len(cli.COMMANDS)
+        assert plain.stdout.count("error: ") == len(cli.COMMANDS)
 
 
 def test_tracer_installs_counts_and_uninstalls():
