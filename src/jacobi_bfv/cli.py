@@ -15,12 +15,12 @@ from fractions import Fraction
 
 from .scalar import Chart, ScalarExpr
 from .ghost import GradedFunction, Section
-from .multideriv import (M, d_letter, sort_word, MultiDerivation, evaluate,
-                         sj_bracket, build_G, is_jacobi, jacobi_from_pair,
+from .multideriv import (M, d_letter, sort_word, MultiDerivation,
+                         sj_bracket, is_jacobi, jacobi_from_pair,
                          NotJacobiError)
-from .contraction import ConnectionSpec, BrstContraction, proj_p
-from .solver import (ObstructionError, lift_jacobi, lifting_problem,
-                     brst_problem, brst_charge, omega_section,
+from .contraction import ConnectionSpec, proj_p
+from .solver import (ObstructionError, obstruction_solve, lift_jacobi,
+                     lifting_problem, brst_problem, brst_charge, omega_section,
                      coisotropy_residual, mc_check, BfvData,
                      reduced_differential, derived_brackets, v_immersion,
                      v_projection, gauge_intertwine, exp_ad)
@@ -29,6 +29,8 @@ from .models import t5_contact
 SCHEMA = "bfv-scenario/1"
 COMMANDS = ("lift", "brst", "bfv", "residual", "reduce", "linf",
             "intertwine", "check")
+# (^ a n) multiplies out n factors; recorded scenarios use n <= 2
+MAX_EXPONENT = 32
 
 
 class ScenarioError(ValueError):
@@ -108,8 +110,9 @@ def _build(node, chart):
         if len(args) != 2 or not isinstance(args[1], str):
             raise ScenarioError("^ expects a base and an integer")
         n = _number(args[1])
-        if n is None or n.denominator != 1 or n < 0:
-            raise ScenarioError("^ exponent must be a nonnegative integer")
+        if n is None or n.denominator != 1 or not 0 <= n <= MAX_EXPONENT:
+            raise ScenarioError("^ exponent must be an integer from 0 to %d"
+                                % MAX_EXPONENT)
         return _build(args[0], chart) ** int(n)
     raise ScenarioError("unknown operator %r" % op)
 
@@ -133,6 +136,15 @@ def _entries(items, size, what):
         raise ScenarioError("%s must be a list of %d-item lists"
                             % (what, size))
     return items
+
+
+def _names(value, what):
+    "A JSON list of names."
+    if not isinstance(value, list) or not all(
+            isinstance(v, str) for v in value):
+        raise ScenarioError("%s must be a list of names, got %r"
+                            % (what, value))
+    return value
 
 
 def _object(obj, key):
@@ -195,10 +207,10 @@ def _parse_chart(obj):
     if stray:
         raise ScenarioError("unknown chart keys: %s" % ", ".join(stray))
     try:
-        return Chart(list(obj["coords"]),
-                     angular=list(obj.get("angular", [])),
-                     fiber=list(obj["fiber"]),
-                     funcs={k: tuple(v)
+        return Chart(_names(obj["coords"], "coords"),
+                     angular=_names(obj.get("angular", []), "angular"),
+                     fiber=_names(obj["fiber"], "fiber"),
+                     funcs={k: _names(v, "funcs %r" % k)
                             for k, v in _object(obj, "funcs").items()})
     except (KeyError, ValueError, TypeError) as exc:
         raise ScenarioError("bad chart: %s" % exc)
@@ -461,8 +473,8 @@ def run(command, spec, trace=False):
         out["lift_generators"] = [str(R) for R in phi.generators]
         out["lift_intertwined"] = phi(Jhat) == Q1
         # a second charge, displaced inside the gauge group, and back
-        om0, _ = brst_charge(Jhat, spec.section, spec.max_iter)
         bprob = brst_problem(Jhat, spec.section)
+        om0, _ = obstruction_solve(bprob, spec.max_iter)
         gen = GradedFunction.one(spec.chart, spec.rank)
         for A in range(spec.rank):
             gen = gen.ghost_mul(GradedFunction.ghost(spec.chart,

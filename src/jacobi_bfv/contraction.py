@@ -6,25 +6,26 @@ into one that pairs against the ghost directions: every m and d_i
 letter picks up connection terms with one ghost generator and one e/f
 letter.  That immersion, imm_i_nabla, also reads an operator written
 in the twisted letter basis back in the plain one; to_twisted inverts
-it.  The associated homotopy works in the twisted letter basis,
-trading e/f letters back for generators, with a 1/weight normalization.
+it.  The associated homotopy is one pass in the twisted basis: trade
+each e/f letter for a generator, which keeps the weight k (generators
+plus e/f letters) of a term, scale by -1/k and immerse back.
 
-The second one contracts the section module along a chosen section of
-the fiber projection: an explicit integration homotopy h inverts the
-Koszul differential d[s] up to the projection/immersion pair.
+The second one contracts the section module along a chosen section s
+of the fiber projection.  Its homotopy inverts the Koszul differential
+d[s] up to the projection/immersion pair by a radial integral about s,
+also in one pass: for a term c xi^S xi*_T, shift dc/dy_A to s,
+multiply each term of fiber degree k by 1/(k + |T| + 1), the integral
+of t^(k + |T|) over [0, 1], and shift back.
 
 hpl_deform transfers a contraction through a perturbation of the
 differential by the usual geometric series, evaluated lazily.
 """
 
 from fractions import Fraction
-from itertools import product as iproduct
-from math import factorial
 
 from .scalar import ScalarExpr, add_term
 from .ghost import GhostMonomial, GradedFunction, Section, ONE_MONO, mono_mul
-from .multideriv import (M, d_letter, e_letter, f_letter, MultiDerivation,
-                         md_mul, evaluate, sj_bracket)
+from .multideriv import e_letter, f_letter, MultiDerivation, md_mul
 
 
 class ConnectionSpec:
@@ -42,18 +43,26 @@ class ConnectionSpec:
         self.rank = rank
         self.vert = {}
         for (A, B), c in dict(vert or {}).items():
-            assert 0 <= A < rank and 0 <= B < rank
+            self._check_frame(A, B)
             if isinstance(c, (int, Fraction)):
                 c = ScalarExpr.number(chart, c)
             if not c.is_zero():
                 self.vert[(A, B)] = c
         self.coef = {}
         for (i, A, B), c in dict(coef or {}).items():
-            assert i in chart._pos and 0 <= A < rank and 0 <= B < rank
+            if i not in chart._pos:
+                raise ValueError("unknown coordinate %r in connection coef"
+                                 % (i,))
+            self._check_frame(A, B)
             if isinstance(c, (int, Fraction)):
                 c = ScalarExpr.number(chart, c)
             if not c.is_zero():
                 self.coef[(i, A, B)] = c
+
+    def _check_frame(self, A, B):
+        if not (0 <= A < self.rank and 0 <= B < self.rank):
+            raise ValueError("connection frame indices %r are out of range "
+                             "for rank %d" % ((A, B), self.rank))
 
     def is_flat_trivial(self):
         return not self.vert and not self.coef
@@ -80,13 +89,9 @@ def _substitute_letters(D, image):
     chart, rank = D.chart, D.rank
     out = MultiDerivation.zero(chart, rank)
     for (mono, word, fr), c in D.terms.items():
-        cur = MultiDerivation(chart, rank, {(mono, (), 0): c})
+        cur = MultiDerivation._new(chart, rank, {(mono, (), fr): c})
         for ell in word:
             cur = md_mul(cur, image(ell))
-        if fr:
-            cur = MultiDerivation._new(chart, rank,
-                                       {(m2, w2, 1): c2
-                                        for (m2, w2, _), c2 in cur.terms.items()})
         out = out + cur
     return out
 
@@ -132,22 +137,19 @@ def proj_p(D):
          if mono == ONE_MONO and all(ell[0] in ("m", "d") for ell in word)})
 
 
+def _weight(key):
+    "Connection weight of a twisted-basis term: generators plus e/f letters."
+    mono, word, fr = key
+    return len(mono.g) + len(mono.a) + \
+        sum(1 for ell in word if ell[0] in ("e", "f"))
+
+
 def _twisted_weight_parts(D):
     parts = {}
-    for (mono, word, fr), c in D.terms.items():
-        k = len(mono.g) + len(mono.a) + \
-            sum(1 for ell in word if ell[0] in ("e", "f"))
-        parts.setdefault(k, {})[(mono, word, fr)] = c
+    for key, c in D.terms.items():
+        parts.setdefault(_weight(key), {})[key] = c
     return {k: MultiDerivation._new(D.chart, D.rank, terms)
             for k, terms in sorted(parts.items())}
-
-
-def weight(D, conn):
-    """Decompose an operator by connection weight: the count of ghost
-    generators plus e/f letters in the twisted basis.  Returns a dict
-    {k: operator}; the parts sum back to D."""
-    return {k: imm_i_nabla(part, conn)
-            for k, part in _twisted_weight_parts(to_twisted(D, conn)).items()}
 
 
 def _h_twist(D):
@@ -172,22 +174,16 @@ def _h_twist(D):
 
 
 def homotopy_H_nabla(D, conn):
-    "Homotopy of the connection contraction (normalized by 1/weight)."
-    total = MultiDerivation.zero(D.chart, D.rank)
-    for k, part in _twisted_weight_parts(to_twisted(D, conn)).items():
-        if k == 0:
-            continue
-        total = total + imm_i_nabla(_h_twist(part), conn).scale(Fraction(-1, k))
-    return total
+    """Homotopy of the connection contraction; _h_twist keeps the
+    weight of a term and kills weight 0."""
+    h = _h_twist(to_twisted(D, conn))
+    return imm_i_nabla(MultiDerivation._new(
+        D.chart, D.rank,
+        {key: c.scale(Fraction(-1, _weight(key)))
+         for key, c in h.terms.items()}), conn)
 
 
 # -- the contraction along a section ---------------------------------
-
-def _multi_indices(rank, bound):
-    for alpha in iproduct(range(bound + 1), repeat=rank):
-        if sum(alpha) <= bound:
-            yield alpha
-
 
 class BrstContraction:
     """Contraction of the section module onto the reduced side along a
@@ -196,22 +192,21 @@ class BrstContraction:
     __slots__ = ("chart", "rank", "section", "red")
 
     def __init__(self, chart, rank, section):
-        assert len(section) == rank
+        if len(section) != rank:
+            raise ValueError("a section has %d components, got %d"
+                             % (rank, len(section)))
         self.chart = chart
         self.rank = rank
         vals = []
         for c in section:
             if isinstance(c, (int, Fraction)):
                 c = ScalarExpr.number(chart, c)
-            assert c.max_degree(chart.fiber) == 0, \
-                "section components must be functions on the base"
+            if c.max_degree(chart.fiber) != 0:
+                raise ValueError("section components must be functions "
+                                 "on the base")
             vals.append(c)
         self.section = tuple(vals)
         self.red = chart.reduced()
-
-    def _ymap(self):
-        return {self.chart.fiber[A]: self.section[A]
-                for A in range(self.rank)}
 
     def dif(self):
         "The Koszul differential d[s] as an arity-1 operator."
@@ -225,7 +220,7 @@ class BrstContraction:
 
     def proj(self, sec):
         "Project to the reduced side: drop anti-ghosts, evaluate on s."
-        ymap = self._ymap()
+        ymap = dict(zip(self.chart.fiber, self.section))
         return Section(GradedFunction(
             self.red, self.rank,
             {mono: c.substitute(ymap).with_chart(self.red)
@@ -240,47 +235,27 @@ class BrstContraction:
         return Section(GradedFunction(self.chart, self.rank, terms))
 
     def homotopy(self, sec):
-        """Integration homotopy against d[s]; exact on coefficients
-        polynomial in the fiber coordinates."""
-        chart, rank = self.chart, self.rank
-        ymap = self._ymap()
+        """Integration homotopy against d[s], in one pass (see the module
+        docstring); exact on coefficients polynomial in the fiber
+        coordinates."""
+        chart = self.chart
+        fiber = set(chart.fiber)
+        ys = [ScalarExpr.coord(chart, y) for y in chart.fiber]
+        up = {y: Y + s for y, Y, s in zip(chart.fiber, ys, self.section)}
+        down = {y: Y - s for y, Y, s in zip(chart.fiber, ys, self.section)}
         terms = {}
         for mono, c in sec.fun.terms.items():
-            S, T = mono.g, mono.a
-            for A in range(rank):
-                if A in T:
+            for A, y in enumerate(chart.fiber):
+                sgn, mono2 = mono_mul(GhostMonomial((), (A,)), mono)
+                if not sgn:
                     continue
-                dfa = c.partial(chart.fiber[A])
-                if dfa.is_zero():
-                    continue
-                bound = dfa.max_degree(chart.fiber)
-                total = ScalarExpr.zero(chart)
-                for alpha in _multi_indices(rank, bound):
-                    g = dfa
-                    fact = 1
-                    for B in range(rank):
-                        fact *= factorial(alpha[B])
-                        for _ in range(alpha[B]):
-                            g = g.partial(chart.fiber[B])
-                    if g.is_zero():
-                        continue
-                    g0 = g.substitute(ymap)
-                    if g0.is_zero():
-                        continue
-                    poly = ScalarExpr.one(chart)
-                    for B in range(rank):
-                        if alpha[B]:
-                            yB = ScalarExpr.coord(chart, chart.fiber[B]) \
-                                - self.section[B]
-                            poly = poly * (yB ** alpha[B])
-                    total = total + (g0 * poly).scale(
-                        Fraction(1, (sum(alpha) + len(T) + 1) * fact))
-                if total.is_zero():
-                    continue
-                sgn = (-1) ** (len(S) + sum(1 for B in T if B < A))
-                add_term(terms, GhostMonomial(S, tuple(sorted(T + (A,)))),
-                         total.scale(-sgn))
-        return Section(GradedFunction._new(chart, rank, terms))
+                g = c.partial(y).substitute(up)
+                g = ScalarExpr(chart, {
+                    key: q / (sum(e for atom, e in key if atom[0] == "x"
+                                  and atom[1] in fiber) + len(mono.a) + 1)
+                    for key, q in g.terms.items()})
+                add_term(terms, mono2, g.substitute(down).scale(-sgn))
+        return Section(GradedFunction._new(chart, self.rank, terms))
 
 
 # -- homological perturbation transfer -------------------------------
@@ -310,16 +285,17 @@ def _series(step, start, cap):
                      "(delta against the homotopy is not nilpotent)")
 
 
-def hpl_deform(imm, proj, homotopy, delta, base_dif=None, cap=64):
+def hpl_deform(imm, proj, homotopy, delta, cap=64):
     """Transfer a contraction through a perturbation delta of the
     differential.  The deformed maps are
 
         proj'     x = sum_k  proj ((delta homotopy)^k x)
         imm'      x = sum_k  (homotopy delta)^k (imm x)
         homotopy' x = sum_k  homotopy ((delta homotopy)^k x)
-        dif'      x = base_dif x + sum_k proj (delta (homotopy delta)^k (imm x))
+        dif'      x = sum_k proj (delta (homotopy delta)^k (imm x))
 
-    evaluated lazily; a cap guards against a non-nilpotent tail.
+    evaluated lazily (the small side carries the zero differential);
+    a cap guards against a non-nilpotent tail.
     """
 
     def proj2(x):
@@ -332,9 +308,6 @@ def hpl_deform(imm, proj, homotopy, delta, base_dif=None, cap=64):
         return homotopy(_series(lambda y: delta(homotopy(y)), x, cap))
 
     def dif2(x):
-        tail = proj(delta(_series(lambda y: homotopy(delta(y)), imm(x), cap)))
-        if base_dif is None:
-            return tail
-        return base_dif(x) + tail
+        return proj(delta(_series(lambda y: homotopy(delta(y)), imm(x), cap)))
 
     return HplData(imm2, proj2, homotopy2, dif2)

@@ -580,16 +580,11 @@ def hamiltonian(lam, J):
 
 def jacobi_bracket(l1, l2, J):
     """Bracket of two sections induced by a frame-valued biderivation:
-    the first argument is fed piecewise with its shifted-parity sign."""
-    chart, rank = l1.chart, l1.rank
-    out = Section.zero(chart, rank)
-    for mono, c in l1.fun.terms.items():
-        piece = Section(GradedFunction(chart, rank, {mono: c}))
-        val = evaluate(J, [piece, l2])
-        if shifted_parity(mono):
-            val = -val
-        out = out + val
-    return out
+    J(l1, l2) with the shifted-odd part of l1 negated."""
+    signed = GradedFunction._new(
+        l1.chart, l1.rank,
+        {m: -c if shifted_parity(m) else c for m, c in l1.fun.terms.items()})
+    return evaluate(J, [Section(signed), l2])
 
 
 # -- reconstruction from probes --------------------------------------

@@ -330,13 +330,6 @@ class ScalarExpr:
         out.terms = dict(self.terms)
         return out
 
-    def atoms(self):
-        seen = set()
-        for key in self.terms:
-            for atom, _ in key:
-                seen.add(atom)
-        return seen
-
     # -- numeric evaluation (test aid only) --------------------------
 
     def eval_num(self, point):

@@ -28,8 +28,8 @@ from .ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
 from .multideriv import (d_letter, MultiDerivation, evaluate, sj_bracket,
                          build_G, NotJacobiError, jacobi_bracket,
                          hamiltonian)
-from .contraction import (ConnectionSpec, imm_i_nabla, proj_p,
-                          homotopy_H_nabla, BrstContraction, hpl_deform)
+from .contraction import (imm_i_nabla, proj_p, homotopy_H_nabla,
+                          BrstContraction, hpl_deform)
 
 
 class FiltrationSpec:
@@ -220,29 +220,22 @@ def lift_jacobi(J, conn, max_iter=64):
 
 # -- BRST charges ----------------------------------------------------
 
-def _section_tuple(chart, rank, section):
-    vals = []
-    for c in section:
-        if isinstance(c, (int, Fraction)):
-            c = ScalarExpr.number(chart, c)
-        vals.append(c)
-    assert len(vals) == rank
-    return tuple(vals)
-
-
 def omega_section(chart, rank, section):
-    "The degree (1,0) candidate  sum_A (y_A - s_A) xi^A mu."
-    section = _section_tuple(chart, rank, section)
+    """The degree (1,0) candidate  sum_A (y_A - s_A) xi^A mu; the s_A
+    are ring elements or plain numbers."""
+    if len(section) != rank:
+        raise ValueError("a section has %d components, got %d"
+                         % (rank, len(section)))
     out = GradedFunction.zero(chart, rank)
-    for A in range(rank):
-        c = ScalarExpr.coord(chart, chart.fiber[A]) - section[A]
+    for A, s in enumerate(section):
+        c = ScalarExpr.coord(chart, chart.fiber[A]) - s
         out = out + GradedFunction.ghost(chart, rank, A).scale(c)
     return Section(out)
 
 
 def brst_problem(Jhat, section):
     chart, rank = Jhat.chart, Jhat.rank
-    con = BrstContraction(chart, rank, _section_tuple(chart, rank, section))
+    con = BrstContraction(chart, rank, section)
     return MCProblem(
         bracket=lambda a, b: jacobi_bracket(a, b, Jhat),
         Qbar=omega_section(chart, rank, con.section),

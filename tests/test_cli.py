@@ -60,6 +60,7 @@ def test_parse_expr_ring_forms():
     assert parse_expr("(neg y1)", CH) == -y1
     assert parse_expr("(^ y1 3)", CH) == y1 * y1 * y1
     assert parse_expr("(^ y1 0)", CH) == ScalarExpr.one(CH)
+    assert parse_expr("(^ y1 32)", CH) == y1 ** 32
     assert parse_expr(4, CH) == two + two
 
 
@@ -241,6 +242,17 @@ CURVED = {"vert": [[0, 1, "(sin phi3)"]]}
     ({"chart": dict(T5_DOC["chart"], funcs=[["f1", "phi1"]])},
      "bad chart: funcs must be an object"),
     ({"jacobi": {"terms": [["m", "1"]]}}, "words must be lists"),
+    ({"chart": {"coords": "aby", "fiber": "y"}},
+     "bad chart: coords must be a list of names"),
+    ({"chart": {"coords": "x1x2", "fiber": []}},
+     "bad chart: coords must be a list of names"),
+    ({"chart": dict(T5_DOC["chart"], angular="phi1")},
+     "bad chart: angular must be a list of names"),
+    ({"chart": dict(T5_DOC["chart"], fiber=["y1", 2])},
+     "bad chart: fiber must be a list of names"),
+    ({"chart": dict(T5_DOC["chart"], funcs={"f1": "phi1"})},
+     "bad chart: funcs 'f1' must be a list of names"),
+    ({"section": ["(^ (+ phi1 y1) 33)", "0"]}, "integer from 0 to 32"),
 ])
 def test_scenario_rejects_malformed_values(tmp_path, patch, match):
     with pytest.raises(ScenarioError, match=match):
@@ -299,7 +311,9 @@ def test_main_lifts_once(monkeypatch, capsys, command, solves):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "obstruction_solve", counted)
+    # every module that holds the solver entry point, cli included
+    for mod in (solver, cli):
+        monkeypatch.setattr(mod, "obstruction_solve", counted)
     assert cli.main(["--command", command]) == 0
     capsys.readouterr()
     assert len(calls) == solves

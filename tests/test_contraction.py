@@ -8,7 +8,7 @@ from jacobi_bfv.multideriv import (
     M, d_letter, e_letter, f_letter, MultiDerivation, evaluate, sj_bracket,
     build_G)
 from jacobi_bfv.contraction import (
-    ConnectionSpec, imm_i_nabla, to_twisted, proj_p, weight,
+    ConnectionSpec, imm_i_nabla, to_twisted, proj_p,
     _twisted_weight_parts, _h_twist, homotopy_H_nabla, BrstContraction,
     hpl_deform)
 from jacobi_bfv.models import t5_contact
@@ -114,6 +114,13 @@ def test_connection_homotopy_identity():
             return homotopy_H_nabla(X, conn)
 
         assert imm_i_nabla(proj_p(D), conn) - D == d_G(H(D)) + H(d_G(D))
+        # one pass equals the sum over weight parts, each scaled by -1/k
+        parts = MultiDerivation.zero(CH, RANK)
+        for k, part in _twisted_weight_parts(to_twisted(D, conn)).items():
+            if k:
+                parts = parts + imm_i_nabla(_h_twist(part), conn).scale(
+                    Fraction(-1, k))
+        assert H(D) == parts
         assert H(H(D)).is_zero()
         assert proj_p(H(D)).is_zero()
         P = random_plain_md(rng, CH, RANK, rng.randint(1, 2))
@@ -152,10 +159,92 @@ def test_koszul_homotopy_identity():
         assert d(d(lam)).is_zero()
 
 
+def _taylor_homotopy(con, sec):
+    """Reference Koszul homotopy: the Taylor series of dc/dy_A about the
+    section, one multi-index alpha at a time, each term divided by
+    alpha! (|alpha| + |T| + 1)."""
+    from itertools import product
+    from math import factorial
+    chart, rank = con.chart, con.rank
+    ymap = dict(zip(chart.fiber, con.section))
+    out = Section.zero(chart, rank)
+    for mono, c in sec.fun.terms.items():
+        S, T = mono.g, mono.a
+        for A in range(rank):
+            if A in T:
+                continue
+            dfa = c.partial(chart.fiber[A])
+            bound = dfa.max_degree(chart.fiber)
+            total = ScalarExpr.zero(chart)
+            for alpha in product(range(bound + 1), repeat=rank):
+                if sum(alpha) > bound:
+                    continue
+                g, fact = dfa, 1
+                poly = ScalarExpr.one(chart)
+                for B in range(rank):
+                    fact *= factorial(alpha[B])
+                    for _ in range(alpha[B]):
+                        g = g.partial(chart.fiber[B])
+                    yB = ScalarExpr.coord(chart, chart.fiber[B]) \
+                        - con.section[B]
+                    poly = poly * yB ** alpha[B]
+                total = total + (g.substitute(ymap) * poly).scale(
+                    Fraction(1, (sum(alpha) + len(T) + 1) * fact))
+            sgn = (-1) ** (len(S) + sum(1 for B in T if B < A))
+            out = out + Section(GradedFunction(chart, rank, {
+                GhostMonomial(S, tuple(sorted(T + (A,)))): total.scale(-sgn)}))
+    return out
+
+
+def test_koszul_homotopy_matches_taylor_series():
+    abstract = t5_chart(abstract=True)
+    rng = rng_for("contr-taylor")
+    deep = 0
+    for trial in range(16):
+        chart = abstract if trial % 2 else CH
+        s = (0,)
+        while not all(s):
+            s = tuple(random_base_scalar(rng, chart, 2) for _ in range(RANK))
+        if chart.funcs:
+            s = tuple(c + ScalarExpr.func(chart, f)
+                      for c, f in zip(s, sorted(chart.funcs)))
+        con = BrstContraction(chart, RANK, s)
+        terms = {}
+        for j in range(3):
+            c = random_scalar(rng, chart, max_terms=3, max_pow=3,
+                              allow_abstract=True)
+            if j == 0:  # fiber degree >= 2 in at least one coefficient
+                c = (c + 1) * ScalarExpr.coord(chart, rng.choice(chart.fiber)) \
+                    * ScalarExpr.coord(chart, rng.choice(chart.fiber))
+            mono = GhostMonomial(
+                tuple(sorted(rng.sample(range(RANK), rng.randint(0, RANK)))),
+                tuple(sorted(rng.sample(range(RANK), rng.randint(0, 1)))))
+            if c:
+                terms[mono] = terms[mono] + c if mono in terms else c
+        lam = Section(GradedFunction(chart, RANK, terms))
+        deep += any(c.max_degree(chart.fiber) >= 2
+                    for c in lam.fun.terms.values())
+        assert con.homotopy(lam) == _taylor_homotopy(con, lam)
+    assert deep == 16
+
+
 def test_section_must_be_basic():
     y1 = ScalarExpr.coord(CH, "y1")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="functions on the base"):
         BrstContraction(CH, RANK, (y1, 0))
+    with pytest.raises(ValueError, match="2 components, got 1"):
+        BrstContraction(CH, RANK, (0,))
+
+
+@pytest.mark.parametrize("vert, coef, match", [
+    ({(0, 2): 1}, None, "out of range"),
+    ({(-1, 0): 1}, None, "out of range"),
+    (None, {("phi1", 0, 2): 1}, "out of range"),
+    (None, {("zz", 0, 1): 1}, "unknown coordinate 'zz'"),
+])
+def test_connection_entries_are_checked(vert, coef, match):
+    with pytest.raises(ValueError, match=match):
+        ConnectionSpec(CH, RANK, vert, coef)
 
 
 def test_hpl_recovers_plain_bracket():

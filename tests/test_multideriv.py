@@ -429,3 +429,59 @@ def test_indexed_bracket_matches_full_scan_on_lifts(monkeypatch):
         for D, E in ((Jhat, Jhat), (Jhat, c), (c, Jhat), (c, c)):
             assert _same_terms(sj_bracket(D, E),
                                _full_scan_bracket(monkeypatch, D, E))
+
+
+# -- the one-pass section bracket against the per-monomial loop -------
+
+def _piecewise_jacobi_bracket(l1, l2, J):
+    "Reference: evaluate J once per monomial of l1, with its sign."
+    out = Section.zero(l1.chart, l1.rank)
+    for mono, c in l1.fun.terms.items():
+        piece = Section(GradedFunction(l1.chart, l1.rank, {mono: c}))
+        val = evaluate(J, [piece, l2])
+        if shifted_parity(mono):
+            val = -val
+        out = out + val
+    return out
+
+
+def _mixed_section(rng):
+    "At least 3 monomials, of both shifted parities."
+    while True:
+        fun = random_ghost_fun(rng, CH, RANK, max_terms=6)
+        if len(fun.terms) >= 3 and \
+                len({shifted_parity(m) for m in fun.terms}) == 2:
+            return Section(fun)
+
+
+def test_jacobi_bracket_matches_piecewise(monkeypatch):
+    from jacobi_bfv import multideriv
+    from jacobi_bfv.models import t5_contact
+    from jacobi_bfv.contraction import ConnectionSpec
+    from jacobi_bfv.solver import lift_jacobi
+    model = t5_contact()
+    conn = ConnectionSpec(model.chart, model.rank,
+                          {(0, 1): ScalarExpr.sin(model.chart, "phi3")})
+    Jhat, trace = lift_jacobi(model.J, conn)
+    assert trace  # curved: the lift carries a correction
+    rng = rng_for("md-jacobi-bracket")
+    calls = []
+    plain_evaluate = multideriv.evaluate
+
+    def counted(*args):
+        calls.append(1)
+        return plain_evaluate(*args)
+
+    nonzero = 0
+    for trial in range(32):
+        J = Jhat if trial % 2 else random_md(rng, CH, RANK, 2, fr=1)
+        l1, l2 = _mixed_section(rng), _mixed_section(rng)
+        want = _piecewise_jacobi_bracket(l1, l2, J)
+        with monkeypatch.context() as mp:
+            mp.setattr(multideriv, "evaluate", counted)
+            del calls[:]
+            got = jacobi_bracket(l1, l2, J)
+            assert len(calls) == 1
+        assert got == want
+        nonzero += not got.is_zero()
+    assert nonzero >= 24

@@ -1,6 +1,8 @@
-"""Checks that must hold when Python strips assert statements (-O), and
-the contract between the engine and the benchmark's tracer."""
+"""Checks that must hold when Python strips assert statements (-O), the
+contract between the engine and the benchmark's tracer, and a check
+that the engine's modules import nothing they do not use."""
 
+import ast
 from fractions import Fraction
 import json
 import os
@@ -133,3 +135,26 @@ def test_tracer_installs_counts_and_uninstalls():
         now = vars(owner)
         assert set(now) == set(attrs), owner
         assert all(now[k] is v for k, v in attrs.items()), owner
+
+
+def test_src_has_no_unused_imports():
+    # __init__.py imports only to re-export
+    pkg = os.path.join(ROOT, "src", "jacobi_bfv")
+    unused = []
+    for fname in sorted(os.listdir(pkg)):
+        if not fname.endswith(".py") or fname == "__init__.py":
+            continue
+        with open(os.path.join(pkg, fname)) as fh:
+            tree = ast.parse(fh.read())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += ["%s:%d %s" % (fname, line, name)
+                   for name, line in sorted(imported.items())
+                   if name not in used]
+    assert unused == []
