@@ -4,8 +4,9 @@ of Jacobi manifolds, in a trivialized local model."""
 from .scalar import Chart, ScalarExpr
 from .ghost import GhostMonomial, GradedFunction, Section
 from .multideriv import (MultiDerivation, sj_bracket, evaluate, build_G,
-                         is_jacobi, jacobi_from_pair, jacobi_bracket,
-                         hamiltonian, reconstruct, NotJacobiError)
+                         is_jacobi, jacobi_from_pair, jacobi_from_words,
+                         jacobi_bracket, hamiltonian, reconstruct,
+                         NotJacobiError)
 from .contraction import (ConnectionSpec, BrstContraction, imm_i_nabla,
                           proj_p, homotopy_H_nabla, hpl_deform)
 from .solver import (ObstructionError, obstruction_solve, lift_jacobi,
@@ -17,9 +18,9 @@ from .models import Model, t5_contact
 __all__ = [
     "Chart", "ScalarExpr", "GhostMonomial", "GradedFunction", "Section",
     "MultiDerivation", "sj_bracket", "evaluate", "build_G", "is_jacobi",
-    "jacobi_from_pair", "jacobi_bracket", "hamiltonian", "reconstruct",
-    "NotJacobiError", "ConnectionSpec", "BrstContraction", "imm_i_nabla",
-    "proj_p", "homotopy_H_nabla", "hpl_deform", "ObstructionError",
+    "jacobi_from_pair", "jacobi_from_words", "jacobi_bracket", "hamiltonian",
+    "reconstruct", "NotJacobiError", "ConnectionSpec", "BrstContraction",
+    "imm_i_nabla", "proj_p", "homotopy_H_nabla", "hpl_deform", "ObstructionError",
     "obstruction_solve", "lift_jacobi", "brst_charge",
     "coisotropy_residual", "mc_check", "BfvData", "bfv_assemble",
     "reduced_differential", "derived_brackets", "gauge_intertwine",

@@ -15,9 +15,8 @@ from fractions import Fraction
 
 from .scalar import Chart, ScalarExpr
 from .ghost import GradedFunction, Section
-from .multideriv import (M, d_letter, sort_word, MultiDerivation,
-                         sj_bracket, is_jacobi, jacobi_from_pair,
-                         NotJacobiError)
+from .multideriv import (M, d_letter, sj_bracket, is_jacobi,
+                         jacobi_from_words, NotJacobiError)
 from .contraction import ConnectionSpec, proj_p
 from .solver import (ObstructionError, obstruction_solve, lift_jacobi,
                      lifting_problem, brst_problem, brst_charge, omega_section,
@@ -31,6 +30,10 @@ COMMANDS = ("lift", "brst", "bfv", "residual", "reduce", "linf",
             "intertwine", "check")
 # (^ a n) multiplies out n factors; recorded scenarios use n <= 2
 MAX_EXPONENT = 32
+# every product the parser forms, each (* ...) factor and each step of
+# (^ a n), multiplies at most this many term pairs, so nesting cannot
+# multiply degrees without bound; recorded scenarios need at most 16
+MAX_TERM_PAIRS = 1024
 
 
 class ScenarioError(ValueError):
@@ -72,6 +75,14 @@ def _number(tok):
         return None
 
 
+def _product(a, b):
+    if len(a.terms) * len(b.terms) > MAX_TERM_PAIRS:
+        raise ScenarioError("a product of %d by %d terms exceeds the bound "
+                            "of %d term pairs" % (len(a.terms), len(b.terms),
+                                                  MAX_TERM_PAIRS))
+    return a * b
+
+
 def _build(node, chart):
     if isinstance(node, str):
         q = _number(node)
@@ -104,7 +115,7 @@ def _build(node, chart):
     if op == "*":
         out = ScalarExpr.one(chart)
         for a in args:
-            out = out * _build(a, chart)
+            out = _product(out, _build(a, chart))
         return out
     if op == "^":
         if len(args) != 2 or not isinstance(args[1], str):
@@ -113,7 +124,10 @@ def _build(node, chart):
         if n is None or n.denominator != 1 or not 0 <= n <= MAX_EXPONENT:
             raise ScenarioError("^ exponent must be an integer from 0 to %d"
                                 % MAX_EXPONENT)
-        return _build(args[0], chart) ** int(n)
+        base, out = _build(args[0], chart), ScalarExpr.one(chart)
+        for _ in range(int(n)):
+            out = _product(out, base)
+        return out
     raise ScenarioError("unknown operator %r" % op)
 
 
@@ -244,33 +258,23 @@ def _parse_connection(obj, chart, rank):
     return ConnectionSpec(chart, rank, vert, coef)
 
 
-def _jacobi_from_terms(items, chart, rank):
-    """Explicit coefficient form of the structure operator.  Letters
-    are "m" or "d:<coord>"; words hold at most two of them."""
-    out = MultiDerivation.zero(chart, rank)
-    for word_src, src in _entries(items, 2, "jacobi terms"):
-        if not isinstance(word_src, list):
+def _words_from_terms(items, chart):
+    """Explicit coefficient form of the structure operator, as (word,
+    coefficient) pairs.  Letters are "m" or "d:<coord>"; words hold at
+    most two of them."""
+    letters = {"d:" + c: d_letter(c) for c in chart.coords}
+    letters["m"] = M
+    out = []
+    for word, src in _entries(items, 2, "jacobi terms"):
+        if not isinstance(word, list):
             raise ScenarioError("jacobi terms words must be lists of "
-                                "letters, got %r" % (word_src,))
-        word = []
-        for tok in word_src:
-            if tok == "m":
-                word.append(M)
-            elif isinstance(tok, str) and tok.startswith("d:") \
-                    and tok[2:] in chart._pos:
-                word.append(d_letter(tok[2:]))
-            else:
+                                "letters, got %r" % (word,))
+        for tok in word:
+            if not isinstance(tok, str) or tok not in letters:
                 raise ScenarioError("bad letter %r in jacobi terms" % (tok,))
         if len(word) > 2:
             raise ScenarioError("jacobi terms carry at most two letters")
-        sgn, canon = sort_word(tuple(word), chart)
-        if not sgn:
-            continue
-        out = out + MultiDerivation.single(chart, rank, canon,
-                                           parse_expr(src, chart).scale(sgn))
-    res = sj_bracket(out, out)
-    if not res.is_zero():
-        raise NotJacobiError(res)
+        out.append(([letters[tok] for tok in word], parse_expr(src, chart)))
     return out
 
 
@@ -310,27 +314,22 @@ def parse_scenario(source):
         if "biv" in jac or "vec" in jac:
             raise ScenarioError("jacobi takes either biv/vec or terms, "
                                 "not both")
-        J = _jacobi_from_terms(jac["terms"], chart, rank)
+        words = _words_from_terms(jac["terms"], chart)
     else:
-        biv = {}
+        words = []
         for ci, cj, src in _entries(jac.get("biv", []), 3, "jacobi biv"):
             for c in (ci, cj):
                 if not isinstance(c, str) or c not in chart._pos:
                     raise ScenarioError("unknown coordinate %r in biv" % c)
             if ci == cj:
                 raise ScenarioError("biv entry pairs %r with itself" % ci)
-            e = parse_expr(src, chart)
-            if chart.axis(ci) > chart.axis(cj):
-                ci, cj, e = cj, ci, -e
-            if (ci, cj) in biv:
-                e = biv[(ci, cj)] + e
-            biv[(ci, cj)] = e
-        vec = {}
+            words.append(((d_letter(ci), d_letter(cj)),
+                          parse_expr(src, chart)))
         for c, src in sorted(_object(jac, "vec").items()):
             if c not in chart._pos:
                 raise ScenarioError("unknown coordinate %r in vec" % c)
-            vec[c] = parse_expr(src, chart)
-        J = jacobi_from_pair(chart, rank, biv, vec)
+            words.append(((M, d_letter(c)), parse_expr(src, chart)))
+    J = jacobi_from_words(chart, rank, words)
     conn = _parse_connection(obj.get("connection"), chart, rank)
     conn2 = None
     if obj.get("connection2") is not None:

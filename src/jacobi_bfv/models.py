@@ -1,9 +1,9 @@
 """Built-in scenario data.
 
-A Model carries one chart together with the bivector/vector pair that
-defines the bracket on it, the induced operator, and a default section
-of the fiber projection.  The only built-in is the contact structure
-on the five-torus with two constrained angles.
+A Model carries one chart, the operator J built from the
+bivector/vector pair that defines the bracket on it, and a default
+section of the fiber projection.  The only built-in is the contact
+structure on the five-torus with two constrained angles.
 """
 
 from .scalar import Chart, ScalarExpr
@@ -14,14 +14,12 @@ from .contraction import ConnectionSpec
 class Model:
     "Chart plus structure data for one scenario."
 
-    __slots__ = ("name", "chart", "rank", "biv", "vec", "J", "flat", "section")
+    __slots__ = ("name", "chart", "rank", "J", "flat", "section")
 
     def __init__(self, name, chart, rank, biv, vec, section=None):
         self.name = name
         self.chart = chart
         self.rank = rank
-        self.biv = dict(biv)
-        self.vec = dict(vec)
         self.J = jacobi_from_pair(chart, rank, biv, vec)
         self.flat = ConnectionSpec(chart, rank)
         if section is None:

@@ -21,8 +21,10 @@ scale variable t, a term of frame flag fr, arity n and m-count eps
 carries t-weight  w = fr - n + eps, and the odd Poisson bracket of
 symbols is evaluated explicitly.  The letter content of the result is
 read back off the momenta, and fr = w + n - eps is checked to land in
-{0, 1}.  An independent composition-style evaluation oracle and a
-probe-based reconstruction routine round out the module.
+{0, 1}.  jacobi_from_words builds every structure operator J and is
+the one place that brackets [[J, J]] to reject one.  An independent
+composition-style evaluation oracle and a probe-based reconstruction
+routine round out the module.
 """
 
 from fractions import Fraction
@@ -459,8 +461,9 @@ def sj_bracket(D, E):
     assert D.chart == E.chart and D.rank == E.rank
     chart, rank = D.chart, D.rank
     out = {}
+    groups_E = _split_parity_symbols(E)
     for tD, FD in _split_parity_symbols(D).items():
-        for tE, FE in _split_parity_symbols(E).items():
+        for tE, FE in groups_E.items():
             flip = -1 if ((tD + 1) * (tE + 1)) % 2 else 1
             part1 = _half_bracket(FD, FE, chart, rank)
             part2 = _half_bracket(FE, FD, chart, rank)
@@ -548,29 +551,37 @@ def is_jacobi(J):
     return sj_bracket(J, J).is_zero()
 
 
+def jacobi_from_words(chart, rank, terms):
+    """The operator  sum c * w [mu]  of (word, c) pairs, words in any
+    order (a repeated odd letter drops the term), c a ring element or a
+    number.  Raises NotJacobiError carrying [[J, J]] unless it is 0."""
+    out = {}
+    for word, c in terms:
+        sgn, canon = sort_word(tuple(word), chart)
+        if not sgn:
+            continue
+        if isinstance(c, (int, Fraction)):
+            c = ScalarExpr.number(chart, c)
+        add_term(out, (ONE_MONO, canon, 1), c.scale(sgn))
+    J = MultiDerivation(chart, rank, out)
+    residual = sj_bracket(J, J)
+    if not residual.is_zero():
+        raise NotJacobiError(residual)
+    return J
+
+
 def jacobi_from_pair(chart, rank, biv, vec):
     """Operator of an ungraded pair: biv maps coordinate pairs (i, j),
     i before j in chart order, to coefficients; vec maps coordinates to
     coefficients.  Raises NotJacobiError when the induced bracket fails
     the Jacobi identity."""
-    out = MultiDerivation.zero(chart, rank)
-    for (i, j), c in sorted(biv.items(), key=lambda kv: (chart.axis(kv[0][0]),
-                                                         chart.axis(kv[0][1]))):
+    for i, j in biv:
         if chart.axis(i) >= chart.axis(j):
             raise ValueError("biv key %r must pair two distinct coordinates "
                              "in chart order" % ((i, j),))
-        if isinstance(c, (int, Fraction)):
-            c = ScalarExpr.number(chart, c)
-        out = out + MultiDerivation.single(chart, rank,
-                                           (d_letter(i), d_letter(j)), c)
-    for i, c in sorted(vec.items(), key=lambda kv: chart.axis(kv[0])):
-        if isinstance(c, (int, Fraction)):
-            c = ScalarExpr.number(chart, c)
-        out = out + MultiDerivation.single(chart, rank, (M, d_letter(i)), c)
-    res = sj_bracket(out, out)
-    if not res.is_zero():
-        raise NotJacobiError(res)
-    return out
+    words = [((d_letter(i), d_letter(j)), c) for (i, j), c in biv.items()]
+    words += [((M, d_letter(i)), c) for i, c in vec.items()]
+    return jacobi_from_words(chart, rank, words)
 
 
 def hamiltonian(lam, J):

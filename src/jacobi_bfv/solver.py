@@ -211,11 +211,13 @@ def lifting_problem(J, conn):
 
 
 def lift_jacobi(J, conn, max_iter=64):
-    "Lift a Jacobi operator along a connection.  Returns (Jhat, trace)."
-    residual = sj_bracket(J, J)
-    if not residual.is_zero():
-        raise NotJacobiError(residual)
-    return obstruction_solve(lifting_problem(J, conn), max_iter)
+    """Lift a Jacobi operator along a connection.  Returns (Jhat, trace).
+    The projected first residual is [[J, J]], so an obstruction raises
+    NotJacobiError carrying it."""
+    try:
+        return obstruction_solve(lifting_problem(J, conn), max_iter)
+    except ObstructionError as exc:
+        raise NotJacobiError(exc.obstruction) from exc
 
 
 # -- BRST charges ----------------------------------------------------

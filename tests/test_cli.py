@@ -1,10 +1,12 @@
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from jacobi_bfv.scalar import ScalarExpr
-from jacobi_bfv import cli, solver
+from jacobi_bfv import cli, multideriv, solver
 from jacobi_bfv.cli import ScenarioError, parse_expr, parse_scenario
 from jacobi_bfv.models import t5_contact
 from conftest import t5_chart
@@ -137,6 +139,35 @@ def test_scenario_biv_entry_order(tmp_path):
     jac = {"biv": biv, "vec": dict(T5_DOC["jacobi"]["vec"])}
     spec = parse_scenario(scenario_file(tmp_path, jacobi=jac))
     assert spec.J == t5_contact().J
+
+
+def test_scenario_forms_agree(tmp_path):
+    # reversed, duplicated and shuffled biv entries and a reordered vec
+    # give the same J as the terms form and as jacobi_from_pair
+    model = t5_contact()
+    rng = random.Random("scenario-forms")
+    biv, terms = [], []
+    for ci, cj, src in T5_DOC["jacobi"]["biv"]:
+        half = "(* 1/2 %s)" % src
+        for a, b, e in ((ci, cj, half), (cj, ci, "(neg %s)" % half)):
+            if rng.random() < 0.5:
+                a, b, e = b, a, "(neg %s)" % e
+            biv.append([a, b, e])
+            terms.append([["d:" + a, "d:" + b], e])
+    vec = dict(reversed(list(T5_DOC["jacobi"]["vec"].items())))
+    for c, src in vec.items():
+        terms.append([["d:" + c, "m"], "(neg %s)" % src])
+    rng.shuffle(biv)
+    rng.shuffle(terms)
+    pair = parse_scenario(scenario_file(
+        tmp_path, jacobi={"biv": biv, "vec": vec})).J
+    words = parse_scenario(scenario_file(tmp_path,
+                                         jacobi={"terms": terms})).J
+    assert pair == words == model.J
+    half = [[ci, cj, "(* 1/2 %s)" % src]
+            for ci, cj, src in T5_DOC["jacobi"]["biv"]]
+    assert parse_scenario(scenario_file(tmp_path, jacobi={
+        "biv": half + half, "vec": vec})).J == model.J
 
 
 def test_scenario_empty_pair_accepted(tmp_path):
@@ -319,6 +350,29 @@ def test_main_lifts_once(monkeypatch, capsys, command, solves):
     assert len(calls) == solves
 
 
+@pytest.mark.parametrize("command, brackets", [
+    ("lift", 1), ("brst", 1), ("bfv", 1), ("residual", 1), ("reduce", 1),
+    ("linf", 1), ("intertwine", 1), ("check", 2)])
+def test_main_brackets_J_once(monkeypatch, capsys, command, brackets):
+    # [[J, J]] is bracketed once, where the scenario builds J; the lifts
+    # decide the Jacobi condition through their own residual, and only
+    # check's jacobi row brackets J again
+    J = t5_contact().J
+    calls = []
+    bracket = multideriv.sj_bracket
+
+    def counted(D, E):
+        if D == J and E == J:
+            calls.append(1)
+        return bracket(D, E)
+
+    for mod in (multideriv, solver, cli):
+        monkeypatch.setattr(mod, "sj_bracket", counted)
+    assert cli.main(["--command", command]) == 0
+    capsys.readouterr()
+    assert len(calls) == brackets
+
+
 def test_main_check_passes(capsys):
     assert cli.main(["--command", "check"]) == 0
     out = capsys.readouterr().out
@@ -378,6 +432,29 @@ def test_main_not_jacobi_exit(tmp_path, capsys):
     assert cli.main(["--scenario", src, "--command", "lift"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "residual:" in err
+
+
+BOUND_CHART = {"coords": ["x1", "x2", "x3", "x4", "x5", "y1", "y2", "z"],
+               "fiber": ["z"]}
+
+
+@pytest.mark.parametrize("expr", ["(^ (^ (+ x1 x2 y1) 8) 8)",
+                                  "(^ (+ x1 x2 x3 x4 x5 y1 y2) 10)"])
+def test_parse_products_are_bounded(tmp_path, capsys, expr):
+    # nested or wide powers stop at the first product over the bound,
+    # before the degree can multiply out
+    chart = cli._parse_chart(BOUND_CHART)
+    with pytest.raises(ScenarioError, match="term pairs"):
+        parse_expr(expr, chart)
+    assert parse_expr("(^ y1 32)", chart) == \
+        ScalarExpr.coord(chart, "y1") ** 32
+    src = scenario_file(tmp_path, chart=BOUND_CHART, rank=1,
+                        jacobi={"biv": [["x1", "x2", "1"]]}, section=[expr])
+    start = time.perf_counter()
+    assert cli.main(["--scenario", src, "--command", "residual"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "term pairs" in err
 
 
 def test_main_usage_errors(tmp_path, capsys):

@@ -7,7 +7,8 @@ from jacobi_bfv.ghost import GhostMonomial, GradedFunction, Section, ONE_MONO, s
 from jacobi_bfv.multideriv import (
     M, d_letter, e_letter, f_letter, sort_word, word_parity,
     MultiDerivation, md_mul, evaluate, sj_bracket, gerstenhaber_eval_oracle,
-    build_G, is_jacobi, jacobi_from_pair, NotJacobiError, hamiltonian,
+    build_G, is_jacobi, jacobi_from_pair, jacobi_from_words, NotJacobiError,
+    hamiltonian,
     jacobi_bracket, reconstruct)
 from conftest import (t5_chart, random_scalar, rng_for, random_ghost_fun,
                       random_homogeneous, random_md, random_hom_md)
@@ -207,6 +208,39 @@ def test_broken_pair_raises():
     biv[("phi3", "phi4")] = ScalarExpr.sin(CH, "phi3")
     with pytest.raises(NotJacobiError) as err:
         jacobi_from_pair(CH, RANK, biv, vec)
+    assert not err.value.residual.is_zero()
+
+
+def test_jacobi_from_words_orders_signs_and_merges():
+    # words in any order carry their Koszul sign, a repeated odd letter
+    # drops the term, repeated words add up, and numbers are accepted
+    biv, vec = t5_pair()
+    want = jacobi_from_pair(CH, RANK, biv, vec)
+    words = []
+    for (i, j), c in biv.items():
+        words.append(((d_letter(j), d_letter(i)), -c.scale(Fraction(1, 3))))
+        words.append(((d_letter(i), d_letter(j)), c.scale(Fraction(2, 3))))
+    for i, c in vec.items():
+        words.append(((d_letter(i), M), -c))
+    words += [((d_letter("phi1"), d_letter("phi1")), ONE),
+              ((M, M), ScalarExpr.sin(CH, "phi2")),
+              ((M, d_letter("phi2")), 3), ((d_letter("phi2"), M), 3)]
+    assert jacobi_from_words(CH, RANK, reversed(words)) == want
+    assert jacobi_from_words(CH, RANK, []).is_zero()
+
+
+def test_jacobi_from_words_raises_with_the_bracket():
+    biv, vec = t5_pair()
+    words = [((d_letter(i), d_letter(j)), c) for (i, j), c in biv.items()]
+    words.append(((M, d_letter("phi4")), ScalarExpr.sin(CH, "phi3")))
+    words.append(((d_letter("phi5"), M), ScalarExpr.cos(CH, "phi1")))
+    J = MultiDerivation(CH, RANK, {
+        (ONE_MONO, w, 1): c for w, c in words[:-1]})
+    J = J + MultiDerivation.single(CH, RANK, (M, d_letter("phi5")),
+                                   -ScalarExpr.cos(CH, "phi1"))
+    with pytest.raises(NotJacobiError) as err:
+        jacobi_from_words(CH, RANK, words)
+    assert err.value.residual == sj_bracket(J, J)
     assert not err.value.residual.is_zero()
 
 

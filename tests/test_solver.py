@@ -7,7 +7,8 @@ from jacobi_bfv.ghost import GradedFunction, Section
 from jacobi_bfv.multideriv import (
     MultiDerivation, evaluate, sj_bracket, build_G, is_jacobi,
     jacobi_from_pair, jacobi_bracket, NotJacobiError)
-from jacobi_bfv.contraction import ConnectionSpec, imm_i_nabla, BrstContraction
+from jacobi_bfv.contraction import (ConnectionSpec, imm_i_nabla, proj_p,
+                                    BrstContraction)
 from jacobi_bfv.solver import (
     FiltrationSpec, MCProblem, ObstructionError, obstruction_solve, exp_ad,
     GaugeAutomorphism, gauge_intertwine, lifting_problem, lift_jacobi,
@@ -78,6 +79,47 @@ def test_lift_rejects_non_jacobi():
     assert not is_jacobi(bad)
     with pytest.raises(NotJacobiError):
         lift_jacobi(bad, MODEL.flat)
+
+
+LIFT_CONNECTIONS = {
+    "flat": MODEL.flat,
+    "vert": ConnectionSpec(CH, RANK,
+                           vert={(0, 1): ScalarExpr.sin(CH, "phi3")}),
+    "coef": ConnectionSpec(CH, RANK, coef={
+        ("phi4", 1, 0): ScalarExpr.cos(CH, "phi5"),
+        ("phi3", 0, 0): ScalarExpr.coord(CH, "y1")}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_CONNECTIONS))
+def test_lift_obstruction_is_the_jacobi_bracket(name):
+    # lift_jacobi brackets nothing of its own: the projection of its
+    # first residual is [[J, J]], and that is what NotJacobiError carries
+    from jacobi_bfv.multideriv import M, d_letter
+    from jacobi_bfv.ghost import ONE_MONO
+    conn = LIFT_CONNECTIONS[name]
+    Jhat, trace = lift_jacobi(J, conn)
+    assert (len(trace) >= 1) == (name != "flat")
+    assert sj_bracket(Jhat, Jhat).is_zero() and proj_p(Jhat) == J
+    rng = rng_for("lift-not-jacobi-" + name)
+    angles = sorted(CH.angular)
+    seen = 0
+    while seen < 3:
+        i, j = sorted(rng.sample(CH.coords, 2), key=CH.axis)
+        trig = [getattr(ScalarExpr, rng.choice(("sin", "cos")))(
+            CH, rng.choice(angles)) for _ in range(2)]
+        bad = J + MultiDerivation(CH, RANK, {
+            (ONE_MONO, (d_letter(i), d_letter(j)), 1):
+                random_scalar(rng, CH, max_terms=2) * trig[0],
+            (ONE_MONO, (M, d_letter(rng.choice(CH.coords))), 1):
+                random_scalar(rng, CH, max_terms=2) * trig[1]})
+        residual = sj_bracket(bad, bad)
+        if residual.is_zero():
+            continue
+        seen += 1
+        with pytest.raises(NotJacobiError) as err:
+            lift_jacobi(bad, conn)
+        assert err.value.residual == residual
 
 
 def test_filtration_levels():

@@ -1,6 +1,7 @@
 """Checks that must hold when Python strips assert statements (-O), the
-contract between the engine and the benchmark's tracer, and a check
-that the engine's modules import nothing they do not use."""
+contract between the engine and the benchmark's tracer, a check that
+the engine's modules import nothing they do not use, and the demos'
+output pinned byte for byte to tests/golden."""
 
 import ast
 from fractions import Fraction
@@ -158,3 +159,15 @@ def test_src_has_no_unused_imports():
                    for name, line in sorted(imported.items())
                    if name not in used]
     assert unused == []
+
+
+DEMOS = sorted(f[:-3] for f in os.listdir(os.path.join(ROOT, "demos"))
+               if f.endswith(".py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_output_is_pinned(demo):
+    out = run_python([os.path.join("demos", demo + ".py")], optimize=False)
+    assert out.returncode == 0, out.stderr
+    with open(os.path.join(ROOT, "tests", "golden", demo + ".out")) as fh:
+        assert out.stdout == fh.read()
