@@ -34,6 +34,11 @@ MAX_EXPONENT = 32
 # (^ a n), multiplies at most this many term pairs, so nesting cannot
 # multiply degrees without bound; recorded scenarios need at most 16
 MAX_TERM_PAIRS = 1024
+# every coefficient a parse-time product forms has a numerator and a
+# denominator of at most this many bits, so a tower of powers of a
+# number stops at the first step over it; recorded scenarios need at
+# most 5
+MAX_COEFF_BITS = 256
 
 
 class ScenarioError(ValueError):
@@ -80,7 +85,13 @@ def _product(a, b):
         raise ScenarioError("a product of %d by %d terms exceeds the bound "
                             "of %d term pairs" % (len(a.terms), len(b.terms),
                                                   MAX_TERM_PAIRS))
-    return a * b
+    out = a * b
+    for c in out.terms.values():
+        if max(c.numerator.bit_length(),
+               c.denominator.bit_length()) > MAX_COEFF_BITS:
+            raise ScenarioError("a product has a coefficient of more than "
+                                "%d bits" % MAX_COEFF_BITS)
+    return out
 
 
 def _build(node, chart):

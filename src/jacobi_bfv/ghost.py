@@ -62,7 +62,11 @@ def _merge_inversions(left, right):
 
 def mono_mul(m1, m2):
     """Product of two monomials: (sign, GhostMonomial) or (0, None)."""
-    if set(m1.g) & set(m2.g) or set(m1.a) & set(m2.a):
+    if not (m2.g or m2.a):
+        return 1, m1
+    if not (m1.g or m1.a):
+        return 1, m2
+    if any(A in m1.g for A in m2.g) or any(B in m1.a for B in m2.a):
         return 0, None
     # word is  g1 a1 g2 a2 ; move the g2 block left across a1, then merge.
     inv = len(m1.a) * len(m2.g)

@@ -15,14 +15,17 @@ Words are kept sorted (m, then d in coordinate order, then e, then f);
 transposing two odd letters costs a sign and a repeated odd letter
 kills the term.
 
-The Schouten-Jacobi bracket is computed in a cotangent realization:
-letters become momenta on an odd cotangent space with one extra even
-scale variable t, a term of frame flag fr, arity n and m-count eps
-carries t-weight  w = fr - n + eps, and the odd Poisson bracket of
-symbols is evaluated explicitly.  The letter content of the result is
-read back off the momenta, and fr = w + n - eps is checked to land in
-{0, 1}.  jacobi_from_words builds every structure operator J and is
-the one place that brackets [[J, J]] to reject one.  An independent
+The Schouten-Jacobi bracket works on the same (mono, word, fr) keys.
+Each letter is a momentum conjugate to a generator: d_i to the
+coordinate x^i, m to an even scale variable t, e_A to the ghost xi^A
+and f^A to the anti-ghost xi*_A.  The bracket is the odd Poisson
+bracket of these pairs.  A term of frame flag fr, arity n and m-count
+eps carries t-weight  w = fr - n + eps, the factor its derivative
+along t brings down.  Every product of the bracket lands at frame flag
+fr1 + fr2 - 1, which is checked to be 0 or 1.  The graded product
+md_mul and the bracket share one term product, _term_mul.
+jacobi_from_words builds every structure operator J and is the one
+place that brackets [[J, J]] to reject one.  An independent
 composition-style evaluation oracle and a probe-based reconstruction
 routine round out the module.
 """
@@ -226,6 +229,22 @@ class MultiDerivation(Combination):
         return "<MultiDerivation %s>" % self
 
 
+def _term_mul(t1, t2, chart):
+    """Product of two (mono, word) terms as (sign, mono, word), sign 0
+    when it vanishes.  The factor order is m1 w1 m2 w2: the odd letters
+    of w1 pass m2, then the monomials and the words merge."""
+    (m1, w1), (m2, w2) = t1, t2
+    s_m, mono = mono_mul(m1, m2)
+    if not s_m:
+        return 0, None, None
+    s_w, word = sort_word(w1 + w2, chart)
+    if not s_w:
+        return 0, None, None
+    if word_parity(w1) and m2.parity():
+        s_w = -s_w
+    return s_m * s_w, mono, word
+
+
 def md_mul(D1, D2):
     """Graded product of word operators; at most one factor may carry
     the frame flag."""
@@ -233,18 +252,12 @@ def md_mul(D1, D2):
     chart, rank = D1.chart, D1.rank
     terms = {}
     for (m1, w1, fr1), c1 in D1.terms.items():
-        pw1 = word_parity(w1)
         for (m2, w2, fr2), c2 in D2.terms.items():
             assert fr1 + fr2 <= 1, "product of two frame-valued operators"
-            sgn = -1 if (pw1 * m2.parity()) % 2 else 1
-            s_m, mono = mono_mul(m1, m2)
-            if not s_m:
-                continue
-            s_w, word = sort_word(w1 + w2, chart)
-            if not s_w:
-                continue
-            add_term(terms, (mono, word, fr1 + fr2),
-                     (c1 * c2).scale(sgn * s_m * s_w))
+            sign, mono, word = _term_mul((m1, w1), (m2, w2), chart)
+            if sign:
+                add_term(terms, (mono, word, fr1 + fr2),
+                         (c1 * c2).scale(sign))
     return MultiDerivation._new(chart, rank, terms)
 
 
@@ -312,174 +325,120 @@ def evaluate(D, args):
     return Section(total)
 
 
-# -- the bracket in the cotangent realization ------------------------
+# -- the Schouten-Jacobi bracket ------------------------------------
 #
-# Symbol terms are keyed by (odd, pg, pa, w): the sequence of odd
-# generators in canonical order (ghosts, anti-ghosts, pi_t, then the
-# odd coordinate momenta), the even ghost/anti-ghost momenta as sorted
-# multisets, and the integer t-weight.  Coefficients are ScalarExpr.
+# The bracket of two terms sums, over the momenta the first one
+# carries, the right derivative of the first by the momentum times the
+# left derivative of the second by the conjugate generator, and
+# multiplies the two with _term_mul.  The odd momenta m and d_i sit
+# after the monomial's ghosts, so a term's parity is
+# mono.parity() + word_parity(word).
 
-def _odd_item_key(item, chart):
-    tag = item[0]
-    if tag == "G":
-        return (0, item[1])
-    if tag == "A":
-        return (1, item[1])
-    if tag == "T":
-        return (2, 0)
-    return (3, chart.axis(item[1]))
-
-
-def _symbol_mul(k1, c1, k2, c2, chart):
-    odd1, pg1, pa1, w1 = k1
-    odd2, pg2, pa2, w2 = k2
-    if set(odd1) & set(odd2):
-        return None, None
-    inv = 0
-    for it2 in odd2:
-        key2 = _odd_item_key(it2, chart)
-        inv += sum(1 for it1 in odd1 if _odd_item_key(it1, chart) > key2)
-    odd = tuple(sorted(odd1 + odd2, key=lambda it: _odd_item_key(it, chart)))
-    c = c1 * c2
-    if inv % 2:
-        c = -c
-    key = (odd, tuple(sorted(pg1 + pg2)), tuple(sorted(pa1 + pa2)), w1 + w2)
-    return key, c
+def _momenta(word):
+    """The letters of a word, each once, in the order the bracket visits
+    them: d letters in chart order, then m, then per ghost index e_A and
+    f^A."""
+    even = sorted({ell for ell in word if not letter_odd(ell)},
+                  key=lambda ell: (ell[1], ell[0]))
+    return [ell for ell in word if ell[0] == "d"] + \
+        ([M] if M in word else []) + even
 
 
-def _to_symbols(D):
-    out = {}
-    for (mono, word, fr), c in D.terms.items():
-        eps = 1 if M in word else 0
-        odd = [("G", A) for A in mono.g] + [("A", B) for B in mono.a]
-        if eps:
-            odd.append(("T",))
-        odd += [("X", ell[1]) for ell in word if ell[0] == "d"]
-        pg = tuple(sorted(ell[1] for ell in word if ell[0] == "e"))
-        pa = tuple(sorted(ell[1] for ell in word if ell[0] == "f"))
-        add_term(out, (tuple(odd), pg, pa, fr - len(word) + eps), c)
-    return out
+def _dR_mom(mono, word, c, ell):
+    """Right derivative of a term by a momentum letter it carries: an odd
+    letter leaves with the sign of the odd letters after it, an even one
+    with its multiplicity.  Returns ((mono, word), coefficient)."""
+    pos = word.index(ell)
+    rest = word[:pos] + word[pos + 1:]
+    if letter_odd(ell):
+        return (mono, rest), (-c if word_parity(word[pos + 1:]) else c)
+    return (mono, rest), c.scale(word.count(ell))
 
 
-def _from_symbols(sym, chart, rank):
-    terms = {}
-    for (odd, pg, pa, w), c in sym.items():
-        gs = tuple(A for it in odd if it[0] == "G" for A in (it[1],))
-        as_ = tuple(B for it in odd if it[0] == "A" for B in (it[1],))
-        eps = 1 if any(it[0] == "T" for it in odd) else 0
-        xs = [it[1] for it in odd if it[0] == "X"]
-        word = ((M,) if eps else ()) + tuple(d_letter(x) for x in xs) \
-            + tuple(e_letter(A) for A in pg) + tuple(f_letter(B) for B in pa)
-        fr = w + len(word) - eps
-        assert fr in (0, 1), \
-            "symbol with t-weight %d does not come from an operator" % w
-        add_term(terms, (GhostMonomial(gs, as_), word, fr), c)
-    return MultiDerivation._new(chart, rank, terms)
-
-
-def _momenta(key):
-    """The momenta a symbol term carries, each named by its conjugate
-    generator, in the order the bracket visits them: odd coordinate
-    momenta in chart order, then pi_t, then per ghost index the ghost
-    and the anti-ghost momentum."""
-    odd, pg, pa, w = key
-    out = [it for it in odd if it[0] == "X"]
-    if ("T",) in odd:
-        out.append(("T",))
-    for A in sorted(set(pg) | set(pa)):
-        if A in pg:
-            out.append(("G", A))
-        if A in pa:
-            out.append(("A", A))
-    return out
-
-
-def _dR_mom(key, c, gen):
-    """Right derivative of a symbol term by a momentum it carries, named
-    by its conjugate generator gen: odd momenta leave with a suffix
-    sign, even ones with their multiplicity."""
-    odd, pg, pa, w = key
-    if gen[0] in ("X", "T"):
-        pos = odd.index(gen)
-        c2 = -c if (len(odd) - pos - 1) % 2 else c
-        return (odd[:pos] + odd[pos + 1:], pg, pa, w), c2
-    bag = pg if gen[0] == "G" else pa
-    k = bag.count(gen[1])
-    i = bag.index(gen[1])
-    bag2 = bag[:i] + bag[i + 1:]
-    if gen[0] == "G":
-        return (odd, bag2, pa, w), c.scale(k)
-    return (odd, pg, bag2, w), c.scale(k)
-
-
-def _dL_gen(key, c, gen):
-    """Left derivative of a symbol term by the generator gen: a
-    coordinate acts on the coefficient, t lowers the t-weight, and a
-    ghost or anti-ghost leaves with a prefix sign."""
-    odd, pg, pa, w = key
-    if gen[0] == "X":
-        c2 = c.partial(gen[1])
-        return None if c2.is_zero() else (key, c2)
-    if gen[0] == "T":
-        return None if w == 0 else ((odd, pg, pa, w - 1), c.scale(w))
-    if gen not in odd:
+def _dL_gen(mono, word, fr, c, ell):
+    """Left derivative of a term by the generator conjugate to ell, as
+    ((mono, word), coefficient) or None: a coordinate acts on the
+    coefficient, t multiplies by the t-weight fr - n + eps, and a ghost
+    or anti-ghost leaves with the sign of the ghosts before it."""
+    kind = ell[0]
+    if kind == "d":
+        c2 = c.partial(ell[1])
+        return None if c2.is_zero() else ((mono, word), c2)
+    if kind == "m":
+        w = fr - len(word) + (M in word)
+        return None if w == 0 else ((mono, word), c.scale(w))
+    gens = mono.g if kind == "e" else mono.a
+    if ell[1] not in gens:
         return None
-    pos = odd.index(gen)
-    return (odd[:pos] + odd[pos + 1:], pg, pa, w), (-c if pos % 2 else c)
+    pos = gens.index(ell[1])
+    rest = gens[:pos] + gens[pos + 1:]
+    if kind == "e":
+        mono2 = GhostMonomial(rest, mono.a)
+    else:
+        mono2, pos = GhostMonomial(mono.g, rest), pos + len(mono.g)
+    return (mono2, word), (-c if pos % 2 else c)
 
 
-def _half_bracket(F, G, chart, rank):
-    """sum over u of (dR F / dpi_u)(dL G / du), as a symbol dict.
+def _half_bracket(F, G, chart):
+    """sum over momenta u of (dR F / du)(dL G / d(generator of u)), for
+    lists F, G of (key, coefficient) pairs.
 
     Only the momenta an F-term carries are visited; its right
     derivatives are taken once per F-term, and each left derivative of
-    a G-term once per call.  Terms accumulate in (F-term, G-term,
-    momentum) order."""
+    a G-term once per call.  Each product lands at frame flag
+    frF + frG - 1.  Terms accumulate in (F-term, G-term, momentum)
+    order."""
     out = {}
     dL = {}
-    Gs = list(G.items())
-    for kF, cF in F.items():
-        dRs = [(gen, _dR_mom(kF, cF, gen)) for gen in _momenta(kF)]
+    for (mF, wF, frF), cF in F:
+        dRs = [(ell, _dR_mom(mF, wF, cF, ell)) for ell in _momenta(wF)]
         if not dRs:
             continue
-        for j, (kG, cG) in enumerate(Gs):
-            for gen, (kA, cA) in dRs:
-                if (j, gen) in dL:
-                    b = dL[(j, gen)]
+        for j, ((mG, wG, frG), cG) in enumerate(G):
+            fr = frF + frG - 1
+            for ell, (tA, cA) in dRs:
+                if (j, ell) in dL:
+                    b = dL[(j, ell)]
                 else:
-                    b = dL[(j, gen)] = _dL_gen(kG, cG, gen)
+                    b = dL[(j, ell)] = _dL_gen(mG, wG, frG, cG, ell)
                 if b is None:
                     continue
-                key, c = _symbol_mul(kA, cA, b[0], b[1], chart)
-                if key is not None:
-                    add_term(out, key, c)
+                sign, mono, word = _term_mul(tA, b[0], chart)
+                if sign:
+                    c = cA * b[1]
+                    add_term(out, (mono, word, fr), -c if sign < 0 else c)
     return out
 
 
+def _parity_groups(D):
+    "The terms of D as (key, coefficient) lists, grouped by parity."
+    groups = {}
+    for key, c in D.terms.items():
+        mono, word, _ = key
+        par = (mono.parity() + word_parity(word)) % 2
+        groups.setdefault(par, []).append((key, c))
+    return groups
+
+
 def sj_bracket(D, E):
-    """Schouten-Jacobi bracket of two word operators."""
+    """Schouten-Jacobi bracket of two word operators.  Raises ValueError
+    when it does not land in frame flag 0 or 1, which happens only for
+    two function-valued operators."""
     assert D.chart == E.chart and D.rank == E.rank
-    chart, rank = D.chart, D.rank
+    chart = D.chart
     out = {}
-    groups_E = _split_parity_symbols(E)
-    for tD, FD in _split_parity_symbols(D).items():
+    groups_E = _parity_groups(E)
+    for tD, FD in _parity_groups(D).items():
         for tE, FE in groups_E.items():
             flip = -1 if ((tD + 1) * (tE + 1)) % 2 else 1
-            part1 = _half_bracket(FD, FE, chart, rank)
-            part2 = _half_bracket(FE, FD, chart, rank)
-            for key, c in part1.items():
+            for key, c in _half_bracket(FD, FE, chart).items():
                 add_term(out, key, c)
-            for key, c in part2.items():
+            for key, c in _half_bracket(FE, FD, chart).items():
                 add_term(out, key, c.scale(-flip))
-    return _from_symbols(out, chart, rank)
-
-
-def _split_parity_symbols(D):
-    "Symbol dicts grouped by the parity of the odd sequence."
-    groups = {}
-    for key, c in _to_symbols(D).items():
-        groups.setdefault(len(key[0]) % 2, {})[key] = c
-    return groups
+    if any(fr < 0 for _, _, fr in out):
+        raise ValueError("the bracket of two function-valued operators "
+                         "is not a word operator")
+    return MultiDerivation._new(chart, D.rank, out)
 
 
 # -- evaluation oracle for the bracket -------------------------------
@@ -554,9 +513,16 @@ def is_jacobi(J):
 def jacobi_from_words(chart, rank, terms):
     """The operator  sum c * w [mu]  of (word, c) pairs, words in any
     order (a repeated odd letter drops the term), c a ring element or a
-    number.  Raises NotJacobiError carrying [[J, J]] unless it is 0."""
+    number.  Letters are M or d_letter of a chart coordinate; any other
+    raises ValueError.  Raises NotJacobiError carrying [[J, J]] unless
+    it is 0."""
+    letters = [M] + [d_letter(x) for x in chart.coords]
     out = {}
     for word, c in terms:
+        for ell in word:
+            if ell not in letters:
+                raise ValueError("structure letters are m or d_<coordinate> "
+                                 "of the chart, got %r" % (ell,))
         sgn, canon = sort_word(tuple(word), chart)
         if not sgn:
             continue
@@ -576,9 +542,10 @@ def jacobi_from_pair(chart, rank, biv, vec):
     coefficients.  Raises NotJacobiError when the induced bracket fails
     the Jacobi identity."""
     for i, j in biv:
-        if chart.axis(i) >= chart.axis(j):
+        if i not in chart.coords or j not in chart.coords or \
+                chart.axis(i) >= chart.axis(j):
             raise ValueError("biv key %r must pair two distinct coordinates "
-                             "in chart order" % ((i, j),))
+                             "of the chart in chart order" % ((i, j),))
     words = [((d_letter(i), d_letter(j)), c) for (i, j), c in biv.items()]
     words += [((M, d_letter(i)), c) for i, c in vec.items()]
     return jacobi_from_words(chart, rank, words)

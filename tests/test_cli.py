@@ -438,23 +438,31 @@ BOUND_CHART = {"coords": ["x1", "x2", "x3", "x4", "x5", "y1", "y2", "z"],
                "fiber": ["z"]}
 
 
-@pytest.mark.parametrize("expr", ["(^ (^ (+ x1 x2 y1) 8) 8)",
-                                  "(^ (+ x1 x2 x3 x4 x5 y1 y2) 10)"])
+# expression -> the bound it breaks
+BOUNDED = {"(^ (^ (+ x1 x2 y1) 8) 8)": "term pairs",
+           "(^ (+ x1 x2 x3 x4 x5 y1 y2) 10)": "term pairs",
+           "(^ (^ (^ (^ (^ 2 32) 32) 32) 32) 32)": "bits",
+           "(^ (^ 1/3 32) 32)": "bits"}
+
+
+@pytest.mark.parametrize("expr", sorted(BOUNDED))
 def test_parse_products_are_bounded(tmp_path, capsys, expr):
     # nested or wide powers stop at the first product over the bound,
-    # before the degree can multiply out
+    # before the degree or the coefficients can multiply out
+    bound = BOUNDED[expr]
     chart = cli._parse_chart(BOUND_CHART)
-    with pytest.raises(ScenarioError, match="term pairs"):
+    with pytest.raises(ScenarioError, match=bound):
         parse_expr(expr, chart)
     assert parse_expr("(^ y1 32)", chart) == \
         ScalarExpr.coord(chart, "y1") ** 32
+    assert parse_expr("(^ 2 32)", chart) == ScalarExpr.number(chart, 2 ** 32)
     src = scenario_file(tmp_path, chart=BOUND_CHART, rank=1,
                         jacobi={"biv": [["x1", "x2", "1"]]}, section=[expr])
     start = time.perf_counter()
     assert cli.main(["--scenario", src, "--command", "residual"]) == 1
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "term pairs" in err
+    assert err.startswith("error:") and bound in err
 
 
 def test_main_usage_errors(tmp_path, capsys):

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from jacobi_bfv.scalar import ScalarExpr
-from jacobi_bfv.ghost import GhostMonomial, GradedFunction, Section, ONE_MONO, shifted_parity
+from jacobi_bfv.scalar import ScalarExpr, add_term
+from jacobi_bfv.ghost import (GhostMonomial, GradedFunction, Section, ONE_MONO,
+                              mono_mul, shifted_parity)
 from jacobi_bfv.multideriv import (
     M, d_letter, e_letter, f_letter, sort_word, word_parity,
     MultiDerivation, md_mul, evaluate, sj_bracket, gerstenhaber_eval_oracle,
@@ -244,10 +245,32 @@ def test_jacobi_from_words_raises_with_the_bracket():
     assert not err.value.residual.is_zero()
 
 
-@pytest.mark.parametrize("key", [("phi3", "phi3"), ("phi4", "phi3")])
+@pytest.mark.parametrize("key", [("phi3", "phi3"), ("phi4", "phi3"),
+                                 ("zz", "phi1"), ("phi1", "zz")])
 def test_pair_keys_must_be_ordered(key):
     with pytest.raises(ValueError, match="two distinct coordinates"):
         jacobi_from_pair(CH, RANK, {key: ScalarExpr.one(CH)}, {})
+
+
+@pytest.mark.parametrize("letter", [e_letter(0), e_letter(7), f_letter(1),
+                                    d_letter("zz"), ("q",), "m"])
+def test_structure_letters_are_m_or_coordinates(letter):
+    with pytest.raises(ValueError, match="structure letters"):
+        jacobi_from_words(CH, RANK, [((d_letter("phi1"), letter), ONE)])
+    with pytest.raises(ValueError, match="structure letters"):
+        jacobi_from_words(CH, RANK, [((letter,), 1)])
+    if letter[0] == "d":
+        with pytest.raises(ValueError, match="structure letters"):
+            jacobi_from_pair(CH, RANK, {}, {letter[1]: ONE})
+
+
+def test_bracket_of_two_functions_is_rejected():
+    D = single((d_letter("phi1"),), fr=0)
+    E = single((), coeff=ScalarExpr.coord(CH, "phi1"), fr=0)
+    with pytest.raises(ValueError, match="two function-valued operators"):
+        sj_bracket(D, E)
+    # with no term landing below frame flag 0 the bracket is allowed
+    assert sj_bracket(single((), fr=0), E).is_zero()
 
 
 def test_jacobi_bracket_values():
@@ -314,9 +337,72 @@ def test_operator_bookkeeping():
     assert str(D) == "(-sin(phi3)) xi^1 d_phi4 e_1 [mu]"
 
 
-# -- the indexed bracket against the full scan -----------------------
+# -- the bracket against the symbol-form reference -------------------
+#
+# The reference computes the bracket in the cotangent realization.  A
+# term of frame flag fr, arity n and m-count eps becomes a symbol
+# (odd, pg, pa, w): the odd generators in canonical order (ghosts,
+# anti-ghosts, pi_t, then the odd coordinate momenta), the even ghost
+# and anti-ghost momenta as sorted multisets, and the t-weight
+# w = fr - n + eps.  Every (F-term, G-term) pair is scanned against
+# every generator, and the result is read back off the momenta.
 
-# Reference derivatives of symbol terms, written out per generator kind.
+def _ref_odd_item_key(item, chart):
+    tag = item[0]
+    if tag == "G":
+        return (0, item[1])
+    if tag == "A":
+        return (1, item[1])
+    if tag == "T":
+        return (2, 0)
+    return (3, chart.axis(item[1]))
+
+
+def _ref_symbol_mul(k1, c1, k2, c2, chart):
+    odd1, pg1, pa1, w1 = k1
+    odd2, pg2, pa2, w2 = k2
+    if set(odd1) & set(odd2):
+        return None, None
+    inv = 0
+    for it2 in odd2:
+        key2 = _ref_odd_item_key(it2, chart)
+        inv += sum(1 for it1 in odd1 if _ref_odd_item_key(it1, chart) > key2)
+    odd = tuple(sorted(odd1 + odd2, key=lambda it: _ref_odd_item_key(it, chart)))
+    c = c1 * c2
+    if inv % 2:
+        c = -c
+    key = (odd, tuple(sorted(pg1 + pg2)), tuple(sorted(pa1 + pa2)), w1 + w2)
+    return key, c
+
+
+def _ref_to_symbols(D):
+    out = {}
+    for (mono, word, fr), c in D.terms.items():
+        eps = 1 if M in word else 0
+        odd = [("G", A) for A in mono.g] + [("A", B) for B in mono.a]
+        if eps:
+            odd.append(("T",))
+        odd += [("X", ell[1]) for ell in word if ell[0] == "d"]
+        pg = tuple(sorted(ell[1] for ell in word if ell[0] == "e"))
+        pa = tuple(sorted(ell[1] for ell in word if ell[0] == "f"))
+        add_term(out, (tuple(odd), pg, pa, fr - len(word) + eps), c)
+    return out
+
+
+def _ref_from_symbols(sym, chart, rank):
+    terms = {}
+    for (odd, pg, pa, w), c in sym.items():
+        gs = tuple(it[1] for it in odd if it[0] == "G")
+        as_ = tuple(it[1] for it in odd if it[0] == "A")
+        eps = 1 if ("T",) in odd else 0
+        word = ((M,) if eps else ()) \
+            + tuple(d_letter(it[1]) for it in odd if it[0] == "X") \
+            + tuple(e_letter(A) for A in pg) + tuple(f_letter(B) for B in pa)
+        fr = w + len(word) - eps
+        assert fr in (0, 1), "symbol with t-weight %d" % w
+        add_term(terms, (GhostMonomial(gs, as_), word, fr), c)
+    return MultiDerivation(chart, rank, terms)
+
 
 def _ref_dR_oddmom(key, c, item):
     odd, pg, pa, w = key
@@ -363,7 +449,6 @@ def _ref_dL_coord(key, c, coord):
 def _full_scan_half_bracket(F, G, chart, rank):
     """Reference half-bracket: every (F-term, G-term) pair against every
     coordinate, pi_t and every ghost index, as a plain scan."""
-    from jacobi_bfv.multideriv import _symbol_mul
     out = {}
     pairs = []
     for kF, cF in F.items():
@@ -391,7 +476,7 @@ def _full_scan_half_bracket(F, G, chart, rank):
                     if b:
                         pairs.append((a, b))
     for (kA, cA), (kB, cB) in pairs:
-        key, c = _symbol_mul(kA, cA, kB, cB, chart)
+        key, c = _ref_symbol_mul(kA, cA, kB, cB, chart)
         if key is None:
             continue
         c0 = out.get(key)
@@ -403,11 +488,24 @@ def _full_scan_half_bracket(F, G, chart, rank):
     return out
 
 
-def _full_scan_bracket(monkeypatch, D, E):
-    from jacobi_bfv import multideriv
-    with monkeypatch.context() as mp:
-        mp.setattr(multideriv, "_half_bracket", _full_scan_half_bracket)
-        return sj_bracket(D, E)
+def _full_scan_bracket(D, E):
+    "Reference bracket: symbol parity groups, two half-brackets each."
+    chart, rank = D.chart, D.rank
+    groups = []
+    for X in (D, E):
+        parts = {}
+        for key, c in _ref_to_symbols(X).items():
+            parts.setdefault(len(key[0]) % 2, {})[key] = c
+        groups.append(parts)
+    out = {}
+    for tD, FD in groups[0].items():
+        for tE, FE in groups[1].items():
+            flip = -1 if ((tD + 1) * (tE + 1)) % 2 else 1
+            for key, c in _full_scan_half_bracket(FD, FE, chart, rank).items():
+                add_term(out, key, c)
+            for key, c in _full_scan_half_bracket(FE, FD, chart, rank).items():
+                add_term(out, key, c.scale(-flip))
+    return _ref_from_symbols(out, chart, rank)
 
 
 def _same_terms(X, Y):
@@ -415,10 +513,16 @@ def _same_terms(X, Y):
     return X == Y and list(X.terms.items()) == list(Y.terms.items())
 
 
-def test_indexed_bracket_matches_full_scan(monkeypatch):
+def _t_weight(key):
+    mono, word, fr = key
+    return fr - len(word) + (M in word)
+
+
+def test_indexed_bracket_matches_full_scan():
     rng = rng_for("indexed-bracket")
     abstract = t5_chart(abstract=True)
-    seen = {"trig": 0, "func": 0, "ghost": 0, "antighost": 0, "m": 0}
+    seen = {"trig": 0, "func": 0, "ghost": 0, "antighost": 0, "m": 0,
+            "m-weighted": 0}
     nonzero = 0
     for trial in range(80):
         chart = abstract if trial % 2 else CH
@@ -434,35 +538,93 @@ def test_indexed_bracket_matches_full_scan(monkeypatch):
                 seen["ghost"] += bool(mono.g) or any(l[0] == "e" for l in word)
                 seen["antighost"] += bool(mono.a) or any(l[0] == "f" for l in word)
                 seen["m"] += M in word
+                seen["m-weighted"] += M in word and _t_weight((mono, word, fr)) != 0
         got = sj_bracket(D, E)
-        assert _same_terms(got, _full_scan_bracket(monkeypatch, D, E))
+        assert _same_terms(got, _full_scan_bracket(D, E))
         nonzero += not got.is_zero()
     assert nonzero >= 40
     assert all(n >= 10 for n in seen.values()), seen
-    # repeated even letters: their momenta leave with a multiplicity
     x1 = ScalarExpr.coord(CH, "phi1")
-    D = single((e_letter(0), e_letter(0), f_letter(1), f_letter(1)), coeff=x1)
-    E = single((d_letter("phi1"),), mono=GhostMonomial((0,), (1,)), coeff=x1)
-    for X, Y in ((D, E), (E, D)):
-        got = sj_bracket(X, Y)
-        assert not got.is_zero()
-        assert _same_terms(got, _full_scan_bracket(monkeypatch, X, Y))
+    y1 = ScalarExpr.coord(CH, "y1")
+    xi = GhostMonomial((0,), (1,))
+    pairs = [
+        # repeated even letters: their momenta leave with a multiplicity
+        (single((e_letter(0), e_letter(0), f_letter(1), f_letter(1)), coeff=x1),
+         single((d_letter("phi1"),), mono=xi, coeff=x1)),
+        # m letters at t-weight 1, -1 and -2 on both sides
+        (single((M,), coeff=x1 * y1),
+         single((M, d_letter("phi1"), e_letter(0)), mono=xi, coeff=y1)),
+        (single((M, d_letter("y1")), coeff=x1, fr=0),
+         single((d_letter("phi1"), f_letter(1)), coeff=y1 * y1)),
+        (single((M, e_letter(1)), coeff=y1, mono=GhostMonomial((1,), ())),
+         single((M, d_letter("phi1"), d_letter("y1")), coeff=x1, fr=0)),
+    ]
+    for D, E in pairs[1:]:
+        assert any(M in w and _t_weight((m, w, fr)) != 0
+                   for m, w, fr in list(D.terms) + list(E.terms))
+    for D, E in pairs:
+        for X, Y in ((D, E), (E, D)):
+            got = sj_bracket(X, Y)
+            assert not got.is_zero()
+            assert _same_terms(got, _full_scan_bracket(X, Y))
 
 
-def test_indexed_bracket_matches_full_scan_on_lifts(monkeypatch):
+def test_indexed_bracket_matches_full_scan_on_lifts():
     from jacobi_bfv.models import t5_contact
     from jacobi_bfv.contraction import ConnectionSpec
     from jacobi_bfv.solver import lift_jacobi
     model = t5_contact()
-    conn = ConnectionSpec(model.chart, model.rank,
-                          {(0, 1): ScalarExpr.sin(model.chart, "phi3"),
-                           (1, 0): ScalarExpr.sin(model.chart, "phi4")})
-    Jhat, trace = lift_jacobi(model.J, conn)
-    for rec in trace:
-        c = rec["correction"]
-        for D, E in ((Jhat, Jhat), (Jhat, c), (c, Jhat), (c, c)):
-            assert _same_terms(sj_bracket(D, E),
-                               _full_scan_bracket(monkeypatch, D, E))
+    sin3 = ScalarExpr.sin(model.chart, "phi3")
+    sin4 = ScalarExpr.sin(model.chart, "phi4")
+    conns = [
+        ConnectionSpec(model.chart, model.rank, {(0, 1): sin3, (1, 0): sin4}),
+        ConnectionSpec(model.chart, model.rank, None,
+                       {("phi3", 0, 1): sin4, ("phi4", 1, 0): sin3}),
+    ]
+    for conn in conns:
+        Jhat, trace = lift_jacobi(model.J, conn)
+        assert trace  # curved: the lift carries a correction
+        for rec in trace:
+            c = rec["correction"]
+            for D, E in ((Jhat, Jhat), (Jhat, c), (c, Jhat), (c, c)):
+                assert _same_terms(sj_bracket(D, E), _full_scan_bracket(D, E))
+
+
+def _ref_md_mul(D1, D2):
+    "Reference graded product, with the signs applied one by one."
+    chart, rank = D1.chart, D1.rank
+    terms = {}
+    for (m1, w1, fr1), c1 in D1.terms.items():
+        pw1 = word_parity(w1)
+        for (m2, w2, fr2), c2 in D2.terms.items():
+            sgn = -1 if (pw1 * m2.parity()) % 2 else 1
+            s_m, mono = mono_mul(m1, m2)
+            if not s_m:
+                continue
+            s_w, word = sort_word(w1 + w2, chart)
+            if not s_w:
+                continue
+            add_term(terms, (mono, word, fr1 + fr2),
+                     (c1 * c2).scale(sgn * s_m * s_w))
+    return MultiDerivation(chart, rank, terms)
+
+
+def test_md_mul_matches_reference():
+    rng = rng_for("md-mul-reference")
+    abstract = t5_chart(abstract=True)
+    nonzero = 0
+    for trial in range(60):
+        chart = abstract if trial % 2 else CH
+        fr1 = rng.randint(0, 1)
+        fr2 = rng.randint(0, 1 - fr1)
+        D1 = random_md(rng, chart, RANK, rng.randint(0, 3), fr=fr1,
+                       max_terms=5, allow_abstract=True)
+        D2 = random_md(rng, chart, RANK, rng.randint(0, 3), fr=fr2,
+                       max_terms=5, allow_abstract=True)
+        got = md_mul(D1, D2)
+        assert _same_terms(got, _ref_md_mul(D1, D2))
+        nonzero += not got.is_zero()
+    assert nonzero >= 30
 
 
 # -- the one-pass section bracket against the per-monomial loop -------

@@ -1,7 +1,8 @@
-"""Checks that must hold when Python strips assert statements (-O), the
-contract between the engine and the benchmark's tracer, a check that
-the engine's modules import nothing they do not use, and the demos'
-output pinned byte for byte to tests/golden."""
+"""Checks that must hold when Python strips assert statements (-O),
+the acceptance suite among them, the contract between the engine and
+the benchmark's tracer, a check that the engine's modules import
+nothing they do not use, and the demos' output pinned byte for byte
+to tests/golden."""
 
 import ast
 from fractions import Fraction
@@ -58,6 +59,49 @@ def test_filtration_guard_survives_optimize():
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("rejected:")
     assert "filtration level" in out.stdout
+
+
+# library calls whose input must be rejected with ValueError whether or
+# not asserts run: a bracket landing below frame flag 0, a structure
+# letter that is neither m nor d_<coordinate>, an unknown coordinate
+BAD_LIBRARY_CALLS = """
+from jacobi_bfv.scalar import ScalarExpr
+from jacobi_bfv.multideriv import (MultiDerivation, d_letter, e_letter,
+                                   sj_bracket, jacobi_from_pair,
+                                   jacobi_from_words)
+from jacobi_bfv.models import t5_contact
+ch = t5_contact().chart
+one = ScalarExpr.one(ch)
+calls = [
+    lambda: sj_bracket(
+        MultiDerivation.single(ch, 1, (d_letter("phi1"),), fr=0),
+        MultiDerivation.single(ch, 1, (), ScalarExpr.coord(ch, "phi1"), fr=0)),
+    lambda: jacobi_from_words(ch, 2, [((e_letter(7),), one)]),
+    lambda: jacobi_from_pair(ch, 2, {("zz", "phi1"): one}, {}),
+]
+for call in calls:
+    try:
+        print("accepted", call())
+    except ValueError as err:
+        print("rejected:", err)
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_library_guards_survive_optimize(optimize):
+    out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 3
+    assert all(ln.startswith("rejected:") for ln in lines), lines
+
+
+def test_acceptance_suite_passes_under_optimize():
+    out = run_python(["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                      os.path.join("tests", "test_acceptance.py")],
+                     optimize=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert " passed" in out.stdout and "failed" not in out.stdout
 
 
 SMALL = os.path.join(ROOT, "demos", "scenarios", "small_rank1.json")
