@@ -44,7 +44,7 @@ class ConnectionSpec:
         self.vert = {}
         for (A, B), c in dict(vert or {}).items():
             self._check_frame(A, B)
-            if isinstance(c, (int, Fraction)):
+            if not isinstance(c, ScalarExpr):
                 c = ScalarExpr.number(chart, c)
             if not c.is_zero():
                 self.vert[(A, B)] = c
@@ -54,7 +54,7 @@ class ConnectionSpec:
                 raise ValueError("unknown coordinate %r in connection coef"
                                  % (i,))
             self._check_frame(A, B)
-            if isinstance(c, (int, Fraction)):
+            if not isinstance(c, ScalarExpr):
                 c = ScalarExpr.number(chart, c)
             if not c.is_zero():
                 self.coef[(i, A, B)] = c
@@ -199,7 +199,7 @@ class BrstContraction:
         self.rank = rank
         vals = []
         for c in section:
-            if isinstance(c, (int, Fraction)):
+            if not isinstance(c, ScalarExpr):
                 c = ScalarExpr.number(chart, c)
             if c.max_degree(chart.fiber) != 0:
                 raise ValueError("section components must be functions "
@@ -251,8 +251,10 @@ class BrstContraction:
                     continue
                 g = c.partial(y).substitute(up)
                 g = ScalarExpr(chart, {
-                    key: q / (sum(e for atom, e in key if atom[0] == "x"
-                                  and atom[1] in fiber) + len(mono.a) + 1)
+                    key: Fraction(q) / (sum(e for atom, e in key
+                                            if atom[0] == "x"
+                                            and atom[1] in fiber)
+                                        + len(mono.a) + 1)
                     for key, q in g.terms.items()})
                 add_term(terms, mono2, g.substitute(down).scale(-sgn))
         return Section(GradedFunction._new(chart, self.rank, terms))

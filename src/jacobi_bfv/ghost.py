@@ -77,6 +77,14 @@ def mono_mul(m1, m2):
                                tuple(sorted(m1.a + m2.a)))
 
 
+def check_mono(mono, rank):
+    "Raise ValueError unless every index of mono is below rank."
+    for A in mono.g + mono.a:
+        if not 0 <= A < rank:
+            raise ValueError("ghost index %r is out of range for rank %d"
+                             % (A, rank))
+
+
 class Combination:
     """Finite linear combination key -> ScalarExpr over one chart and
     rank, with no zero coefficient stored.
@@ -105,7 +113,8 @@ class Combination:
 
     def _like(self, other):
         return isinstance(other, type(self)) and \
-            self.chart == other.chart and self.rank == other.rank
+            (self.chart is other.chart or self.chart == other.chart) and \
+            self.rank == other.rank
 
     def __add__(self, other):
         assert self._like(other)
@@ -151,7 +160,7 @@ class GradedFunction(Combination):
         for mono, coeff in (terms or {}).items():
             if coeff.is_zero():
                 continue
-            assert all(0 <= A < rank for A in mono.g + mono.a), mono
+            check_mono(mono, rank)
             self.terms[mono] = coeff
 
     # -- constructors ------------------------------------------------

@@ -35,7 +35,7 @@ from itertools import combinations, combinations_with_replacement, product as ip
 
 from .scalar import ScalarExpr, add_term
 from .ghost import (Combination, GhostMonomial, GradedFunction, Section,
-                    ONE_MONO, mono_mul, shifted_parity)
+                    ONE_MONO, check_mono, mono_mul, shifted_parity)
 
 
 # -- letters ---------------------------------------------------------
@@ -130,15 +130,21 @@ class MultiDerivation(Combination):
         for (mono, word, fr), coeff in (terms or {}).items():
             if coeff.is_zero():
                 continue
-            assert fr in (0, 1)
-            assert all(0 <= A < rank for A in mono.g + mono.a)
-            s, canon = sort_word(word, chart)
-            assert s == 1 and canon == word, "word %r is not canonical" % (word,)
+            if fr not in (0, 1):
+                raise ValueError("frame flag must be 0 or 1, got %r" % (fr,))
+            check_mono(mono, rank)
             for ell in word:
                 if ell[0] == "d":
-                    assert ell[1] in chart._pos, ell
+                    ok = ell[1] in chart._pos
                 elif ell[0] in ("e", "f"):
-                    assert 0 <= ell[1] < rank, ell
+                    ok = 0 <= ell[1] < rank
+                else:
+                    ok = ell == M
+                if not ok:
+                    raise ValueError("letter %r is not a letter of the chart "
+                                     "at rank %d" % (ell, rank))
+            if sort_word(word, chart) != (1, word):
+                raise ValueError("word %r is not canonical" % (word,))
             self.terms[(mono, word, fr)] = coeff
 
     # -- constructors ------------------------------------------------
@@ -526,7 +532,7 @@ def jacobi_from_words(chart, rank, terms):
         sgn, canon = sort_word(tuple(word), chart)
         if not sgn:
             continue
-        if isinstance(c, (int, Fraction)):
+        if not isinstance(c, ScalarExpr):
             c = ScalarExpr.number(chart, c)
         add_term(out, (ONE_MONO, canon, 1), c.scale(sgn))
     J = MultiDerivation(chart, rank, out)

@@ -6,8 +6,10 @@ symbols (base-coordinate dependence only), and formal partial-derivative
 atoms of the abstract symbols.  The normal form is unique: monomials are
 kept in a fixed sorted order, cos carries exponent <= 1 (cos^2 is
 rewritten to 1 - sin^2 exhaustively), zero coefficients are dropped.
-No floating point enters the ring; numeric evaluation exists only as a
-test aid.
+A coefficient is an int when it is integral and a Fraction otherwise,
+never a float: number and scale take an integral float as an int and
+reject any other.  No floating point enters the ring; numeric
+evaluation exists only as a test aid.
 """
 
 from fractions import Fraction
@@ -106,13 +108,32 @@ def _mul_keys(k1, k2):
     return tuple(sorted(exps.items()))
 
 
+def _exact(q):
+    "q as a coefficient: an int when integral, a Fraction otherwise."
+    if type(q) is int:
+        return q
+    if isinstance(q, Fraction):
+        return q.numerator if q.denominator == 1 else q
+    if isinstance(q, int) or (isinstance(q, float) and q.is_integer()):
+        return int(q)
+    raise ValueError("coefficients are exact: an int, a Fraction or an "
+                     "integral float, got %r" % (q,))
+
+
+def _exact_terms(terms):
+    "Store every coefficient of a dict as _exact gives it, in place."
+    for k, c in terms.items():
+        if type(c) is not int:
+            terms[k] = _exact(c)
+
+
 def add_term(terms, key, c):
     """Add c at key of a sparse key -> coefficient dict, in place.
 
     The one merge step of every linear combination in the engine.  A
     key whose sum cancels is dropped, so a later term at that key goes
     to the end; a key that survives keeps its place.  Coefficients are
-    Fractions or ring elements, and falsy exactly when zero."""
+    ints, Fractions or ring elements, and falsy exactly when zero."""
     old = terms.get(key)
     if old is not None:
         c = old + c
@@ -144,6 +165,7 @@ def _reduce_terms(raw):
             rest = _mul_keys(rest, ((atom, e - 2),))
         stack.append((rest, c))
         stack.append((_mul_keys(rest, ((("sin", atom[1]), 2),)), -c))
+    _exact_terms(out)
     return out
 
 
@@ -164,7 +186,7 @@ class ScalarExpr:
 
     @classmethod
     def number(cls, chart, q):
-        return cls(chart, {(): Fraction(q)})
+        return cls(chart, {(): _exact(q)})
 
     @classmethod
     def one(cls, chart):
@@ -173,22 +195,22 @@ class ScalarExpr:
     @classmethod
     def coord(cls, chart, name):
         assert name in chart._pos, name
-        return cls(chart, {((("x", name), 1),): Fraction(1)})
+        return cls(chart, {((("x", name), 1),): 1})
 
     @classmethod
     def sin(cls, chart, name):
         assert name in chart.angular, name
-        return cls(chart, {((("sin", name), 1),): Fraction(1)})
+        return cls(chart, {((("sin", name), 1),): 1})
 
     @classmethod
     def cos(cls, chart, name):
         assert name in chart.angular, name
-        return cls(chart, {((("cos", name), 1),): Fraction(1)})
+        return cls(chart, {((("cos", name), 1),): 1})
 
     @classmethod
     def func(cls, chart, name):
         assert name in chart.funcs, name
-        return cls(chart, {((("fn", name), 1),): Fraction(1)})
+        return cls(chart, {((("fn", name), 1),): 1})
 
     # -- ring structure ----------------------------------------------
 
@@ -198,10 +220,11 @@ class ScalarExpr:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = ScalarExpr.number(self.chart, other)
-        assert self.chart == other.chart
+        assert self.chart is other.chart or self.chart == other.chart
         terms = dict(self.terms)
         for k, c in other.terms.items():
             add_term(terms, k, c)
+        _exact_terms(terms)
         out = ScalarExpr.zero(self.chart)
         out.terms = terms
         return out
@@ -221,22 +244,23 @@ class ScalarExpr:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        assert self.chart == other.chart
+        assert self.chart is other.chart or self.chart == other.chart
         raw = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 k = _mul_keys(k1, k2)
-                raw[k] = raw.get(k, Fraction(0)) + c1 * c2
+                raw[k] = raw.get(k, 0) + c1 * c2
         return ScalarExpr(self.chart, raw)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def scale(self, q):
-        q = Fraction(q)
+        q = _exact(q)
         out = ScalarExpr.zero(self.chart)
         if q != 0:
             out.terms = {k: q * c for k, c in self.terms.items()}
+            _exact_terms(out.terms)
         return out
 
     def __pow__(self, n):
@@ -292,7 +316,7 @@ class ScalarExpr:
                     coeff = -coeff
                     datoms = ((("sin", coord), 1),)
                 k = _mul_keys(rest, datoms)
-                raw[k] = raw.get(k, Fraction(0)) + coeff
+                raw[k] = raw.get(k, 0) + coeff
         return ScalarExpr(self.chart, raw)
 
     def substitute(self, mapping):
@@ -307,7 +331,7 @@ class ScalarExpr:
                 if atom[0] == "x" and atom[1] in mapping:
                     term = term * (mapping[atom[1]] ** e)
                 else:
-                    term = term * ScalarExpr(self.chart, {((atom, e),): Fraction(1)})
+                    term = term * ScalarExpr(self.chart, {((atom, e),): 1})
             out = out + term
         return out
 

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from jacobi_bfv.scalar import ScalarExpr
 from jacobi_bfv.ghost import (GhostMonomial, GradedFunction, Section,
                               mono_mul, ONE_MONO)
@@ -194,3 +196,12 @@ def test_rendering_is_deterministic():
     })
     assert str(f) == "(1) 1 + (y1) xi^1 xi*_2"
     assert str(Section(f)) == "(1) mu + (y1) xi^1 xi*_2 mu"
+
+
+@pytest.mark.parametrize("mono", [GhostMonomial((2,), ()),
+                                  GhostMonomial((), (0, 5)),
+                                  GhostMonomial((-1,), ())])
+def test_constructor_rejects_out_of_range_indices(mono):
+    ch = t5_chart()
+    with pytest.raises(ValueError, match="out of range for rank 2"):
+        GradedFunction(ch, 2, {mono: ScalarExpr.one(ch)})

@@ -264,6 +264,26 @@ def test_structure_letters_are_m_or_coordinates(letter):
             jacobi_from_pair(CH, RANK, {}, {letter[1]: ONE})
 
 
+@pytest.mark.parametrize("key, match", [
+    ((ONE_MONO, (d_letter("phi1"),), 2), "frame flag"),
+    ((ONE_MONO, (), -1), "frame flag"),
+    ((GhostMonomial((5,), ()), (), 1), "ghost index 5"),
+    ((GhostMonomial((0,), (2,)), (), 0), "ghost index 2"),
+    ((ONE_MONO, (e_letter(5),), 1), "letter"),
+    ((ONE_MONO, (f_letter(-1),), 1), "letter"),
+    ((ONE_MONO, (d_letter("zz"),), 1), "letter"),
+    ((ONE_MONO, (("q", 0),), 1), "letter"),
+    ((ONE_MONO, (d_letter("phi2"), d_letter("phi1")), 1), "not canonical"),
+    ((ONE_MONO, (M, M), 1), "not canonical"),
+    ((ONE_MONO, (f_letter(0), e_letter(0)), 1), "not canonical"),
+])
+def test_constructor_rejects_bad_keys(key, match):
+    with pytest.raises(ValueError, match=match):
+        MultiDerivation(CH, RANK, {key: ONE})
+    # a zero coefficient is dropped before any check
+    assert MultiDerivation(CH, RANK, {key: ScalarExpr.zero(CH)}).is_zero()
+
+
 def test_bracket_of_two_functions_is_rejected():
     D = single((d_letter("phi1"),), fr=0)
     E = single((), coeff=ScalarExpr.coord(CH, "phi1"), fr=0)

@@ -3,7 +3,16 @@ from fractions import Fraction
 import pytest
 
 from jacobi_bfv.scalar import Chart, ScalarExpr
-from conftest import t5_chart, random_scalar, random_point, rng_for
+from jacobi_bfv.ghost import Combination, GradedFunction, Section
+from jacobi_bfv.multideriv import (MultiDerivation, d_letter, hamiltonian,
+                                   jacobi_from_words)
+from jacobi_bfv.contraction import BrstContraction, ConnectionSpec
+from jacobi_bfv.solver import (lift_jacobi, brst_charge, bfv_assemble,
+                               reduced_differential, derived_brackets,
+                               _generator_sections)
+from jacobi_bfv.models import t5_contact
+from conftest import (t5_chart, random_scalar, random_point, rng_for,
+                      random_ghost_fun, random_md)
 
 
 def S(chart, name):
@@ -165,3 +174,131 @@ def test_rendering_is_deterministic():
     e = S(ch, "y1") * ScalarExpr.sin(ch, "phi3") - ScalarExpr.number(ch, Fraction(1, 2))
     assert str(e) == "-1/2 + sin(phi3)*y1"
     assert str(ScalarExpr.zero(ch)) == "0"
+
+
+# -- exact coefficients: ints when integral, Fractions otherwise -------
+
+def coefficients(x):
+    "Every number stored in a ring element, operator or section."
+    if isinstance(x, ScalarExpr):
+        yield from x.terms.values()
+    elif isinstance(x, Section):
+        yield from coefficients(x.fun)
+    elif isinstance(x, Combination):
+        for c in x.terms.values():
+            yield from coefficients(c)
+    else:
+        raise TypeError("no coefficients in %r" % (x,))
+
+
+def coefficient_kinds(results):
+    "Count the int and the non-integral Fraction coefficients; fail on others."
+    kinds = {int: 0, Fraction: 0}
+    for res in results:
+        for c in coefficients(res):
+            assert type(c) in kinds, (type(c), c)
+            assert type(c) is int or c.denominator != 1, c
+            kinds[type(c)] += 1
+    return kinds
+
+
+def test_coefficients_are_ints_or_proper_fractions():
+    model = t5_contact()
+    ch, rank, J = model.chart, model.rank, model.J
+    s3, c3 = ScalarExpr.sin(ch, "phi3"), ScalarExpr.cos(ch, "phi3")
+    # the golden results of acceptance criteria 1-3
+    flat_lift, _ = lift_jacobi(J, model.flat)
+    golden_charge, _ = brst_charge(flat_lift, (0, 0))
+    results = [flat_lift, golden_charge, bfv_assemble(J, model.flat).op]
+    # a curved lift whose corrections carry halves
+    conn = ConnectionSpec(ch, rank, {(0, 1): s3.scale(Fraction(1, 2))},
+                          {("phi4", 1, 0): c3})
+    Jhat, trace = lift_jacobi(J, conn)
+    assert trace
+    # a corrected charge over it, through the BRST homotopy's 1/(k+|T|+1)
+    sec = (ScalarExpr.sin(ch, "phi4").scale(Fraction(1, 3)), 0)
+    om, trace = brst_charge(Jhat, sec)
+    assert trace
+    results += [Jhat, om, hamiltonian(om, Jhat)]
+    # the transferred differential and the derived brackets
+    bfv = bfv_assemble(J, conn)
+    red = reduced_differential(bfv)
+    gens = _generator_sections(ch, rank)
+    results += [red.dif(g) for g in gens] + [red.de_rham(g) for g in gens]
+    mk = derived_brackets(Jhat, 3)
+    results += [mk[1](g) for g in gens]
+    results += [mk[2](g, h) for g in gens[:4] for h in gens[-2:]]
+    results += [mk[3](g, h, h) for g in gens[:3] for h in gens[-2:]]
+    kinds = coefficient_kinds(results)
+    assert kinds[int] > 0 and kinds[Fraction] > 0
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    ch = t5_chart()
+    x, half = S(ch, "phi1"), Fraction(1, 2)
+    for q in (3, Fraction(6, 2), 3.0, True):
+        assert ScalarExpr.number(ch, q).terms == {(): int(q)}
+        assert type(ScalarExpr.number(ch, q).terms[()]) is int
+    cases = [x.scale(half) + x.scale(half),      # two halves add up
+             x.scale(half) * ScalarExpr.number(ch, 4),
+             x.scale(half).scale(2), x.scale(Fraction(4, 2)),
+             x.scale(-1.0), (x.scale(half) ** 2).scale(8),
+             ScalarExpr(ch, {((("x", "phi1"), 1),): Fraction(5, 1)}),
+             ScalarExpr.cos(ch, "phi2").scale(half)
+             * ScalarExpr.cos(ch, "phi2").scale(2),
+             # cos^2 -> 1 - sin^2 merges three halves into 1
+             ScalarExpr(ch, {((("cos", "phi2"), 2),): half, (): half,
+                             ((("sin", "phi2"), 2),): half}),
+             (x * x).scale(Fraction(3, 2)).partial("phi1")]
+    assert coefficient_kinds(cases) == {int: 11, Fraction: 0}
+    assert cases[-2] == ScalarExpr.one(ch)
+    assert str(x.scale(half) + x.scale(half)) == "phi1"
+    # the BRST homotopy divides by k + |T| + 1: 2/2 gives an int, 1/2 not
+    y1, y2 = S(ch, "y1"), S(ch, "y2")
+    con = BrstContraction(ch, 2, (0, 0))
+    lam = Section(GradedFunction.ghost(ch, 2, 0).scale(y1 * y1 + y1 * y2))
+    assert coefficient_kinds([con.homotopy(lam)]) == {int: 1, Fraction: 2}
+
+
+BINARY_FLOATS = [0.1, 0.5, -2.5, float("inf"), float("nan")]
+
+
+@pytest.mark.parametrize("q", BINARY_FLOATS)
+def test_binary_floats_are_rejected(q):
+    ch = t5_chart()
+    one = ScalarExpr.one(ch)
+    calls = [lambda: ScalarExpr.number(ch, q),
+             lambda: one.scale(q),
+             lambda: ScalarExpr(ch, {(): q}),
+             lambda: jacobi_from_words(ch, 2, [((d_letter("phi1"),), q)]),
+             lambda: ConnectionSpec(ch, 2, {(0, 1): q}),
+             lambda: ConnectionSpec(ch, 2, {}, {("phi1", 0, 1): q}),
+             lambda: BrstContraction(ch, 2, (q, 0))]
+    for call in calls:
+        with pytest.raises(ValueError, match="coefficients are exact"):
+            call()
+
+
+def test_equal_charts_give_the_same_arithmetic():
+    # two equal but distinct Chart instances behave as one
+    ch1, ch2 = t5_chart(), t5_chart()
+    assert ch1 is not ch2 and ch1 == ch2
+    rng = rng_for("scalar-two-charts")
+    for trial in range(20):
+        a = random_scalar(rng, ch1)
+        b = random_scalar(rng, ch1)
+        b2 = b.with_chart(ch2)
+        assert b2.chart is ch2
+        for op in (lambda u, v: u + v, lambda u, v: u - v,
+                   lambda u, v: u * v):
+            want, got = op(a, b), op(a, b2)
+            assert list(got.terms.items()) == list(want.terms.items())
+        assert a == a.with_chart(ch2)
+        f, g = random_ghost_fun(rng, ch1), random_ghost_fun(rng, ch1)
+        g2 = g.with_chart(ch2)
+        assert list((f + g2).terms.items()) == list((f + g).terms.items())
+        assert f.ghost_mul(g2) == f.ghost_mul(g)
+    D = random_md(rng, ch1, 2, 2)
+    D2 = MultiDerivation(ch2, 2, {k: c.with_chart(ch2)
+                                  for k, c in D.terms.items()})
+    assert list((D + D2).terms.items()) == list((D + D).terms.items())

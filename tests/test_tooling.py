@@ -63,21 +63,34 @@ def test_filtration_guard_survives_optimize():
 
 # library calls whose input must be rejected with ValueError whether or
 # not asserts run: a bracket landing below frame flag 0, a structure
-# letter that is neither m nor d_<coordinate>, an unknown coordinate
+# letter that is neither m nor d_<coordinate>, an unknown coordinate,
+# operator and ghost-algebra keys out of range, and binary floats
 BAD_LIBRARY_CALLS = """
 from jacobi_bfv.scalar import ScalarExpr
+from jacobi_bfv.ghost import GhostMonomial, GradedFunction, ONE_MONO
 from jacobi_bfv.multideriv import (MultiDerivation, d_letter, e_letter,
                                    sj_bracket, jacobi_from_pair,
                                    jacobi_from_words)
 from jacobi_bfv.models import t5_contact
 ch = t5_contact().chart
 one = ScalarExpr.one(ch)
+xi6 = GhostMonomial((5,), ())
 calls = [
     lambda: sj_bracket(
         MultiDerivation.single(ch, 1, (d_letter("phi1"),), fr=0),
         MultiDerivation.single(ch, 1, (), ScalarExpr.coord(ch, "phi1"), fr=0)),
     lambda: jacobi_from_words(ch, 2, [((e_letter(7),), one)]),
     lambda: jacobi_from_pair(ch, 2, {("zz", "phi1"): one}, {}),
+    lambda: MultiDerivation(ch, 2, {(ONE_MONO, (d_letter("phi1"),), 2): one}),
+    lambda: MultiDerivation(ch, 2, {(xi6, (), 1): one}),
+    lambda: MultiDerivation(ch, 2, {(ONE_MONO, (e_letter(5),), 1): one}),
+    lambda: MultiDerivation(ch, 2, {(ONE_MONO, (d_letter("zz"),), 1): one}),
+    lambda: MultiDerivation(
+        ch, 2, {(ONE_MONO, (d_letter("phi2"), d_letter("phi1")), 1): one}),
+    lambda: GradedFunction(ch, 2, {xi6: one}),
+    lambda: ScalarExpr.number(ch, 0.1),
+    lambda: one.scale(0.5),
+    lambda: jacobi_from_words(ch, 2, [((d_letter("phi1"),), 0.5)]),
 ]
 for call in calls:
     try:
@@ -92,7 +105,7 @@ def test_library_guards_survive_optimize(optimize):
     out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 12
     assert all(ln.startswith("rejected:") for ln in lines), lines
 
 
