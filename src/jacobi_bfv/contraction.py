@@ -64,9 +64,6 @@ class ConnectionSpec:
             raise ValueError("connection frame indices %r are out of range "
                              "for rank %d" % ((A, B), self.rank))
 
-    def is_flat_trivial(self):
-        return not self.vert and not self.coef
-
     def _entry(self, i, A, B):
         if i is None:
             return self.vert.get((A, B))
@@ -142,14 +139,6 @@ def _weight(key):
     mono, word, fr = key
     return len(mono.g) + len(mono.a) + \
         sum(1 for ell in word if ell[0] in ("e", "f"))
-
-
-def _twisted_weight_parts(D):
-    parts = {}
-    for key, c in D.terms.items():
-        parts.setdefault(_weight(key), {})[key] = c
-    return {k: MultiDerivation._new(D.chart, D.rank, terms)
-            for k, terms in sorted(parts.items())}
 
 
 def _h_twist(D):

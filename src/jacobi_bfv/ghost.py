@@ -23,9 +23,6 @@ class GhostMonomial:
     def bidegree(self):
         return (len(self.g), len(self.a))
 
-    def ghost_number(self):
-        return len(self.g) - len(self.a)
-
     def parity(self):
         return (len(self.g) + len(self.a)) % 2
 
@@ -210,9 +207,6 @@ class GradedFunction(Combination):
                               {m: c for m, c in self.terms.items()
                                if m.bidegree() == (h, k)})
 
-    def bidegrees(self):
-        return sorted({m.bidegree() for m in self.terms})
-
     def left_deriv_ghost(self, A):
         "Left derivative along xi^A."
         out = {}
@@ -240,11 +234,6 @@ class GradedFunction(Combination):
     def partial(self, coord):
         return GradedFunction(self.chart, self.rank,
                               {m: c.partial(coord) for m, c in self.terms.items()})
-
-    def restrict_to_section(self, mapping):
-        "Substitute fiber coordinates in every coefficient."
-        return GradedFunction(self.chart, self.rank,
-                              {m: c.substitute(mapping) for m, c in self.terms.items()})
 
     def with_chart(self, chart):
         return GradedFunction(chart, self.rank,
@@ -305,9 +294,6 @@ class Section:
 
     def pr_bidegree(self, h, k):
         return Section(self.fun.pr_bidegree(h, k))
-
-    def restrict_to_section(self, mapping):
-        return Section(self.fun.restrict_to_section(mapping))
 
     def __eq__(self, other):
         return isinstance(other, Section) and self.fun == other.fun

@@ -25,13 +25,10 @@ along t brings down.  Every product of the bracket lands at frame flag
 fr1 + fr2 - 1, which is checked to be 0 or 1.  The graded product
 md_mul and the bracket share one term product, _term_mul.
 jacobi_from_words builds every structure operator J and is the one
-place that brackets [[J, J]] to reject one.  An independent
-composition-style evaluation oracle and a probe-based reconstruction
-routine round out the module.
+place that brackets [[J, J]] to reject one.
 """
 
-from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product as iproduct
+from itertools import product as iproduct
 
 from .scalar import ScalarExpr, add_term
 from .ghost import (Combination, GhostMonomial, GradedFunction, Section,
@@ -55,20 +52,8 @@ def f_letter(A):
     return ("f", A)
 
 
-def letter_degree(ell):
-    return {"m": 1, "d": 1, "e": 0, "f": 2}[ell[0]]
-
-
 def letter_odd(ell):
     return ell[0] in ("m", "d")
-
-
-def letter_bidegree(ell):
-    if ell[0] == "e":
-        return (-1, 0)
-    if ell[0] == "f":
-        return (0, -1)
-    return (0, 0)
 
 
 def _letter_key(ell, chart):
@@ -159,13 +144,6 @@ class MultiDerivation(Combination):
         terms = {(mono, (), 1): c for mono, c in sec.fun.terms.items()}
         return cls(sec.chart, sec.rank, terms)
 
-    def to_section(self):
-        out = {}
-        for (mono, word, fr), c in self.terms.items():
-            assert word == () and fr == 1, "not an arity-0 section term"
-            out[mono] = c
-        return Section(GradedFunction(self.chart, self.rank, out))
-
     def __hash__(self):
         return hash((self.chart, self.rank,
                      tuple(sorted(((m.key(), w, fr), hash(c))
@@ -173,44 +151,10 @@ class MultiDerivation(Combination):
 
     # -- bookkeeping -------------------------------------------------
 
-    def arity(self):
-        ns = {len(w) for (_, w, _) in self.terms}
-        assert len(ns) <= 1, "mixed arity: %r" % ns
-        return ns.pop() if ns else None
-
     def frame(self):
         frs = {fr for (_, _, fr) in self.terms}
         assert len(frs) <= 1, "mixed frame flags"
         return frs.pop() if frs else None
-
-    def term_tau(self, key):
-        mono, word, fr = key
-        return mono.ghost_number() + sum(letter_degree(l) for l in word) - 1 + fr
-
-    def tau(self):
-        ts = {self.term_tau(k) for k in self.terms}
-        assert len(ts) <= 1, "not homogeneous: %r" % ts
-        return ts.pop() if ts else None
-
-    def homogeneous_components(self):
-        "Split by total degree tau."
-        parts = {}
-        for k, c in self.terms.items():
-            parts.setdefault(self.term_tau(k), {})[k] = c
-        return {t: MultiDerivation(self.chart, self.rank, d)
-                for t, d in sorted(parts.items())}
-
-    def term_bidegree(self, key):
-        mono, word, fr = key
-        h, k = mono.bidegree()
-        for ell in word:
-            dh, dk = letter_bidegree(ell)
-            h += dh
-            k += dk
-        return (h, k)
-
-    def op_bidegrees(self):
-        return sorted({self.term_bidegree(k) for k in self.terms})
 
     def __str__(self):
         if not self.terms:
@@ -447,54 +391,6 @@ def sj_bracket(D, E):
     return MultiDerivation._new(chart, D.rank, out)
 
 
-# -- evaluation oracle for the bracket -------------------------------
-
-def _compose(D, E, args):
-    """sum over unshuffles of D(E(first block), remaining), with the
-    Koszul sign of the unshuffle on shifted parities."""
-    nD, nE = D.arity(), E.arity()
-    chart, rank = D.chart, D.rank
-    if nD == 0:
-        return None
-    sig = []
-    for lam in args:
-        ps = {shifted_parity(m) for m in lam.fun.terms}
-        assert len(ps) <= 1, "oracle arguments must be parity homogeneous"
-        sig.append(ps.pop() if ps else 0)
-    total = None
-    for S in combinations(range(len(args)), nE):
-        inS = set(S)
-        expo = 0
-        for s in S:
-            for r in range(s):
-                if r not in inS:
-                    expo += sig[r] * sig[s]
-        inner = evaluate(E, [args[i] for i in S])
-        assert isinstance(inner, Section), "oracle needs frame-valued operators"
-        rest = [args[i] for i in range(len(args)) if i not in inS]
-        val = evaluate(D, [inner] + rest)
-        if expo % 2:
-            val = -val
-        total = val if total is None else total + val
-    return total
-
-
-def gerstenhaber_eval_oracle(D, E, args):
-    """Evaluate [[D, E]] on arguments without forming the bracket:
-    alternating sum of unshuffle compositions."""
-    nD, nE = D.arity(), E.arity()
-    tD, tE = D.tau(), E.tau()
-    chart, rank = D.chart, D.rank
-    assert len(args) == nD + nE - 1
-    first = _compose(D, E, args)
-    second = _compose(E, D, args)
-    flip = -1 if ((tD - 1) * (tE - 1)) % 2 else 1
-    zero = Section.zero(chart, rank)
-    first = zero if first is None else first
-    second = zero if second is None else second
-    return first - second.scale(flip)
-
-
 # -- Jacobi structures ----------------------------------------------
 
 class NotJacobiError(ValueError):
@@ -570,100 +466,3 @@ def jacobi_bracket(l1, l2, J):
         {m: -c if shifted_parity(m) else c for m, c in l1.fun.terms.items()})
     return evaluate(J, [Section(signed), l2])
 
-
-# -- reconstruction from probes --------------------------------------
-
-def _probe_section(ell, chart, rank):
-    kind = ell[0]
-    one = GradedFunction.one(chart, rank)
-    if kind == "m":
-        return Section(one)
-    if kind == "d":
-        return Section(one.scale(ScalarExpr.coord(chart, ell[1])))
-    if kind == "e":
-        return Section(GradedFunction.ghost(chart, rank, ell[1]))
-    return Section(GradedFunction.antighost(chart, rank, ell[1]))
-
-
-def _as_number(expr):
-    if expr.is_zero():
-        return Fraction(0)
-    assert set(expr.terms) == {()}, "expected a constant, got %s" % expr
-    return expr.terms[()]
-
-
-def reconstruct(chart, rank, arity, frame, probe, letters=None, verify=True):
-    """Recover a word operator from evaluations on probe sections.
-
-    Each letter has a dual probe (the frame for m, a bare coordinate
-    for d_i, single generators for e/f); on the probe tuple of a word
-    only the word itself, and words trading one letter for m, survive.
-    m-words are fixed first, their pollution is subtracted, and each
-    coefficient follows by dividing out a self-calibrating constant.
-    """
-    if letters is None:
-        letters = [M] + [d_letter(c) for c in chart.coords] \
-            + [e_letter(A) for A in range(rank)] \
-            + [f_letter(A) for A in range(rank)]
-    letters = sorted(set(letters), key=lambda l: _letter_key(l, chart))
-    words = []
-    for combo in combinations_with_replacement(letters, arity):
-        if any(x == y and letter_odd(x) for x, y in zip(combo, combo[1:])):
-            continue
-        words.append(tuple(combo))
-
-    def targets(word):
-        return [_probe_section(ell, chart, rank) for ell in word]
-
-    def value_fun(v):
-        if isinstance(v, Section):
-            assert frame == 1 or v.is_zero(), \
-                "probe returned a section for a function-valued operator"
-            return v.fun
-        assert isinstance(v, GradedFunction)
-        assert frame == 0 or v.is_zero(), \
-            "probe returned a bare function for a frame-valued operator"
-        return v
-
-    def kappa(word):
-        unit = MultiDerivation.single(chart, rank, word, fr=frame)
-        val = value_fun(evaluate(unit, targets(word)))
-        assert set(val.terms) == {ONE_MONO}
-        k = _as_number(val.terms[ONE_MONO])
-        assert k != 0
-        return k
-
-    rec = MultiDerivation.zero(chart, rank)
-    m_words = [w for w in words if M in w]
-    plain_words = [w for w in words if M not in w]
-    for word in m_words:
-        T = targets(word)
-        coeff = value_fun(probe(tuple(T))).scale(Fraction(1) / kappa(word))
-        for mono, c in coeff.terms.items():
-            rec = rec + MultiDerivation(chart, rank, {(mono, word, frame): c})
-    m_part = rec
-    for word in plain_words:
-        T = targets(word)
-        val = value_fun(probe(tuple(T)))
-        if not m_part.is_zero():
-            val = val - value_fun(evaluate(m_part, T))
-        coeff = val.scale(Fraction(1) / kappa(word))
-        for mono, c in coeff.terms.items():
-            rec = rec + MultiDerivation(chart, rank, {(mono, word, frame): c})
-    if verify:
-        checks = [targets(w) for w in words]
-        if arity and letters:
-            # the defining tuples are matched by construction; a sum
-            # probe detects values outside the multiderivation span
-            blend = Section.zero(chart, rank)
-            for ell in letters:
-                blend = blend + _probe_section(ell, chart, rank)
-            checks.append([blend] * arity)
-        for T in checks:
-            want = value_fun(probe(tuple(T)))
-            got = value_fun(evaluate(rec, T))
-            if want != got:
-                raise ValueError(
-                    "probe values are inconsistent with a word operator "
-                    "of arity %d" % arity)
-    return rec

@@ -8,12 +8,10 @@ kept in a fixed sorted order, cos carries exponent <= 1 (cos^2 is
 rewritten to 1 - sin^2 exhaustively), zero coefficients are dropped.
 A coefficient is an int when it is integral and a Fraction otherwise,
 never a float: number and scale take an integral float as an int and
-reject any other.  No floating point enters the ring; numeric
-evaluation exists only as a test aid.
+reject any other.  No floating point enters the ring.
 """
 
 from fractions import Fraction
-import math
 
 
 class Chart:
@@ -353,25 +351,6 @@ class ScalarExpr:
         out = ScalarExpr.zero(chart)
         out.terms = dict(self.terms)
         return out
-
-    # -- numeric evaluation (test aid only) --------------------------
-
-    def eval_num(self, point):
-        total = 0.0
-        for key, c in self.terms.items():
-            v = float(c)
-            for atom, e in key:
-                kind = atom[0]
-                if kind == "x":
-                    v *= point[atom[1]] ** e
-                elif kind == "sin":
-                    v *= math.sin(point[atom[1]]) ** e
-                elif kind == "cos":
-                    v *= math.cos(point[atom[1]]) ** e
-                else:
-                    raise ValueError("abstract symbol %r has no numeric value" % (atom,))
-            total += v
-        return total
 
     # -- rendering ---------------------------------------------------
 

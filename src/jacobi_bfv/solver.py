@@ -353,22 +353,10 @@ def _generator_sections(chart, rank):
     return out
 
 
-class ReducedData:
-    "Transferred differential plus the independent route to it."
-
-    __slots__ = ("hpl", "de_rham")
-
-    def __init__(self, hpl, de_rham):
-        self.hpl = hpl
-        self.de_rham = de_rham
-
-    def dif(self, red_sec):
-        return self.hpl.dif(red_sec)
-
-
 def reduced_differential(bfv):
     """Transfer the differential to the reduced side and cross-check it
-    on generators against the direct route."""
+    on generators against the direct route.  Returns the transferred
+    HplData; its dif is the reduced differential."""
     con = bfv.con
     d0 = con.dif()
 
@@ -381,7 +369,7 @@ def reduced_differential(bfv):
         if hpl.dif(g) != dR(g):
             raise ValueError("transferred differential disagrees with "
                              "the direct one on %s" % g)
-    return ReducedData(hpl, dR)
+    return hpl
 
 
 def derived_brackets(Jhat, k_max):

@@ -105,8 +105,9 @@ def random_md(rng, chart, rank, arity, fr=1, max_terms=3, allow_abstract=False):
 
 def random_hom_md(rng, chart, rank, arity, fr=1):
     "tau-homogeneous random operator (largest component), or None."
+    from oracles import homogeneous_components
     D = random_md(rng, chart, rank, arity, fr=fr)
-    comps = D.homogeneous_components()
+    comps = homogeneous_components(D)
     if not comps:
         return None
     return max(comps.values(), key=lambda x: len(x.terms))

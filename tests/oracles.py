@@ -1,0 +1,274 @@
+"""Independent references and degree bookkeeping that only the tests use.
+
+The engine builds the lifted structure, the charge, the BFV
+differential and its transfer; the functions here check those results
+from another side:
+
+- gerstenhaber_eval_oracle evaluates [[D, E]] on arguments as an
+  alternating sum of unshuffle compositions, without forming the
+  bracket;
+- reconstruct recovers a word operator from its values on probe
+  sections;
+- eval_num evaluates a ring element at a floating-point point;
+- tau, arity, the bidegrees and the weight parts sort operators and
+  functions by degree.
+"""
+
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
+import math
+
+from jacobi_bfv.scalar import ScalarExpr
+from jacobi_bfv.ghost import GradedFunction, Section, ONE_MONO, shifted_parity
+from jacobi_bfv.multideriv import (M, d_letter, e_letter, f_letter,
+                                   letter_odd, _letter_key, MultiDerivation,
+                                   evaluate)
+from jacobi_bfv.contraction import _weight
+
+
+# -- degrees ----------------------------------------------------------
+
+def letter_degree(ell):
+    return {"m": 1, "d": 1, "e": 0, "f": 2}[ell[0]]
+
+
+def letter_bidegree(ell):
+    if ell[0] == "e":
+        return (-1, 0)
+    if ell[0] == "f":
+        return (0, -1)
+    return (0, 0)
+
+
+def ghost_number(mono):
+    return len(mono.g) - len(mono.a)
+
+
+def bidegrees(fun):
+    "The sorted bidegrees of the monomials of a GradedFunction."
+    return sorted({m.bidegree() for m in fun.terms})
+
+
+def arity(D):
+    ns = {len(w) for (_, w, _) in D.terms}
+    assert len(ns) <= 1, "mixed arity: %r" % ns
+    return ns.pop() if ns else None
+
+
+def term_tau(key):
+    mono, word, fr = key
+    return ghost_number(mono) + sum(letter_degree(l) for l in word) - 1 + fr
+
+
+def tau(D):
+    ts = {term_tau(k) for k in D.terms}
+    assert len(ts) <= 1, "not homogeneous: %r" % ts
+    return ts.pop() if ts else None
+
+
+def homogeneous_components(D):
+    "Split an operator by total degree tau."
+    parts = {}
+    for k, c in D.terms.items():
+        parts.setdefault(term_tau(k), {})[k] = c
+    return {t: MultiDerivation(D.chart, D.rank, d)
+            for t, d in sorted(parts.items())}
+
+
+def term_bidegree(key):
+    mono, word, fr = key
+    h, k = mono.bidegree()
+    for ell in word:
+        dh, dk = letter_bidegree(ell)
+        h += dh
+        k += dk
+    return (h, k)
+
+
+def op_bidegrees(D):
+    return sorted({term_bidegree(k) for k in D.terms})
+
+
+def twisted_weight_parts(D):
+    "Split a twisted-basis operator by connection weight."
+    parts = {}
+    for key, c in D.terms.items():
+        parts.setdefault(_weight(key), {})[key] = c
+    return {k: MultiDerivation._new(D.chart, D.rank, terms)
+            for k, terms in sorted(parts.items())}
+
+
+def is_flat_trivial(conn):
+    return not conn.vert and not conn.coef
+
+
+def to_section(D):
+    "The section of an operator of arity 0 with the frame flag."
+    out = {}
+    for (mono, word, fr), c in D.terms.items():
+        assert word == () and fr == 1, "not an arity-0 section term"
+        out[mono] = c
+    return Section(GradedFunction(D.chart, D.rank, out))
+
+
+# -- numeric evaluation -----------------------------------------------
+
+def eval_num(expr, point):
+    "Value of a ring element at a point mapping coordinates to floats."
+    total = 0.0
+    for key, c in expr.terms.items():
+        v = float(c)
+        for atom, e in key:
+            kind = atom[0]
+            if kind == "x":
+                v *= point[atom[1]] ** e
+            elif kind == "sin":
+                v *= math.sin(point[atom[1]]) ** e
+            elif kind == "cos":
+                v *= math.cos(point[atom[1]]) ** e
+            else:
+                raise ValueError("abstract symbol %r has no numeric value" % (atom,))
+        total += v
+    return total
+
+
+# -- evaluation oracle for the bracket -------------------------------
+
+def _compose(D, E, args):
+    """sum over unshuffles of D(E(first block), remaining), with the
+    Koszul sign of the unshuffle on shifted parities."""
+    nD, nE = arity(D), arity(E)
+    if nD == 0:
+        return None
+    sig = []
+    for lam in args:
+        ps = {shifted_parity(m) for m in lam.fun.terms}
+        assert len(ps) <= 1, "oracle arguments must be parity homogeneous"
+        sig.append(ps.pop() if ps else 0)
+    total = None
+    for S in combinations(range(len(args)), nE):
+        inS = set(S)
+        expo = 0
+        for s in S:
+            for r in range(s):
+                if r not in inS:
+                    expo += sig[r] * sig[s]
+        inner = evaluate(E, [args[i] for i in S])
+        assert isinstance(inner, Section), "oracle needs frame-valued operators"
+        rest = [args[i] for i in range(len(args)) if i not in inS]
+        val = evaluate(D, [inner] + rest)
+        if expo % 2:
+            val = -val
+        total = val if total is None else total + val
+    return total
+
+
+def gerstenhaber_eval_oracle(D, E, args):
+    """Evaluate [[D, E]] on arguments without forming the bracket:
+    alternating sum of unshuffle compositions."""
+    assert len(args) == arity(D) + arity(E) - 1
+    first = _compose(D, E, args)
+    second = _compose(E, D, args)
+    flip = -1 if ((tau(D) - 1) * (tau(E) - 1)) % 2 else 1
+    zero = Section.zero(D.chart, D.rank)
+    first = zero if first is None else first
+    second = zero if second is None else second
+    return first - second.scale(flip)
+
+
+# -- reconstruction from probes --------------------------------------
+
+def _probe_section(ell, chart, rank):
+    kind = ell[0]
+    one = GradedFunction.one(chart, rank)
+    if kind == "m":
+        return Section(one)
+    if kind == "d":
+        return Section(one.scale(ScalarExpr.coord(chart, ell[1])))
+    if kind == "e":
+        return Section(GradedFunction.ghost(chart, rank, ell[1]))
+    return Section(GradedFunction.antighost(chart, rank, ell[1]))
+
+
+def _as_number(expr):
+    if expr.is_zero():
+        return Fraction(0)
+    assert set(expr.terms) == {()}, "expected a constant, got %s" % expr
+    return expr.terms[()]
+
+
+def reconstruct(chart, rank, arity, frame, probe, letters=None, verify=True):
+    """Recover a word operator from evaluations on probe sections.
+
+    Each letter has a dual probe (the frame for m, a bare coordinate
+    for d_i, single generators for e/f); on the probe tuple of a word
+    only the word itself, and words trading one letter for m, survive.
+    m-words are fixed first, their pollution is subtracted, and each
+    coefficient follows by dividing out a self-calibrating constant.
+    """
+    if letters is None:
+        letters = [M] + [d_letter(c) for c in chart.coords] \
+            + [e_letter(A) for A in range(rank)] \
+            + [f_letter(A) for A in range(rank)]
+    letters = sorted(set(letters), key=lambda l: _letter_key(l, chart))
+    words = []
+    for combo in combinations_with_replacement(letters, arity):
+        if any(x == y and letter_odd(x) for x, y in zip(combo, combo[1:])):
+            continue
+        words.append(tuple(combo))
+
+    def targets(word):
+        return [_probe_section(ell, chart, rank) for ell in word]
+
+    def value_fun(v):
+        if isinstance(v, Section):
+            assert frame == 1 or v.is_zero(), \
+                "probe returned a section for a function-valued operator"
+            return v.fun
+        assert isinstance(v, GradedFunction)
+        assert frame == 0 or v.is_zero(), \
+            "probe returned a bare function for a frame-valued operator"
+        return v
+
+    def kappa(word):
+        unit = MultiDerivation.single(chart, rank, word, fr=frame)
+        val = value_fun(evaluate(unit, targets(word)))
+        assert set(val.terms) == {ONE_MONO}
+        k = _as_number(val.terms[ONE_MONO])
+        assert k != 0
+        return k
+
+    rec = MultiDerivation.zero(chart, rank)
+    m_words = [w for w in words if M in w]
+    plain_words = [w for w in words if M not in w]
+    for word in m_words:
+        T = targets(word)
+        coeff = value_fun(probe(tuple(T))).scale(Fraction(1) / kappa(word))
+        for mono, c in coeff.terms.items():
+            rec = rec + MultiDerivation(chart, rank, {(mono, word, frame): c})
+    m_part = rec
+    for word in plain_words:
+        T = targets(word)
+        val = value_fun(probe(tuple(T)))
+        if not m_part.is_zero():
+            val = val - value_fun(evaluate(m_part, T))
+        coeff = val.scale(Fraction(1) / kappa(word))
+        for mono, c in coeff.terms.items():
+            rec = rec + MultiDerivation(chart, rank, {(mono, word, frame): c})
+    if verify:
+        checks = [targets(w) for w in words]
+        if arity and letters:
+            # the defining tuples are matched by construction; a sum
+            # probe detects values outside the multiderivation span
+            blend = Section.zero(chart, rank)
+            for ell in letters:
+                blend = blend + _probe_section(ell, chart, rank)
+            checks.append([blend] * arity)
+        for T in checks:
+            want = value_fun(probe(tuple(T)))
+            got = value_fun(evaluate(rec, T))
+            if want != got:
+                raise ValueError(
+                    "probe values are inconsistent with a word operator "
+                    "of arity %d" % arity)
+    return rec

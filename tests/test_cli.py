@@ -9,6 +9,7 @@ from jacobi_bfv.scalar import ScalarExpr
 from jacobi_bfv import cli, multideriv, solver
 from jacobi_bfv.cli import ScenarioError, parse_expr, parse_scenario
 from jacobi_bfv.models import t5_contact
+from oracles import is_flat_trivial
 from conftest import t5_chart
 
 CH = t5_chart()
@@ -115,8 +116,8 @@ def test_builtin_scenario():
     assert spec.name == "t5-contact"
     assert spec.rank == 2
     assert spec.J == model.J
-    assert spec.conn.is_flat_trivial()
-    assert spec.conn2 is not None and not spec.conn2.is_flat_trivial()
+    assert is_flat_trivial(spec.conn)
+    assert spec.conn2 is not None and not is_flat_trivial(spec.conn2)
     assert all(c.is_zero() for c in spec.section)
     assert parse_scenario(None).J == spec.J
 
@@ -125,7 +126,7 @@ def test_scenario_file_matches_builtin(tmp_path):
     spec = parse_scenario(scenario_file(tmp_path))
     assert spec.name == "t5-file"
     assert spec.J == t5_contact().J
-    assert spec.conn.is_flat_trivial()
+    assert is_flat_trivial(spec.conn)
     assert spec.conn2 is None
 
 
@@ -215,7 +216,7 @@ def test_scenario_connection_parsing(tmp_path):
         connection2={"vert": [[0, 1, "(sin phi3)"]],
                      "coef": [["phi4", 1, 0, "y1"]]})
     spec = parse_scenario(src)
-    assert spec.conn.is_flat_trivial()
+    assert is_flat_trivial(spec.conn)
     assert spec.conn2.vert[(0, 1)] == ScalarExpr.sin(CH, "phi3")
     assert spec.conn2.coef[("phi4", 1, 0)] == ScalarExpr.coord(CH, "y1")
 

@@ -9,9 +9,9 @@ from jacobi_bfv.multideriv import (
     build_G)
 from jacobi_bfv.contraction import (
     ConnectionSpec, imm_i_nabla, to_twisted, proj_p,
-    _twisted_weight_parts, _h_twist, homotopy_H_nabla, BrstContraction,
-    hpl_deform)
+    _h_twist, homotopy_H_nabla, BrstContraction, hpl_deform)
 from jacobi_bfv.models import t5_contact
+from oracles import twisted_weight_parts
 from conftest import (t5_chart, random_scalar, rng_for, random_ghost_fun,
                       random_md, random_connection, random_plain_md,
                       random_base_scalar)
@@ -87,7 +87,7 @@ def test_weight_commutator():
 
     def weight_op(D, conn):
         out = MultiDerivation.zero(CH, RANK)
-        for k, part in _twisted_weight_parts(to_twisted(D, conn)).items():
+        for k, part in twisted_weight_parts(to_twisted(D, conn)).items():
             out = out + imm_i_nabla(part, conn).scale(k)
         return out
 
@@ -116,7 +116,7 @@ def test_connection_homotopy_identity():
         assert imm_i_nabla(proj_p(D), conn) - D == d_G(H(D)) + H(d_G(D))
         # one pass equals the sum over weight parts, each scaled by -1/k
         parts = MultiDerivation.zero(CH, RANK)
-        for k, part in _twisted_weight_parts(to_twisted(D, conn)).items():
+        for k, part in twisted_weight_parts(to_twisted(D, conn)).items():
             if k:
                 parts = parts + imm_i_nabla(_h_twist(part), conn).scale(
                     Fraction(-1, k))

@@ -5,6 +5,7 @@ import pytest
 from jacobi_bfv.scalar import ScalarExpr
 from jacobi_bfv.ghost import (GhostMonomial, GradedFunction, Section,
                               mono_mul, ONE_MONO)
+from oracles import bidegrees, ghost_number
 from conftest import t5_chart, random_scalar, random_ghost_fun, rng_for
 
 
@@ -51,7 +52,7 @@ def test_mixed_product_example():
     lhs = GradedFunction.ghost(ch, 2, 0).scale(y1)
     rhs = GradedFunction.antighost(ch, 2, 1)
     prod = lhs.ghost_mul(rhs)
-    assert prod.bidegrees() == [(1, 1)]
+    assert bidegrees(prod) == [(1, 1)]
     assert prod == GradedFunction(ch, 2, {GhostMonomial((0,), (1,)): y1})
 
 
@@ -100,10 +101,10 @@ def test_product_associative():
 def test_bidegree_additive_and_ghost_number():
     m1 = GhostMonomial((0, 1), (2,))
     m2 = GhostMonomial((2,), (0, 1))
-    assert m1.bidegree() == (2, 1) and m1.ghost_number() == 1
+    assert m1.bidegree() == (2, 1) and ghost_number(m1) == 1
     s, m = mono_mul(m1, m2)
     assert s in (1, -1)
-    assert m.bidegree() == (3, 3) and m.ghost_number() == 0
+    assert m.bidegree() == (3, 3) and ghost_number(m) == 0
 
 
 def test_pr_bidegree_picks_components():
@@ -141,7 +142,7 @@ def test_left_derivative_is_odd_derivation():
     for _ in range(40):
         u = random_homogeneous(rng, ch, rank=3)
         v = random_ghost_fun(rng, ch, rank=3)
-        pu = sum(u.bidegrees()[0]) % 2 if u.bidegrees() else 0
+        pu = sum(bidegrees(u)[0]) % 2 if bidegrees(u) else 0
         A = rng.randrange(3)
         for D in (lambda w: w.left_deriv_ghost(A),
                   lambda w: w.left_deriv_antighost(A)):
@@ -160,18 +161,6 @@ def test_second_left_derivatives_anticommute():
         assert u.left_deriv_ghost(2).left_deriv_ghost(2).is_zero()
         assert u.left_deriv_antighost(0).left_deriv_ghost(1) == \
             -u.left_deriv_ghost(1).left_deriv_antighost(0)
-
-
-def test_restrict_to_section():
-    ch = t5_chart()
-    y1 = ScalarExpr.coord(ch, "y1")
-    s1 = ScalarExpr.sin(ch, "phi2")
-    f = GradedFunction(ch, 2, {
-        GhostMonomial((0,), ()): y1 - s1,
-        GhostMonomial((1,), ()): y1 * y1,
-    })
-    r = f.restrict_to_section({"y1": s1, "y2": ScalarExpr.zero(ch)})
-    assert r == GradedFunction(ch, 2, {GhostMonomial((1,), ()): s1 * s1})
 
 
 def test_section_wrapper():

@@ -8,9 +8,10 @@ from jacobi_bfv.multideriv import (MultiDerivation, d_letter, hamiltonian,
                                    jacobi_from_words)
 from jacobi_bfv.contraction import BrstContraction, ConnectionSpec
 from jacobi_bfv.solver import (lift_jacobi, brst_charge, bfv_assemble,
-                               reduced_differential, derived_brackets,
-                               _generator_sections)
+                               reduced_differential, de_rham_differential,
+                               derived_brackets, _generator_sections)
 from jacobi_bfv.models import t5_contact
+from oracles import eval_num
 from conftest import (t5_chart, random_scalar, random_point, rng_for,
                       random_ghost_fun, random_md)
 
@@ -42,7 +43,7 @@ def test_cos_cube_rewrite():
     rng = rng_for("cos-cube")
     for _ in range(20):
         p = random_point(rng, ch)
-        assert abs(lhs.eval_num(p) - rhs.eval_num(p)) < 1e-8
+        assert abs(eval_num(lhs, p) - eval_num(rhs, p)) < 1e-8
 
 
 def test_mul_by_zero_and_additive_inverse():
@@ -66,8 +67,8 @@ def test_product_rule_matches_finite_difference():
         p = random_point(rng, ch)
         q = dict(p)
         q["phi1"] += h
-        fd = ((s * c).eval_num(q) - (s * c).eval_num(p)) / h
-        assert abs(d.eval_num(p) - fd) < 1e-4
+        fd = (eval_num(s * c, q) - eval_num(s * c, p)) / h
+        assert abs(eval_num(d, p) - fd) < 1e-4
 
 
 def test_partial_basics():
@@ -165,8 +166,8 @@ def test_substitute_chain_rule_numeric():
         p = random_point(rng, ch)
         q = dict(p)
         q["phi1"] += h
-        fd = (composed.eval_num(q) - composed.eval_num(p)) / h
-        assert abs(d.eval_num(p) - fd) < 1e-4
+        fd = (eval_num(composed, q) - eval_num(composed, p)) / h
+        assert abs(eval_num(d, p) - fd) < 1e-4
 
 
 def test_rendering_is_deterministic():
@@ -224,7 +225,8 @@ def test_coefficients_are_ints_or_proper_fractions():
     bfv = bfv_assemble(J, conn)
     red = reduced_differential(bfv)
     gens = _generator_sections(ch, rank)
-    results += [red.dif(g) for g in gens] + [red.de_rham(g) for g in gens]
+    dR = de_rham_differential(J)
+    results += [red.dif(g) for g in gens] + [dR(g) for g in gens]
     mk = derived_brackets(Jhat, 3)
     results += [mk[1](g) for g in gens]
     results += [mk[2](g, h) for g in gens[:4] for h in gens[-2:]]
