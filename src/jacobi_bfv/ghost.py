@@ -17,8 +17,10 @@ class GhostMonomial:
     def __init__(self, g=(), a=()):
         self.g = tuple(g)
         self.a = tuple(a)
-        assert all(x < y for x, y in zip(self.g, self.g[1:])), self.g
-        assert all(x < y for x, y in zip(self.a, self.a[1:])), self.a
+        if not (all(x < y for x, y in zip(self.g, self.g[1:])) and
+                all(x < y for x, y in zip(self.a, self.a[1:]))):
+            raise ValueError("ghost and anti-ghost indices must be strictly "
+                             "ascending, got %r" % ((self.g, self.a),))
 
     def bidegree(self):
         return (len(self.g), len(self.a))

@@ -118,6 +118,12 @@ def _exact(q):
                      "integral float, got %r" % (q,))
 
 
+def _check_name(name, declared, role):
+    "Raise ValueError unless the chart declares name in the given role."
+    if name not in declared:
+        raise ValueError("%r is not a %s of the chart" % (name, role))
+
+
 def _exact_terms(terms):
     "Store every coefficient of a dict as _exact gives it, in place."
     for k, c in terms.items():
@@ -192,22 +198,22 @@ class ScalarExpr:
 
     @classmethod
     def coord(cls, chart, name):
-        assert name in chart._pos, name
+        _check_name(name, chart._pos, "coordinate")
         return cls(chart, {((("x", name), 1),): 1})
 
     @classmethod
     def sin(cls, chart, name):
-        assert name in chart.angular, name
+        _check_name(name, chart.angular, "angular coordinate")
         return cls(chart, {((("sin", name), 1),): 1})
 
     @classmethod
     def cos(cls, chart, name):
-        assert name in chart.angular, name
+        _check_name(name, chart.angular, "angular coordinate")
         return cls(chart, {((("cos", name), 1),): 1})
 
     @classmethod
     def func(cls, chart, name):
-        assert name in chart.funcs, name
+        _check_name(name, chart.funcs, "function")
         return cls(chart, {((("fn", name), 1),): 1})
 
     # -- ring structure ----------------------------------------------
@@ -216,7 +222,7 @@ class ScalarExpr:
         return not self.terms
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, ScalarExpr):
             other = ScalarExpr.number(self.chart, other)
         assert self.chart is other.chart or self.chart == other.chart
         terms = dict(self.terms)
@@ -235,12 +241,12 @@ class ScalarExpr:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, ScalarExpr):
             other = ScalarExpr.number(self.chart, other)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, ScalarExpr):
             return self.scale(other)
         assert self.chart is other.chart or self.chart == other.chart
         raw = {}
@@ -269,8 +275,11 @@ class ScalarExpr:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ScalarExpr.number(self.chart, other)
+        if isinstance(other, (int, Fraction, float)):
+            try:
+                other = ScalarExpr.number(self.chart, other)
+            except ValueError:  # a float the ring cannot hold
+                return False
         return isinstance(other, ScalarExpr) and \
             self.chart == other.chart and self.terms == other.terms
 
@@ -280,7 +289,7 @@ class ScalarExpr:
     # -- calculus ----------------------------------------------------
 
     def partial(self, coord):
-        assert coord in self.chart._pos, coord
+        _check_name(coord, self.chart._pos, "coordinate")
         funcs = self.chart.funcs
         raw = {}
         for key, c in self.terms.items():
@@ -320,8 +329,7 @@ class ScalarExpr:
     def substitute(self, mapping):
         """Ring homomorphism sending fiber coordinates to given elements."""
         for name in mapping:
-            assert name in self.chart.fiber, \
-                "substitution is defined on fiber coordinates, got %r" % (name,)
+            _check_name(name, self.chart.fiber, "fiber coordinate")
         out = ScalarExpr.zero(self.chart)
         for key, c in self.terms.items():
             term = ScalarExpr.number(self.chart, c)

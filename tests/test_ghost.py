@@ -187,6 +187,13 @@ def test_rendering_is_deterministic():
     assert str(Section(f)) == "(1) mu + (y1) xi^1 xi*_2 mu"
 
 
+@pytest.mark.parametrize("g, a", [((1, 0), ()), ((0, 0), ()), ((), (1, 1)),
+                                  ((0, 1), (2, 0))])
+def test_monomial_rejects_unsorted_indices(g, a):
+    with pytest.raises(ValueError, match="strictly ascending"):
+        GhostMonomial(g, a)
+
+
 @pytest.mark.parametrize("mono", [GhostMonomial((2,), ()),
                                   GhostMonomial((), (0, 5)),
                                   GhostMonomial((-1,), ())])

@@ -119,8 +119,20 @@ def test_chart_rejects_bad_roles(args, match):
 
 def test_substitute_rejects_base_coords():
     ch = t5_chart()
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="not a fiber coordinate"):
         S(ch, "y1").substitute({"phi1": ScalarExpr.zero(ch)})
+
+
+def test_names_must_be_declared_in_their_role():
+    ch = t5_chart(abstract=True)
+    calls = [lambda: ScalarExpr.coord(ch, "zz"),
+             lambda: ScalarExpr.sin(ch, "y1"),
+             lambda: ScalarExpr.cos(ch, "zz"),
+             lambda: ScalarExpr.func(ch, "phi1"),
+             lambda: S(ch, "y1").partial("zz")]
+    for call in calls:
+        with pytest.raises(ValueError, match="of the chart"):
+            call()
 
 
 def test_normal_form_separates_and_is_idempotent():
@@ -275,10 +287,24 @@ def test_binary_floats_are_rejected(q):
              lambda: jacobi_from_words(ch, 2, [((d_letter("phi1"),), q)]),
              lambda: ConnectionSpec(ch, 2, {(0, 1): q}),
              lambda: ConnectionSpec(ch, 2, {}, {("phi1", 0, 1): q}),
-             lambda: BrstContraction(ch, 2, (q, 0))]
+             lambda: BrstContraction(ch, 2, (q, 0)),
+             lambda: one + q, lambda: q + one, lambda: one - q,
+             lambda: one * q, lambda: q * one]
     for call in calls:
         with pytest.raises(ValueError, match="coefficients are exact"):
             call()
+    assert not one == q
+
+
+def test_integral_float_operands_are_numbers():
+    ch = t5_chart()
+    one = ScalarExpr.one(ch)
+    assert one + 1.0 == 2 and 1.0 + one == 2
+    assert (one + 1.0).terms == {(): 2}
+    assert type((one + 1.0).terms[()]) is int
+    assert (one - 1.0).is_zero()
+    assert one * 3.0 == 3.0 * one == 3
+    assert one == 1.0 and one != 2.0
 
 
 def test_equal_charts_give_the_same_arithmetic():

@@ -1,8 +1,8 @@
 """Checks that must hold when Python strips assert statements (-O),
 the acceptance suite among them, the contract between the engine and
-the benchmark's tracer, a check that the engine's modules import
-nothing they do not use, and the demos' output pinned byte for byte
-to tests/golden."""
+the benchmark's tracer, checks that the engine's modules import nothing
+they do not use and define no function that only the tests call, and
+the demos' output pinned byte for byte to tests/golden."""
 
 import ast
 from fractions import Fraction
@@ -64,7 +64,9 @@ def test_filtration_guard_survives_optimize():
 # library calls whose input must be rejected with ValueError whether or
 # not asserts run: a bracket landing below frame flag 0, a structure
 # letter that is neither m nor d_<coordinate>, an unknown coordinate,
-# operator and ghost-algebra keys out of range, and binary floats
+# operator and ghost-algebra keys out of range, ghost indices out of
+# order, names the chart does not declare in their role, and binary
+# floats, also as operands of ring arithmetic
 BAD_LIBRARY_CALLS = """
 from jacobi_bfv.scalar import ScalarExpr
 from jacobi_bfv.ghost import GhostMonomial, GradedFunction, ONE_MONO
@@ -91,6 +93,17 @@ calls = [
     lambda: ScalarExpr.number(ch, 0.1),
     lambda: one.scale(0.5),
     lambda: jacobi_from_words(ch, 2, [((d_letter("phi1"),), 0.5)]),
+    lambda: GhostMonomial((1, 0), ()),
+    lambda: GhostMonomial((), (1, 1)),
+    lambda: ScalarExpr.coord(ch, "zz"),
+    lambda: ScalarExpr.sin(ch, "y1"),
+    lambda: ScalarExpr.cos(ch, "zz"),
+    lambda: ScalarExpr.func(ch, "zz"),
+    lambda: one.partial("zz"),
+    lambda: one.substitute({"phi1": one}),
+    lambda: one + 0.5,
+    lambda: one - 0.5,
+    lambda: one * 0.5,
 ]
 for call in calls:
     try:
@@ -105,7 +118,7 @@ def test_library_guards_survive_optimize(optimize):
     out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 12
+    assert len(lines) == 23
     assert all(ln.startswith("rejected:") for ln in lines), lines
 
 
@@ -215,6 +228,36 @@ def test_src_has_no_unused_imports():
         unused += ["%s:%d %s" % (fname, line, name)
                    for name, line in sorted(imported.items())
                    if name not in used]
+    assert unused == []
+
+
+def test_src_has_no_test_only_code():
+    # every function and method of the engine is named somewhere in
+    # src/, demos/ or perfbench/ besides its own def; code that only the
+    # tests call belongs in tests/oracles.py
+    pkg = os.path.join(ROOT, "src", "jacobi_bfv")
+    defined, named = {}, set()
+    for top in ("src", "demos", "perfbench"):
+        for dirpath, _, files in os.walk(os.path.join(ROOT, top)):
+            for fname in sorted(files):
+                if not fname.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, fname)
+                with open(path) as fh:
+                    tree = ast.parse(fh.read())
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Name):
+                        named.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        named.add(node.attr)
+                    elif isinstance(node, ast.FunctionDef) and \
+                            dirpath == pkg and \
+                            not (node.name.startswith("__") and
+                                 node.name.endswith("__")):
+                        defined.setdefault(node.name, "%s:%d" % (
+                            fname, node.lineno))
+    unused = sorted("%s %s" % (where, name)
+                    for name, where in defined.items() if name not in named)
     assert unused == []
 
 
