@@ -153,7 +153,8 @@ class MultiDerivation(Combination):
 
     def frame(self):
         frs = {fr for (_, _, fr) in self.terms}
-        assert len(frs) <= 1, "mixed frame flags"
+        if len(frs) > 1:
+            raise ValueError("mixed frame flags")
         return frs.pop() if frs else None
 
     def __str__(self):
@@ -224,52 +225,85 @@ def _letter_apply(ell, fun):
     return fun.left_deriv_antighost(ell[1])
 
 
-def _peel(word, parts, chart, rank):
-    # parts: [(GradedFunction, shifted parity)] for homogeneous pieces
-    if not word:
-        return GradedFunction.one(chart, rank)
-    head, tail = word[0], word[1:]
-    tail_par = word_parity(tail)
-    out = GradedFunction.zero(chart, rank)
-    for j, (fun, sig) in enumerate(parts):
-        acted = _letter_apply(head, fun)
-        if acted.is_zero():
-            continue
-        rest = parts[:j] + parts[j + 1:]
-        expo = tail_par * sig + sum(parts[i][1] for i in range(j)) * sig
-        term = acted.ghost_mul(_peel(tail, rest, chart, rank))
-        if expo % 2:
-            term = -term
-        out = out + term
-    return out
-
-
 def evaluate(D, args):
     """Apply the operator to section arguments; returns a Section for a
     frame-valued operator, a GradedFunction otherwise (a Section when D
-    has no terms at all)."""
+    has no terms at all).  Raises ValueError for an argument that is not
+    a Section and for a word whose length is not the number of
+    arguments.
+
+    Each argument splits into its pieces of shifted parity 0 and 1, and
+    a word is peeled letter by letter over every choice of one piece per
+    argument.  The terms are grouped by word: the peeled values of a
+    word are summed over the choices first, and the word's ghost
+    coefficient multiplies the sum once.  Each letter acts on each
+    (argument, parity) piece at most once per call; that cache lives
+    only as long as the call."""
     chart, rank = D.chart, D.rank
     split = []
-    for lam in args:
-        assert isinstance(lam, Section)
+    for i, lam in enumerate(args):
+        if not isinstance(lam, Section):
+            raise ValueError("evaluate takes Section arguments, got %r"
+                             % (lam,))
         parts = []
         for par in (0, 1):
             sel = {m: c for m, c in lam.fun.terms.items()
                    if shifted_parity(m) == par}
             if sel:
-                parts.append((GradedFunction(chart, rank, sel), par))
+                parts.append((i, GradedFunction(chart, rank, sel), par))
         if not parts:
-            parts.append((GradedFunction.zero(chart, rank), 0))
+            parts.append((i, GradedFunction.zero(chart, rank), 0))
         split.append(parts)
-    total = GradedFunction.zero(chart, rank)
     fr_flag = D.frame()
-    for (mono, word, fr), coeff in D.terms.items():
-        assert len(word) == len(args), "arity mismatch"
-        cg = GradedFunction(chart, rank, {mono: coeff})
+    by_word = {}
+    for (mono, word, _), coeff in D.terms.items():
+        if len(word) != len(args):
+            raise ValueError("arity mismatch: a word of %d letters on %d "
+                             "arguments" % (len(word), len(args)))
+        by_word.setdefault(word, {})[mono] = coeff
+    acted = {}
+
+    def act(ell, part):
+        i, fun, par = part
+        key = (ell, i, par)
+        if key not in acted:
+            acted[key] = _letter_apply(ell, fun)
+        return acted[key]
+
+    def peel(word, parts):
+        # the head letter acts on each piece in turn, the tail on the
+        # others; the sign passes the tail and the earlier pieces
+        if not word:
+            return GradedFunction.one(chart, rank)
+        head, tail = word[0], word[1:]
+        if not tail:
+            return act(head, parts[0])
+        tail_par = word_parity(tail)
+        out = {}
+        for j, part in enumerate(parts):
+            val = act(head, part)
+            if val.is_zero():
+                continue
+            rest = peel(tail, parts[:j] + parts[j + 1:])
+            if rest.is_zero():
+                continue
+            neg = (tail_par + sum(p[2] for p in parts[:j])) * part[2] % 2
+            for m, c in val.ghost_mul(rest).terms.items():
+                add_term(out, m, -c if neg else c)
+        return GradedFunction._new(chart, rank, out)
+
+    total = {}
+    for word, coeffs in by_word.items():
+        summed = {}
         for combo in iproduct(*split):
-            val = _peel(word, list(combo), chart, rank)
-            if not val.is_zero():
-                total = total + cg.ghost_mul(val)
+            for m, c in peel(word, combo).terms.items():
+                add_term(summed, m, c)
+        if summed:
+            val = GradedFunction._new(chart, rank, coeffs).ghost_mul(
+                GradedFunction._new(chart, rank, summed))
+            for m, c in val.terms.items():
+                add_term(total, m, c)
+    total = GradedFunction._new(chart, rank, total)
     if fr_flag == 0:
         return total
     return Section(total)

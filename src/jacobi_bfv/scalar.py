@@ -245,6 +245,9 @@ class ScalarExpr:
             other = ScalarExpr.number(self.chart, other)
         return self + (-other)
 
+    def __rsub__(self, other):
+        return ScalarExpr.number(self.chart, other) - self
+
     def __mul__(self, other):
         if not isinstance(other, ScalarExpr):
             return self.scale(other)
@@ -284,6 +287,8 @@ class ScalarExpr:
             self.chart == other.chart and self.terms == other.terms
 
     def __hash__(self):
+        if set(self.terms) <= {()}:  # a constant hashes like its number
+            return hash(self.terms.get((), 0))
         return hash((self.chart, tuple(sorted(self.terms.items()))))
 
     # -- calculus ----------------------------------------------------

@@ -9,6 +9,8 @@ from another side:
   bracket;
 - reconstruct recovers a word operator from its values on probe
   sections;
+- evaluate_by_term evaluates an operator term by term, peeling each
+  word afresh for every choice of argument pieces;
 - eval_num evaluates a ring element at a floating-point point;
 - tau, arity, the bidegrees and the weight parts sort operators and
   functions by degree.
@@ -16,13 +18,14 @@ from another side:
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from itertools import product as iproduct
 import math
 
 from jacobi_bfv.scalar import ScalarExpr
 from jacobi_bfv.ghost import GradedFunction, Section, ONE_MONO, shifted_parity
 from jacobi_bfv.multideriv import (M, d_letter, e_letter, f_letter,
-                                   letter_odd, _letter_key, MultiDerivation,
-                                   evaluate)
+                                   letter_odd, _letter_key, word_parity,
+                                   _letter_apply, MultiDerivation, evaluate)
 from jacobi_bfv.contraction import _weight
 
 
@@ -130,6 +133,58 @@ def eval_num(expr, point):
                 raise ValueError("abstract symbol %r has no numeric value" % (atom,))
         total += v
     return total
+
+
+# -- term-by-term evaluation -----------------------------------------
+
+def _peel(word, parts, chart, rank):
+    # parts: [(GradedFunction, shifted parity)] for homogeneous pieces
+    if not word:
+        return GradedFunction.one(chart, rank)
+    head, tail = word[0], word[1:]
+    tail_par = word_parity(tail)
+    out = GradedFunction.zero(chart, rank)
+    for j, (fun, sig) in enumerate(parts):
+        acted = _letter_apply(head, fun)
+        if acted.is_zero():
+            continue
+        rest = parts[:j] + parts[j + 1:]
+        expo = tail_par * sig + sum(parts[i][1] for i in range(j)) * sig
+        term = acted.ghost_mul(_peel(tail, rest, chart, rank))
+        if expo % 2:
+            term = -term
+        out = out + term
+    return out
+
+
+def evaluate_by_term(D, args):
+    """evaluate(D, args) one term at a time: every term peels its word on
+    every choice of argument pieces, with no grouping and no cache."""
+    chart, rank = D.chart, D.rank
+    split = []
+    for lam in args:
+        assert isinstance(lam, Section)
+        parts = []
+        for par in (0, 1):
+            sel = {m: c for m, c in lam.fun.terms.items()
+                   if shifted_parity(m) == par}
+            if sel:
+                parts.append((GradedFunction(chart, rank, sel), par))
+        if not parts:
+            parts.append((GradedFunction.zero(chart, rank), 0))
+        split.append(parts)
+    total = GradedFunction.zero(chart, rank)
+    fr_flag = D.frame()
+    for (mono, word, fr), coeff in D.terms.items():
+        assert len(word) == len(args), "arity mismatch"
+        cg = GradedFunction(chart, rank, {mono: coeff})
+        for combo in iproduct(*split):
+            val = _peel(word, list(combo), chart, rank)
+            if not val.is_zero():
+                total = total + cg.ghost_mul(val)
+    if fr_flag == 0:
+        return total
+    return Section(total)
 
 
 # -- evaluation oracle for the bracket -------------------------------

@@ -12,9 +12,10 @@ from jacobi_bfv.multideriv import (
     hamiltonian,
     jacobi_bracket)
 from oracles import (gerstenhaber_eval_oracle, reconstruct, arity, tau,
-                     op_bidegrees, to_section)
+                     op_bidegrees, to_section, evaluate_by_term)
 from conftest import (t5_chart, random_scalar, rng_for, random_ghost_fun,
-                      random_homogeneous, random_md, random_hom_md)
+                      random_homogeneous, random_md, random_hom_md,
+                      all_letters)
 
 CH = t5_chart()
 RANK = 2
@@ -703,3 +704,80 @@ def test_jacobi_bracket_matches_piecewise(monkeypatch):
         assert got == want
         nonzero += not got.is_zero()
     assert nonzero >= 24
+
+
+MONOS = [ONE_MONO, GhostMonomial((0,), ()), GhostMonomial((), (1,)),
+         GhostMonomial((0, 1), (0,))]
+
+
+def _grouped_md(rng, n, fr):
+    "Up to three words of length n, each with two ghost monomials."
+    letters = all_letters(CH, RANK)
+    terms = {}
+    for _ in range(3):
+        s, w = sort_word(tuple(rng.choice(letters) for _ in range(n)), CH)
+        if not s:
+            continue
+        for mono in rng.sample(MONOS, 2):
+            c = random_scalar(rng, CH, max_terms=2)
+            terms[(mono, w, fr)] = c.scale(s)
+    return MultiDerivation(CH, RANK, terms)
+
+
+def test_evaluate_matches_peel_oracle():
+    rng = rng_for("md-evaluate-by-word")
+    shared_words = nonzero = 0
+    for n in range(4):
+        for fr in (0, 1):
+            for trial in range(4):
+                D = _grouped_md(rng, n, fr)
+                args = [_mixed_section(rng) for _ in range(n)]
+                if n and trial == 0:
+                    args[rng.randrange(n)] = Section.zero(CH, RANK)
+                want = evaluate_by_term(D, args)
+                got = evaluate(D, args)
+                assert type(got) is type(want) and got == want
+                words = [w for (_, w, _) in D.terms]
+                shared_words += len(words) > len(set(words))
+                nonzero += not got.is_zero()
+    assert shared_words >= 20 and nonzero >= 16
+
+
+def test_evaluate_applies_each_letter_once_per_piece(monkeypatch):
+    from jacobi_bfv import multideriv
+    plain_apply = multideriv._letter_apply
+    seen = []
+
+    def counted(ell, fun):
+        seen.append((ell, id(fun)))
+        return plain_apply(ell, fun)
+
+    monkeypatch.setattr(multideriv, "_letter_apply", counted)
+    biv, vec = t5_pair()
+    J = jacobi_from_pair(CH, RANK, biv, vec)
+    rng = rng_for("md-evaluate-letter-cache")
+    cases = [(J, [_mixed_section(rng), _mixed_section(rng)])]
+    cases += [(_grouped_md(rng, 3, 1), [_mixed_section(rng) for _ in range(3)])
+              for _ in range(4)]
+    for D, args in cases:
+        del seen[:]
+        got = evaluate(D, args)
+        # each letter acts on each (argument, parity) piece once
+        assert len(seen) == len(set(seen)) > 0
+        assert len({piece for _, piece in seen}) <= 2 * len(args)
+        assert got == evaluate_by_term(D, args)
+
+
+def test_evaluate_rejects_bad_arguments():
+    biv, vec = t5_pair()
+    J = jacobi_from_pair(CH, RANK, biv, vec)
+    x_mu = scalar_section(ScalarExpr.coord(CH, "phi1"))
+    with pytest.raises(ValueError, match="arity mismatch"):
+        evaluate(J, [x_mu])
+    with pytest.raises(ValueError, match="Section arguments"):
+        evaluate(J, [x_mu, x_mu.fun])
+    mixed = single((M,), fr=0) + single((d_letter("phi1"),))
+    with pytest.raises(ValueError, match="mixed frame flags"):
+        mixed.frame()
+    with pytest.raises(ValueError, match="mixed frame flags"):
+        evaluate(mixed, [x_mu])

@@ -289,7 +289,7 @@ def test_binary_floats_are_rejected(q):
              lambda: ConnectionSpec(ch, 2, {}, {("phi1", 0, 1): q}),
              lambda: BrstContraction(ch, 2, (q, 0)),
              lambda: one + q, lambda: q + one, lambda: one - q,
-             lambda: one * q, lambda: q * one]
+             lambda: q - one, lambda: one * q, lambda: q * one]
     for call in calls:
         with pytest.raises(ValueError, match="coefficients are exact"):
             call()
@@ -305,6 +305,28 @@ def test_integral_float_operands_are_numbers():
     assert (one - 1.0).is_zero()
     assert one * 3.0 == 3.0 * one == 3
     assert one == 1.0 and one != 2.0
+
+
+def test_numbers_subtract_ring_elements():
+    ch = t5_chart()
+    one, x = ScalarExpr.one(ch), S(ch, "phi1")
+    assert (1 - one).is_zero() and 1 - one == 0
+    assert 2 - x == -(x - 2) and Fraction(1, 2) - x == -(x - Fraction(1, 2))
+    assert 3.0 - one == 2 and type((3.0 - one).terms[()]) is int
+
+
+def test_constants_hash_like_their_numbers():
+    ch = t5_chart()
+    one, half = ScalarExpr.one(ch), ScalarExpr.number(ch, Fraction(1, 2))
+    zero = ScalarExpr.zero(ch)
+    for elem, q in ((one, 1), (half, Fraction(1, 2)), (zero, 0),
+                    (-one, -1), (one, 1.0)):
+        assert elem == q and hash(elem) == hash(q)
+        assert q in {elem} and elem in {q}
+    # a non-constant element keeps the hash of its chart and terms
+    x = S(ch, "phi1")
+    assert hash(x) == hash((ch, tuple(sorted(x.terms.items()))))
+    assert hash(x + 1) == hash((ch, tuple(sorted((x + 1).terms.items()))))
 
 
 def test_equal_charts_give_the_same_arithmetic():

@@ -65,18 +65,23 @@ def test_filtration_guard_survives_optimize():
 # not asserts run: a bracket landing below frame flag 0, a structure
 # letter that is neither m nor d_<coordinate>, an unknown coordinate,
 # operator and ghost-algebra keys out of range, ghost indices out of
-# order, names the chart does not declare in their role, and binary
-# floats, also as operands of ring arithmetic
+# order, names the chart does not declare in their role, binary floats,
+# also as operands of ring arithmetic, evaluation on the wrong number of
+# arguments or on a bare function, and an operator of mixed frame flags
 BAD_LIBRARY_CALLS = """
 from jacobi_bfv.scalar import ScalarExpr
-from jacobi_bfv.ghost import GhostMonomial, GradedFunction, ONE_MONO
-from jacobi_bfv.multideriv import (MultiDerivation, d_letter, e_letter,
-                                   sj_bracket, jacobi_from_pair,
+from jacobi_bfv.ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
+from jacobi_bfv.multideriv import (MultiDerivation, M, d_letter, e_letter,
+                                   evaluate, sj_bracket, jacobi_from_pair,
                                    jacobi_from_words)
 from jacobi_bfv.models import t5_contact
-ch = t5_contact().chart
+model = t5_contact()
+ch, J = model.chart, model.J
 one = ScalarExpr.one(ch)
 xi6 = GhostMonomial((5,), ())
+x_mu = Section(GradedFunction.scalar(ch, 2, ScalarExpr.coord(ch, "phi1")))
+mixed = MultiDerivation(ch, 2, {(ONE_MONO, (M,), 0): one,
+                                (ONE_MONO, (d_letter("phi1"),), 1): one})
 calls = [
     lambda: sj_bracket(
         MultiDerivation.single(ch, 1, (d_letter("phi1"),), fr=0),
@@ -104,6 +109,10 @@ calls = [
     lambda: one + 0.5,
     lambda: one - 0.5,
     lambda: one * 0.5,
+    lambda: 0.5 - one,
+    lambda: evaluate(J, [x_mu]),
+    lambda: evaluate(J, [x_mu, x_mu.fun]),
+    lambda: mixed.frame(),
 ]
 for call in calls:
     try:
@@ -118,7 +127,7 @@ def test_library_guards_survive_optimize(optimize):
     out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 23
+    assert len(lines) == 27
     assert all(ln.startswith("rejected:") for ln in lines), lines
 
 
