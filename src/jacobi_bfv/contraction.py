@@ -4,11 +4,22 @@ The first one compares word operators with their plain (ghost-free)
 skeletons.  A connection on the model bundle turns a plain operator
 into one that pairs against the ghost directions: every m and d_i
 letter picks up connection terms with one ghost generator and one e/f
-letter.  That immersion, imm_i_nabla, also reads an operator written
-in the twisted letter basis back in the plain one; to_twisted inverts
-it.  The associated homotopy is one pass in the twisted basis: trade
-each e/f letter for a generator, which keeps the weight k (generators
-plus e/f letters) of a term, scale by -1/k and immerse back.
+letter.  With g^B the ghost xi^B, a_A the anti-ghost xi*_A and sign
++1 for imm_i_nabla, -1 for to_twisted, each letter goes to
+
+    m    ->  m   + sign sum_(A,B) vert[A, B] (g^B e_A - a_A f^B)
+                 - sign sum_A g^A e_A
+    d_i  ->  d_i + sign sum_(A,B) coef[i, A, B] (g^B e_A - a_A f^B)
+
+and e_A, f^A stay put.  The -g^A e_A term belongs to the image of m
+alone, and there to its e-terms only: a unit entry vert[A, A] = 1
+cancels g^A e_A but keeps -a_A f^A.  A substitution builds each
+distinct letter's image once and sums every term into one dict.
+imm_i_nabla also reads an operator written in the twisted letter basis
+back in the plain one; to_twisted inverts it.  The associated homotopy
+is one pass in the twisted basis: trade each e/f letter for a
+generator, which keeps the weight k (generators plus e/f letters) of a
+term, scale by -1/k and immerse back.
 
 The second one contracts the section module along a chosen section s
 of the fiber projection.  Its homotopy inverts the Koszul differential
@@ -64,56 +75,46 @@ class ConnectionSpec:
             raise ValueError("connection frame indices %r are out of range "
                              "for rank %d" % ((A, B), self.rank))
 
-    def _entry(self, i, A, B):
-        if i is None:
-            return self.vert.get((A, B))
-        return self.coef.get((i, A, B))
-
-
-def _ghost_term(chart, rank, A, B, coeff, kind):
-    "coeff * g^B e_A  (kind 'e')  or  coeff * a_B f^A  (kind 'f')"
-    if kind == "e":
-        mono = GhostMonomial((B,), ())
-        word = (e_letter(A),)
-    else:
-        mono = GhostMonomial((), (B,))
-        word = (f_letter(A),)
-    return MultiDerivation(chart, rank, {(mono, word, 0): coeff})
-
 
 def _substitute_letters(D, image):
-    "Replace every letter by its image operator, keeping coefficients."
+    """Replace every letter by its image operator, keeping coefficients.
+    Each distinct letter's image is built once per call."""
     chart, rank = D.chart, D.rank
-    out = MultiDerivation.zero(chart, rank)
+    letters = dict.fromkeys(ell for (_, word, _) in D.terms for ell in word)
+    images = {ell: image(ell) for ell in letters}
+    out = {}
     for (mono, word, fr), c in D.terms.items():
         cur = MultiDerivation._new(chart, rank, {(mono, (), fr): c})
         for ell in word:
-            cur = md_mul(cur, image(ell))
-        out = out + cur
-    return out
+            cur = md_mul(cur, images[ell])
+        for key, v in cur.terms.items():
+            add_term(out, key, v)
+    return MultiDerivation._new(chart, rank, out)
 
 
 def _conn_image(ell, conn, sign):
-    """Image of one letter under the connection twist: m and d_i gain
-    ghost/anti-ghost terms, e and f stay put."""
+    """Image of one letter under the connection twist (see the module
+    docstring): m and d_i gain ghost/anti-ghost terms, e and f stay
+    put."""
     chart, rank = conn.chart, conn.rank
-    out = MultiDerivation(chart, rank,
-                          {(ONE_MONO, (ell,), 0): ScalarExpr.one(chart)})
-    if ell[0] in ("e", "f"):
-        return out
-    i = None if ell[0] == "m" else ell[1]
     one = ScalarExpr.one(chart)
-    for A in range(rank):
-        for B in range(rank):
-            c = conn._entry(i, A, B)
-            if i is None and A == B:
-                c = (c - one) if c is not None else -one
-            if c is not None and not c.is_zero():
-                out = out + _ghost_term(chart, rank, A, B, c.scale(sign), "e")
-            ct = conn._entry(i, B, A)
-            if ct is not None and not ct.is_zero():
-                out = out + _ghost_term(chart, rank, A, B, ct.scale(-sign), "f")
-    return out
+    terms = {(ONE_MONO, (ell,), 0): one}
+    if ell[0] == "m":
+        for A in range(rank):
+            terms[(GhostMonomial((A,), ()), (e_letter(A),), 0)] = \
+                one.scale(-sign)
+        entries = conn.vert.items()
+    elif ell[0] == "d":
+        entries = [((A, B), c) for (i, A, B), c in conn.coef.items()
+                   if i == ell[1]]
+    else:
+        entries = ()
+    for (A, B), c in entries:
+        add_term(terms, (GhostMonomial((B,), ()), (e_letter(A),), 0),
+                 c.scale(sign))
+        add_term(terms, (GhostMonomial((), (A,)), (f_letter(B),), 0),
+                 c.scale(-sign))
+    return MultiDerivation._new(chart, rank, terms)
 
 
 def imm_i_nabla(D, conn):
@@ -199,13 +200,10 @@ class BrstContraction:
 
     def dif(self):
         "The Koszul differential d[s] as an arity-1 operator."
-        chart, rank = self.chart, self.rank
-        out = MultiDerivation.zero(chart, rank)
-        for A in range(rank):
-            c = ScalarExpr.coord(chart, chart.fiber[A]) - self.section[A]
-            out = out + MultiDerivation(chart, rank,
-                                        {(ONE_MONO, (f_letter(A),), 1): c})
-        return out
+        chart = self.chart
+        return MultiDerivation(chart, self.rank, {
+            (ONE_MONO, (f_letter(A),), 1): ScalarExpr.coord(chart, y) - s
+            for A, (y, s) in enumerate(zip(chart.fiber, self.section))})
 
     def proj(self, sec):
         "Project to the reduced side: drop anti-ghosts, evaluate on s."

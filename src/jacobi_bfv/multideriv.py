@@ -135,11 +135,6 @@ class MultiDerivation(Combination):
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def single(cls, chart, rank, word, coeff=None, mono=ONE_MONO, fr=1):
-        coeff = ScalarExpr.one(chart) if coeff is None else coeff
-        return cls(chart, rank, {(mono, tuple(word), fr): coeff})
-
-    @classmethod
     def from_section(cls, sec):
         terms = {(mono, (), 1): c for mono, c in sec.fun.terms.items()}
         return cls(sec.chart, sec.rank, terms)
@@ -198,13 +193,15 @@ def _term_mul(t1, t2, chart):
 
 def md_mul(D1, D2):
     """Graded product of word operators; at most one factor may carry
-    the frame flag."""
+    the frame flag, else ValueError."""
     assert D1.chart == D2.chart and D1.rank == D2.rank
     chart, rank = D1.chart, D1.rank
     terms = {}
     for (m1, w1, fr1), c1 in D1.terms.items():
         for (m2, w2, fr2), c2 in D2.terms.items():
-            assert fr1 + fr2 <= 1, "product of two frame-valued operators"
+            if fr1 + fr2 > 1:
+                raise ValueError("the product of two frame-valued operators "
+                                 "is not a word operator")
             sign, mono, word = _term_mul((m1, w1), (m2, w2), chart)
             if sign:
                 add_term(terms, (mono, word, fr1 + fr2),
@@ -435,11 +432,9 @@ class NotJacobiError(ValueError):
 
 def build_G(chart, rank):
     "The ghost pairing operator: sum over A of  e_A f^A  with frame."
-    out = MultiDerivation.zero(chart, rank)
-    for A in range(rank):
-        out = out + MultiDerivation.single(chart, rank,
-                                           (e_letter(A), f_letter(A)))
-    return out
+    one = ScalarExpr.one(chart)
+    return MultiDerivation(chart, rank, {
+        (ONE_MONO, (e_letter(A), f_letter(A)), 1): one for A in range(rank)})
 
 
 def is_jacobi(J):

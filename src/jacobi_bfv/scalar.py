@@ -271,7 +271,8 @@ class ScalarExpr:
         return out
 
     def __pow__(self, n):
-        assert isinstance(n, int) and n >= 0
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponents are nonnegative ints, got %r" % (n,))
         out = ScalarExpr.one(self.chart)
         for _ in range(n):
             out = out * self
@@ -332,19 +333,22 @@ class ScalarExpr:
         return ScalarExpr(self.chart, raw)
 
     def substitute(self, mapping):
-        """Ring homomorphism sending fiber coordinates to given elements."""
+        """Ring homomorphism sending fiber coordinates to given elements;
+        only the mapped powers are multiplied out, the sum normalised once."""
         for name in mapping:
             _check_name(name, self.chart.fiber, "fiber coordinate")
-        out = ScalarExpr.zero(self.chart)
+        raw = {}
         for key, c in self.terms.items():
-            term = ScalarExpr.number(self.chart, c)
+            image = ScalarExpr.number(self.chart, c)
+            rest = []
             for atom, e in key:
                 if atom[0] == "x" and atom[1] in mapping:
-                    term = term * (mapping[atom[1]] ** e)
+                    image = image * mapping[atom[1]] ** e
                 else:
-                    term = term * ScalarExpr(self.chart, {((atom, e),): 1})
-            out = out + term
-        return out
+                    rest.append((atom, e))
+            for k, q in image.terms.items():
+                add_term(raw, _mul_keys(rest, k), q)
+        return ScalarExpr(self.chart, raw)
 
     def max_degree(self, names):
         "Largest total power of the named plain-coordinate atoms."
@@ -356,11 +360,13 @@ class ScalarExpr:
         return best
 
     def with_chart(self, chart):
-        "Reinterpret over another chart declaring the same atoms."
+        """Reinterpret over another chart declaring the same atoms; an
+        atom the chart does not declare raises ValueError."""
         for key in self.terms:
             for atom, _ in key:
-                assert _atom_ok(atom, chart), \
-                    "atom %r not declared on target chart" % (atom,)
+                if not _atom_ok(atom, chart):
+                    raise ValueError("atom %r is not declared on the target "
+                                     "chart" % (atom,))
         out = ScalarExpr.zero(chart)
         out.terms = dict(self.terms)
         return out

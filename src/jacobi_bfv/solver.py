@@ -23,10 +23,10 @@ on the reduced side.
 
 from fractions import Fraction
 
-from .scalar import ScalarExpr
+from .scalar import ScalarExpr, add_term
 from .ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
-from .multideriv import (d_letter, MultiDerivation, evaluate, sj_bracket,
-                         build_G, NotJacobiError, jacobi_bracket,
+from .multideriv import (d_letter, sort_word, MultiDerivation, evaluate,
+                         sj_bracket, build_G, NotJacobiError, jacobi_bracket,
                          hamiltonian)
 from .contraction import (imm_i_nabla, proj_p, homotopy_H_nabla,
                           BrstContraction, hpl_deform)
@@ -228,11 +228,9 @@ def omega_section(chart, rank, section):
     if len(section) != rank:
         raise ValueError("a section has %d components, got %d"
                          % (rank, len(section)))
-    out = GradedFunction.zero(chart, rank)
-    for A, s in enumerate(section):
-        c = ScalarExpr.coord(chart, chart.fiber[A]) - s
-        out = out + GradedFunction.ghost(chart, rank, A).scale(c)
-    return Section(out)
+    return Section(GradedFunction(chart, rank, {
+        GhostMonomial((A,), ()): ScalarExpr.coord(chart, chart.fiber[A]) - s
+        for A, s in enumerate(section)}))
 
 
 def brst_problem(Jhat, section):
@@ -297,38 +295,38 @@ def bfv_assemble(J, conn, max_iter=64):
 
 def v_immersion(red_sec, chart):
     """Right inverse of the canonical projection: a reduced monomial in
-    the odd generators becomes the matching word of fiber derivatives."""
-    rank = red_sec.rank
+    the odd generators becomes the matching word of fiber derivatives,
+    xi^A going to d along the A-th fiber coordinate.  Bringing the word
+    to chart order costs the sign of the permutation."""
     terms = {}
     for mono, c in red_sec.fun.terms.items():
         assert not mono.a, "reduced sections carry no anti-ghosts"
-        word = tuple(d_letter(chart.fiber[A]) for A in mono.g)
-        terms[(ONE_MONO, word, 1)] = c.with_chart(chart)
-    if not terms:
-        return MultiDerivation.zero(chart, rank)
-    return MultiDerivation(chart, rank, terms)
+        sign, word = sort_word(tuple(d_letter(chart.fiber[A])
+                                     for A in mono.g), chart)
+        terms[(ONE_MONO, word, 1)] = c.with_chart(chart).scale(sign)
+    return MultiDerivation(chart, red_sec.rank, terms)
 
 
 def v_projection(D):
     """Canonical projection onto the reduced side: keep the words made
     of distinct fiber derivatives, rename them to odd generators, and
-    restrict coefficients to the zero section."""
+    restrict coefficients to the zero section.  Sorting the generators
+    costs the sign of the permutation (the inverse of v_immersion)."""
     chart, rank = D.chart, D.rank
     red = chart.reduced()
     fibs = {d_letter(f): A for A, f in enumerate(chart.fiber)}
     zero = {f: ScalarExpr.zero(chart) for f in chart.fiber}
-    out = GradedFunction.zero(red, rank)
+    terms = {}
     for (mono, word, fr), c in D.terms.items():
-        if mono != ONE_MONO or fr != 1:
+        # a canonical word repeats no d letter
+        if mono != ONE_MONO or fr != 1 or any(ell not in fibs for ell in word):
             continue
-        if any(ell not in fibs for ell in word):
-            continue
-        if len(set(word)) != len(word):
-            continue
-        key = GhostMonomial(tuple(fibs[ell] for ell in word), ())
-        out = out + GradedFunction(red, rank,
-                                   {key: c.substitute(zero).with_chart(red)})
-    return Section(out)
+        gens = [fibs[ell] for ell in word]
+        inv = sum(1 for i, A in enumerate(gens) for B in gens[i + 1:] if A > B)
+        c = c.substitute(zero).with_chart(red)
+        add_term(terms, GhostMonomial(tuple(sorted(gens)), ()),
+                 -c if inv % 2 else c)
+    return Section(GradedFunction(red, rank, terms))
 
 
 def de_rham_differential(J):

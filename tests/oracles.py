@@ -12,6 +12,11 @@ from another side:
 - evaluate_by_term evaluates an operator term by term, peeling each
   word afresh for every choice of argument pieces;
 - eval_num evaluates a ring element at a floating-point point;
+- twist_by_occurrence substitutes the connection images letter by
+  letter, rebuilding a letter's image at each occurrence from every
+  (A, B) pair, and substitute_by_atom multiplies a ring element's atoms
+  in one at a time;
+- single builds a one-term operator;
 - tau, arity, the bidegrees and the weight parts sort operators and
   functions by degree.
 """
@@ -22,10 +27,12 @@ from itertools import product as iproduct
 import math
 
 from jacobi_bfv.scalar import ScalarExpr
-from jacobi_bfv.ghost import GradedFunction, Section, ONE_MONO, shifted_parity
+from jacobi_bfv.ghost import (GhostMonomial, GradedFunction, Section, ONE_MONO,
+                              shifted_parity)
 from jacobi_bfv.multideriv import (M, d_letter, e_letter, f_letter,
                                    letter_odd, _letter_key, word_parity,
-                                   _letter_apply, MultiDerivation, evaluate)
+                                   _letter_apply, MultiDerivation, evaluate,
+                                   md_mul)
 from jacobi_bfv.contraction import _weight
 
 
@@ -133,6 +140,86 @@ def eval_num(expr, point):
                 raise ValueError("abstract symbol %r has no numeric value" % (atom,))
         total += v
     return total
+
+
+# -- one-term operators ------------------------------------------------
+
+def single(chart, rank, word, coeff=None, mono=ONE_MONO, fr=1):
+    "The operator  coeff * mono word,  coeff 1 by default."
+    coeff = ScalarExpr.one(chart) if coeff is None else coeff
+    return MultiDerivation(chart, rank, {(mono, tuple(word), fr): coeff})
+
+
+# -- substitution, one occurrence at a time ----------------------------
+
+def _conn_entry(conn, i, A, B):
+    if i is None:
+        return conn.vert.get((A, B))
+    return conn.coef.get((i, A, B))
+
+
+def _ghost_term(chart, rank, A, B, coeff, kind):
+    "coeff * g^B e_A  (kind 'e')  or  coeff * a_B f^A  (kind 'f')"
+    if kind == "e":
+        mono = GhostMonomial((B,), ())
+        word = (e_letter(A),)
+    else:
+        mono = GhostMonomial((), (B,))
+        word = (f_letter(A),)
+    return MultiDerivation(chart, rank, {(mono, word, 0): coeff})
+
+
+def _conn_image_by_pair(ell, conn, sign):
+    # the image of one letter, visiting every (A, B) pair
+    chart, rank = conn.chart, conn.rank
+    out = MultiDerivation(chart, rank,
+                          {(ONE_MONO, (ell,), 0): ScalarExpr.one(chart)})
+    if ell[0] in ("e", "f"):
+        return out
+    i = None if ell[0] == "m" else ell[1]
+    one = ScalarExpr.one(chart)
+    for A in range(rank):
+        for B in range(rank):
+            c = _conn_entry(conn, i, A, B)
+            if i is None and A == B:
+                c = (c - one) if c is not None else -one
+            if c is not None and not c.is_zero():
+                out = out + _ghost_term(chart, rank, A, B, c.scale(sign), "e")
+            ct = _conn_entry(conn, i, B, A)
+            if ct is not None and not ct.is_zero():
+                out = out + _ghost_term(chart, rank, A, B, ct.scale(-sign),
+                                        "f")
+    return out
+
+
+def twist_by_occurrence(D, conn, sign):
+    """imm_i_nabla (sign 1) or to_twisted (sign -1) of D, building the
+    image of a letter afresh at each of its occurrences and summing the
+    terms one operator at a time."""
+    chart, rank = D.chart, D.rank
+    out = MultiDerivation.zero(chart, rank)
+    for (mono, word, fr), c in D.terms.items():
+        cur = MultiDerivation._new(chart, rank, {(mono, (), fr): c})
+        for ell in word:
+            cur = md_mul(cur, _conn_image_by_pair(ell, conn, sign))
+        out = out + cur
+    return out
+
+
+def substitute_by_atom(expr, mapping):
+    """expr.substitute(mapping) with each atom of a term multiplied in
+    as its own ring element, and the terms summed one at a time."""
+    chart = expr.chart
+    out = ScalarExpr.zero(chart)
+    for key, c in expr.terms.items():
+        term = ScalarExpr.number(chart, c)
+        for atom, e in key:
+            if atom[0] == "x" and atom[1] in mapping:
+                term = term * (mapping[atom[1]] ** e)
+            else:
+                term = term * ScalarExpr(chart, {((atom, e),): 1})
+        out = out + term
+    return out
 
 
 # -- term-by-term evaluation -----------------------------------------
@@ -286,7 +373,7 @@ def reconstruct(chart, rank, arity, frame, probe, letters=None, verify=True):
         return v
 
     def kappa(word):
-        unit = MultiDerivation.single(chart, rank, word, fr=frame)
+        unit = single(chart, rank, word, fr=frame)
         val = value_fun(evaluate(unit, targets(word)))
         assert set(val.terms) == {ONE_MONO}
         k = _as_number(val.terms[ONE_MONO])

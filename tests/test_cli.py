@@ -509,6 +509,42 @@ def test_main_small_scenario_all_green(tmp_path, capsys):
     assert out.count("= PASS") == 9 and "FAIL" not in out
 
 
+def fiber_order_doc(fiber):
+    return {
+        "schema": "bfv-scenario/1",
+        "name": "fiber-order",
+        "chart": {"coords": ["x1", "x2", "y1", "y2"], "fiber": fiber},
+        "rank": 2,
+        "jacobi": {"biv": [["x1", "y1", "1"], ["y1", "y2", "y2"]],
+                   "vec": {}},
+        "section": ["0", "0"],
+    }
+
+
+def test_main_fiber_order_is_free(tmp_path, capsys):
+    # the ghost index follows the fiber list, not the coordinate order:
+    # listing the fiber as [y2, y1] passes every check and swaps eta^1
+    # and eta^2 in the reduced differential
+    reports = {}
+    for name, fiber in (("fwd", ["y1", "y2"]), ("rev", ["y2", "y1"])):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(fiber_order_doc(fiber)))
+        assert cli.main(["--scenario", str(path), "--command", "check"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("= PASS") == 9 and "FAIL" not in out
+        for command in ("reduce", "linf"):
+            assert cli.main(["--scenario", str(path),
+                             "--command", command]) == 0
+        reports[name] = capsys.readouterr().out.splitlines()
+    gens = ["  mu = 0", "  x2 mu = 0"]
+    assert set(gens + ["  x1 mu = (-1) eta^1 mu", "  eta^1 = 0",
+                       "  eta^2 = (-1) eta^1 eta^2 mu"]) <= set(reports["fwd"])
+    # eta^2 = -eta^1 eta^2 mu becomes eta^1 = -eta^2 eta^1 mu
+    assert set(gens + ["  x1 mu = (-1) eta^2 mu", "  eta^2 = 0",
+                       "  eta^1 = (1) eta^1 eta^2 mu"]) <= set(reports["rev"])
+    assert len(reports["fwd"]) == len(reports["rev"])
+
+
 def test_main_abstract_residual(tmp_path, capsys):
     chart = dict(T5_DOC["chart"])
     chart["funcs"] = {"f1": ["phi1", "phi2", "phi3", "phi4", "phi5"],

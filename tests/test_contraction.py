@@ -5,13 +5,14 @@ import pytest
 from jacobi_bfv.scalar import ScalarExpr
 from jacobi_bfv.ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
 from jacobi_bfv.multideriv import (
-    M, d_letter, e_letter, f_letter, MultiDerivation, evaluate, sj_bracket,
-    build_G)
+    M, d_letter, e_letter, f_letter, sort_word, MultiDerivation, evaluate,
+    sj_bracket, build_G)
+from jacobi_bfv import contraction
 from jacobi_bfv.contraction import (
     ConnectionSpec, imm_i_nabla, to_twisted, proj_p,
     _h_twist, homotopy_H_nabla, BrstContraction, hpl_deform)
 from jacobi_bfv.models import t5_contact
-from oracles import twisted_weight_parts
+from oracles import twisted_weight_parts, twist_by_occurrence
 from conftest import (t5_chart, random_scalar, rng_for, random_ghost_fun,
                       random_md, random_connection, random_plain_md,
                       random_base_scalar)
@@ -66,6 +67,87 @@ def test_twist_roundtrip():
         D = random_md(rng, CH, RANK, rng.randint(1, 2))
         assert imm_i_nabla(to_twisted(D, conn), conn) == D
         assert to_twisted(imm_i_nabla(D, conn), conn) == D
+
+
+def seeded_connection(rng, unit_diagonal):
+    """A connection with vert and coef entries; with unit_diagonal one
+    vert entry (A, A) is 1, so the m image loses its g^A e_A term."""
+    vert, coef = {}, {}
+    for _ in range(rng.randint(1, 3)):
+        vert[(rng.randrange(RANK), rng.randrange(RANK))] = \
+            random_scalar(rng, CH, max_terms=2)
+    if unit_diagonal:
+        vert[(rng.randrange(RANK),) * 2] = 1
+    for _ in range(rng.randint(1, 4)):
+        key = (rng.choice(["phi1", "phi3", "y1"]), rng.randrange(RANK),
+               rng.randrange(RANK))
+        coef[key] = random_scalar(rng, CH, max_terms=2)
+    return ConnectionSpec(CH, RANK, vert, coef)
+
+
+def repeated_letter_md(rng):
+    """A random operator of arity 2-3 over a few letters, so that letters
+    recur within a word and across terms."""
+    letters = [M, d_letter("phi1"), d_letter("phi3"), d_letter("y1"),
+               e_letter(0), e_letter(1), f_letter(0), f_letter(1)]
+    fr = rng.randint(0, 1)
+    terms = {}
+    for _ in range(rng.randint(3, 6)):
+        sgn, word = sort_word(tuple(rng.choice(letters)
+                                    for _ in range(rng.randint(2, 3))), CH)
+        mono = GhostMonomial(
+            tuple(sorted(rng.sample(range(RANK), rng.randint(0, 1)))),
+            tuple(sorted(rng.sample(range(RANK), rng.randint(0, 1)))))
+        c = random_scalar(rng, CH, max_terms=2)
+        if sgn and not c.is_zero():
+            terms[(mono, word, fr)] = c.scale(sgn)
+    return MultiDerivation(CH, RANK, terms)
+
+
+def test_twist_matches_occurrence_oracle():
+    # one image per distinct letter, summed into one dict, gives the
+    # operator the occurrence-by-occurrence substitution gives
+    rng = rng_for("contr-twist-oracle")
+    seen = {"unit-diagonal": 0, "coef-hit": 0, "repeat-in-word": 0,
+            "repeat-across-terms": 0}
+    nonzero = 0
+    for trial in range(30):
+        conn = seeded_connection(rng, unit_diagonal=trial % 2 == 0)
+        D = repeated_letter_md(rng)
+        got_imm, got_tw = imm_i_nabla(D, conn), to_twisted(D, conn)
+        assert got_imm == twist_by_occurrence(D, conn, 1)
+        assert got_tw == twist_by_occurrence(D, conn, -1)
+        nonzero += not got_imm.is_zero()
+        words = [w for (_, w, _) in D.terms]
+        letters = [ell for w in words for ell in w]
+        seen["unit-diagonal"] += any(A == B and c == 1
+                                     for (A, B), c in conn.vert.items())
+        seen["coef-hit"] += any(d_letter(i) in letters
+                                for (i, _, _) in conn.coef)
+        seen["repeat-in-word"] += any(len(set(w)) < len(w) for w in words)
+        seen["repeat-across-terms"] += len(set(letters)) < len(letters)
+    assert nonzero >= 20
+    assert min(seen.values()) >= 5, seen
+
+
+def test_twist_builds_each_letter_image_once(monkeypatch):
+    calls = []
+    image = contraction._conn_image
+
+    def counted(ell, conn, sign):
+        calls.append(ell)
+        return image(ell, conn, sign)
+
+    monkeypatch.setattr(contraction, "_conn_image", counted)
+    rng = rng_for("contr-twist-count")
+    for trial in range(8):
+        conn = seeded_connection(rng, unit_diagonal=True)
+        D = repeated_letter_md(rng)
+        letters = {ell for (_, w, _) in D.terms for ell in w}
+        for substitute in (imm_i_nabla, to_twisted):
+            calls.clear()
+            substitute(D, conn)
+            assert sorted(calls) == sorted(letters)
 
 
 def test_lift_section_and_closure():

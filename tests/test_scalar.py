@@ -11,7 +11,7 @@ from jacobi_bfv.solver import (lift_jacobi, brst_charge, bfv_assemble,
                                reduced_differential, de_rham_differential,
                                derived_brackets, _generator_sections)
 from jacobi_bfv.models import t5_contact
-from oracles import eval_num
+from oracles import eval_num, substitute_by_atom
 from conftest import (t5_chart, random_scalar, random_point, rng_for,
                       random_ghost_fun, random_md)
 
@@ -102,6 +102,39 @@ def test_substitute_examples():
     t = y2
     got = ((y1 - c) ** 2).substitute({"y1": c + t})
     assert got == t * t
+
+
+def test_substitute_matches_atom_by_atom_oracle():
+    # unmapped atoms kept as one key give the element that multiplying
+    # every atom in separately gives
+    ch = t5_chart(abstract=True)
+    rng = rng_for("scalar-substitute-oracle")
+    y1, y2 = S(ch, "y1"), S(ch, "y2")
+    f1, s3 = ScalarExpr.func(ch, "f1"), ScalarExpr.sin(ch, "phi3")
+    c3 = ScalarExpr.cos(ch, "phi3")
+    seen = {"trig": 0, "func": 0, "fiber^4": 0}
+    for trial in range(40):
+        a = random_scalar(rng, ch, max_terms=4, max_pow=4,
+                          allow_abstract=True)
+        a = a + y1 ** 4 * c3 * f1 - y2 ** 3 * y1 * s3
+        for atom, e in (atom for key in a.terms for atom in key):
+            seen["trig"] += atom[0] in ("sin", "cos")
+            seen["func"] += atom[0] == "fn"
+            seen["fiber^4"] += atom[0] == "x" and atom[1] in ch.fiber \
+                and e == 4
+        images = [ScalarExpr.zero(ch),
+                  ScalarExpr.number(ch, Fraction(rng.randint(-3, 3), 2)),
+                  y2 + S(ch, "phi1") * 2 - 1,
+                  y1 * y2 - c3,
+                  random_scalar(rng, ch, max_terms=2, allow_abstract=True)]
+        mapping = {"y1": rng.choice(images)}
+        if trial % 3:
+            mapping["y2"] = rng.choice(images)
+        got = a.substitute(mapping)
+        assert got == substitute_by_atom(a, mapping)
+        assert all(type(q) is int or q.denominator > 1
+                   for q in got.terms.values())
+    assert min(seen.values()) >= 20, seen
 
 
 @pytest.mark.parametrize("args, match", [

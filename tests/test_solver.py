@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from jacobi_bfv.scalar import ScalarExpr
-from jacobi_bfv.ghost import GradedFunction, Section
+from jacobi_bfv.scalar import Chart, ScalarExpr
+from jacobi_bfv.ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
 from jacobi_bfv.multideriv import (
-    MultiDerivation, evaluate, sj_bracket, build_G, is_jacobi,
+    d_letter, MultiDerivation, evaluate, sj_bracket, build_G, is_jacobi,
     jacobi_from_pair, jacobi_bracket, NotJacobiError)
 from jacobi_bfv.contraction import (ConnectionSpec, imm_i_nabla, proj_p,
                                     BrstContraction)
@@ -301,6 +301,24 @@ def test_v_maps_are_a_section_pair():
     for trial in range(12):
         g = con.proj(Section(random_ghost_fun(rng, CH, RANK)))
         assert v_projection(v_immersion(g, CH)) == g
+
+
+def test_v_maps_follow_the_fiber_list():
+    # xi^A goes to the derivative along the A-th fiber coordinate; with
+    # the fiber listed against chart order, sorting the word costs a sign
+    ch = Chart(["x1", "x2", "y1", "y2"], fiber=["y2", "y1"])
+    red = ch.reduced()
+    x1 = ScalarExpr.coord(red, "x1")
+    top = Section(GradedFunction(red, 2, {GhostMonomial((0, 1), ()): x1}))
+    D = v_immersion(top, ch)
+    assert D == MultiDerivation(ch, 2, {
+        (ONE_MONO, (d_letter("y1"), d_letter("y2")), 1):
+            -ScalarExpr.coord(ch, "x1")})
+    assert v_projection(D) == top
+    rng = rng_for("solver-vmaps-reversed")
+    for trial in range(8):
+        g = random_reduced_section(rng, red)
+        assert v_projection(v_immersion(g, ch)) == g
 
 
 def test_derived_brackets_t5():

@@ -67,25 +67,31 @@ def test_filtration_guard_survives_optimize():
 # operator and ghost-algebra keys out of range, ghost indices out of
 # order, names the chart does not declare in their role, binary floats,
 # also as operands of ring arithmetic, evaluation on the wrong number of
-# arguments or on a bare function, and an operator of mixed frame flags
+# arguments or on a bare function, an operator of mixed frame flags, a
+# product of two frame-valued operators, a negative exponent and an atom
+# the target chart does not declare
 BAD_LIBRARY_CALLS = """
 from jacobi_bfv.scalar import ScalarExpr
 from jacobi_bfv.ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
 from jacobi_bfv.multideriv import (MultiDerivation, M, d_letter, e_letter,
-                                   evaluate, sj_bracket, jacobi_from_pair,
-                                   jacobi_from_words)
+                                   evaluate, md_mul, sj_bracket,
+                                   jacobi_from_pair, jacobi_from_words)
 from jacobi_bfv.models import t5_contact
 model = t5_contact()
 ch, J = model.chart, model.J
 one = ScalarExpr.one(ch)
+y1 = ScalarExpr.coord(ch, "y1")
 xi6 = GhostMonomial((5,), ())
 x_mu = Section(GradedFunction.scalar(ch, 2, ScalarExpr.coord(ch, "phi1")))
 mixed = MultiDerivation(ch, 2, {(ONE_MONO, (M,), 0): one,
                                 (ONE_MONO, (d_letter("phi1"),), 1): one})
+d_phi1, d_phi2 = (MultiDerivation(ch, 2, {(ONE_MONO, (d_letter(x),), 1): one})
+                  for x in ("phi1", "phi2"))
 calls = [
     lambda: sj_bracket(
-        MultiDerivation.single(ch, 1, (d_letter("phi1"),), fr=0),
-        MultiDerivation.single(ch, 1, (), ScalarExpr.coord(ch, "phi1"), fr=0)),
+        MultiDerivation(ch, 1, {(ONE_MONO, (d_letter("phi1"),), 0): one}),
+        MultiDerivation(ch, 1, {(ONE_MONO, (), 0):
+                                ScalarExpr.coord(ch, "phi1")})),
     lambda: jacobi_from_words(ch, 2, [((e_letter(7),), one)]),
     lambda: jacobi_from_pair(ch, 2, {("zz", "phi1"): one}, {}),
     lambda: MultiDerivation(ch, 2, {(ONE_MONO, (d_letter("phi1"),), 2): one}),
@@ -113,6 +119,9 @@ calls = [
     lambda: evaluate(J, [x_mu]),
     lambda: evaluate(J, [x_mu, x_mu.fun]),
     lambda: mixed.frame(),
+    lambda: md_mul(d_phi1, d_phi2),
+    lambda: y1 ** -1,
+    lambda: y1.with_chart(ch.reduced()),
 ]
 for call in calls:
     try:
@@ -127,7 +136,7 @@ def test_library_guards_survive_optimize(optimize):
     out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 27
+    assert len(lines) == 30
     assert all(ln.startswith("rejected:") for ln in lines), lines
 
 
