@@ -214,10 +214,13 @@ class BrstContraction:
              for mono, c in sec.fun.terms.items() if not mono.a}))
 
     def imm(self, red_sec):
-        "Pull a reduced section back over the full chart."
+        """Pull a reduced section back over the full chart; a section
+        with anti-ghosts raises ValueError."""
         terms = {}
         for mono, c in red_sec.fun.terms.items():
-            assert not mono.a, "reduced sections carry no anti-ghosts"
+            if mono.a:
+                raise ValueError("reduced sections carry no anti-ghosts, "
+                                 "got %s" % (red_sec,))
             terms[mono] = c.with_chart(self.chart)
         return Section(GradedFunction(self.chart, self.rank, terms))
 

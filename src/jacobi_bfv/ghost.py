@@ -115,8 +115,17 @@ class Combination:
             (self.chart is other.chart or self.chart == other.chart) and \
             self.rank == other.rank
 
+    def _check_like(self, other):
+        "Raise ValueError unless other is of this type, chart and rank."
+        if not self._like(other):
+            raise ValueError(
+                "operands must share type, chart and rank, got a %s of rank "
+                "%d and a %s of rank %r" % (
+                    type(self).__name__, self.rank, type(other).__name__,
+                    getattr(other, "rank", None)))
+
     def __add__(self, other):
-        assert self._like(other)
+        self._check_like(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
             add_term(terms, k, c)
@@ -190,7 +199,7 @@ class GradedFunction(Combination):
         "Graded product; a Section argument returns a Section."
         if isinstance(other, Section):
             return Section(self.ghost_mul(other.fun))
-        assert self._like(other)
+        self._check_like(other)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -259,7 +268,9 @@ class Section:
     __slots__ = ("fun",)
 
     def __init__(self, fun):
-        assert isinstance(fun, GradedFunction)
+        if not isinstance(fun, GradedFunction):
+            raise ValueError("a Section wraps a GradedFunction, got %r"
+                             % (fun,))
         self.fun = fun
 
     @classmethod
@@ -282,7 +293,9 @@ class Section:
         return self.fun.is_zero()
 
     def __add__(self, other):
-        assert isinstance(other, Section)
+        if not isinstance(other, Section):
+            raise ValueError("a Section adds only to a Section, got %r"
+                             % (other,))
         return Section(self.fun + other.fun)
 
     def __neg__(self):

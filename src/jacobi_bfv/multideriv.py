@@ -192,9 +192,9 @@ def _term_mul(t1, t2, chart):
 
 
 def md_mul(D1, D2):
-    """Graded product of word operators; at most one factor may carry
-    the frame flag, else ValueError."""
-    assert D1.chart == D2.chart and D1.rank == D2.rank
+    """Graded product of word operators of one chart and rank; at most
+    one factor may carry the frame flag, else ValueError."""
+    D1._check_like(D2)
     chart, rank = D1.chart, D1.rank
     terms = {}
     for (m1, w1, fr1), c1 in D1.terms.items():
@@ -230,15 +230,40 @@ def evaluate(D, args):
     arguments.
 
     Each argument splits into its pieces of shifted parity 0 and 1, and
-    a word is peeled letter by letter over every choice of one piece per
-    argument.  The terms are grouped by word: the peeled values of a
-    word are summed over the choices first, and the word's ghost
-    coefficient multiplies the sum once.  Each letter acts on each
-    (argument, parity) piece at most once per call; that cache lives
-    only as long as the call."""
+    pieces equal up to sign share one id: the two arguments of a
+    self-bracket, l and l with its shifted-odd piece negated, share
+    both.  Letter actions are linear, so each letter acts on each id at
+    most once per call, and the sign stays with the piece; that cache
+    lives only as long as the call.
+
+    A word is peeled letter by letter over every choice of one piece
+    per argument.  Peeling is graded symmetric in its pieces, so the
+    choices collapse into sorted multisets of ids, each with an integer
+    multiplicity that carries the pieces' signs and the Koszul sign of
+    the sort, and each multiset is peeled once.  A multiset holding a
+    shifted-odd piece twice peels to 0 and is skipped; within a peel,
+    the copies of a repeated even piece give equal values, so the first
+    is visited and scaled by the count.  The terms are grouped by word:
+    the peeled values of a word are summed over the multisets first,
+    and the word's ghost coefficient multiplies the sum once."""
     chart, rank = D.chart, D.rank
+    funs, pars = [], []  # per piece id: the function and its parity
+
+    def piece(fun, par):
+        # (id, sign) of fun: an earlier id when fun is plus or minus its
+        # function, else a new one
+        for pid, known in enumerate(funs):
+            if fun.terms.keys() == known.terms.keys():
+                if fun.terms == known.terms:
+                    return pid, 1
+                if {m: -c for m, c in fun.terms.items()} == known.terms:
+                    return pid, -1
+        funs.append(fun)
+        pars.append(par)
+        return len(funs) - 1, 1
+
     split = []
-    for i, lam in enumerate(args):
+    for lam in args:
         if not isinstance(lam, Section):
             raise ValueError("evaluate takes Section arguments, got %r"
                              % (lam,))
@@ -247,10 +272,24 @@ def evaluate(D, args):
             sel = {m: c for m, c in lam.fun.terms.items()
                    if shifted_parity(m) == par}
             if sel:
-                parts.append((i, GradedFunction(chart, rank, sel), par))
+                parts.append(piece(GradedFunction(chart, rank, sel), par))
         if not parts:
-            parts.append((i, GradedFunction.zero(chart, rank), 0))
+            parts.append(piece(GradedFunction.zero(chart, rank), 0))
         split.append(parts)
+    # each choice adds its sign to its multiset: the product of its
+    # pieces' signs, and -1 for each pair of odd pieces the sort swaps
+    multisets = {}
+    for combo in iproduct(*split):
+        ids = tuple(sorted(pid for pid, _ in combo))
+        if any(a == b and pars[a] for a, b in zip(ids, ids[1:])):
+            continue
+        sign = 1
+        for j, (a, s) in enumerate(combo):
+            sign *= s
+            for b, _ in combo[j + 1:]:
+                if a > b and pars[a] and pars[b]:
+                    sign = -sign
+        add_term(multisets, ids, sign)
     fr_flag = D.frame()
     by_word = {}
     for (mono, word, _), coeff in D.terms.items():
@@ -260,11 +299,10 @@ def evaluate(D, args):
         by_word.setdefault(word, {})[mono] = coeff
     acted = {}
 
-    def act(ell, part):
-        i, fun, par = part
-        key = (ell, i, par)
+    def act(ell, pid):
+        key = (ell, pid)
         if key not in acted:
-            acted[key] = _letter_apply(ell, fun)
+            acted[key] = _letter_apply(ell, funs[pid])
         return acted[key]
 
     def peel(word, parts):
@@ -277,24 +315,29 @@ def evaluate(D, args):
             return act(head, parts[0])
         tail_par = word_parity(tail)
         out = {}
-        for j, part in enumerate(parts):
-            val = act(head, part)
+        for j, pid in enumerate(parts):
+            if j and parts[j - 1] == pid:
+                continue
+            val = act(head, pid)
             if val.is_zero():
                 continue
             rest = peel(tail, parts[:j] + parts[j + 1:])
             if rest.is_zero():
                 continue
-            neg = (tail_par + sum(p[2] for p in parts[:j])) * part[2] % 2
+            neg = (tail_par + sum(pars[p] for p in parts[:j])) * pars[pid] % 2
+            count = parts.count(pid)
             for m, c in val.ghost_mul(rest).terms.items():
+                if count > 1:
+                    c = c.scale(count)
                 add_term(out, m, -c if neg else c)
         return GradedFunction._new(chart, rank, out)
 
     total = {}
     for word, coeffs in by_word.items():
         summed = {}
-        for combo in iproduct(*split):
-            for m, c in peel(word, combo).terms.items():
-                add_term(summed, m, c)
+        for ids, mult in multisets.items():
+            for m, c in peel(word, ids).terms.items():
+                add_term(summed, m, c if mult == 1 else c.scale(mult))
         if summed:
             val = GradedFunction._new(chart, rank, coeffs).ghost_mul(
                 GradedFunction._new(chart, rank, summed))
@@ -403,19 +446,33 @@ def _parity_groups(D):
 
 def sj_bracket(D, E):
     """Schouten-Jacobi bracket of two word operators.  Raises ValueError
-    when it does not land in frame flag 0 or 1, which happens only for
-    two function-valued operators."""
-    assert D.chart == E.chart and D.rank == E.rank
+    for operators of different charts or ranks, and when the bracket
+    does not land in frame flag 0 or 1, which happens only for two
+    function-valued operators.
+
+    Over each pair (a, b) of parity groups F_a of D and F_b of E the
+    bracket adds H(F_a, F_b) - flip * H(F_b, F_a), H the half bracket,
+    where flip is -1 when both groups are even and 1 otherwise.  For a
+    self-bracket every half bracket that involves an odd group therefore
+    appears twice with opposite signs and cancels, which leaves
+    [[D, D]] = 2 H(F_0, F_0) over the even group F_0: one half bracket
+    instead of up to eight.  That branch is taken on identity, D is E."""
+    D._check_like(E)
     chart = D.chart
-    out = {}
-    groups_E = _parity_groups(E)
-    for tD, FD in _parity_groups(D).items():
-        for tE, FE in groups_E.items():
-            flip = -1 if ((tD + 1) * (tE + 1)) % 2 else 1
-            for key, c in _half_bracket(FD, FE, chart).items():
-                add_term(out, key, c)
-            for key, c in _half_bracket(FE, FD, chart).items():
-                add_term(out, key, c.scale(-flip))
+    if D is E:
+        even = _parity_groups(D).get(0, [])
+        out = {key: c.scale(2)
+               for key, c in _half_bracket(even, even, chart).items()}
+    else:
+        out = {}
+        groups_E = _parity_groups(E)
+        for tD, FD in _parity_groups(D).items():
+            for tE, FE in groups_E.items():
+                flip = -1 if ((tD + 1) * (tE + 1)) % 2 else 1
+                for key, c in _half_bracket(FD, FE, chart).items():
+                    add_term(out, key, c)
+                for key, c in _half_bracket(FE, FD, chart).items():
+                    add_term(out, key, c.scale(-flip))
     if any(fr < 0 for _, _, fr in out):
         raise ValueError("the bracket of two function-valued operators "
                          "is not a word operator")

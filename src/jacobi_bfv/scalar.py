@@ -224,7 +224,9 @@ class ScalarExpr:
     def __add__(self, other):
         if not isinstance(other, ScalarExpr):
             other = ScalarExpr.number(self.chart, other)
-        assert self.chart is other.chart or self.chart == other.chart
+        if self.chart is not other.chart and self.chart != other.chart:
+            raise ValueError("ring elements of different charts: %r and %r"
+                             % (self.chart, other.chart))
         terms = dict(self.terms)
         for k, c in other.terms.items():
             add_term(terms, k, c)
@@ -251,7 +253,9 @@ class ScalarExpr:
     def __mul__(self, other):
         if not isinstance(other, ScalarExpr):
             return self.scale(other)
-        assert self.chart is other.chart or self.chart == other.chart
+        if self.chart is not other.chart and self.chart != other.chart:
+            raise ValueError("ring elements of different charts: %r and %r"
+                             % (self.chart, other.chart))
         raw = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():

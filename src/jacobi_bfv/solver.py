@@ -297,10 +297,13 @@ def v_immersion(red_sec, chart):
     """Right inverse of the canonical projection: a reduced monomial in
     the odd generators becomes the matching word of fiber derivatives,
     xi^A going to d along the A-th fiber coordinate.  Bringing the word
-    to chart order costs the sign of the permutation."""
+    to chart order costs the sign of the permutation.  A section with
+    anti-ghosts raises ValueError."""
     terms = {}
     for mono, c in red_sec.fun.terms.items():
-        assert not mono.a, "reduced sections carry no anti-ghosts"
+        if mono.a:
+            raise ValueError("reduced sections carry no anti-ghosts, got %s"
+                             % (red_sec,))
         sign, word = sort_word(tuple(d_letter(chart.fiber[A])
                                      for A in mono.g), chart)
         terms[(ONE_MONO, word, 1)] = c.with_chart(chart).scale(sign)
@@ -373,12 +376,15 @@ def reduced_differential(bfv):
 def derived_brackets(Jhat, k_max):
     """The multibracket family on the reduced side: nested brackets of
     the lifting against immersed arguments, projected back.  Returns a
-    dict mapping each arity to a callable."""
+    dict mapping each arity k to a callable of k arguments, which raises
+    ValueError on any other number."""
     chart = Jhat.chart
 
     def make(k):
         def m_k(*args):
-            assert len(args) == k
+            if len(args) != k:
+                raise ValueError("m_%d takes %d arguments, got %d"
+                                 % (k, k, len(args)))
             cur = Jhat
             for g in args:
                 cur = sj_bracket(cur, v_immersion(g, chart))

@@ -612,6 +612,66 @@ def test_indexed_bracket_matches_full_scan_on_lifts():
                 assert _same_terms(sj_bracket(D, E), _full_scan_bracket(D, E))
 
 
+# -- self-brackets from the even half --------------------------------
+
+def _bracket_or_rejected(D, E):
+    try:
+        return sj_bracket(D, E)
+    except ValueError:
+        return "rejected"
+
+
+def _curved_lift():
+    from jacobi_bfv.models import t5_contact
+    from jacobi_bfv.contraction import ConnectionSpec
+    from jacobi_bfv.solver import lift_jacobi
+    model = t5_contact()
+    conn = ConnectionSpec(model.chart, model.rank,
+                          {(0, 1): ScalarExpr.sin(model.chart, "phi3")})
+    Jhat, trace = lift_jacobi(model.J, conn)
+    assert trace  # curved: the lift carries a correction
+    return Jhat, trace[0]["correction"]
+
+
+def test_self_bracket_matches_general_path(monkeypatch):
+    from jacobi_bfv import multideriv
+    rng = rng_for("md-self-bracket")
+    ops = list(_curved_lift())
+    for frs in [(0, 0), (1, 1), (1, 0)] * 20:  # (1, 0) mixes the flags
+        ops.append(sum((random_md(rng, CH, RANK, rng.randint(1, 3), fr=fr,
+                                  max_terms=8) for fr in frs),
+                       MultiDerivation.zero(CH, RANK)))
+    calls = []
+    plain_half = multideriv._half_bracket
+
+    def counted(*args):
+        calls.append(1)
+        return plain_half(*args)
+
+    monkeypatch.setattr(multideriv, "_half_bracket", counted)
+    seen = {"both-groups": 0, "ghosts": 0, "fr0": 0, "fr1": 0,
+            "nonzero": 0, "rejected": 0}
+    for D in ops:
+        copy = MultiDerivation(D.chart, D.rank, dict(D.terms))
+        assert copy is not D and copy == D
+        del calls[:]
+        got = _bracket_or_rejected(D, D)
+        assert len(calls) == 1
+        del calls[:]
+        want = _bracket_or_rejected(D, copy)
+        assert got == want
+        parities = {(m.parity() + word_parity(w)) % 2 for m, w, _ in D.terms}
+        both = parities == {0, 1}
+        assert len(calls) == 2 * len(parities) ** 2
+        seen["both-groups"] += both
+        seen["ghosts"] += any(m.g or m.a for m, _, _ in D.terms)
+        for fr in (0, 1):
+            seen["fr%d" % fr] += any(f == fr for _, _, f in D.terms)
+        seen["rejected"] += got == "rejected"
+        seen["nonzero"] += got != "rejected" and not got.is_zero()
+    assert all(n >= 10 for n in seen.values()), seen
+
+
 def _ref_md_mul(D1, D2):
     "Reference graded product, with the signs applied one by one."
     chart, rank = D1.chart, D1.rank
@@ -674,14 +734,7 @@ def _mixed_section(rng):
 
 def test_jacobi_bracket_matches_piecewise(monkeypatch):
     from jacobi_bfv import multideriv
-    from jacobi_bfv.models import t5_contact
-    from jacobi_bfv.contraction import ConnectionSpec
-    from jacobi_bfv.solver import lift_jacobi
-    model = t5_contact()
-    conn = ConnectionSpec(model.chart, model.rank,
-                          {(0, 1): ScalarExpr.sin(model.chart, "phi3")})
-    Jhat, trace = lift_jacobi(model.J, conn)
-    assert trace  # curved: the lift carries a correction
+    Jhat, _ = _curved_lift()
     rng = rng_for("md-jacobi-bracket")
     calls = []
     plain_evaluate = multideriv.evaluate
@@ -758,12 +811,17 @@ def test_evaluate_applies_each_letter_once_per_piece(monkeypatch):
     cases = [(J, [_mixed_section(rng), _mixed_section(rng)])]
     cases += [(_grouped_md(rng, 3, 1), [_mixed_section(rng) for _ in range(3)])
               for _ in range(4)]
+    lam, kappa = _mixed_section(rng), _mixed_section(rng)
+    cases += [(J, [lam, lam]), (J, [_shifted_odd_negated(lam), lam]),
+              (_grouped_md(rng, 3, 1), [lam, -lam, kappa]),
+              (_grouped_md(rng, 3, 1), [kappa, _copy(lam), lam])]
     for D, args in cases:
         del seen[:]
         got = evaluate(D, args)
-        # each letter acts on each (argument, parity) piece once
+        # each letter acts once on each piece, pieces equal up to sign
+        # counting as one
         assert len(seen) == len(set(seen)) > 0
-        assert len({piece for _, piece in seen}) <= 2 * len(args)
+        assert len({piece for _, piece in seen}) <= _pieces_up_to_sign(args)
         assert got == evaluate_by_term(D, args)
 
 
@@ -780,3 +838,72 @@ def test_evaluate_rejects_bad_arguments():
         mixed.frame()
     with pytest.raises(ValueError, match="mixed frame flags"):
         evaluate(mixed, [x_mu])
+
+
+# -- repeated arguments ------------------------------------------------
+
+def _copy(lam):
+    "An equal section that is a distinct object."
+    return Section(GradedFunction(lam.chart, lam.rank, dict(lam.fun.terms)))
+
+
+def _shifted_odd_negated(lam):
+    "The first argument jacobi_bracket passes for lam."
+    return Section(GradedFunction(lam.chart, lam.rank, {
+        m: -c if shifted_parity(m) else c for m, c in lam.fun.terms.items()}))
+
+
+def _pieces_up_to_sign(args):
+    "The number of distinct argument pieces, equal up to sign counting once."
+    classes = []
+    for lam in args:
+        for par in (0, 1):
+            sel = {m: c for m, c in lam.fun.terms.items()
+                   if shifted_parity(m) == par}
+            neg = {m: -c for m, c in sel.items()}
+            if sel and sel not in classes and neg not in classes:
+                classes.append(sel)
+    return max(len(classes), 1)
+
+
+def _odd_section(rng):
+    "A section with a shifted-odd piece only."
+    while True:
+        fun = random_ghost_fun(rng, CH, RANK, max_terms=6)
+        odd = {m: c for m, c in fun.terms.items() if shifted_parity(m)}
+        if odd:
+            return Section(GradedFunction(CH, RANK, odd))
+
+
+def test_evaluate_shares_repeated_arguments():
+    rng = rng_for("md-evaluate-repeated")
+    Jhat, correction = _curved_lift()
+    zero = Section.zero(CH, RANK)
+    kinds = {}
+    for trial in range(12):
+        lam, kappa, odd = _mixed_section(rng), _mixed_section(rng), \
+            _odd_section(rng)
+        pairs = {"same": [lam, lam], "copy": [lam, _copy(lam)],
+                 "negated": [lam, -lam],
+                 "jacobi": [_shifted_odd_negated(lam), lam],
+                 "odd-twice": [odd, odd], "odd-negated": [-odd, _copy(odd)],
+                 "zero": [lam, zero], "zeros": [zero, zero]}
+        triples = {"first-last": [lam, kappa, lam],
+                   "leading": [lam, _copy(lam), kappa],
+                   "negated-3": [kappa, lam, -lam],
+                   "odd-3": [odd, kappa, odd]}
+        for fr in (0, 1):
+            ops = [(_grouped_md(rng, 2, fr), pairs)]
+            ops += [(_grouped_md(rng, 3, fr), triples) for _ in range(3)]
+            if fr:
+                ops.append((Jhat if trial % 2 else correction, pairs))
+            for D, cases in ops:
+                for kind, args in cases.items():
+                    want = evaluate_by_term(D, args)
+                    got = evaluate(D, args)
+                    assert type(got) is type(want) and got == want, kind
+                    kinds[kind] = kinds.get(kind, 0) + (not got.is_zero())
+    # a shifted-odd piece given twice peels to 0, and so does a zero
+    for kind in ("odd-twice", "odd-negated", "odd-3", "zero", "zeros"):
+        assert kinds.pop(kind) == 0
+    assert all(n >= 8 for n in kinds.values()), sorted(kinds.items())

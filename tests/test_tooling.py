@@ -68,18 +68,29 @@ def test_filtration_guard_survives_optimize():
 # order, names the chart does not declare in their role, binary floats,
 # also as operands of ring arithmetic, evaluation on the wrong number of
 # arguments or on a bare function, an operator of mixed frame flags, a
-# product of two frame-valued operators, a negative exponent and an atom
-# the target chart does not declare
+# product of two frame-valued operators, a negative exponent, an atom
+# the target chart does not declare, operands of different charts or
+# ranks, a Section of a non-function or added to a non-Section, a
+# reduced section with anti-ghosts and m_k on the wrong number of
+# arguments
 BAD_LIBRARY_CALLS = """
 from jacobi_bfv.scalar import ScalarExpr
 from jacobi_bfv.ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
 from jacobi_bfv.multideriv import (MultiDerivation, M, d_letter, e_letter,
                                    evaluate, md_mul, sj_bracket,
                                    jacobi_from_pair, jacobi_from_words)
+from jacobi_bfv.contraction import BrstContraction
+from jacobi_bfv.solver import derived_brackets, v_immersion
 from jacobi_bfv.models import t5_contact
 model = t5_contact()
 ch, J = model.chart, model.J
+red = ch.reduced()
 one = ScalarExpr.one(ch)
+one_red = ScalarExpr.one(red)
+with_antighost = Section(GradedFunction(red, 2,
+                                        {GhostMonomial((0,), (1,)): one_red}))
+x_red = Section(GradedFunction.scalar(red, 2, ScalarExpr.coord(red, "phi1")))
+dfun_rank1 = MultiDerivation(ch, 1, {(ONE_MONO, (d_letter("phi1"),), 0): one})
 y1 = ScalarExpr.coord(ch, "y1")
 xi6 = GhostMonomial((5,), ())
 x_mu = Section(GradedFunction.scalar(ch, 2, ScalarExpr.coord(ch, "phi1")))
@@ -121,7 +132,18 @@ calls = [
     lambda: mixed.frame(),
     lambda: md_mul(d_phi1, d_phi2),
     lambda: y1 ** -1,
-    lambda: y1.with_chart(ch.reduced()),
+    lambda: y1.with_chart(red),
+    lambda: v_immersion(with_antighost, ch),
+    lambda: BrstContraction(ch, 2, (0, 0)).imm(with_antighost),
+    lambda: derived_brackets(J, 2)[2](x_red),
+    lambda: x_mu + Section.frame(ch, 1),
+    lambda: Section(1),
+    lambda: sj_bracket(d_phi1, dfun_rank1),
+    lambda: md_mul(d_phi1, dfun_rank1),
+    lambda: x_mu.fun.ghost_mul(GradedFunction.one(ch, 1)),
+    lambda: x_mu + x_mu.fun,
+    lambda: one + one_red,
+    lambda: one * one_red,
 ]
 for call in calls:
     try:
@@ -136,7 +158,7 @@ def test_library_guards_survive_optimize(optimize):
     out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 30
+    assert len(lines) == 41
     assert all(ln.startswith("rejected:") for ln in lines), lines
 
 
@@ -224,6 +246,19 @@ def test_tracer_installs_counts_and_uninstalls():
         now = vars(owner)
         assert set(now) == set(attrs), owner
         assert all(now[k] is v for k, v in attrs.items()), owner
+
+
+def test_src_has_no_assert():
+    # python -O strips assert statements, so none may guard the engine
+    pkg = os.path.join(ROOT, "src", "jacobi_bfv")
+    found = []
+    for fname in sorted(os.listdir(pkg)):
+        if fname.endswith(".py"):
+            with open(os.path.join(pkg, fname)) as fh:
+                tree = ast.parse(fh.read())
+            found += ["%s:%d" % (fname, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_src_has_no_unused_imports():
