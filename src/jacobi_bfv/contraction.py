@@ -34,7 +34,7 @@ differential by the usual geometric series, evaluated lazily.
 
 from fractions import Fraction
 
-from .scalar import ScalarExpr, add_term
+from .scalar import ScalarExpr, _exact, add_term
 from .ghost import GhostMonomial, GradedFunction, Section, ONE_MONO, mono_mul
 from .multideriv import e_letter, f_letter, MultiDerivation, md_mul
 
@@ -240,11 +240,11 @@ class BrstContraction:
                 if not sgn:
                     continue
                 g = c.partial(y).substitute(up)
-                g = ScalarExpr(chart, {
-                    key: Fraction(q) / (sum(e for atom, e in key
-                                            if atom[0] == "x"
-                                            and atom[1] in fiber)
-                                        + len(mono.a) + 1)
+                g = ScalarExpr._new(chart, {
+                    key: _exact(Fraction(q) / (sum(e for atom, e in key
+                                                   if atom[0] == "x"
+                                                   and atom[1] in fiber)
+                                               + len(mono.a) + 1))
                     for key, q in g.terms.items()})
                 add_term(terms, mono2, g.substitute(down).scale(-sgn))
         return Section(GradedFunction._new(chart, self.rank, terms))

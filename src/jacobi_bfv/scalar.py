@@ -9,6 +9,16 @@ rewritten to 1 - sin^2 exhaustively), zero coefficients are dropped.
 A coefficient is an int when it is integral and a Fraction otherwise,
 never a float: number and scale take an integral float as an int and
 reject any other.  No floating point enters the ring.
+
+Full normalisation (the cos^2 rewrite plus a merge of every term) runs
+only where the normal form can break: in the public constructor, in
+substitute, and in a product or derivative that can create cos^2.
+Since a normal form holds cos with exponent <= 1, a product reaches
+cos^2 only when both factors carry cos of one coordinate, and a
+derivative only when it differentiates sin of a coordinate in a key
+that also holds cos of it (d sin = cos).  Every other sum, scaling,
+product or derivative of normal forms, merged key by key with the zero
+sums dropped, is normal already and is wrapped as it is (_new).
 """
 
 from fractions import Fraction
@@ -84,7 +94,11 @@ class Chart:
 
 
 def _atom_ok(atom, chart):
+    if type(atom) is not tuple or not atom:
+        return False
     kind = atom[0]
+    if len(atom) != (3 if kind == "dfn" else 2):
+        return False
     if kind == "x":
         return atom[1] in chart._pos
     if kind in ("sin", "cos"):
@@ -95,11 +109,44 @@ def _atom_ok(atom, chart):
         if atom[1] not in chart.funcs:
             return False
         deps = chart.funcs[atom[1]]
-        return all(c in deps for c in atom[2]) and tuple(sorted(atom[2])) == atom[2]
+        return bool(atom[2]) and all(c in deps for c in atom[2]) and \
+            tuple(sorted(atom[2])) == atom[2]
     return False
 
 
+def _key_ok(key, chart):
+    """A key the public constructor takes: declared atoms in strictly
+    ascending order, each with a positive int exponent."""
+    if type(key) is not tuple:
+        return False
+    prev = None
+    for item in key:
+        if type(item) is not tuple or len(item) != 2:
+            return False
+        atom, e = item
+        if type(e) is not int or e < 1 or not _atom_ok(atom, chart) or \
+                (prev is not None and not prev < atom):
+            return False
+        prev = atom
+    return True
+
+
+def _cos_atoms(terms):
+    "The cos atoms of a normal form; they lead each key, as cos sorts first."
+    out = set()
+    for key in terms:
+        for atom, _ in key:
+            if atom[0] != "cos":
+                break
+            out.add(atom)
+    return out
+
+
 def _mul_keys(k1, k2):
+    if not k2:
+        return tuple(k1)
+    if not k1:
+        return k2
     exps = dict(k1)
     for atom, e in k2:
         exps[atom] = exps.get(atom, 0) + e
@@ -173,24 +220,54 @@ def _reduce_terms(raw):
     return out
 
 
+def _scaled(terms, q):
+    "The terms of q times a normal form, for an exact nonzero q."
+    out = {k: q * c for k, c in terms.items()}
+    _exact_terms(out)
+    return out
+
+
 class ScalarExpr:
     """Normal-form ring element over a fixed chart."""
 
     __slots__ = ("chart", "terms")
 
     def __init__(self, chart, terms=None):
+        """The element of a key -> coefficient dict, normalised.  A key
+        must hold declared atoms in strictly ascending order with
+        positive int exponents; any other raises ValueError.  A cos
+        power above 1 is accepted and rewritten."""
+        terms = terms or {}
+        for key in terms:
+            try:
+                ok = _key_ok(key, chart)
+            except TypeError:  # declared names that do not order
+                ok = False
+            if not ok:
+                raise ValueError("monomial keys are declared atoms in "
+                                 "ascending order with positive int "
+                                 "exponents, got %r" % (key,))
         self.chart = chart
-        self.terms = _reduce_terms(terms or {})
+        self.terms = _reduce_terms(terms)
+
+    @classmethod
+    def _new(cls, chart, terms):
+        "Wrap a term dict that is in normal form already, unchecked."
+        out = cls.__new__(cls)
+        out.chart = chart
+        out.terms = terms
+        return out
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls, chart):
-        return cls(chart, {})
+        return cls._new(chart, {})
 
     @classmethod
     def number(cls, chart, q):
-        return cls(chart, {(): _exact(q)})
+        q = _exact(q)
+        return cls._new(chart, {(): q} if q else {})
 
     @classmethod
     def one(cls, chart):
@@ -199,22 +276,22 @@ class ScalarExpr:
     @classmethod
     def coord(cls, chart, name):
         _check_name(name, chart._pos, "coordinate")
-        return cls(chart, {((("x", name), 1),): 1})
+        return cls._new(chart, {((("x", name), 1),): 1})
 
     @classmethod
     def sin(cls, chart, name):
         _check_name(name, chart.angular, "angular coordinate")
-        return cls(chart, {((("sin", name), 1),): 1})
+        return cls._new(chart, {((("sin", name), 1),): 1})
 
     @classmethod
     def cos(cls, chart, name):
         _check_name(name, chart.angular, "angular coordinate")
-        return cls(chart, {((("cos", name), 1),): 1})
+        return cls._new(chart, {((("cos", name), 1),): 1})
 
     @classmethod
     def func(cls, chart, name):
         _check_name(name, chart.funcs, "function")
-        return cls(chart, {((("fn", name), 1),): 1})
+        return cls._new(chart, {((("fn", name), 1),): 1})
 
     # -- ring structure ----------------------------------------------
 
@@ -231,16 +308,13 @@ class ScalarExpr:
         for k, c in other.terms.items():
             add_term(terms, k, c)
         _exact_terms(terms)
-        out = ScalarExpr.zero(self.chart)
-        out.terms = terms
-        return out
+        return ScalarExpr._new(self.chart, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = ScalarExpr.zero(self.chart)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return ScalarExpr._new(self.chart,
+                               {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, ScalarExpr):
@@ -256,23 +330,27 @@ class ScalarExpr:
         if self.chart is not other.chart and self.chart != other.chart:
             raise ValueError("ring elements of different charts: %r and %r"
                              % (self.chart, other.chart))
-        raw = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = _mul_keys(k1, k2)
-                raw[k] = raw.get(k, 0) + c1 * c2
-        return ScalarExpr(self.chart, raw)
+        a, b = self.terms, other.terms
+        if len(b) == 1 and () in b:
+            return ScalarExpr._new(self.chart, _scaled(a, b[()]))
+        if len(a) == 1 and () in a:
+            return ScalarExpr._new(self.chart, _scaled(b, a[()]))
+        terms = {}
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                add_term(terms, _mul_keys(k1, k2), c1 * c2)
+        if _cos_atoms(a) & _cos_atoms(b):  # cos^2 can arise
+            return ScalarExpr._new(self.chart, _reduce_terms(terms))
+        _exact_terms(terms)
+        return ScalarExpr._new(self.chart, terms)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def scale(self, q):
         q = _exact(q)
-        out = ScalarExpr.zero(self.chart)
-        if q != 0:
-            out.terms = {k: q * c for k, c in self.terms.items()}
-            _exact_terms(out.terms)
-        return out
+        return ScalarExpr._new(self.chart,
+                               _scaled(self.terms, q) if q else {})
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -302,6 +380,7 @@ class ScalarExpr:
         _check_name(coord, self.chart._pos, "coordinate")
         funcs = self.chart.funcs
         raw = {}
+        cos_squared = False
         for key, c in self.terms.items():
             for i, (atom, e) in enumerate(key):
                 kind = atom[0]
@@ -313,6 +392,7 @@ class ScalarExpr:
                     if atom[1] != coord:
                         continue
                     datoms = ((("cos", coord), 1),)
+                    cos_squared = cos_squared or datoms[0] in key
                 elif kind == "cos":
                     if atom[1] != coord:
                         continue
@@ -326,33 +406,42 @@ class ScalarExpr:
                         continue
                     multi = tuple(sorted(atom[2] + (coord,)))
                     datoms = ((("dfn", atom[1], multi), 1),)
-                rest = key[:i] + ((atom, e - 1),) + key[i + 1:]
-                rest = tuple((a, x) for a, x in rest if x > 0)
+                if e == 1:
+                    rest = key[:i] + key[i + 1:]
+                else:
+                    rest = key[:i] + ((atom, e - 1),) + key[i + 1:]
                 coeff = c * e
                 if kind == "cos":
                     coeff = -coeff
                     datoms = ((("sin", coord), 1),)
-                k = _mul_keys(rest, datoms)
-                raw[k] = raw.get(k, 0) + coeff
-        return ScalarExpr(self.chart, raw)
+                add_term(raw, _mul_keys(rest, datoms), coeff)
+        if cos_squared:
+            return ScalarExpr._new(self.chart, _reduce_terms(raw))
+        _exact_terms(raw)
+        return ScalarExpr._new(self.chart, raw)
 
     def substitute(self, mapping):
         """Ring homomorphism sending fiber coordinates to given elements;
-        only the mapped powers are multiplied out, the sum normalised once."""
+        only the mapped powers are multiplied out, each power once per
+        call, and the sum is normalised once."""
         for name in mapping:
             _check_name(name, self.chart.fiber, "fiber coordinate")
+        powers = {}
         raw = {}
         for key, c in self.terms.items():
             image = ScalarExpr.number(self.chart, c)
             rest = []
             for atom, e in key:
                 if atom[0] == "x" and atom[1] in mapping:
-                    image = image * mapping[atom[1]] ** e
+                    power = powers.get((atom[1], e))
+                    if power is None:
+                        power = powers[atom[1], e] = mapping[atom[1]] ** e
+                    image = image * power
                 else:
                     rest.append((atom, e))
             for k, q in image.terms.items():
                 add_term(raw, _mul_keys(rest, k), q)
-        return ScalarExpr(self.chart, raw)
+        return ScalarExpr._new(self.chart, _reduce_terms(raw))
 
     def max_degree(self, names):
         "Largest total power of the named plain-coordinate atoms."
@@ -371,9 +460,7 @@ class ScalarExpr:
                 if not _atom_ok(atom, chart):
                     raise ValueError("atom %r is not declared on the target "
                                      "chart" % (atom,))
-        out = ScalarExpr.zero(chart)
-        out.terms = dict(self.terms)
-        return out
+        return ScalarExpr._new(chart, dict(self.terms))
 
     # -- rendering ---------------------------------------------------
 

@@ -16,6 +16,9 @@ from another side:
   letter, rebuilding a letter's image at each occurrence from every
   (A, B) pair, and substitute_by_atom multiplies a ring element's atoms
   in one at a time;
+- mul_by_reduce and partial_by_reduce are the ring product and
+  derivative that normalise every result in full, through the public
+  constructor;
 - single builds a one-term operator;
 - tau, arity, the bidegrees and the weight parts sort operators and
   functions by degree.
@@ -220,6 +223,48 @@ def substitute_by_atom(expr, mapping):
                 term = term * ScalarExpr(chart, {((atom, e),): 1})
         out = out + term
     return out
+
+
+def _merge_keys(k1, k2):
+    exps = dict(k1)
+    for atom, e in k2:
+        exps[atom] = exps.get(atom, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def mul_by_reduce(a, b):
+    "a * b with every term pair merged and the sum normalised in full."
+    raw = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            k = _merge_keys(k1, k2)
+            raw[k] = raw.get(k, 0) + c1 * c2
+    return ScalarExpr(a.chart, raw)
+
+
+def partial_by_reduce(a, coord):
+    "a.partial(coord) with the sum normalised in full."
+    funcs = a.chart.funcs
+    raw = {}
+    for key, c in a.terms.items():
+        for i, (atom, e) in enumerate(key):
+            kind = atom[0]
+            if kind in ("x", "sin", "cos"):
+                if atom[1] != coord:
+                    continue
+                datoms = {"x": (), "sin": ((("cos", coord), 1),),
+                          "cos": ((("sin", coord), 1),)}[kind]
+            elif coord not in funcs[atom[1]]:
+                continue
+            else:
+                multi = tuple(sorted(atom[2] + (coord,))) if kind == "dfn" \
+                    else (coord,)
+                datoms = ((("dfn", atom[1], multi), 1),)
+            rest = key[:i] + ((atom, e - 1),) + key[i + 1:]
+            rest = tuple((at, x) for at, x in rest if x > 0)
+            k = _merge_keys(rest, datoms)
+            raw[k] = raw.get(k, 0) + (-c * e if kind == "cos" else c * e)
+    return ScalarExpr(a.chart, raw)
 
 
 # -- term-by-term evaluation -----------------------------------------

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from jacobi_bfv import scalar
 from jacobi_bfv.scalar import Chart, ScalarExpr
 from jacobi_bfv.ghost import Combination, GradedFunction, Section
 from jacobi_bfv.multideriv import (MultiDerivation, d_letter, hamiltonian,
@@ -11,7 +12,8 @@ from jacobi_bfv.solver import (lift_jacobi, brst_charge, bfv_assemble,
                                reduced_differential, de_rham_differential,
                                derived_brackets, _generator_sections)
 from jacobi_bfv.models import t5_contact
-from oracles import eval_num, substitute_by_atom
+from oracles import (eval_num, substitute_by_atom, mul_by_reduce,
+                     partial_by_reduce)
 from conftest import (t5_chart, random_scalar, random_point, rng_for,
                       random_ghost_fun, random_md)
 
@@ -135,6 +137,186 @@ def test_substitute_matches_atom_by_atom_oracle():
         assert all(type(q) is int or q.denominator > 1
                    for q in got.terms.values())
     assert min(seen.values()) >= 20, seen
+
+
+# -- normalisation only where cos^2 can arise ---------------------------
+
+def assert_normal(x):
+    "The invariants of the unique normal form, on every stored term."
+    for key, c in x.terms.items():
+        assert type(c) is int and c != 0 or \
+            type(c) is Fraction and c.denominator > 1, (key, c)
+        assert type(key) is tuple, key
+        for j, (atom, e) in enumerate(key):
+            assert type(e) is int and e >= 1, key
+            assert not (atom[0] == "cos" and e >= 2), key
+            assert j == 0 or key[j - 1][0] < atom, key
+
+
+def fast_path_pool(rng, ch):
+    "Seeded elements that reach every branch of the product and partial."
+    s1, c1 = ScalarExpr.sin(ch, "phi1"), ScalarExpr.cos(ch, "phi1")
+    c2, y1 = ScalarExpr.cos(ch, "phi2"), S(ch, "y1")
+    f1, half = ScalarExpr.func(ch, "f1"), Fraction(1, 2)
+    pool = [ScalarExpr.zero(ch), ScalarExpr.one(ch),
+            ScalarExpr.number(ch, half), ScalarExpr.number(ch, -3),
+            s1, c1, c2, s1 * c1, s1 ** 3 * c1 * c2 - c1 * y1,
+            (s1 * y1).scale(half), (c1 * y1).scale(2) + 1,
+            f1.partial("phi1") * c1, f1.partial("phi2").partial("phi1") * s1,
+            (f1 * s1 * c1).scale(half) + y1]
+    for _ in range(30):
+        pool.append(random_scalar(rng, ch, max_terms=4, max_pow=3,
+                                  allow_abstract=True))
+    s3, c3 = ScalarExpr.sin(ch, "phi3"), ScalarExpr.cos(ch, "phi3")
+    for i in range(6):  # sin beside cos of one coordinate
+        pool.append(random_scalar(rng, ch, allow_abstract=True)
+                    * (s1 * c1 if i % 2 else s3 * s3 * c3) + s3)
+    return pool
+
+
+def test_fast_paths_match_always_normalising_oracle():
+    # products and partials that skip the cos^2 rewrite give the terms of
+    # the always-normalising oracle, and every result is a normal form
+    ch = t5_chart(abstract=True)
+    rng = rng_for("scalar-fast-paths")
+    pool = fast_path_pool(rng, ch)
+    seen = {"cos-both": 0, "cos-one": 0, "sin-beside-cos": 0, "dfn": 0,
+            "halves-integral": 0, "constant-left": 0, "constant-right": 0,
+            "zero": 0}
+
+    def cos_coords(x):
+        return {at[1] for key in x.terms for at, _ in key if at[0] == "cos"}
+
+    for a in pool:
+        for b in pool:
+            got = a * b
+            assert got.terms == mul_by_reduce(a, b).terms, (a, b)
+            assert_normal(got)
+            seen["cos-both"] += bool(cos_coords(a) & cos_coords(b))
+            seen["cos-one"] += bool(cos_coords(a)) != bool(cos_coords(b))
+            seen["constant-left"] += set(a.terms) == {()}
+            seen["constant-right"] += set(b.terms) == {()}
+            seen["zero"] += a.is_zero() or b.is_zero()
+            seen["halves-integral"] += any(
+                type(c) is int for c in got.terms.values()) and any(
+                type(c) is Fraction for x in (a, b) for c in x.terms.values())
+        for coord in ch.coords:
+            got = a.partial(coord)
+            assert got.terms == partial_by_reduce(a, coord).terms, (a, coord)
+            assert_normal(got)
+            seen["dfn"] += any(at[0] == "dfn" for key in got.terms
+                               for at, _ in key)
+            seen["sin-beside-cos"] += any(
+                (("sin", coord), e) in key and (("cos", coord), 1) in key
+                for key in a.terms for e in (1, 2, 3))
+    assert min(seen.values()) >= 5, seen
+
+
+def test_substitute_with_repeated_powers_matches_oracle():
+    ch = t5_chart(abstract=True)
+    rng = rng_for("scalar-substitute-powers")
+    y1, y2 = S(ch, "y1"), S(ch, "y2")
+    c1 = ScalarExpr.cos(ch, "phi1")
+    for trial in range(30):
+        a = random_scalar(rng, ch, max_terms=4, max_pow=3,
+                          allow_abstract=True)
+        a = a + y1 ** 2 * c1 + y1 ** 2 * y2 ** 3 - (y1 ** 2 * y2).scale(
+            Fraction(1, 2)) + y2 ** 3 * ScalarExpr.sin(ch, "phi1")
+        images = [ScalarExpr.zero(ch), ScalarExpr.number(ch, 2),
+                  c1 + y2, c1 * y1 - Fraction(1, 3),
+                  random_scalar(rng, ch, allow_abstract=True)]
+        mapping = {"y1": rng.choice(images), "y2": rng.choice(images)}
+        got = a.substitute(mapping)
+        assert got.terms == substitute_by_atom(a, mapping).terms
+        assert_normal(got)
+
+
+def test_fast_paths_skip_normalisation(monkeypatch):
+    ch = t5_chart(abstract=True)
+    calls = []
+    full = scalar._reduce_terms
+
+    def counted(raw):
+        calls.append(1)
+        return full(raw)
+
+    monkeypatch.setattr(scalar, "_reduce_terms", counted)
+    x, y1 = S(ch, "phi1"), S(ch, "y1")
+    s1, f1 = ScalarExpr.sin(ch, "phi1"), ScalarExpr.func(ch, "f1")
+    cheap = [lambda: ScalarExpr.zero(ch), lambda: ScalarExpr.one(ch),
+             lambda: ScalarExpr.number(ch, Fraction(1, 2)),
+             lambda: ScalarExpr.coord(ch, "y2"),
+             lambda: ScalarExpr.sin(ch, "phi2"),
+             lambda: ScalarExpr.cos(ch, "phi2"),
+             lambda: ScalarExpr.func(ch, "f2"),
+             lambda: x + y1, lambda: x - s1, lambda: -x, lambda: 1 - x,
+             lambda: x.scale(Fraction(2, 3)), lambda: (x + s1) * (y1 - f1),
+             lambda: (x * s1 + f1) ** 3, lambda: x * 2, lambda: 3 * x,
+             lambda: (s1 * s1 * x * f1).partial("phi1"),
+             lambda: (ScalarExpr.cos(ch, "phi2") * s1).partial("phi1"),
+             lambda: (ScalarExpr.cos(ch, "phi1") * x).partial("y1")]
+    for make in cheap:
+        make()
+    assert calls == []
+    c1 = ScalarExpr.cos(ch, "phi1")
+    for make in (lambda: c1 * c1, lambda: (s1 * c1).partial("phi1")):
+        del calls[:]
+        make()
+        assert len(calls) >= 1
+
+
+def test_substitute_raises_each_power_once(monkeypatch):
+    ch = t5_chart()
+    y1, y2 = S(ch, "y1"), S(ch, "y2")
+    s1, x = ScalarExpr.sin(ch, "phi1"), S(ch, "phi2")
+    a = y1 ** 2 * s1 + y1 ** 2 * x + y1 ** 3 + y2 ** 2 * y1 ** 2 + y2 ** 2
+    mapping = {"y1": x - s1, "y2": ScalarExpr.cos(ch, "phi1") + 2}
+    want = substitute_by_atom(a, mapping)
+    powers = []
+    plain = ScalarExpr.__pow__
+
+    def counted(self, n):
+        powers.append(n)
+        return plain(self, n)
+
+    monkeypatch.setattr(ScalarExpr, "__pow__", counted)
+    assert a.substitute(mapping) == want
+    # (y1, 2), (y1, 3) and (y2, 2), once each
+    assert sorted(powers) == [2, 2, 3]
+
+
+@pytest.mark.parametrize("terms, match", [
+    ({((("x", "x2"), 1), (("x", "x1"), 1)): 1}, "ascending order"),
+    ({((("x", "x1"), 1), (("x", "x1"), 1)): 1}, "ascending order"),
+    ({((("x", "zz"), 1),): 1}, "declared atoms"),
+    ({((("sin", "x1"), 1),): 1}, "declared atoms"),
+    ({((("x", "x1"), 0),): 3}, "positive int exponents"),
+    ({((("x", "x1"), -1),): 1}, "positive int exponents"),
+    ({((("x", "x1"), 1.0),): 1}, "positive int exponents"),
+    ({((("dfn", "f", ()), 1),): 1}, "declared atoms"),
+    ({((("dfn", "f", ("x2", "x1")), 1),): 1}, "declared atoms"),
+    ({(("x", "x1"),): 1}, "declared atoms"),
+    ({"x1": 1}, "declared atoms"),
+    ({((("x", ("x1",)), 1),): 1}, "declared atoms"),
+    ({((("x", "x1"), 1), ((1,), 1)): 1}, "declared atoms"),
+])
+def test_constructor_rejects_malformed_keys(terms, match):
+    ch = Chart(["x1", "x2", "t"], angular=["t"], funcs={"f": ("x1", "x2")})
+    with pytest.raises(ValueError, match=match):
+        ScalarExpr(ch, terms)
+
+
+def test_constructor_takes_well_formed_keys():
+    ch = Chart(["x1", "x2", "t"], angular=["t"], funcs={"f": ("x1", "x2")})
+    x1, x2 = ScalarExpr.coord(ch, "x1"), ScalarExpr.coord(ch, "x2")
+    assert ScalarExpr(ch, {((("x", "x1"), 1), (("x", "x2"), 1)): 1}) == \
+        x1 * x2
+    d = ScalarExpr.func(ch, "f").partial("x2").partial("x1")
+    assert ScalarExpr(ch, {((("dfn", "f", ("x1", "x2")), 1),): 1}) == d
+    # a cos power above 1 is accepted and rewritten
+    s, c = ScalarExpr.sin(ch, "t"), ScalarExpr.cos(ch, "t")
+    assert ScalarExpr(ch, {((("cos", "t"), 3), (("x", "x1"), 1)): 2}) == \
+        (c - c * s * s) * x1 * 2
 
 
 @pytest.mark.parametrize("args, match", [

@@ -282,6 +282,24 @@ def test_reduced_differential_t5():
         assert red.dif(g) == dR(g)
 
 
+@pytest.mark.parametrize("name", ["flat", "vert"])
+def test_reduced_differential_on_random_sections(name):
+    # reduced_differential cross-checks itself on generators only; on
+    # seeded random reduced sections the transfer must still match the
+    # direct route, and d_BFV must square to zero on their immersions
+    bfv = bfv_assemble(J, LIFT_CONNECTIONS[name])
+    red = reduced_differential(bfv)
+    dR = de_rham_differential(J)
+    rng = rng_for("solver-red-random-" + name)
+    for trial in range(8):
+        g = random_reduced_section(rng, RED, RANK)
+        assert red.dif(g) == dR(g)
+        lam = bfv.con.imm(g)
+        assert bfv.dif(bfv.dif(lam)).is_zero()
+        lam = lam + Section(random_ghost_fun(rng, CH, RANK))
+        assert bfv.dif(bfv.dif(lam)).is_zero()
+
+
 def test_degree_zero_cocycles():
     # closed degree-0 elements are exactly the functions missing the
     # two constrained angles

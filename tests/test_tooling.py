@@ -144,6 +144,10 @@ calls = [
     lambda: x_mu + x_mu.fun,
     lambda: one + one_red,
     lambda: one * one_red,
+    lambda: ScalarExpr(ch, {((("x", "phi2"), 1), (("x", "phi1"), 1)): 1}),
+    lambda: ScalarExpr(ch, {((("x", "zz"), 1),): 1}),
+    lambda: ScalarExpr(ch, {((("x", "phi1"), 0),): 3}),
+    lambda: ScalarExpr(ch, {((("x", "phi1"), -1),): 1}),
 ]
 for call in calls:
     try:
@@ -158,7 +162,7 @@ def test_library_guards_survive_optimize(optimize):
     out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 41
+    assert len(lines) == 45
     assert all(ln.startswith("rejected:") for ln in lines), lines
 
 
