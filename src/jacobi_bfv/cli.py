@@ -314,7 +314,8 @@ def parse_scenario(source):
         raise ScenarioError("unknown scenario keys: %s" % ", ".join(stray))
     chart = _parse_chart(obj.get("chart"))
     rank = obj.get("rank")
-    if not isinstance(rank, int) or rank != len(chart.fiber):
+    if isinstance(rank, bool) or not isinstance(rank, int) or \
+            rank != len(chart.fiber):
         raise ScenarioError("rank must equal the number of fiber "
                             "coordinates (%d)" % len(chart.fiber))
     jac = _object(obj, "jacobi")
@@ -382,7 +383,7 @@ def _generator_probes(chart, rank):
     probes.append(("mu", mu))
     for nm in chart.coords:
         probes.append(("%s mu" % nm,
-                       Section(mu.fun.scale(ScalarExpr.coord(chart, nm)))))
+                       mu.scale(ScalarExpr.coord(chart, nm))))
     for A in range(rank):
         probes.append(("xi^%d" % (A + 1),
                        Section(GradedFunction.ghost(chart, rank, A))))
@@ -398,7 +399,7 @@ def _reduced_probes(chart, rank):
     probes = [("mu", mur)]
     for nm in red.coords:
         probes.append(("%s mu" % nm,
-                       Section(mur.fun.scale(ScalarExpr.coord(red, nm)))))
+                       mur.scale(ScalarExpr.coord(red, nm))))
     for A in range(rank):
         probes.append(("eta^%d" % (A + 1),
                        Section(GradedFunction.ghost(red, rank, A))))

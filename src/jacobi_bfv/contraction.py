@@ -211,13 +211,13 @@ class BrstContraction:
         return Section(GradedFunction(
             self.red, self.rank,
             {mono: c.substitute(ymap).with_chart(self.red)
-             for mono, c in sec.fun.terms.items() if not mono.a}))
+             for mono, c in sec.terms.items() if not mono.a}))
 
     def imm(self, red_sec):
         """Pull a reduced section back over the full chart; a section
         with anti-ghosts raises ValueError."""
         terms = {}
-        for mono, c in red_sec.fun.terms.items():
+        for mono, c in red_sec.terms.items():
             if mono.a:
                 raise ValueError("reduced sections carry no anti-ghosts, "
                                  "got %s" % (red_sec,))
@@ -234,7 +234,7 @@ class BrstContraction:
         up = {y: Y + s for y, Y, s in zip(chart.fiber, ys, self.section)}
         down = {y: Y - s for y, Y, s in zip(chart.fiber, ys, self.section)}
         terms = {}
-        for mono, c in sec.fun.terms.items():
+        for mono, c in sec.terms.items():
             for A, y in enumerate(chart.fiber):
                 sgn, mono2 = mono_mul(GhostMonomial((), (A,)), mono)
                 if not sgn:
@@ -247,7 +247,7 @@ class BrstContraction:
                                                + len(mono.a) + 1))
                     for key, q in g.terms.items()})
                 add_term(terms, mono2, g.substitute(down).scale(-sgn))
-        return Section(GradedFunction._new(chart, self.rank, terms))
+        return Section._new(chart, self.rank, terms)
 
 
 # -- homological perturbation transfer -------------------------------
@@ -264,11 +264,11 @@ class HplData:
         self.dif = dif
 
 
-def _series(step, start, cap):
-    "start + step(start) + step(step(start)) + ...  until zero."
+def _series(step, start):
+    "start + step(start) + step(step(start)) + ...  until zero, 64 at most."
     total = start
     cur = start
-    for _ in range(cap):
+    for _ in range(64):
         cur = step(cur)
         if cur.is_zero():
             return total
@@ -277,7 +277,7 @@ def _series(step, start, cap):
                      "(delta against the homotopy is not nilpotent)")
 
 
-def hpl_deform(imm, proj, homotopy, delta, cap=64):
+def hpl_deform(imm, proj, homotopy, delta):
     """Transfer a contraction through a perturbation delta of the
     differential.  The deformed maps are
 
@@ -287,19 +287,19 @@ def hpl_deform(imm, proj, homotopy, delta, cap=64):
         dif'      x = sum_k proj (delta (homotopy delta)^k (imm x))
 
     evaluated lazily (the small side carries the zero differential);
-    a cap guards against a non-nilpotent tail.
+    a cap of 64 steps guards against a non-nilpotent tail.
     """
 
     def proj2(x):
-        return proj(_series(lambda y: delta(homotopy(y)), x, cap))
+        return proj(_series(lambda y: delta(homotopy(y)), x))
 
     def imm2(x):
-        return _series(lambda y: homotopy(delta(y)), imm(x), cap)
+        return _series(lambda y: homotopy(delta(y)), imm(x))
 
     def homotopy2(x):
-        return homotopy(_series(lambda y: delta(homotopy(y)), x, cap))
+        return homotopy(_series(lambda y: delta(homotopy(y)), x))
 
     def dif2(x):
-        return proj(delta(_series(lambda y: homotopy(delta(y)), imm(x), cap)))
+        return proj(delta(_series(lambda y: homotopy(delta(y)), imm(x))))
 
     return HplData(imm2, proj2, homotopy2, dif2)

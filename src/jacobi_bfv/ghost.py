@@ -37,9 +37,6 @@ class GhostMonomial:
     def __hash__(self):
         return hash(self.key())
 
-    def __lt__(self, other):
-        return self.key() < other.key()
-
     def __repr__(self):
         if not self.g and not self.a:
             return "1"
@@ -88,10 +85,11 @@ class Combination:
     """Finite linear combination key -> ScalarExpr over one chart and
     rank, with no zero coefficient stored.
 
-    Holds the linear structure shared by the ghost algebra and the
-    word operators; subclasses pick the keys and validate them in
-    their own __init__.  _new wraps a term dict that is already valid
-    without checking it again."""
+    Holds the linear structure shared by the ghost algebra
+    (GradedFunction), the section module (Section) and the word
+    operators (MultiDerivation); subclasses pick the keys and validate
+    them in their own __init__.  _new wraps a term dict that is already
+    valid without checking it again."""
 
     __slots__ = ("chart", "rank", "terms")
 
@@ -155,6 +153,9 @@ class Combination:
     def __eq__(self, other):
         return self._like(other) and self.terms == other.terms
 
+    def __hash__(self):
+        return hash((self.chart, self.rank, frozenset(self.terms.items())))
+
 
 class GradedFunction(Combination):
     """Element of the ghost algebra: finite map monomial -> ScalarExpr."""
@@ -189,10 +190,6 @@ class GradedFunction(Combination):
     def antighost(cls, chart, rank, B):
         return cls(chart, rank, {GhostMonomial((), (B,)): ScalarExpr.one(chart)})
 
-    def __hash__(self):
-        return hash((self.chart, self.rank,
-                     tuple(sorted((m.key(), hash(c)) for m, c in self.terms.items()))))
-
     # -- algebra -----------------------------------------------------
 
     def ghost_mul(self, other):
@@ -207,11 +204,6 @@ class GradedFunction(Combination):
                 if sign:
                     add_term(out, m, (c1 * c2).scale(sign))
         return GradedFunction._new(self.chart, self.rank, out)
-
-    def __mul__(self, other):
-        if isinstance(other, (GradedFunction, Section)):
-            return self.ghost_mul(other)
-        return self.scale(other)
 
     def pr_bidegree(self, h, k):
         return GradedFunction(self.chart, self.rank,
@@ -260,68 +252,40 @@ class GradedFunction(Combination):
         return "<GradedFunction %s>" % self
 
 
-class Section:
-    """Element of the section module: a GradedFunction tensored with the
-    fixed frame mu.  The type tells frame-valued results from
-    function-valued ones, and the rendering carries mu."""
+class Section(Combination):
+    """Element of the section module: a ghost-algebra element tensored
+    with the fixed frame mu, keyed by ghost monomials like
+    GradedFunction but a separate type, so frame-valued results stay
+    apart from function-valued ones and the rendering carries mu."""
 
-    __slots__ = ("fun",)
+    __slots__ = ()
 
     def __init__(self, fun):
         if not isinstance(fun, GradedFunction):
             raise ValueError("a Section wraps a GradedFunction, got %r"
                              % (fun,))
-        self.fun = fun
-
-    @classmethod
-    def zero(cls, chart, rank):
-        return cls(GradedFunction.zero(chart, rank))
+        self.chart = fun.chart
+        self.rank = fun.rank
+        self.terms = fun.terms
 
     @classmethod
     def frame(cls, chart, rank):
         return cls(GradedFunction.one(chart, rank))
 
     @property
-    def chart(self):
-        return self.fun.chart
-
-    @property
-    def rank(self):
-        return self.fun.rank
-
-    def is_zero(self):
-        return self.fun.is_zero()
-
-    def __add__(self, other):
-        if not isinstance(other, Section):
-            raise ValueError("a Section adds only to a Section, got %r"
-                             % (other,))
-        return Section(self.fun + other.fun)
-
-    def __neg__(self):
-        return Section(-self.fun)
-
-    def __sub__(self, other):
-        return Section(self.fun - other.fun)
-
-    def scale(self, q):
-        return Section(self.fun.scale(q))
+    def fun(self):
+        "The coefficient of mu, sharing this section's terms."
+        return GradedFunction._new(self.chart, self.rank, self.terms)
 
     def pr_bidegree(self, h, k):
         return Section(self.fun.pr_bidegree(h, k))
 
-    def __eq__(self, other):
-        return isinstance(other, Section) and self.fun == other.fun
-
-    def __hash__(self):
-        return hash(("section", self.fun))
-
     def __str__(self):
         if self.is_zero():
             return "0"
-        order = sorted(self.fun.terms, key=lambda m: (m.bidegree(), m.key()))
-        return " + ".join("(%s) %s mu" % (self.fun.terms[m], m) if (m.g or m.a)
-                          else "(%s) mu" % self.fun.terms[m] for m in order)
+        order = sorted(self.terms, key=lambda m: (m.bidegree(), m.key()))
+        return " + ".join("(%s) %s mu" % (self.terms[m], m) if (m.g or m.a)
+                          else "(%s) mu" % self.terms[m] for m in order)
 
     def __repr__(self):
         return "<Section %s>" % self

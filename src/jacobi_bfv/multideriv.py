@@ -136,13 +136,8 @@ class MultiDerivation(Combination):
 
     @classmethod
     def from_section(cls, sec):
-        terms = {(mono, (), 1): c for mono, c in sec.fun.terms.items()}
+        terms = {(mono, (), 1): c for mono, c in sec.terms.items()}
         return cls(sec.chart, sec.rank, terms)
-
-    def __hash__(self):
-        return hash((self.chart, self.rank,
-                     tuple(sorted(((m.key(), w, fr), hash(c))
-                                  for (m, w, fr), c in self.terms.items()))))
 
     # -- bookkeeping -------------------------------------------------
 
@@ -269,7 +264,7 @@ def evaluate(D, args):
                              % (lam,))
         parts = []
         for par in (0, 1):
-            sel = {m: c for m, c in lam.fun.terms.items()
+            sel = {m: c for m, c in lam.terms.items()
                    if shifted_parity(m) == par}
             if sel:
                 parts.append(piece(GradedFunction(chart, rank, sel), par))
@@ -343,10 +338,9 @@ def evaluate(D, args):
                 GradedFunction._new(chart, rank, summed))
             for m, c in val.terms.items():
                 add_term(total, m, c)
-    total = GradedFunction._new(chart, rank, total)
     if fr_flag == 0:
-        return total
-    return Section(total)
+        return GradedFunction._new(chart, rank, total)
+    return Section._new(chart, rank, total)
 
 
 # -- the Schouten-Jacobi bracket ------------------------------------
@@ -547,8 +541,8 @@ def hamiltonian(lam, J):
 def jacobi_bracket(l1, l2, J):
     """Bracket of two sections induced by a frame-valued biderivation:
     J(l1, l2) with the shifted-odd part of l1 negated."""
-    signed = GradedFunction._new(
+    signed = Section._new(
         l1.chart, l1.rank,
-        {m: -c if shifted_parity(m) else c for m, c in l1.fun.terms.items()})
-    return evaluate(J, [Section(signed), l2])
+        {m: -c if shifted_parity(m) else c for m, c in l1.terms.items()})
+    return evaluate(J, [signed, l2])
 

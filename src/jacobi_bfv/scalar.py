@@ -24,6 +24,15 @@ sums dropped, is normal already and is wrapped as it is (_new).
 from fractions import Fraction
 
 
+def _names(names):
+    "The names as a tuple; raise ValueError unless each is a str."
+    names = tuple(names)
+    for nm in names:
+        if not isinstance(nm, str):
+            raise ValueError("chart names must be strings, got %r" % (nm,))
+    return names
+
+
 class Chart:
     """Coordinate names and roles, plus declared abstract function symbols.
 
@@ -35,11 +44,11 @@ class Chart:
     __slots__ = ("coords", "angular", "fiber", "funcs", "_pos")
 
     def __init__(self, coords, angular=(), fiber=(), funcs=None):
-        self.coords = tuple(coords)
+        self.coords = _names(coords)
         if len(set(self.coords)) != len(self.coords):
             raise ValueError("coordinate name clash in %r" % (self.coords,))
-        self.angular = frozenset(angular)
-        self.fiber = tuple(fiber)
+        self.angular = frozenset(_names(angular))
+        self.fiber = _names(fiber)
         for role, names in (("angular", self.angular), ("fiber", self.fiber)):
             for c in sorted(names):
                 if c not in self.coords:
@@ -48,10 +57,11 @@ class Chart:
             raise ValueError("fiber coordinates must be polynomial atoms")
         self.funcs = {}
         for name, deps in dict(funcs or {}).items():
+            _names((name,))
             if name in self.coords:
                 raise ValueError("function %r clashes with a coordinate"
                                  % name)
-            deps = tuple(deps)
+            deps = _names(deps)
             for d in deps:
                 if d not in self.coords or d in self.fiber:
                     raise ValueError("abstract functions depend on base "

@@ -32,18 +32,6 @@ from .contraction import (imm_i_nabla, proj_p, homotopy_H_nabla,
                           BrstContraction, hpl_deform)
 
 
-class FiltrationSpec:
-    """Decreasing filtration, described by the minimal filtration level
-    of an element (None for zero).  N is the base index: the projection
-    annihilates everything of level > N."""
-
-    __slots__ = ("level", "N")
-
-    def __init__(self, level, N):
-        self.level = level
-        self.N = N
-
-
 def md_antighost_level(D):
     # anti-ghost generators count +1, anti-ghost derivations -1
     if D.is_zero():
@@ -55,7 +43,7 @@ def md_antighost_level(D):
 def section_antighost_level(lam):
     if lam.is_zero():
         return None
-    return min(len(mono.a) for mono in lam.fun.terms) - 1
+    return min(len(mono.a) for mono in lam.terms) - 1
 
 
 class MCProblem:
@@ -65,14 +53,19 @@ class MCProblem:
     their corrections: bracket(a, b) == bracket(b, a) in the degree of
     the Maurer-Cartan element.  (An antisymmetric bracket would make
     every self-bracket vanish.)  obstruction_solve relies on this to
-    update the residual instead of re-bracketing the whole candidate."""
+    update the residual instead of re-bracketing the whole candidate.
 
-    __slots__ = ("bracket", "Qbar", "filtration", "H", "P")
+    The filtration is decreasing: level gives the minimal filtration
+    level of an element (None for zero), and N is the base index, so
+    the projection P annihilates everything of level > N."""
 
-    def __init__(self, bracket, Qbar, filtration, H, P):
+    __slots__ = ("bracket", "Qbar", "level", "N", "H", "P")
+
+    def __init__(self, bracket, Qbar, level, N, H, P):
         self.bracket = bracket
         self.Qbar = Qbar
-        self.filtration = filtration
+        self.level = level
+        self.N = N
         self.H = H
         self.P = P
 
@@ -107,13 +100,12 @@ def obstruction_solve(prob, max_iter=64):
     """
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative, got %d" % max_iter)
-    filt = prob.filtration
     R = prob.bracket(prob.Qbar, prob.Qbar)
     if not R.is_zero():
-        lev = filt.level(R)
-        if lev < filt.N:
+        lev = prob.level(R)
+        if lev < prob.N:
             raise ValueError("bracket residual escapes the filtration "
-                             "(level %d < base %d)" % (lev, filt.N))
+                             "(level %d < base %d)" % (lev, prob.N))
     Q = prob.Qbar
     trace = []
     while not R.is_zero():
@@ -128,25 +120,26 @@ def obstruction_solve(prob, max_iter=64):
         if corr.is_zero():
             raise ValueError("nonzero residual with zero correction; "
                              "contraction data is inconsistent")
-        lev, need = filt.level(corr), filt.N + 1 + step
+        lev, need = prob.level(corr), prob.N + 1 + step
         if lev < need:
             raise ValueError("correction %d sits at filtration level %d, "
                              "below %d; the homotopy does not raise the "
                              "filtration" % (step + 1, lev, need))
         trace.append({"step": step + 1,
                       "residual": R,
-                      "level": filt.level(R),
+                      "level": prob.level(R),
                       "correction": corr})
         R = R + prob.bracket(Q, corr).scale(2) + prob.bracket(corr, corr)
         Q = Q + corr
     return Q, trace
 
 
-def exp_ad(R, x, bracket, cap=64):
-    "Exponential of the inner derivation [R, -], summed until it dies."
+def exp_ad(R, x, bracket):
+    """Exponential of the inner derivation [R, -], summed until it dies
+    within 64 terms."""
     out = x
     term = x
-    for k in range(1, cap):
+    for k in range(1, 64):
         term = bracket(R, term).scale(Fraction(1, k))
         if term.is_zero():
             return out
@@ -205,7 +198,7 @@ def lifting_problem(J, conn):
     return MCProblem(
         bracket=sj_bracket,
         Qbar=G + imm_i_nabla(J, conn),
-        filtration=FiltrationSpec(md_antighost_level, 0),
+        level=md_antighost_level, N=0,
         H=lambda X: homotopy_H_nabla(X, conn),
         P=proj_p)
 
@@ -239,7 +232,7 @@ def brst_problem(Jhat, section):
     return MCProblem(
         bracket=lambda a, b: jacobi_bracket(a, b, Jhat),
         Qbar=omega_section(chart, rank, con.section),
-        filtration=FiltrationSpec(section_antighost_level, -1),
+        level=section_antighost_level, N=-1,
         H=con.homotopy,
         P=con.proj)
 
@@ -300,7 +293,7 @@ def v_immersion(red_sec, chart):
     to chart order costs the sign of the permutation.  A section with
     anti-ghosts raises ValueError."""
     terms = {}
-    for mono, c in red_sec.fun.terms.items():
+    for mono, c in red_sec.terms.items():
         if mono.a:
             raise ValueError("reduced sections carry no anti-ghosts, got %s"
                              % (red_sec,))
@@ -346,9 +339,9 @@ def _generator_sections(chart, rank):
     out = [mur]
     for nm in red.coords:
         c = ScalarExpr.coord(red, nm)
-        out.append(Section(mur.fun.scale(c)))
+        out.append(mur.scale(c))
         if nm in red.angular:
-            out.append(Section(mur.fun.scale(ScalarExpr.sin(red, nm))))
+            out.append(mur.scale(ScalarExpr.sin(red, nm)))
     for A in range(rank):
         out.append(Section(GradedFunction.ghost(red, rank, A)))
     return out

@@ -492,21 +492,33 @@ def test_main_intertwine(capsys):
     assert "charge_intertwined: True" in out
 
 
+SMALL_DOC = {
+    "schema": "bfv-scenario/1",
+    "name": "small-rank1",
+    "chart": {"coords": ["x1", "x2", "y1"], "fiber": ["y1"]},
+    "rank": 1,
+    "jacobi": {"biv": [["x1", "x2", "1"]], "vec": {"x2": "x1"}},
+    "connection": {"vert": [[0, 0, "x1"]]},
+    "section": ["(* 2 x2)"],
+}
+
+
 def test_main_small_scenario_all_green(tmp_path, capsys):
-    doc = {
-        "schema": "bfv-scenario/1",
-        "name": "small-rank1",
-        "chart": {"coords": ["x1", "x2", "y1"], "fiber": ["y1"]},
-        "rank": 1,
-        "jacobi": {"biv": [["x1", "x2", "1"]], "vec": {"x2": "x1"}},
-        "connection": {"vert": [[0, 0, "x1"]]},
-        "section": ["(* 2 x2)"],
-    }
     path = tmp_path / "small.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(SMALL_DOC))
     assert cli.main(["--scenario", str(path), "--command", "check"]) == 0
     out = capsys.readouterr().out
     assert out.count("= PASS") == 9 and "FAIL" not in out
+
+
+def test_main_rejects_bool_rank(tmp_path, capsys):
+    # True == 1 matches the one fiber coordinate, but a bool is no rank
+    path = tmp_path / "bool_rank.json"
+    path.write_text(json.dumps(dict(SMALL_DOC, rank=True)))
+    with pytest.raises(ScenarioError, match="rank"):
+        parse_scenario(str(path))
+    assert cli.main(["--scenario", str(path), "--command", "lift"]) == 1
+    assert "rank" in capsys.readouterr().err
 
 
 def fiber_order_doc(fiber):

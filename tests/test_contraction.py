@@ -390,7 +390,7 @@ def test_hpl_series_cap():
     mu = Section.frame(CH, RANK)
     stuck = Section(mu.fun.scale(ScalarExpr.coord(CH, "y1")))
     hpl = hpl_deform(con.imm, con.proj, con.homotopy,
-                     lambda lam: stuck, cap=16)
+                     lambda lam: stuck)
     red = CH.reduced()
     with pytest.raises(ValueError, match="did not terminate"):
         hpl.dif(Section.frame(red, RANK))

@@ -5,6 +5,7 @@ import pytest
 from jacobi_bfv.scalar import ScalarExpr
 from jacobi_bfv.ghost import (GhostMonomial, GradedFunction, Section,
                               mono_mul, ONE_MONO)
+from jacobi_bfv.multideriv import MultiDerivation
 from oracles import bidegrees, ghost_number
 from conftest import t5_chart, random_scalar, random_ghost_fun, rng_for
 
@@ -175,6 +176,27 @@ def test_section_wrapper():
     assert isinstance(t, Section)
     assert t.fun == GradedFunction.ghost(ch, 2, 1).scale(y1) - \
         GradedFunction(ch, 2, {GhostMonomial((0, 1), ()): ScalarExpr.one(ch)})
+
+
+def test_section_linear_structure_matches_functions():
+    ch = t5_chart()
+    rng = rng_for("ghost-section-linear")
+    for _ in range(20):
+        a = Section(random_ghost_fun(rng, ch, rank=2))
+        b = Section(random_ghost_fun(rng, ch, rank=2))
+        assert (a + b).fun == a.fun + b.fun
+        assert (a - b).fun == a.fun - b.fun
+        assert (-a).fun == -a.fun
+        for q in (3, Fraction(-2, 5), random_scalar(rng, ch)):
+            assert isinstance(a.scale(q), Section)
+            assert a.scale(q).fun == a.fun.scale(q)
+        assert Section(a.fun) == a
+        assert a != a.fun and a.fun != a
+        # equal but distinct copies, down to the coefficients
+        for x in (a.fun, a, MultiDerivation.from_section(a)):
+            y = -(-x)
+            assert y is not x and y == x and hash(y) == hash(x)
+    assert Section.zero(ch, 2).is_zero()
 
 
 def test_rendering_is_deterministic():

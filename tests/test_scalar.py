@@ -326,6 +326,11 @@ def test_constructor_takes_well_formed_keys():
     ((["x", "y"], ["y"], ["y"]), "polynomial atoms"),
     ((["x"], (), (), {"x": ()}), "clashes with a coordinate"),
     ((["x", "y"], (), ["y"], {"f": ("y",)}), "base coordinates only"),
+    ((["x", 1],), "names must be strings, got 1"),
+    (([["a"], "b"],), r"names must be strings, got \['a'\]"),
+    ((["x"], [None]), "names must be strings"),
+    ((["x"], (), (), {2: ["x"]}), "names must be strings, got 2"),
+    ((["x"], (), (), {"f": [1]}), "names must be strings, got 1"),
 ])
 def test_chart_rejects_bad_roles(args, match):
     with pytest.raises(ValueError, match=match):

@@ -10,7 +10,7 @@ from jacobi_bfv.multideriv import (
 from jacobi_bfv.contraction import (ConnectionSpec, imm_i_nabla, proj_p,
                                     BrstContraction)
 from jacobi_bfv.solver import (
-    FiltrationSpec, MCProblem, ObstructionError, obstruction_solve, exp_ad,
+    MCProblem, ObstructionError, obstruction_solve, exp_ad,
     GaugeAutomorphism, gauge_intertwine, lifting_problem, lift_jacobi,
     omega_section, brst_problem, brst_charge, coisotropy_residual, mc_check,
     BfvData, bfv_assemble, v_immersion, v_projection, de_rham_differential,

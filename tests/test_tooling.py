@@ -70,11 +70,11 @@ def test_filtration_guard_survives_optimize():
 # arguments or on a bare function, an operator of mixed frame flags, a
 # product of two frame-valued operators, a negative exponent, an atom
 # the target chart does not declare, operands of different charts or
-# ranks, a Section of a non-function or added to a non-Section, a
-# reduced section with anti-ghosts and m_k on the wrong number of
-# arguments
+# ranks, a Section of a non-function or added to or subtracted from a
+# non-Section, a chart name that is not a string, a reduced section
+# with anti-ghosts and m_k on the wrong number of arguments
 BAD_LIBRARY_CALLS = """
-from jacobi_bfv.scalar import ScalarExpr
+from jacobi_bfv.scalar import Chart, ScalarExpr
 from jacobi_bfv.ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
 from jacobi_bfv.multideriv import (MultiDerivation, M, d_letter, e_letter,
                                    evaluate, md_mul, sj_bracket,
@@ -142,6 +142,9 @@ calls = [
     lambda: md_mul(d_phi1, dfun_rank1),
     lambda: x_mu.fun.ghost_mul(GradedFunction.one(ch, 1)),
     lambda: x_mu + x_mu.fun,
+    lambda: x_mu - x_mu.fun,
+    lambda: Chart(["x", 1]),
+    lambda: Chart([["a"], "b"]),
     lambda: one + one_red,
     lambda: one * one_red,
     lambda: ScalarExpr(ch, {((("x", "phi2"), 1), (("x", "phi1"), 1)): 1}),
@@ -162,7 +165,7 @@ def test_library_guards_survive_optimize(optimize):
     out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 45
+    assert len(lines) == 48
     assert all(ln.startswith("rejected:") for ln in lines), lines
 
 
