@@ -6,11 +6,8 @@ Run from the repository root after an editable install:
     python3 demos/01_jacobi_pairs.py
 """
 
-from jacobi_bfv import (Chart, ScalarExpr, Section, MultiDerivation,
-                        jacobi_from_pair, jacobi_bracket, is_jacobi,
-                        NotJacobiError, t5_contact)
-from jacobi_bfv.ghost import GradedFunction
-from jacobi_bfv.multideriv import ONE_MONO, d_letter
+from jacobi_bfv import (ScalarExpr, Section, jacobi_from_pair, jacobi_bracket,
+                        is_jacobi, lift_jacobi, NotJacobiError, t5_contact)
 
 model = t5_contact()
 ch, rank, J = model.chart, model.rank, model.J
@@ -46,17 +43,15 @@ print("the {1, -} column is the vector part of the pair, the Reeb")
 print("direction sin(phi3) d_phi4 + cos(phi3) d_phi5 acting on functions")
 print()
 
-# a pair that fails the compatibility condition is rejected outright
-bad = J + MultiDerivation(ch, rank, {
-    (ONE_MONO, (d_letter("phi3"), d_letter("phi4")), 1): y1})
+# a pair that fails the compatibility condition still builds, but the
+# lift rejects it with its bracket residual [[J, J]]
+broken = jacobi_from_pair(ch, rank, {
+    ("phi3", "phi4"): ScalarExpr.cos(ch, "phi3") + y1,
+    ("phi3", "phi5"): -ScalarExpr.sin(ch, "phi3"),
+    ("phi4", "y1"): y1 * ScalarExpr.sin(ch, "phi3")}, {})
 try:
-    jacobi_from_pair(ch, rank, {("phi3", "phi4"):
-                                ScalarExpr.cos(ch, "phi3") + y1,
-                                ("phi3", "phi5"): -ScalarExpr.sin(ch, "phi3"),
-                                ("phi4", "y1"): y1 * ScalarExpr.sin(ch, "phi3")},
-                     {})
+    lift_jacobi(broken, model.flat)
 except NotJacobiError as exc:
     print("perturbed pair rejected; bracket residual starts with:")
     first = str(exc.residual).split(" + ")[0]
     print(" ", first, "+ ...")
-assert not is_jacobi(bad)

@@ -24,8 +24,8 @@ eps carries t-weight  w = fr - n + eps, the factor its derivative
 along t brings down.  Every product of the bracket lands at frame flag
 fr1 + fr2 - 1, which is checked to be 0 or 1.  The graded product
 md_mul and the bracket share one term product, _term_mul.
-jacobi_from_words builds every structure operator J and is the one
-place that brackets [[J, J]] to reject one.
+jacobi_from_words builds every structure operator J and brackets
+nothing: solver.lift_jacobi decides the Jacobi condition [[J, J]] = 0.
 """
 
 from itertools import product as iproduct
@@ -475,12 +475,6 @@ def sj_bracket(D, E):
 
 # -- Jacobi structures ----------------------------------------------
 
-class NotJacobiError(ValueError):
-    def __init__(self, residual):
-        super().__init__("the pair does not satisfy the Jacobi condition")
-        self.residual = residual
-
-
 def build_G(chart, rank):
     "The ghost pairing operator: sum over A of  e_A f^A  with frame."
     one = ScalarExpr.one(chart)
@@ -496,8 +490,7 @@ def jacobi_from_words(chart, rank, terms):
     """The operator  sum c * w [mu]  of (word, c) pairs, words in any
     order (a repeated odd letter drops the term), c a ring element or a
     number.  Letters are M or d_letter of a chart coordinate; any other
-    raises ValueError.  Raises NotJacobiError carrying [[J, J]] unless
-    it is 0."""
+    raises ValueError.  The Jacobi condition is not checked here."""
     letters = [M] + [d_letter(x) for x in chart.coords]
     out = {}
     for word, c in terms:
@@ -511,18 +504,13 @@ def jacobi_from_words(chart, rank, terms):
         if not isinstance(c, ScalarExpr):
             c = ScalarExpr.number(chart, c)
         add_term(out, (ONE_MONO, canon, 1), c.scale(sgn))
-    J = MultiDerivation(chart, rank, out)
-    residual = sj_bracket(J, J)
-    if not residual.is_zero():
-        raise NotJacobiError(residual)
-    return J
+    return MultiDerivation(chart, rank, out)
 
 
 def jacobi_from_pair(chart, rank, biv, vec):
     """Operator of an ungraded pair: biv maps coordinate pairs (i, j),
     i before j in chart order, to coefficients; vec maps coordinates to
-    coefficients.  Raises NotJacobiError when the induced bracket fails
-    the Jacobi identity."""
+    coefficients; like jacobi_from_words it brackets nothing."""
     for i, j in biv:
         if i not in chart.coords or j not in chart.coords or \
                 chart.axis(i) >= chart.axis(j):

@@ -25,7 +25,10 @@ from fractions import Fraction
 
 
 def _names(names):
-    "The names as a tuple; raise ValueError unless each is a str."
+    "The names as a tuple; raise ValueError unless a list (no str) of str."
+    if isinstance(names, str):
+        raise ValueError("chart names must be a list of names, got the "
+                         "string %r" % names)
     names = tuple(names)
     for nm in names:
         if not isinstance(nm, str):

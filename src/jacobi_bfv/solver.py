@@ -26,8 +26,7 @@ from fractions import Fraction
 from .scalar import ScalarExpr, add_term
 from .ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
 from .multideriv import (d_letter, sort_word, MultiDerivation, evaluate,
-                         sj_bracket, build_G, NotJacobiError, jacobi_bracket,
-                         hamiltonian)
+                         sj_bracket, build_G, jacobi_bracket, hamiltonian)
 from .contraction import (imm_i_nabla, proj_p, homotopy_H_nabla,
                           BrstContraction, hpl_deform)
 
@@ -78,6 +77,14 @@ class ObstructionError(ValueError):
     def __init__(self, obstruction, residual):
         super().__init__("projected bracket residual does not vanish")
         self.obstruction = obstruction
+        self.residual = residual
+
+
+class NotJacobiError(ValueError):
+    "The lift is obstructed by residual = [[J, J]], which is not 0."
+
+    def __init__(self, residual):
+        super().__init__("the pair does not satisfy the Jacobi condition")
         self.residual = residual
 
 

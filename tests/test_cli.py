@@ -8,6 +8,8 @@ import pytest
 from jacobi_bfv.scalar import ScalarExpr
 from jacobi_bfv import cli, multideriv, solver
 from jacobi_bfv.cli import ScenarioError, parse_expr, parse_scenario
+from jacobi_bfv.multideriv import is_jacobi, sj_bracket
+from jacobi_bfv.solver import NotJacobiError, lift_jacobi
 from jacobi_bfv.models import t5_contact
 from oracles import is_flat_trivial
 from conftest import t5_chart
@@ -203,10 +205,13 @@ def test_scenario_explicit_terms(tmp_path):
     with pytest.raises(ScenarioError, match="bad letter"):
         parse_scenario(scenario_file(
             tmp_path, jacobi={"terms": [[["d:zz"], "1"]]}))
-    from jacobi_bfv.multideriv import NotJacobiError
+    # a pair that is not Jacobi parses; the lift rejects it with [[J, J]]
     bad = terms + [[["d:phi3", "d:phi4"], "y1"]]
-    with pytest.raises(NotJacobiError):
-        parse_scenario(scenario_file(tmp_path, jacobi={"terms": bad}))
+    spec = parse_scenario(scenario_file(tmp_path, jacobi={"terms": bad}))
+    assert not is_jacobi(spec.J)
+    with pytest.raises(NotJacobiError) as err:
+        lift_jacobi(spec.J, spec.conn)
+    assert err.value.residual == sj_bracket(spec.J, spec.J)
 
 
 def test_scenario_connection_parsing(tmp_path):
@@ -355,23 +360,34 @@ def test_main_lifts_once(monkeypatch, capsys, command, solves):
     ("lift", 1), ("brst", 1), ("bfv", 1), ("residual", 1), ("reduce", 1),
     ("linf", 1), ("intertwine", 1), ("check", 2)])
 def test_main_brackets_J_once(monkeypatch, capsys, command, brackets):
-    # [[J, J]] is bracketed once, where the scenario builds J; the lifts
-    # decide the Jacobi condition through their own residual, and only
-    # check's jacobi row brackets J again
-    J = t5_contact().J
-    calls = []
-    bracket = multideriv.sj_bracket
+    # the Jacobi condition [[J, J]] = 0 is bracketed once per run, by the
+    # lift along the scenario connection, whose first projected residual
+    # is [[J, J]]; building J brackets nothing, and only check's jacobi
+    # row forms [[J, J]] itself
+    spec = parse_scenario("t5-contact")
+    Qbar = solver.lifting_problem(spec.J, spec.conn).Qbar
+    lifts, direct = [], []
+    solve, bracket = solver.obstruction_solve, multideriv.sj_bracket
 
-    def counted(D, E):
-        if D == J and E == J:
-            calls.append(1)
+    def counted_solve(prob, *args, **kwargs):
+        if prob.Qbar == Qbar:
+            lifts.append(1)
+        return solve(prob, *args, **kwargs)
+
+    def counted_bracket(D, E):
+        if D == spec.J and E == spec.J:
+            direct.append(1)
         return bracket(D, E)
 
+    for mod in (solver, cli):
+        monkeypatch.setattr(mod, "obstruction_solve", counted_solve)
     for mod in (multideriv, solver, cli):
-        monkeypatch.setattr(mod, "sj_bracket", counted)
+        monkeypatch.setattr(mod, "sj_bracket", counted_bracket)
     assert cli.main(["--command", command]) == 0
     capsys.readouterr()
-    assert len(calls) == brackets
+    assert len(lifts) == 1
+    assert len(direct) == (1 if command == "check" else 0)
+    assert len(lifts) + len(direct) == brackets
 
 
 def test_main_check_passes(capsys):
@@ -430,9 +446,24 @@ def test_main_not_jacobi_exit(tmp_path, capsys):
     biv[0] = ["phi3", "phi4", "(+ (cos phi3) y1)"]
     jac = {"biv": biv, "vec": dict(T5_DOC["jacobi"]["vec"])}
     src = scenario_file(tmp_path, jacobi=jac)
-    assert cli.main(["--scenario", src, "--command", "lift"]) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and "residual:" in err
+    J = parse_scenario(src).J
+    want = ("error: the pair does not satisfy the Jacobi condition\n"
+            "residual: %s\n" % sj_bracket(J, J))
+    # every command that lifts stops at the lift, with [[J, J]]
+    for command in cli.COMMANDS:
+        if command == "intertwine":
+            continue
+        assert cli.main(["--scenario", src, "--command", command]) == 2
+        assert tuple(capsys.readouterr()) == ("", want)
+    # bad input is exit 1 whether or not the pair is Jacobi
+    assert cli.main(["--scenario", src, "--command", "intertwine"]) == 1
+    assert "connection2" in capsys.readouterr().err
+    for flag in ("--max-iter", "--kmax"):
+        for command in cli.COMMANDS:
+            assert cli.main(["--scenario", src, "--command", command,
+                             flag, "-1"]) == 1
+            assert "%s must be a nonnegative" % flag in \
+                capsys.readouterr().err
 
 
 BOUND_CHART = {"coords": ["x1", "x2", "x3", "x4", "x5", "y1", "y2", "z"],

@@ -8,9 +8,10 @@ from jacobi_bfv.ghost import (GhostMonomial, GradedFunction, Section, ONE_MONO,
 from jacobi_bfv.multideriv import (
     M, d_letter, e_letter, f_letter, sort_word, word_parity,
     MultiDerivation, md_mul, evaluate, sj_bracket,
-    build_G, is_jacobi, jacobi_from_pair, jacobi_from_words, NotJacobiError,
-    hamiltonian,
+    build_G, is_jacobi, jacobi_from_pair, jacobi_from_words, hamiltonian,
     jacobi_bracket)
+from jacobi_bfv.solver import NotJacobiError, lift_jacobi
+from jacobi_bfv.models import t5_contact
 from oracles import (gerstenhaber_eval_oracle, reconstruct, arity, tau,
                      op_bidegrees, to_section, evaluate_by_term)
 from conftest import (t5_chart, random_scalar, rng_for, random_ghost_fun,
@@ -208,10 +209,14 @@ def test_t5_pair_is_jacobi():
 
 
 def test_broken_pair_raises():
+    # the builder brackets nothing; the lift rejects the pair with [[J, J]]
     biv, vec = t5_pair()
     biv[("phi3", "phi4")] = ScalarExpr.sin(CH, "phi3")
+    J = jacobi_from_pair(CH, RANK, biv, vec)
+    assert not is_jacobi(J)
     with pytest.raises(NotJacobiError) as err:
-        jacobi_from_pair(CH, RANK, biv, vec)
+        lift_jacobi(J, t5_contact().flat)
+    assert err.value.residual == sj_bracket(J, J)
     assert not err.value.residual.is_zero()
 
 
@@ -241,8 +246,10 @@ def test_jacobi_from_words_raises_with_the_bracket():
     J = MultiDerivation(CH, RANK, {
         (ONE_MONO, w, 1): c for w, c in words[:-1]})
     J = J + single((M, d_letter("phi5")), -ScalarExpr.cos(CH, "phi1"))
+    built = jacobi_from_words(CH, RANK, words)
+    assert built == J and not is_jacobi(built)
     with pytest.raises(NotJacobiError) as err:
-        jacobi_from_words(CH, RANK, words)
+        lift_jacobi(built, t5_contact().flat)
     assert err.value.residual == sj_bracket(J, J)
     assert not err.value.residual.is_zero()
 

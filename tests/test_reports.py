@@ -4,6 +4,8 @@ The reference digests and the scenario list belong to the benchmark
 (perfbench/digests.json, perfbench/workloads.py), which is imported
 read-only: the shipped scenarios plus every value variant of each
 generated scenario, each run through all commands in-process.
+Parsing those scenarios forms no bracket: the lift that every command
+starts with decides the Jacobi condition.
 """
 
 import json
@@ -16,7 +18,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
-from jacobi_bfv import cli  # noqa: E402
+from jacobi_bfv import cli, multideriv  # noqa: E402
 
 
 def _scenarios():
@@ -37,6 +39,22 @@ def test_every_recorded_report_is_enumerated():
     names = {"%s/%s" % (s[0], command)
              for s in SCENARIOS for command in cli.COMMANDS}
     assert names == set(DIGESTS)
+
+
+def test_parsing_brackets_nothing(tmp_path, monkeypatch):
+    calls = []
+    bracket = multideriv.sj_bracket
+
+    def counted(D, E):
+        calls.append((D, E))
+        return bracket(D, E)
+
+    monkeypatch.setattr(multideriv, "sj_bracket", counted)
+    for name, path, doc, _ in SCENARIOS:
+        if doc is not None:
+            path = workloads.write_scenario(str(tmp_path), name, doc)
+        cli.parse_scenario(path)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name, path, doc, codes", SCENARIOS,

@@ -331,6 +331,7 @@ def test_constructor_takes_well_formed_keys():
     ((["x"], [None]), "names must be strings"),
     ((["x"], (), (), {2: ["x"]}), "names must be strings, got 2"),
     ((["x"], (), (), {"f": [1]}), "names must be strings, got 1"),
+    (("x1x2",), "list of names"),
 ])
 def test_chart_rejects_bad_roles(args, match):
     with pytest.raises(ValueError, match=match):

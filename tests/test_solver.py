@@ -6,11 +6,11 @@ from jacobi_bfv.scalar import Chart, ScalarExpr
 from jacobi_bfv.ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
 from jacobi_bfv.multideriv import (
     d_letter, MultiDerivation, evaluate, sj_bracket, build_G, is_jacobi,
-    jacobi_from_pair, jacobi_bracket, NotJacobiError)
+    jacobi_from_pair, jacobi_bracket)
 from jacobi_bfv.contraction import (ConnectionSpec, imm_i_nabla, proj_p,
                                     BrstContraction)
 from jacobi_bfv.solver import (
-    MCProblem, ObstructionError, obstruction_solve, exp_ad,
+    MCProblem, ObstructionError, NotJacobiError, obstruction_solve, exp_ad,
     GaugeAutomorphism, gauge_intertwine, lifting_problem, lift_jacobi,
     omega_section, brst_problem, brst_charge, coisotropy_residual, mc_check,
     BfvData, bfv_assemble, v_immersion, v_projection, de_rham_differential,

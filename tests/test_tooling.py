@@ -145,6 +145,8 @@ calls = [
     lambda: x_mu - x_mu.fun,
     lambda: Chart(["x", 1]),
     lambda: Chart([["a"], "b"]),
+    lambda: Chart("ab", fiber="b"),
+    lambda: Chart(["x"], fiber="x"),
     lambda: one + one_red,
     lambda: one * one_red,
     lambda: ScalarExpr(ch, {((("x", "phi2"), 1), (("x", "phi1"), 1)): 1}),
@@ -165,7 +167,7 @@ def test_library_guards_survive_optimize(optimize):
     out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 48
+    assert len(lines) == 50
     assert all(ln.startswith("rejected:") for ln in lines), lines
 
 
@@ -178,13 +180,20 @@ def test_acceptance_suite_passes_under_optimize():
 
 
 SMALL = os.path.join(ROOT, "demos", "scenarios", "small_rank1.json")
-# malformed variants of the small scenario; each must end in a clean
-# error (exit 1, no traceback) whether or not asserts run
-MALFORMED = {
-    "biv-self-pair": ("jacobi", {"biv": [["x1", "x1", "1"]]}),
-    "vec-list": ("jacobi", {"vec": [["x2", "x1"]]}),
-    "chart-clash": ("chart", {"coords": ["x1", "x1", "y1"], "fiber": ["y1"]}),
+# variants of the small scenario and the exit codes of cli.COMMANDS on
+# each, whether or not asserts run: a malformed one ends in a clean
+# error (exit 1, no traceback) on every command; a pair that is not
+# Jacobi stops every lifting command at the lift (exit 2), and
+# intertwine, for want of a connection2, before it (exit 1)
+VARIANTS = {
+    "biv-self-pair": ("jacobi", {"biv": [["x1", "x1", "1"]]}, [1] * 8),
+    "vec-list": ("jacobi", {"vec": [["x2", "x1"]]}, [1] * 8),
+    "chart-clash": ("chart", {"coords": ["x1", "x1", "y1"], "fiber": ["y1"]},
+                    [1] * 8),
+    "not-jacobi": ("jacobi", {"biv": [["x1", "x2", "1"]], "vec": {"y1": "1"}},
+                   [2, 2, 2, 2, 2, 2, 1, 2]),
 }
+NOT_JACOBI_RESIDUAL = "residual: (2) d_x1 d_x2 d_y1 [mu]\n"
 
 # one interpreter runs every command; errors go to stdout so that the
 # order of reports and messages is compared too
@@ -198,15 +207,15 @@ for command in cli.COMMANDS:
 """
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS + sorted(MALFORMED))
+@pytest.mark.parametrize("scenario", SCENARIOS + sorted(VARIANTS))
 def test_check_command_same_under_optimize(scenario, tmp_path):
-    malformed = scenario in MALFORMED
-    if malformed:
+    variant = VARIANTS.get(scenario)
+    if variant:
         with open(SMALL) as fh:
             doc = json.load(fh)
-        key, value = MALFORMED[scenario]
+        key, value, _ = variant
         doc[key] = value
-        path = tmp_path / "malformed.json"
+        path = tmp_path / "variant.json"
         path.write_text(json.dumps(doc))
         scenario = str(path)
     plain = run_python(["-c", EVERY_COMMAND, scenario], optimize=False)
@@ -216,9 +225,11 @@ def test_check_command_same_under_optimize(scenario, tmp_path):
     codes = [ln for ln in plain.stdout.splitlines() if ln.startswith("exit ")]
     assert len(codes) == len(cli.COMMANDS)
     assert "Traceback" not in plain.stdout
-    if malformed:
-        assert codes == ["exit 1"] * len(cli.COMMANDS)
+    if variant:
+        assert codes == ["exit %d" % code for code in variant[2]]
         assert plain.stdout.count("error: ") == len(cli.COMMANDS)
+        assert plain.stdout.count(NOT_JACOBI_RESIDUAL) == \
+            variant[2].count(2)
 
 
 def test_tracer_installs_counts_and_uninstalls():
