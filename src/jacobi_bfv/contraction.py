@@ -39,6 +39,10 @@ from .ghost import GhostMonomial, GradedFunction, Section, ONE_MONO, mono_mul
 from .multideriv import e_letter, f_letter, MultiDerivation, md_mul
 
 
+class ResidualError(ValueError):
+    "A nonzero residual stopped a construction, or its cap ran out."
+
+
 class ConnectionSpec:
     """Connection coefficients in the model chart.
 
@@ -273,8 +277,8 @@ def _series(step, start):
         if cur.is_zero():
             return total
         total = total + cur
-    raise ValueError("perturbation series did not terminate "
-                     "(delta against the homotopy is not nilpotent)")
+    raise ResidualError("perturbation series did not terminate "
+                        "(delta against the homotopy is not nilpotent)")
 
 
 def hpl_deform(imm, proj, homotopy, delta):

@@ -27,8 +27,8 @@ from .scalar import ScalarExpr, add_term
 from .ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
 from .multideriv import (d_letter, sort_word, MultiDerivation, evaluate,
                          sj_bracket, build_G, jacobi_bracket, hamiltonian)
-from .contraction import (imm_i_nabla, proj_p, homotopy_H_nabla,
-                          BrstContraction, hpl_deform)
+from .contraction import (ResidualError, imm_i_nabla, proj_p,
+                          homotopy_H_nabla, BrstContraction, hpl_deform)
 
 
 def md_antighost_level(D):
@@ -69,7 +69,7 @@ class MCProblem:
         self.P = P
 
 
-class ObstructionError(ValueError):
+class ObstructionError(ResidualError):
     """The projected bracket residual does not vanish, so no correction
     can remove it.  obstruction holds the projected part, residual the
     full bracket."""
@@ -80,11 +80,12 @@ class ObstructionError(ValueError):
         self.residual = residual
 
 
-class NotJacobiError(ValueError):
-    "The lift is obstructed by residual = [[J, J]], which is not 0."
+class NotJacobiError(ResidualError):
+    "The lift is obstructed by residual = [[J, J]], printed in the message."
 
     def __init__(self, residual):
-        super().__init__("the pair does not satisfy the Jacobi condition")
+        super().__init__("the pair does not satisfy the Jacobi condition\n"
+                         "residual: %s" % residual)
         self.residual = residual
 
 
@@ -98,12 +99,12 @@ def obstruction_solve(prob, max_iter=64):
         [[Q + c, Q + c]] = R + 2 [[Q, c]] + [[c, c]].
 
     Every correction must lie at least at filtration level N + 1 + step;
-    a homotopy that breaks this raises ValueError.
+    a homotopy that breaks this raises ResidualError.
 
     Returns (Q, trace); the trace records one entry per correction with
     the residual, its filtration level and the correction added.
     Raises ObstructionError when the projected residual is nonzero, and
-    ValueError when max_iter corrections leave a nonzero residual.
+    ResidualError when max_iter corrections leave a nonzero residual.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative, got %d" % max_iter)
@@ -111,8 +112,8 @@ def obstruction_solve(prob, max_iter=64):
     if not R.is_zero():
         lev = prob.level(R)
         if lev < prob.N:
-            raise ValueError("bracket residual escapes the filtration "
-                             "(level %d < base %d)" % (lev, prob.N))
+            raise ResidualError("bracket residual escapes the filtration "
+                                "(level %d < base %d)" % (lev, prob.N))
     Q = prob.Qbar
     trace = []
     while not R.is_zero():
@@ -121,17 +122,17 @@ def obstruction_solve(prob, max_iter=64):
             raise ObstructionError(obs, R)
         step = len(trace)
         if step == max_iter:
-            raise ValueError("no Maurer-Cartan element within %d "
-                             "corrections" % max_iter)
+            raise ResidualError("no Maurer-Cartan element within %d "
+                                "corrections" % max_iter)
         corr = prob.H(R).scale(Fraction(1, 2))
         if corr.is_zero():
-            raise ValueError("nonzero residual with zero correction; "
-                             "contraction data is inconsistent")
+            raise ResidualError("nonzero residual with zero correction; "
+                                "contraction data is inconsistent")
         lev, need = prob.level(corr), prob.N + 1 + step
         if lev < need:
-            raise ValueError("correction %d sits at filtration level %d, "
-                             "below %d; the homotopy does not raise the "
-                             "filtration" % (step + 1, lev, need))
+            raise ResidualError("correction %d sits at filtration level %d, "
+                                "below %d; the homotopy does not raise the "
+                                "filtration" % (step + 1, lev, need))
         trace.append({"step": step + 1,
                       "residual": R,
                       "level": prob.level(R),
@@ -151,7 +152,7 @@ def exp_ad(R, x, bracket):
         if term.is_zero():
             return out
         out = out + term
-    raise ValueError("exponential series did not terminate")
+    raise ResidualError("exponential series did not terminate")
 
 
 class GaugeAutomorphism:
@@ -186,12 +187,12 @@ def gauge_intertwine(Q0, Q1, prob, max_iter=64):
     cur = Q0
     while not diff.is_zero():
         if len(gens) == max_iter:
-            raise ValueError("no intertwiner within %d exponentials"
-                             % max_iter)
+            raise ResidualError("no intertwiner within %d exponentials"
+                                % max_iter)
         R = prob.H(diff)
         if R.is_zero():
-            raise ValueError("intertwining stalled: homotopy of the "
-                             "difference vanishes")
+            raise ResidualError("intertwining stalled: homotopy of the "
+                                "difference vanishes")
         gens.append(R)
         cur = exp_ad(R, cur, prob.bracket)
         diff = Q1 - cur
@@ -368,8 +369,8 @@ def reduced_differential(bfv):
     dR = de_rham_differential(bfv.J)
     for g in _generator_sections(bfv.chart, bfv.rank):
         if hpl.dif(g) != dR(g):
-            raise ValueError("transferred differential disagrees with "
-                             "the direct one on %s" % g)
+            raise ResidualError("transferred differential disagrees with "
+                                "the direct one on %s" % g)
     return hpl
 
 

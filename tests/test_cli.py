@@ -9,6 +9,7 @@ from jacobi_bfv.scalar import ScalarExpr
 from jacobi_bfv import cli, multideriv, solver
 from jacobi_bfv.cli import ScenarioError, parse_expr, parse_scenario
 from jacobi_bfv.multideriv import is_jacobi, sj_bracket
+from jacobi_bfv.contraction import ResidualError
 from jacobi_bfv.solver import NotJacobiError, lift_jacobi
 from jacobi_bfv.models import t5_contact
 from oracles import is_flat_trivial
@@ -108,6 +109,11 @@ def test_parse_expr_rejects():
         parse_expr("(div y1 2)", CH)
     with pytest.raises(ScenarioError, match="operator expected"):
         parse_expr("((+ y1))", CH)
+    # nesting is bounded before reading or building can recurse deeply
+    deep = cli.MAX_DEPTH * "(neg " + "y1" + cli.MAX_DEPTH * ")"
+    assert parse_expr(deep, CH) == ScalarExpr.coord(CH, "y1")
+    with pytest.raises(ScenarioError, match="nests deeper than 32"):
+        parse_expr("(+ %s)" % deep, CH)
 
 
 # -- scenario loading -------------------------------------------------
@@ -290,6 +296,13 @@ CURVED = {"vert": [[0, 1, "(sin phi3)"]]}
     ({"chart": dict(T5_DOC["chart"], funcs={"f1": "phi1"})},
      "bad chart: funcs 'f1' must be a list of names"),
     ({"section": ["(^ (+ phi1 y1) 33)", "0"]}, "integer from 0 to 32"),
+    ({"jacobi": {"terms": [[["d:phi3"], "1"]]}}, "carry two letters"),
+    ({"name": ["t5"]}, "name must be a string"),
+    ({"chart": dict(T5_DOC["chart"],
+                    coords=T5_DOC["chart"]["coords"] + ["1"])},
+     "bad chart: coords must be a list of names"),
+    ({"chart": dict(T5_DOC["chart"], funcs={"f 1": ["phi1"]})},
+     "bad chart: function names must be a list of names"),
 ])
 def test_scenario_rejects_malformed_values(tmp_path, patch, match):
     with pytest.raises(ScenarioError, match=match):
@@ -301,6 +314,16 @@ def test_scenario_integral_numbers_accepted(tmp_path):
         tmp_path, section=[-2.0, 0], options={"kmax": 2, "max_iter": 5.0}))
     assert spec.section == (ScalarExpr.number(CH, -2), ScalarExpr.zero(CH))
     assert (spec.kmax, spec.max_iter) == (2, 5)
+
+
+def test_scenario_deep_json(tmp_path, capsys):
+    # the JSON reader recurses once per level; past Python's limit the
+    # file is bad input, not a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main(["--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: scenario JSON nests too deeply to read\n"
 
 
 def test_scenario_top_level_array(tmp_path, capsys):
@@ -335,6 +358,27 @@ def test_main_iteration_caps(tmp_path, capsys):
 
 # -- command execution ------------------------------------------------
 
+def test_main_exit_code_by_type(monkeypatch, capsys):
+    # exit 2 is a residual the construction cannot remove; any other
+    # ValueError, a library check the parser missed included, is bad input
+    def raising(exc):
+        def fail(*args):
+            raise exc
+        return fail
+
+    for exc, code in ((ValueError("boom"), 1), (ResidualError("boom"), 2)):
+        monkeypatch.setattr(cli, "reduced_differential", raising(exc))
+        assert cli.main(["--command", "reduce"]) == code
+        assert capsys.readouterr() == ("", "error: boom\n")
+    # check's reduced-match row reads a residual as FAIL, and only that
+    assert cli.main(["--command", "check"]) == 2
+    assert "reduced-match = FAIL" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "reduced_differential",
+                        raising(ValueError("boom")))
+    assert cli.main(["--command", "check"]) == 1
+    assert capsys.readouterr() == ("", "error: boom\n")
+
+
 @pytest.mark.parametrize("command, solves", [
     ("lift", 1), ("brst", 2), ("bfv", 2), ("residual", 1), ("reduce", 2),
     ("linf", 1), ("intertwine", 3), ("check", 3)])
@@ -358,12 +402,12 @@ def test_main_lifts_once(monkeypatch, capsys, command, solves):
 
 @pytest.mark.parametrize("command, brackets", [
     ("lift", 1), ("brst", 1), ("bfv", 1), ("residual", 1), ("reduce", 1),
-    ("linf", 1), ("intertwine", 1), ("check", 2)])
+    ("linf", 1), ("intertwine", 1), ("check", 1)])
 def test_main_brackets_J_once(monkeypatch, capsys, command, brackets):
     # the Jacobi condition [[J, J]] = 0 is bracketed once per run, by the
     # lift along the scenario connection, whose first projected residual
-    # is [[J, J]]; building J brackets nothing, and only check's jacobi
-    # row forms [[J, J]] itself
+    # is [[J, J]]; building J brackets nothing, and check's jacobi row
+    # reports the lift's verdict
     spec = parse_scenario("t5-contact")
     Qbar = solver.lifting_problem(spec.J, spec.conn).Qbar
     lifts, direct = [], []
@@ -386,7 +430,7 @@ def test_main_brackets_J_once(monkeypatch, capsys, command, brackets):
     assert cli.main(["--command", command]) == 0
     capsys.readouterr()
     assert len(lifts) == 1
-    assert len(direct) == (1 if command == "check" else 0)
+    assert direct == []
     assert len(lifts) + len(direct) == brackets
 
 
@@ -514,6 +558,27 @@ def test_main_linf_kmax(capsys):
     out = capsys.readouterr().out
     assert "m2:" in out and "m3:" not in out
     assert "phi4 mu , eta^1 = (sin(phi3)) eta^1 mu" in out
+
+
+def test_main_linf_large_kmax(tmp_path, monkeypatch, capsys):
+    # kmax selects the rows m1-m3 and builds no bracket beyond m3, so a
+    # huge one costs what kmax 3 does
+    derived = cli.derived_brackets
+
+    def bounded(Jhat, k_max):
+        if k_max > 3:
+            pytest.fail("derived_brackets asked for arity %d" % k_max)
+        return derived(Jhat, k_max)
+
+    monkeypatch.setattr(cli, "derived_brackets", bounded)
+    assert cli.main(["--command", "linf", "--kmax", "3"]) == 0
+    want = capsys.readouterr().out
+    assert "m3:" in want
+    assert cli.main(["--command", "linf", "--kmax", str(10 ** 12)]) == 0
+    assert capsys.readouterr().out == want
+    src = scenario_file(tmp_path, name="t5-contact", options={"kmax": 1e300})
+    assert cli.main(["--scenario", src, "--command", "linf"]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_main_intertwine(capsys):

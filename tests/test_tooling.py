@@ -181,8 +181,9 @@ def test_acceptance_suite_passes_under_optimize():
 
 SMALL = os.path.join(ROOT, "demos", "scenarios", "small_rank1.json")
 # variants of the small scenario and the exit codes of cli.COMMANDS on
-# each, whether or not asserts run: a malformed one ends in a clean
-# error (exit 1, no traceback) on every command; a pair that is not
+# each, whether or not asserts run: a malformed one, an expression
+# nested far past cli.MAX_DEPTH included, ends in a clean error (exit 1,
+# no traceback) on every command; a pair that is not
 # Jacobi stops every lifting command at the lift (exit 2), and
 # intertwine, for want of a connection2, before it (exit 1)
 VARIANTS = {
@@ -192,6 +193,8 @@ VARIANTS = {
                     [1] * 8),
     "not-jacobi": ("jacobi", {"biv": [["x1", "x2", "1"]], "vec": {"y1": "1"}},
                    [2, 2, 2, 2, 2, 2, 1, 2]),
+    "deep-expression": ("section", ["(neg " * 3000 + "x1" + ")" * 3000],
+                        [1] * 8),
 }
 NOT_JACOBI_RESIDUAL = "residual: (2) d_x1 d_x2 d_y1 [mu]\n"
 
