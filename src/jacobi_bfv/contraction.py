@@ -288,10 +288,14 @@ def hpl_deform(imm, proj, homotopy, delta):
         proj'     x = sum_k  proj ((delta homotopy)^k x)
         imm'      x = sum_k  (homotopy delta)^k (imm x)
         homotopy' x = sum_k  homotopy ((delta homotopy)^k x)
-        dif'      x = sum_k proj (delta (homotopy delta)^k (imm x))
+        dif'      x = proj' (delta (imm x))
 
     evaluated lazily (the small side carries the zero differential);
-    a cap of 64 steps guards against a non-nilpotent tail.
+    a cap of 64 steps guards against a non-nilpotent tail.  dif' is the
+    usual sum_k proj (delta (homotopy delta)^k (imm x)) run delta first:
+    delta (homotopy delta)^k = (delta homotopy)^k delta, so the series
+    is proj's and no delta is left to apply to its sum.  Each dif' value
+    is computed once per section and remembered by the returned maps.
     """
 
     def proj2(x):
@@ -303,7 +307,11 @@ def hpl_deform(imm, proj, homotopy, delta):
     def homotopy2(x):
         return homotopy(_series(lambda y: delta(homotopy(y)), x))
 
+    difs = {}
+
     def dif2(x):
-        return proj(delta(_series(lambda y: homotopy(delta(y)), imm(x))))
+        if x not in difs:
+            difs[x] = proj2(delta(imm(x)))
+        return difs[x]
 
     return HplData(imm2, proj2, homotopy2, dif2)

@@ -294,12 +294,21 @@ def bfv_assemble(J, conn, max_iter=64):
 
 # -- reduced side ----------------------------------------------------
 
+def _check_reduced(red_sec, red):
+    "Raise ValueError unless red_sec is a Section on the reduced chart red."
+    if not (isinstance(red_sec, Section) and red_sec.chart == red):
+        raise ValueError("expected a Section on the reduced chart, got %r"
+                         % (red_sec,))
+
+
 def v_immersion(red_sec, chart):
     """Right inverse of the canonical projection: a reduced monomial in
     the odd generators becomes the matching word of fiber derivatives,
     xi^A going to d along the A-th fiber coordinate.  Bringing the word
-    to chart order costs the sign of the permutation.  A section with
-    anti-ghosts raises ValueError."""
+    to chart order costs the sign of the permutation.  Anything but a
+    Section on chart.reduced(), or a section with anti-ghosts, raises
+    ValueError."""
+    _check_reduced(red_sec, chart.reduced())
     terms = {}
     for mono, c in red_sec.terms.items():
         if mono.a:
@@ -360,10 +369,11 @@ def reduced_differential(bfv):
     on generators against the direct route.  Returns the transferred
     HplData; its dif is the reduced differential."""
     con = bfv.con
-    d0 = con.dif()
+    # evaluate is linear in the operator, so delta is one evaluation
+    pert = bfv.op - con.dif()
 
     def delta(lam):
-        return bfv.dif(lam) - evaluate(d0, [lam])
+        return evaluate(pert, [lam])
 
     hpl = hpl_deform(con.imm, con.proj, con.homotopy, delta)
     dR = de_rham_differential(bfv.J)
@@ -375,21 +385,33 @@ def reduced_differential(bfv):
 
 
 def derived_brackets(Jhat, k_max):
-    """The multibracket family on the reduced side: nested brackets of
-    the lifting against immersed arguments, projected back.  Returns a
-    dict mapping each arity k to a callable of k arguments, which raises
-    ValueError on any other number."""
+    """The multibracket family on the reduced side,
+
+        m_k(a_1, ..., a_k) = v_proj [[...[[Jhat, v_imm a_1], ...], v_imm a_k]].
+
+    Each argument prefix names a nested bracket of its own, so the
+    family shares one dict from argument tuples to nested brackets,
+    {(): Jhat} at first, for as long as it lives: a call brackets only
+    past the longest prefix already known.  Returns a dict mapping each
+    arity k to a callable of k Sections on the reduced chart; any other
+    argument, or number of them, raises ValueError."""
     chart = Jhat.chart
+    red = chart.reduced()
+    nested = {(): Jhat}
 
     def make(k):
         def m_k(*args):
             if len(args) != k:
                 raise ValueError("m_%d takes %d arguments, got %d"
                                  % (k, k, len(args)))
-            cur = Jhat
             for g in args:
-                cur = sj_bracket(cur, v_immersion(g, chart))
-            return v_projection(cur)
+                _check_reduced(g, red)
+            for j in range(1, k + 1):
+                key = args[:j]
+                if key not in nested:
+                    nested[key] = sj_bracket(nested[key[:-1]],
+                                             v_immersion(key[-1], chart))
+            return v_projection(nested[args])
         return m_k
 
     return {k: make(k) for k in range(1, k_max + 1)}

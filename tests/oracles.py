@@ -19,6 +19,12 @@ from another side:
 - mul_by_reduce and partial_by_reduce are the ring product and
   derivative that normalise every result in full, through the public
   constructor;
+- derived_brackets_unshared builds every m_k value from Jhat afresh,
+  sharing no argument prefix;
+- hpl_dif_by_series is the transferred differential summed homotopy
+  first, proj (delta (sum_k (h delta)^k (imm x))), and
+  reduced_dif_by_series applies it to the BFV transfer, with delta as
+  the difference of two evaluations;
 - single builds a one-term operator;
 - tau, arity, the bidegrees and the weight parts sort operators and
   functions by degree.
@@ -37,6 +43,7 @@ from jacobi_bfv.multideriv import (M, d_letter, e_letter, f_letter,
                                    _letter_apply, MultiDerivation, evaluate,
                                    md_mul)
 from jacobi_bfv.contraction import _weight
+from jacobi_bfv.solver import sj_bracket, v_immersion, v_projection
 
 
 # -- degrees ----------------------------------------------------------
@@ -361,6 +368,49 @@ def gerstenhaber_eval_oracle(D, E, args):
     first = zero if first is None else first
     second = zero if second is None else second
     return first - second.scale(flip)
+
+
+# -- the reduced side, one value at a time ---------------------------
+
+def derived_brackets_unshared(Jhat, k_max):
+    """derived_brackets with no shared state: every m_k call brackets
+    from Jhat through all of its arguments."""
+    chart = Jhat.chart
+
+    def make(k):
+        def m_k(*args):
+            assert len(args) == k
+            cur = Jhat
+            for g in args:
+                cur = sj_bracket(cur, v_immersion(g, chart))
+            return v_projection(cur)
+        return m_k
+
+    return {k: make(k) for k in range(1, k_max + 1)}
+
+
+def hpl_dif_by_series(imm, proj, homotopy, delta, x):
+    """The transferred differential summed homotopy first,
+    proj (delta (sum_k (homotopy delta)^k (imm x)))."""
+    total = cur = imm(x)
+    for _ in range(64):
+        cur = homotopy(delta(cur))
+        if cur.is_zero():
+            return proj(delta(total))
+        total = total + cur
+    raise AssertionError("perturbation series did not terminate")
+
+
+def reduced_dif_by_series(bfv, x):
+    """hpl_dif_by_series on the BRST contraction of bfv, with delta the
+    difference of two evaluations, d_BFV(lam) - d[s](lam)."""
+    con = bfv.con
+    d0 = con.dif()
+
+    def delta(lam):
+        return bfv.dif(lam) - evaluate(d0, [lam])
+
+    return hpl_dif_by_series(con.imm, con.proj, con.homotopy, delta, x)
 
 
 # -- reconstruction from probes --------------------------------------

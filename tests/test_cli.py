@@ -434,6 +434,49 @@ def test_main_brackets_J_once(monkeypatch, capsys, command, brackets):
     assert len(lifts) + len(direct) == brackets
 
 
+@pytest.mark.parametrize("command, brackets", [("linf", 46), ("check", 28)])
+def test_main_derived_brackets_share_prefixes(monkeypatch, capsys, command,
+                                              brackets):
+    # t5-contact, one family per run: linf lifts (1), brackets its 8
+    # probes (8), then each pair i <= j at the second level only (36),
+    # and m3 past the (a_0, a_1) prefix m2 reached (1); check lifts (1),
+    # forms [[Jhat, Jhat]] (1) and d_BFV (1), takes the de Rham route on
+    # 13 generators (13) and its 6 antisymmetry pairs in both orders
+    # (3 + 9).  Bracketing every m_k from Jhat took 84 and 40.
+    calls = []
+    bracket = multideriv.sj_bracket
+
+    def counted(D, E):
+        calls.append(1)
+        return bracket(D, E)
+
+    for mod in (multideriv, solver, cli):
+        monkeypatch.setattr(mod, "sj_bracket", counted)
+    assert cli.main(["--command", command]) == 0
+    capsys.readouterr()
+    assert len(calls) == brackets
+
+
+def test_main_reduce_applies_delta_once_per_step(monkeypatch, capsys):
+    # the generator cross-check transfers 13 sections; each costs one
+    # delta on its immersion plus one per series step, and reduce then
+    # prints the remembered values of its 8 probes, a subset of them.
+    # Homotopy first, with the probes transferred again, it took 50.
+    deltas = []
+    deform = solver.hpl_deform
+
+    def counting(imm, proj, homotopy, delta):
+        def counted(lam):
+            deltas.append(1)
+            return delta(lam)
+        return deform(imm, proj, homotopy, counted)
+
+    monkeypatch.setattr(solver, "hpl_deform", counting)
+    assert cli.main(["--command", "reduce"]) == 0
+    capsys.readouterr()
+    assert len(deltas) == 28
+
+
 def test_main_check_passes(capsys):
     assert cli.main(["--command", "check"]) == 0
     out = capsys.readouterr().out

@@ -12,10 +12,11 @@ from jacobi_bfv.contraction import (
     ConnectionSpec, imm_i_nabla, to_twisted, proj_p,
     _h_twist, homotopy_H_nabla, BrstContraction, hpl_deform)
 from jacobi_bfv.models import t5_contact
-from oracles import twisted_weight_parts, twist_by_occurrence
+from oracles import (twisted_weight_parts, twist_by_occurrence,
+                     hpl_dif_by_series)
 from conftest import (t5_chart, random_scalar, rng_for, random_ghost_fun,
                       random_md, random_connection, random_plain_md,
-                      random_base_scalar)
+                      random_base_scalar, random_reduced_section)
 
 CH = t5_chart()
 RANK = 2
@@ -383,6 +384,32 @@ def test_hpl_second_transfer():
         assert hpl.dif(hpl.dif(r)).is_zero()
         lhs = hpl.imm(hpl.proj(lam)) - lam
         assert lhs == dfull(hpl.homotopy(lam)) + hpl.homotopy(dfull(lam))
+
+
+def test_hpl_dif_matches_series_oracle():
+    # a perturbation whose series reaches the reduced side: y1 d_phi1
+    # adds fiber degree, the homotopy trades it for an anti-ghost, and
+    # sin(phi2) f^1 takes the anti-ghost back off.  dif' runs the series
+    # delta first and remembers each value; the oracle sums it homotopy
+    # first and applies delta to the sum.
+    con = BrstContraction(CH, RANK, (0, 0))
+    P = MultiDerivation(CH, RANK, {
+        (ONE_MONO, (d_letter("phi1"),), 1): ScalarExpr.coord(CH, "y1"),
+        (ONE_MONO, (f_letter(0),), 1): ScalarExpr.sin(CH, "phi2")})
+
+    def delta(lam):
+        return evaluate(P, [lam])
+
+    hpl = hpl_deform(con.imm, con.proj, con.homotopy, delta)
+    rng = rng_for("contr-hpl-oracle")
+    past_first = 0
+    for trial in range(8):
+        g = random_reduced_section(rng, CH.reduced(), RANK)
+        want = hpl_dif_by_series(con.imm, con.proj, con.homotopy, delta, g)
+        assert hpl.dif(g) == want
+        assert hpl.dif(g) == want  # a second call reads the memo
+        past_first += want != con.proj(delta(con.imm(g)))
+    assert past_first >= 3
 
 
 def test_hpl_series_cap():

@@ -1,4 +1,7 @@
 from fractions import Fraction
+from itertools import product as iproduct
+import os
+import sys
 
 import pytest
 
@@ -17,8 +20,14 @@ from jacobi_bfv.solver import (
     reduced_differential, derived_brackets, md_antighost_level,
     section_antighost_level)
 from jacobi_bfv.models import t5_contact
+from jacobi_bfv import cli
 from conftest import (t5_chart, rng_for, random_scalar, random_ghost_fun,
                       random_base_scalar, random_reduced_section)
+from oracles import derived_brackets_unshared, reduced_dif_by_series
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import workloads  # noqa: E402
 
 MODEL = t5_contact()
 CH = MODEL.chart
@@ -286,14 +295,16 @@ def test_reduced_differential_t5():
 def test_reduced_differential_on_random_sections(name):
     # reduced_differential cross-checks itself on generators only; on
     # seeded random reduced sections the transfer must still match the
-    # direct route, and d_BFV must square to zero on their immersions
+    # direct route and the homotopy-first series with delta as two
+    # evaluations, and d_BFV must square to zero on their immersions
     bfv = bfv_assemble(J, LIFT_CONNECTIONS[name])
     red = reduced_differential(bfv)
     dR = de_rham_differential(J)
     rng = rng_for("solver-red-random-" + name)
     for trial in range(8):
         g = random_reduced_section(rng, RED, RANK)
-        assert red.dif(g) == dR(g)
+        assert red.dif(g) == dR(g) == reduced_dif_by_series(bfv, g)
+        assert red.dif(g) == dR(g)  # a second call reads the memo
         lam = bfv.con.imm(g)
         assert bfv.dif(bfv.dif(lam)).is_zero()
         lam = lam + Section(random_ghost_fun(rng, CH, RANK))
@@ -365,6 +376,37 @@ def test_derived_brackets_t5():
                 if not mk[2](x, y).is_zero():
                     seen += 1
     assert seen >= 3
+
+
+def _scenario_spec(which, tmp_path):
+    if which == "conf-a":
+        name, _, doc, _ = workloads.generated_scenario(
+            workloads.CLI_GENERATED[0], 0)
+        return cli.parse_scenario(workloads.write_scenario(
+            str(tmp_path), name, doc))
+    if which == "t5-abstract":
+        return cli.parse_scenario(os.path.join(
+            ROOT, "demos", "scenarios", "t5_abstract.json"))
+    return cli.parse_scenario(which)
+
+
+@pytest.mark.parametrize("which", ["t5-contact", "t5-abstract", "conf-a"])
+def test_derived_brackets_match_unshared_oracle(which, tmp_path):
+    # one family takes every probe tuple of arity <= 3, so later calls
+    # reuse the prefixes of earlier ones; each value must equal the
+    # oracle's, which brackets from Jhat afresh
+    spec = _scenario_spec(which, tmp_path)
+    Jhat, _ = lift_jacobi(spec.J, spec.conn)
+    probes = [sec for _, sec in cli._reduced_probes(spec.chart, spec.rank)]
+    mk = derived_brackets(Jhat, 3)
+    ref = derived_brackets_unshared(Jhat, 3)
+    nonzero = 0
+    for k in (1, 2, 3):
+        for args in iproduct(probes, repeat=k):
+            got = mk[k](*args)
+            assert got == ref[k](*args), (k, args)
+            nonzero += not got.is_zero()
+    assert nonzero > len(probes)
 
 
 def test_generic_solve_guard():

@@ -72,7 +72,8 @@ def test_filtration_guard_survives_optimize():
 # the target chart does not declare, operands of different charts or
 # ranks, a Section of a non-function or added to or subtracted from a
 # non-Section, a chart name that is not a string, a reduced section
-# with anti-ghosts and m_k on the wrong number of arguments
+# with anti-ghosts, m_k on the wrong number of arguments, and m_k on a
+# bare function, a full-chart section or a number
 BAD_LIBRARY_CALLS = """
 from jacobi_bfv.scalar import Chart, ScalarExpr
 from jacobi_bfv.ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
@@ -136,6 +137,10 @@ calls = [
     lambda: v_immersion(with_antighost, ch),
     lambda: BrstContraction(ch, 2, (0, 0)).imm(with_antighost),
     lambda: derived_brackets(J, 2)[2](x_red),
+    lambda: derived_brackets(J, 1)[1](x_red.fun),
+    lambda: derived_brackets(J, 1)[1](
+        Section(GradedFunction.scalar(ch, 2, y1))),
+    lambda: derived_brackets(J, 1)[1](3),
     lambda: x_mu + Section.frame(ch, 1),
     lambda: Section(1),
     lambda: sj_bracket(d_phi1, dfun_rank1),
@@ -167,7 +172,7 @@ def test_library_guards_survive_optimize(optimize):
     out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 50
+    assert len(lines) == 53
     assert all(ln.startswith("rejected:") for ln in lines), lines
 
 
@@ -279,6 +284,48 @@ def test_src_has_no_assert():
                 tree = ast.parse(fh.read())
             found += ["%s:%d" % (fname, node.lineno) for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "defaultdict",
+                 "Counter", "OrderedDict", "deque"}
+CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def test_src_has_no_shared_mutable_state():
+    # memo state lives for one call or one run, in a local dict: no
+    # module or class body holds a mutable container (__all__ aside),
+    # and nothing caches through functools
+    pkg = os.path.join(ROOT, "src", "jacobi_bfv")
+    found = []
+    for fname in sorted(os.listdir(pkg)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, fname)) as fh:
+            tree = ast.parse(fh.read())
+        bodies = [tree.body] + [node.body for node in ast.walk(tree)
+                                if isinstance(node, ast.ClassDef)]
+        for stmt in (stmt for body in bodies for stmt in body):
+            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or \
+                    stmt.value is None:
+                continue
+            targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                else [stmt.target]
+            if [ast.unparse(t) for t in targets] == ["__all__"]:
+                continue
+            val = stmt.value
+            if isinstance(val, (ast.List, ast.Dict, ast.Set, ast.ListComp,
+                                ast.DictComp, ast.SetComp)) or \
+                    (isinstance(val, ast.Call) and
+                     ast.unparse(val.func).split(".")[-1] in MUTABLE_CALLS):
+                found.append("%s:%d" % (fname, stmt.lineno))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += ["%s:%d %s" % (fname, node.lineno, alias.name)
+                          for alias in node.names if alias.name in CACHES]
+            elif isinstance(node, ast.Attribute) and node.attr in CACHES and \
+                    ast.unparse(node.value) == "functools":
+                found.append("%s:%d %s" % (fname, node.lineno, node.attr))
     assert found == []
 
 
