@@ -6,13 +6,21 @@ ghosts ascending, then all anti-ghosts ascending; the merge sign of a
 product is the parity of the sorting permutation, and a repeated index
 annihilates the term.  Indices are 0-based internally and rendered
 1-based.
+
+Every monomial an operation produces is canonical, so mono_mul merges
+its operands' ascending blocks in one pass and builds the product
+unchecked (GhostMonomial._new), as do the left derivatives, which
+remove one index.  The public constructor validates the order.  A
+monomial hashes once, when it is built.  A product applies its sign
+by negation; a ring element's coefficients are never written in place,
+so results may share them.
 """
 
 from .scalar import ScalarExpr, add_term
 
 
 class GhostMonomial:
-    __slots__ = ("g", "a")
+    __slots__ = ("g", "a", "_hash")
 
     def __init__(self, g=(), a=()):
         self.g = tuple(g)
@@ -21,6 +29,16 @@ class GhostMonomial:
                 all(x < y for x, y in zip(self.a, self.a[1:]))):
             raise ValueError("ghost and anti-ghost indices must be strictly "
                              "ascending, got %r" % ((self.g, self.a),))
+        self._hash = hash((self.g, self.a))
+
+    @classmethod
+    def _new(cls, g, a):
+        "Wrap two strictly ascending index tuples, unchecked."
+        out = cls.__new__(cls)
+        out.g = g
+        out.a = a
+        out._hash = hash((g, a))
+        return out
 
     def bidegree(self):
         return (len(self.g), len(self.a))
@@ -32,10 +50,11 @@ class GhostMonomial:
         return (self.g, self.a)
 
     def __eq__(self, other):
-        return isinstance(other, GhostMonomial) and self.key() == other.key()
+        return isinstance(other, GhostMonomial) and self.g == other.g and \
+            self.a == other.a
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def __repr__(self):
         if not self.g and not self.a:
@@ -48,29 +67,30 @@ class GhostMonomial:
 ONE_MONO = GhostMonomial()
 
 
-def _merge_inversions(left, right):
-    # number of pairs (x in left, y in right) out of order after sorting
-    inv = 0
-    for y in right:
-        inv += sum(1 for x in left if x > y)
-    return inv
-
-
 def mono_mul(m1, m2):
-    """Product of two monomials: (sign, GhostMonomial) or (0, None)."""
-    if not (m2.g or m2.a):
+    """Product of two monomials: (sign, GhostMonomial) or (0, None).
+
+    The word is g1 a1 g2 a2: the g2 block moves left across a1, then
+    each pair of ascending blocks merges.  One loop over each pair finds
+    a shared index, which kills the product, and counts the pairs out of
+    order; the result is built unchecked, as a merge of ascending
+    tuples without a shared index is strictly ascending."""
+    g1, a1, g2, a2 = m1.g, m1.a, m2.g, m2.a
+    if not (g2 or a2):
         return 1, m1
-    if not (m1.g or m1.a):
+    if not (g1 or a1):
         return 1, m2
-    if any(A in m1.g for A in m2.g) or any(B in m1.a for B in m2.a):
-        return 0, None
-    # word is  g1 a1 g2 a2 ; move the g2 block left across a1, then merge.
-    inv = len(m1.a) * len(m2.g)
-    inv += _merge_inversions(m1.g, m2.g)
-    inv += _merge_inversions(m1.a, m2.a)
-    sign = -1 if inv % 2 else 1
-    return sign, GhostMonomial(tuple(sorted(m1.g + m2.g)),
-                               tuple(sorted(m1.a + m2.a)))
+    inv = len(a1) * len(g2)
+    for left, right in ((g1, g2), (a1, a2)):
+        for y in right:
+            for x in left:
+                if x > y:
+                    inv += 1
+                elif x == y:
+                    return 0, None
+    return (-1 if inv % 2 else 1), GhostMonomial._new(
+        tuple(sorted(g1 + g2)) if g1 and g2 else g1 or g2,
+        tuple(sorted(a1 + a2)) if a1 and a2 else a1 or a2)
 
 
 def check_mono(mono, rank):
@@ -202,7 +222,8 @@ class GradedFunction(Combination):
             for m2, c2 in other.terms.items():
                 sign, m = mono_mul(m1, m2)
                 if sign:
-                    add_term(out, m, (c1 * c2).scale(sign))
+                    c = c1 * c2
+                    add_term(out, m, c if sign > 0 else -c)
         return GradedFunction._new(self.chart, self.rank, out)
 
     def pr_bidegree(self, h, k):
@@ -217,9 +238,8 @@ class GradedFunction(Combination):
             if A not in m.g:
                 continue
             pos = m.g.index(A)
-            sign = -1 if pos % 2 else 1
-            m2 = GhostMonomial(m.g[:pos] + m.g[pos + 1:], m.a)
-            out[m2] = c.scale(sign)
+            m2 = GhostMonomial._new(m.g[:pos] + m.g[pos + 1:], m.a)
+            out[m2] = -c if pos % 2 else c
         return GradedFunction(self.chart, self.rank, out)
 
     def left_deriv_antighost(self, A):
@@ -229,9 +249,8 @@ class GradedFunction(Combination):
             if A not in m.a:
                 continue
             pos = m.a.index(A)
-            sign = -1 if (len(m.g) + pos) % 2 else 1
-            m2 = GhostMonomial(m.g, m.a[:pos] + m.a[pos + 1:])
-            out[m2] = c.scale(sign)
+            m2 = GhostMonomial._new(m.g, m.a[:pos] + m.a[pos + 1:])
+            out[m2] = -c if (len(m.g) + pos) % 2 else c
         return GradedFunction(self.chart, self.rank, out)
 
     def partial(self, coord):

@@ -13,7 +13,10 @@ frame) are
 m and d_i are odd (internal degree 1), e_A has degree 0, f^A degree 2.
 Words are kept sorted (m, then d in coordinate order, then e, then f);
 transposing two odd letters costs a sign and a repeated odd letter
-kills the term.
+kills the term.  Every stored word is canonical, so the term product
+_term_mul merges its two words in one pass; sort_word brings
+non-canonical input to that order (the structure builders, the
+constructor's check, v_immersion).
 
 The Schouten-Jacobi bracket works on the same (mono, word, fr) keys.
 Each letter is a momentum conjugate to a generator: d_i to the
@@ -173,17 +176,36 @@ class MultiDerivation(Combination):
 def _term_mul(t1, t2, chart):
     """Product of two (mono, word) terms as (sign, mono, word), sign 0
     when it vanishes.  The factor order is m1 w1 m2 w2: the odd letters
-    of w1 pass m2, then the monomials and the words merge."""
+    of w1 pass m2, then the monomials and the words merge.
+
+    Both words are canonical, so one stable merge gives the product
+    word, the sign of its odd-odd transpositions (an odd letter of w1
+    passes every odd letter of w2 placed before it), the kill on a
+    repeated odd letter and the odd count of w1."""
     (m1, w1), (m2, w2) = t1, t2
-    s_m, mono = mono_mul(m1, m2)
-    if not s_m:
+    sign, mono = mono_mul(m1, m2)
+    if not sign:
         return 0, None, None
-    s_w, word = sort_word(w1 + w2, chart)
-    if not s_w:
-        return 0, None, None
-    if word_parity(w1) and m2.parity():
-        s_w = -s_w
-    return s_m * s_w, mono, word
+    keys2 = [_letter_key(ell, chart) for ell in w2]
+    n2 = len(w2)
+    word, j, odd1, odd2 = [], 0, 0, 0
+    for ell in w1:
+        key = _letter_key(ell, chart)
+        while j < n2 and keys2[j] <= key:
+            if keys2[j][0] < 2:  # m or d: odd
+                if keys2[j] == key:
+                    return 0, None, None
+                odd2 += 1
+            word.append(w2[j])
+            j += 1
+        if key[0] < 2:
+            odd1 += 1
+            if odd2 % 2:
+                sign = -sign
+        word.append(ell)
+    if odd1 % 2 and m2.parity():
+        sign = -sign
+    return sign, mono, tuple(word) + w2[j:]
 
 
 def md_mul(D1, D2):
@@ -199,8 +221,9 @@ def md_mul(D1, D2):
                                  "is not a word operator")
             sign, mono, word = _term_mul((m1, w1), (m2, w2), chart)
             if sign:
+                c = c1 * c2
                 add_term(terms, (mono, word, fr1 + fr2),
-                         (c1 * c2).scale(sign))
+                         c if sign > 0 else -c)
     return MultiDerivation._new(chart, rank, terms)
 
 
@@ -391,9 +414,9 @@ def _dL_gen(mono, word, fr, c, ell):
     pos = gens.index(ell[1])
     rest = gens[:pos] + gens[pos + 1:]
     if kind == "e":
-        mono2 = GhostMonomial(rest, mono.a)
+        mono2 = GhostMonomial._new(rest, mono.a)
     else:
-        mono2, pos = GhostMonomial(mono.g, rest), pos + len(mono.g)
+        mono2, pos = GhostMonomial._new(mono.g, rest), pos + len(mono.g)
     return (mono2, word), (-c if pos % 2 else c)
 
 

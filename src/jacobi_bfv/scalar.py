@@ -18,7 +18,11 @@ cos^2 only when both factors carry cos of one coordinate, and a
 derivative only when it differentiates sin of a coordinate in a key
 that also holds cos of it (d sin = cos).  Every other sum, scaling,
 product or derivative of normal forms, merged key by key with the zero
-sums dropped, is normal already and is wrapped as it is (_new).
+sums dropped, is normal already and is wrapped as it is (_new).  A
+product of two one-term elements multiplies its one pair directly
+unless both keys lead with cos.  Elements are never changed in place,
+so results share them: scale(1) returns the element and scale(-1) its
+negation.
 """
 
 from fractions import Fraction
@@ -233,13 +237,6 @@ def _reduce_terms(raw):
     return out
 
 
-def _scaled(terms, q):
-    "The terms of q times a normal form, for an exact nonzero q."
-    out = {k: q * c for k, c in terms.items()}
-    _exact_terms(out)
-    return out
-
-
 class ScalarExpr:
     """Normal-form ring element over a fixed chart."""
 
@@ -345,9 +342,17 @@ class ScalarExpr:
                              % (self.chart, other.chart))
         a, b = self.terms, other.terms
         if len(b) == 1 and () in b:
-            return ScalarExpr._new(self.chart, _scaled(a, b[()]))
+            return self.scale(b[()])
         if len(a) == 1 and () in a:
-            return ScalarExpr._new(self.chart, _scaled(b, a[()]))
+            return other.scale(a[()])
+        if len(a) == 1 and len(b) == 1:
+            (k1, c1), = a.items()
+            (k2, c2), = b.items()
+            if k1[0][0][0] != "cos" or k2[0][0][0] != "cos":
+                # cos atoms lead a key, so no cos^2 arises: the one
+                # product is normal, its coefficient nonzero
+                return ScalarExpr._new(self.chart,
+                                       {_mul_keys(k1, k2): _exact(c1 * c2)})
         terms = {}
         for k1, c1 in a.items():
             for k2, c2 in b.items():
@@ -361,9 +366,15 @@ class ScalarExpr:
         return self.__mul__(other)
 
     def scale(self, q):
+        "q times this element; 1 returns it as it is and -1 its negation."
         q = _exact(q)
-        return ScalarExpr._new(self.chart,
-                               _scaled(self.terms, q) if q else {})
+        if q == 1:
+            return self
+        if q == -1:
+            return -self
+        terms = {k: q * c for k, c in self.terms.items()} if q else {}
+        _exact_terms(terms)
+        return ScalarExpr._new(self.chart, terms)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:

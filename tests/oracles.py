@@ -19,6 +19,10 @@ from another side:
 - mul_by_reduce and partial_by_reduce are the ring product and
   derivative that normalise every result in full, through the public
   constructor;
+- mono_mul_by_sort multiplies ghost monomials by sorting the
+  concatenated index tuples into a validated GhostMonomial, and
+  term_mul_by_sort multiplies (mono, word) terms by sorting the
+  concatenated word with sort_word;
 - derived_brackets_unshared builds every m_k value from Jhat afresh,
   sharing no argument prefix;
 - hpl_dif_by_series is the transferred differential summed homotopy
@@ -39,9 +43,9 @@ from jacobi_bfv.scalar import ScalarExpr
 from jacobi_bfv.ghost import (GhostMonomial, GradedFunction, Section, ONE_MONO,
                               shifted_parity)
 from jacobi_bfv.multideriv import (M, d_letter, e_letter, f_letter,
-                                   letter_odd, _letter_key, word_parity,
-                                   _letter_apply, MultiDerivation, evaluate,
-                                   md_mul)
+                                   letter_odd, _letter_key, sort_word,
+                                   word_parity, _letter_apply,
+                                   MultiDerivation, evaluate, md_mul)
 from jacobi_bfv.contraction import _weight
 from jacobi_bfv.solver import sj_bracket, v_immersion, v_projection
 
@@ -158,6 +162,37 @@ def single(chart, rank, word, coeff=None, mono=ONE_MONO, fr=1):
     "The operator  coeff * mono word,  coeff 1 by default."
     coeff = ScalarExpr.one(chart) if coeff is None else coeff
     return MultiDerivation(chart, rank, {(mono, tuple(word), fr): coeff})
+
+
+# -- term products by sorting ------------------------------------------
+
+def mono_mul_by_sort(m1, m2):
+    """(sign, GhostMonomial) or (0, None) of m1 m2: a shared index kills
+    the product, the g2 block moves across a1 and each block pair counts
+    its inversions; the result is validated by the public constructor."""
+    if any(A in m1.g for A in m2.g) or any(B in m1.a for B in m2.a):
+        return 0, None
+    inv = len(m1.a) * len(m2.g)
+    for left, right in ((m1.g, m2.g), (m1.a, m2.a)):
+        inv += sum(1 for y in right for x in left if x > y)
+    return (-1 if inv % 2 else 1), GhostMonomial(
+        tuple(sorted(m1.g + m2.g)), tuple(sorted(m1.a + m2.a)))
+
+
+def term_mul_by_sort(t1, t2, chart):
+    """(sign, mono, word) of the product of two (mono, word) terms, sign
+    0 and None otherwise: the concatenated word goes through sort_word,
+    and the odd letters of w1 pass m2."""
+    (m1, w1), (m2, w2) = t1, t2
+    s_m, mono = mono_mul_by_sort(m1, m2)
+    if not s_m:
+        return 0, None, None
+    s_w, word = sort_word(w1 + w2, chart)
+    if not s_w:
+        return 0, None, None
+    if word_parity(w1) and m2.parity():
+        s_w = -s_w
+    return s_m * s_w, mono, word
 
 
 # -- substitution, one occurrence at a time ----------------------------

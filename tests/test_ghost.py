@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -6,7 +7,7 @@ from jacobi_bfv.scalar import ScalarExpr
 from jacobi_bfv.ghost import (GhostMonomial, GradedFunction, Section,
                               mono_mul, ONE_MONO)
 from jacobi_bfv.multideriv import MultiDerivation
-from oracles import bidegrees, ghost_number
+from oracles import bidegrees, ghost_number, mono_mul_by_sort
 from conftest import t5_chart, random_scalar, random_ghost_fun, rng_for
 
 
@@ -71,6 +72,44 @@ def test_mono_mul_matches_brute_force_sign():
         assert s == s_ref
         if s_ref:
             assert m == m_ref
+
+
+def all_monomials(rank):
+    "Every ghost monomial at the given rank."
+    subsets = [c for k in range(rank + 1)
+               for c in combinations(range(rank), k)]
+    return [GhostMonomial(g, a) for g in subsets for a in subsets]
+
+
+def assert_validated(m):
+    "m equals, and hashes like, the monomial the constructor validates."
+    twin = GhostMonomial(m.g, m.a)
+    assert type(m.g) is tuple and type(m.a) is tuple, m
+    assert m == twin and hash(m) == hash(twin), m
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_mono_mul_matches_sorting_oracle_on_every_pair(rank):
+    # the one-pass product against the sorted concatenations, on every
+    # pair of monomials at this rank, and the left derivatives' unchecked
+    # monomials against their validated twins
+    ch = t5_chart()
+    monos = all_monomials(rank)
+    seen = {"killed": 0, "minus": 0, "plus": 0}
+    for m1 in monos:
+        for m2 in monos:
+            got, want = mono_mul(m1, m2), mono_mul_by_sort(m1, m2)
+            assert got == want, (m1, m2)
+            if got[0]:
+                assert hash(got[1]) == hash(want[1])
+                assert_validated(got[1])
+            seen[{0: "killed", -1: "minus", 1: "plus"}[got[0]]] += 1
+        f = GradedFunction(ch, rank, {m1: ScalarExpr.one(ch)})
+        for A in range(rank):
+            for m in list(f.left_deriv_ghost(A).terms) + \
+                    list(f.left_deriv_antighost(A).terms):
+                assert_validated(m)
+    assert min(seen.values()) >= 1, seen
 
 
 def test_product_is_graded_commutative():

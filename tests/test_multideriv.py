@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -6,14 +7,16 @@ from jacobi_bfv.scalar import ScalarExpr, add_term
 from jacobi_bfv.ghost import (GhostMonomial, GradedFunction, Section, ONE_MONO,
                               mono_mul, shifted_parity)
 from jacobi_bfv.multideriv import (
-    M, d_letter, e_letter, f_letter, sort_word, word_parity,
+    M, d_letter, e_letter, f_letter, sort_word, word_parity, _letter_key,
+    _term_mul,
     MultiDerivation, md_mul, evaluate, sj_bracket,
     build_G, is_jacobi, jacobi_from_pair, jacobi_from_words, hamiltonian,
     jacobi_bracket)
 from jacobi_bfv.solver import NotJacobiError, lift_jacobi
 from jacobi_bfv.models import t5_contact
 from oracles import (gerstenhaber_eval_oracle, reconstruct, arity, tau,
-                     op_bidegrees, to_section, evaluate_by_term)
+                     op_bidegrees, to_section, evaluate_by_term,
+                     term_mul_by_sort)
 from conftest import (t5_chart, random_scalar, rng_for, random_ghost_fun,
                       random_homogeneous, random_md, random_hom_md,
                       all_letters)
@@ -696,6 +699,40 @@ def _ref_md_mul(D1, D2):
             add_term(terms, (mono, word, fr1 + fr2),
                      (c1 * c2).scale(sgn * s_m * s_w))
     return MultiDerivation(chart, rank, terms)
+
+
+def test_term_mul_matches_sorting_oracle_on_every_word_pair():
+    # the merge of canonical words against sort_word of the concatenation,
+    # on every pair of canonical words of up to 3 letters over the
+    # t5-contact letters at rank 2; the monomial pairs cycle through
+    # even and odd factors and a colliding pair
+    chart = t5_contact().chart
+    letters = sorted(all_letters(chart, 2),
+                     key=lambda ell: _letter_key(ell, chart))
+    words = []
+    for k in range(4):
+        for combo in combinations_with_replacement(letters, k):
+            sign, word = sort_word(combo, chart)
+            if sign:
+                assert word == combo
+                words.append(word)
+    monos = [(ONE_MONO, ONE_MONO), (ONE_MONO, GhostMonomial((0,), ())),
+             (GhostMonomial((1,), ()), GhostMonomial((), (0,))),
+             (GhostMonomial((0,), (1,)), GhostMonomial((1,), (0,))),
+             (GhostMonomial((), (1,)), GhostMonomial((0, 1), (1,)))]
+    seen = {"killed-word": 0, "killed-mono": 0, "minus": 0, "plus": 0}
+    for i, (w1, w2) in enumerate((w1, w2) for w1 in words for w2 in words):
+        m1, m2 = monos[i % len(monos)]
+        got = _term_mul((m1, w1), (m2, w2), chart)
+        assert got == term_mul_by_sort((m1, w1), (m2, w2), chart), \
+            (m1, w1, m2, w2)
+        if got[0]:
+            seen["minus" if got[0] < 0 else "plus"] += 1
+            assert hash(got[1]) == hash(GhostMonomial(got[1].g, got[1].a))
+        else:
+            seen["killed-word" if mono_mul(m1, m2)[0] else "killed-mono"] += 1
+    assert len(words) == 351
+    assert min(seen.values()) >= 100, seen
 
 
 def test_md_mul_matches_reference():

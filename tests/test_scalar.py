@@ -182,10 +182,14 @@ def test_fast_paths_match_always_normalising_oracle():
     pool = fast_path_pool(rng, ch)
     seen = {"cos-both": 0, "cos-one": 0, "sin-beside-cos": 0, "dfn": 0,
             "halves-integral": 0, "constant-left": 0, "constant-right": 0,
-            "zero": 0}
+            "zero": 0, "single-single": 0, "single-cos-cos-same": 0,
+            "single-cos-cos-different": 0, "single-constant": 0}
 
     def cos_coords(x):
         return {at[1] for key in x.terms for at, _ in key if at[0] == "cos"}
+
+    def single(x):
+        return len(x.terms) == 1 and () not in x.terms
 
     for a in pool:
         for b in pool:
@@ -196,6 +200,16 @@ def test_fast_paths_match_always_normalising_oracle():
             seen["cos-one"] += bool(cos_coords(a)) != bool(cos_coords(b))
             seen["constant-left"] += set(a.terms) == {()}
             seen["constant-right"] += set(b.terms) == {()}
+            if single(a) and single(b):
+                seen["single-single"] += 1
+                if cos_coords(a) & cos_coords(b):
+                    # cos^2 arose and was rewritten: more than one term
+                    seen["single-cos-cos-same"] += 1
+                    assert len(got.terms) > 1, (a, b)
+                elif cos_coords(a) and cos_coords(b):
+                    seen["single-cos-cos-different"] += 1
+            seen["single-constant"] += (single(a) and set(b.terms) == {()}) \
+                or (single(b) and set(a.terms) == {()})
             seen["zero"] += a.is_zero() or b.is_zero()
             seen["halves-integral"] += any(
                 type(c) is int for c in got.terms.values()) and any(
@@ -210,6 +224,26 @@ def test_fast_paths_match_always_normalising_oracle():
                 (("sin", coord), e) in key and (("cos", coord), 1) in key
                 for key in a.terms for e in (1, 2, 3))
     assert min(seen.values()) >= 5, seen
+
+
+def test_unit_scales_share_or_negate():
+    # scale(1) returns the element itself and scale(-1) its negation;
+    # both keep each coefficient's exact type and value
+    ch = t5_chart()
+    y1, half = S(ch, "y1"), Fraction(1, 2)
+    for x in (y1 * 3 - 2, y1.scale(half) + y1 * y1, ScalarExpr.zero(ch),
+              ScalarExpr.number(ch, Fraction(-2, 3))):
+        for one in (1, Fraction(1), 1.0):
+            assert x.scale(one) is x
+        for minus in (-1, Fraction(-1), -1.0):
+            neg = x.scale(minus)
+            assert neg == -x and neg.terms == {k: -c for k, c in
+                                               x.terms.items()}
+            for key, c in x.terms.items():
+                assert type(neg.terms[key]) is type(c)
+    x = y1.scale(half) + 3
+    assert {k: (type(c), c) for k, c in x.scale(-1).terms.items()} == {
+        ((("x", "y1"), 1),): (Fraction, -half), (): (int, -3)}
 
 
 def test_substitute_with_repeated_powers_matches_oracle():

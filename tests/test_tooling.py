@@ -329,6 +329,42 @@ def test_src_has_no_shared_mutable_state():
     assert found == []
 
 
+TERM_MUTATORS = {"pop", "update", "clear", "setdefault", "popitem"}
+
+
+def test_src_never_mutates_a_terms_dict():
+    # coefficients are shared between results (scale(1) returns its
+    # element), so outside a constructor no module writes or deletes
+    # through <expr>.terms[...] or calls a mutating method of
+    # <expr>.terms; local dicts such as _exact_terms' argument may change
+    pkg = os.path.join(ROOT, "src", "jacobi_bfv")
+    found = []
+
+    def visit(node, where, in_init):
+        if isinstance(node, ast.FunctionDef):
+            in_init = node.name == "__init__"
+        if not in_init:
+            if isinstance(node, ast.Subscript) and \
+                    isinstance(node.ctx, (ast.Store, ast.Del)) and \
+                    isinstance(node.value, ast.Attribute) and \
+                    node.value.attr == "terms":
+                found.append("%s:%d" % (where, node.lineno))
+            elif isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr in TERM_MUTATORS and \
+                    isinstance(node.func.value, ast.Attribute) and \
+                    node.func.value.attr == "terms":
+                found.append("%s:%d" % (where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, in_init)
+
+    for fname in sorted(os.listdir(pkg)):
+        if fname.endswith(".py"):
+            with open(os.path.join(pkg, fname)) as fh:
+                visit(ast.parse(fh.read()), fname, False)
+    assert found == []
+
+
 def test_src_has_no_unused_imports():
     # __init__.py imports only to re-export
     pkg = os.path.join(ROOT, "src", "jacobi_bfv")
