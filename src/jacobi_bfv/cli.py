@@ -187,6 +187,13 @@ def _object(obj, key):
     return value
 
 
+def _only_keys(obj, known, what):
+    "Raise ScenarioError naming every key of obj outside known."
+    stray = sorted(set(obj) - known)
+    if stray:
+        raise ScenarioError("unknown %s keys: %s" % (what, ", ".join(stray)))
+
+
 def parse_expr(src, chart):
     "Prefix syntax: symbols, rationals, (+ ...), (* ...), (^ x n), (neg x), (sin c), (cos c)."
     if isinstance(src, float) and src.is_integer():
@@ -233,9 +240,7 @@ def _builtin_t5():
 def _parse_chart(obj):
     if not isinstance(obj, dict):
         raise ScenarioError("chart must be an object")
-    stray = sorted(set(obj) - {"coords", "angular", "fiber", "funcs"})
-    if stray:
-        raise ScenarioError("unknown chart keys: %s" % ", ".join(stray))
+    _only_keys(obj, {"coords", "angular", "fiber", "funcs"}, "chart")
     try:
         funcs = _object(obj, "funcs")
         _names(list(funcs), "function names")
@@ -253,9 +258,7 @@ def _parse_connection(obj, chart, rank):
         return ConnectionSpec(chart, rank)
     if not isinstance(obj, dict):
         raise ScenarioError("connection must be \"flat-trivial\" or an object")
-    stray = sorted(set(obj) - {"vert", "coef"})
-    if stray:
-        raise ScenarioError("unknown connection keys: %s" % ", ".join(stray))
+    _only_keys(obj, {"vert", "coef"}, "connection")
 
     def index(A):
         A = _count(A, "connection frame index")
@@ -317,11 +320,8 @@ def parse_scenario(source):
     if obj.get("schema") != SCHEMA:
         raise ScenarioError("unsupported schema %r (expected %r)"
                             % (obj.get("schema"), SCHEMA))
-    known = {"schema", "name", "chart", "rank", "jacobi", "connection",
-             "connection2", "section", "options"}
-    stray = sorted(set(obj) - known)
-    if stray:
-        raise ScenarioError("unknown scenario keys: %s" % ", ".join(stray))
+    _only_keys(obj, {"schema", "name", "chart", "rank", "jacobi", "connection",
+                     "connection2", "section", "options"}, "scenario")
     chart = _parse_chart(obj.get("chart"))
     rank = obj.get("rank")
     if isinstance(rank, bool) or not isinstance(rank, int) or \
@@ -329,9 +329,7 @@ def parse_scenario(source):
         raise ScenarioError("rank must equal the number of fiber "
                             "coordinates (%d)" % len(chart.fiber))
     jac = _object(obj, "jacobi")
-    stray = sorted(set(jac) - {"biv", "vec", "terms"})
-    if stray:
-        raise ScenarioError("unknown jacobi keys: %s" % ", ".join(stray))
+    _only_keys(jac, {"biv", "vec", "terms"}, "jacobi")
     if "terms" in jac:
         if "biv" in jac or "vec" in jac:
             raise ScenarioError("jacobi takes either biv/vec or terms, "
@@ -370,6 +368,7 @@ def parse_scenario(source):
     if not isinstance(name, str):
         raise ScenarioError("name must be a string, got %r" % (name,))
     opts = _object(obj, "options")
+    _only_keys(opts, {"kmax", "max_iter"}, "options")
     return ScenarioSpec(name, chart, rank, J, conn,
                         conn2, section,
                         kmax=_count(opts.get("kmax", 3), "options.kmax"),

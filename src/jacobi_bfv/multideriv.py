@@ -25,8 +25,11 @@ and f^A to the anti-ghost xi*_A.  The bracket is the odd Poisson
 bracket of these pairs.  A term of frame flag fr, arity n and m-count
 eps carries t-weight  w = fr - n + eps, the factor its derivative
 along t brings down.  Every product of the bracket lands at frame flag
-fr1 + fr2 - 1, which is checked to be 0 or 1.  The graded product
-md_mul and the bracket share one term product, _term_mul.
+fr1 + fr2 - 1, which is checked to be 0 or 1.  The half bracket
+indexes the G-terms' left derivatives by momentum and skips, by integer
+masks, every product that would repeat a ghost index or an odd letter,
+so each _term_mul it calls survives.  The graded product md_mul and the
+bracket share one term product, _term_mul.
 jacobi_from_words builds every structure operator J and brackets
 nothing: solver.lift_jacobi decides the Jacobi condition [[J, J]] = 0.
 """
@@ -424,30 +427,53 @@ def _half_bracket(F, G, chart):
     """sum over momenta u of (dR F / du)(dL G / d(generator of u)), for
     lists F, G of (key, coefficient) pairs.
 
-    Only the momenta an F-term carries are visited; its right
-    derivatives are taken once per F-term, and each left derivative of
-    a G-term once per call.  Each product lands at frame flag
-    frF + frG - 1.  Terms accumulate in (F-term, G-term, momentum)
-    order."""
-    out = {}
-    dL = {}
+    Only the momenta an F-term carries are visited.  Per momentum, the
+    first F-term to need it indexes the G-terms whose left derivative by
+    it is nonzero, in G order.  A term's mask has one bit per odd letter
+    (m, d by chart axis) and per ghost and anti-ghost index; a pair whose
+    masks meet outside the momentum's own bit would repeat one of them,
+    so it is skipped before _term_mul.  An F-term's hits are sorted by
+    (G-term, momentum), so terms accumulate in (F-term, G-term, momentum)
+    order, at frame flag frF + frG - 1."""
+    pos, base = chart._pos, 1 + len(chart.coords)
+
+    def bit(ell):  # m, d by axis, then e_A and f^A interleaved by A
+        if ell[0] in ("m", "d"):
+            return 1 if ell == M else 2 << pos[ell[1]]
+        return (1 if ell[0] == "e" else 2) << (base + 2 * ell[1])
+
+    def mask(mono, word):
+        bits = 0
+        for A in mono.g:
+            bits |= 1 << (base + 2 * A)
+        for A in mono.a:
+            bits |= 2 << (base + 2 * A)
+        for ell in word:
+            if ell[0] in ("m", "d"):
+                bits |= bit(ell)
+        return bits
+
+    out, index = {}, {}
     for (mF, wF, frF), cF in F:
-        dRs = [(ell, _dR_mom(mF, wF, cF, ell)) for ell in _momenta(wF)]
-        if not dRs:
-            continue
-        for j, ((mG, wG, frG), cG) in enumerate(G):
-            fr = frF + frG - 1
-            for ell, (tA, cA) in dRs:
-                if (j, ell) in dL:
-                    b = dL[(j, ell)]
-                else:
-                    b = dL[(j, ell)] = _dL_gen(mG, wG, frG, cG, ell)
-                if b is None:
-                    continue
-                sign, mono, word = _term_mul(tA, b[0], chart)
-                if sign:
-                    c = cA * b[1]
-                    add_term(out, (mono, word, fr), -c if sign < 0 else c)
+        moms = _momenta(wF)
+        maskF, hits = mask(mF, wF), []
+        for p, ell in enumerate(moms):
+            if ell not in index:
+                index[ell] = []
+                for j, ((mG, wG, frG), cG) in enumerate(G):
+                    b = _dL_gen(mG, wG, frG, cG, ell)
+                    if b is not None:
+                        index[ell].append((j, frG, b, mask(mG, wG)))
+            rest, dR = maskF & ~bit(ell), None
+            for j, frG, b, maskG in index[ell]:
+                if not rest & maskG:
+                    dR = dR or _dR_mom(mF, wF, cF, ell)
+                    hits.append((j, p, frG, dR, b))
+        hits.sort()  # each (j, p) occurs once, so the sort stops there
+        for _, _, frG, (tA, cA), (tB, cB) in hits:
+            sign, mono, word = _term_mul(tA, tB, chart)
+            c = cA * cB
+            add_term(out, (mono, word, frF + frG - 1), -c if sign < 0 else c)
     return out
 
 

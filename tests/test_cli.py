@@ -303,6 +303,7 @@ CURVED = {"vert": [[0, 1, "(sin phi3)"]]}
      "bad chart: coords must be a list of names"),
     ({"chart": dict(T5_DOC["chart"], funcs={"f 1": ["phi1"]})},
      "bad chart: function names must be a list of names"),
+    ({"options": {"max_iters": 0}}, "unknown options keys: max_iters"),
 ])
 def test_scenario_rejects_malformed_values(tmp_path, patch, match):
     with pytest.raises(ScenarioError, match=match):
@@ -343,6 +344,9 @@ def test_main_iteration_caps(tmp_path, capsys):
     src = scenario_file(tmp_path, options={"max_iter": -1})
     assert cli.main(["--scenario", src, "--command", "lift"]) == 1
     assert "options.max_iter" in capsys.readouterr().err
+    src = scenario_file(tmp_path, options={"max_iters": 0})
+    assert cli.main(["--scenario", src, "--command", "lift"]) == 1
+    assert "unknown options keys: max_iters" in capsys.readouterr().err
     # the flat lift is exact, so a cap of 0 suffices
     assert cli.main(["--command", "lift", "--max-iter", "0"]) == 0
     assert "corrections: 0" in capsys.readouterr().out

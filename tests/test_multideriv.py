@@ -1,5 +1,10 @@
 from fractions import Fraction
+import hashlib
 from itertools import combinations_with_replacement
+import json
+import os
+import random
+import sys
 
 import pytest
 
@@ -8,18 +13,22 @@ from jacobi_bfv.ghost import (GhostMonomial, GradedFunction, Section, ONE_MONO,
                               mono_mul, shifted_parity)
 from jacobi_bfv.multideriv import (
     M, d_letter, e_letter, f_letter, sort_word, word_parity, _letter_key,
-    _term_mul,
+    _term_mul, _momenta, _dR_mom, _dL_gen,
     MultiDerivation, md_mul, evaluate, sj_bracket,
     build_G, is_jacobi, jacobi_from_pair, jacobi_from_words, hamiltonian,
     jacobi_bracket)
 from jacobi_bfv.solver import NotJacobiError, lift_jacobi
 from jacobi_bfv.models import t5_contact
+from jacobi_bfv.cli import parse_scenario
 from oracles import (gerstenhaber_eval_oracle, reconstruct, arity, tau,
                      op_bidegrees, to_section, evaluate_by_term,
                      term_mul_by_sort)
 from conftest import (t5_chart, random_scalar, rng_for, random_ghost_fun,
                       random_homogeneous, random_md, random_hom_md,
                       all_letters)
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
 
 CH = t5_chart()
 RANK = 2
@@ -620,6 +629,120 @@ def test_indexed_bracket_matches_full_scan_on_lifts():
             c = rec["correction"]
             for D, E in ((Jhat, Jhat), (Jhat, c), (c, Jhat), (c, c)):
                 assert _same_terms(sj_bracket(D, E), _full_scan_bracket(D, E))
+
+
+def _crowded_md(rng, chart, fr):
+    """Rank-3 operator whose terms carry up to two ghost and two
+    anti-ghost indices, m and d letters on any axis, and e and f
+    letters: many of its products with another one collide."""
+    terms = {}
+    for _ in range(rng.randint(2, 6)):
+        mono = GhostMonomial(
+            tuple(sorted(rng.sample(range(3), rng.randint(0, 2)))),
+            tuple(sorted(rng.sample(range(3), rng.randint(0, 2)))))
+        word = [M] * (rng.random() < 0.6)
+        word += [d_letter(x) for x in rng.sample(chart.coords, rng.randint(0, 2))]
+        word += [rng.choice((e_letter, f_letter))(rng.randrange(3))
+                 for _ in range(rng.randint(0, 2))]
+        sign, word = sort_word(word, chart)
+        c = random_scalar(rng, chart, max_terms=2, allow_abstract=True)
+        if sign and not c.is_zero():
+            add_term(terms, (mono, word, fr), c.scale(sign))
+    return MultiDerivation(chart, 3, terms)
+
+
+def _skipped_products(F, G, seen):
+    # count, by what the two factors share, the (F-term, G-term,
+    # momentum) products that the half bracket skips by their masks
+    for (mF, wF, _), cF in F.terms.items():
+        for ell in _momenta(wF):
+            (mA, wA), _ = _dR_mom(mF, wF, cF, ell)
+            for (mG, wG, frG), cG in G.terms.items():
+                b = _dL_gen(mG, wG, frG, cG, ell)
+                if b is None:
+                    continue
+                (mB, wB), _ = b
+                seen["ghost"] += bool(set(mA.g) & set(mB.g))
+                seen["antighost"] += bool(set(mA.a) & set(mB.a))
+                seen["m"] += M in wA and M in wB
+                for x in wA:
+                    if x[0] == "d" and x in wB:
+                        seen["d"] += 1
+                        seen["d-axes"].add(x[1])
+
+
+def test_masked_bracket_matches_full_scan_when_crowded():
+    rng = rng_for("crowded-bracket")
+    abstract = t5_chart(abstract=True)
+    seen = {"ghost": 0, "antighost": 0, "m": 0, "d": 0, "d-axes": set()}
+    nonzero = 0
+    for trial in range(60):
+        chart = abstract if trial % 2 else CH
+        D = _crowded_md(rng, chart, 1)
+        E = _crowded_md(rng, chart, rng.randint(0, 1))
+        for X, Y in ((D, D), (D, E), (E, D)):
+            got = sj_bracket(X, Y)
+            assert _same_terms(got, _full_scan_bracket(X, Y))
+            nonzero += not got.is_zero()
+        _skipped_products(D, E, seen)
+        _skipped_products(E, D, seen)
+    assert nonzero >= 60
+    assert seen.pop("d-axes") == set(CH.coords)
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def _generated_lift(tmp_path, n, rank, curved, sid, seed):
+    "Lift perfbench's case lift/n<n>-r<rank>-c<curved>/<sid> at a value seed."
+    import gen
+    label = "n%d-r%d-c%d/%d" % (n, rank, curved, sid)
+    doc = gen.poisson_lift(random.Random("lift/" + label), random.Random(seed),
+                           n, rank, curved)
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps(doc))
+    spec = parse_scenario(str(path))
+    return lift_jacobi(spec.J, spec.conn, spec.max_iter)
+
+
+def test_bracket_visits_only_surviving_products(tmp_path, monkeypatch):
+    from jacobi_bfv import multideriv
+    Jhat3, trace3 = _generated_lift(tmp_path, 3, 3, 3, 1, 1)
+    assert Jhat3.rank == 3 and trace3
+    plain = (multideriv._half_bracket, multideriv._term_mul,
+             multideriv._dL_gen)
+    signs, derived = [], []
+
+    def half(*args):
+        derived.append([])
+        return plain[0](*args)
+
+    def term_mul(*args):
+        out = plain[1](*args)
+        signs.append(out[0])
+        return out
+
+    def dL_gen(mono, word, fr, c, ell):
+        derived[-1].append((mono, word, fr, ell))
+        return plain[2](mono, word, fr, c, ell)
+
+    monkeypatch.setattr(multideriv, "_half_bracket", half)
+    monkeypatch.setattr(multideriv, "_term_mul", term_mul)
+    monkeypatch.setattr(multideriv, "_dL_gen", dL_gen)
+    for Jhat, c in (_curved_lift(), (Jhat3, trace3[0]["correction"])):
+        for D, E in ((Jhat, Jhat), (Jhat, c), (c, Jhat)):
+            del signs[:], derived[:]
+            sj_bracket(D, E)
+            assert signs and all(signs)
+            for calls in derived:
+                assert len(calls) == len(set(calls))
+
+
+def test_large_generated_lift_is_pinned(tmp_path):
+    # the n = 8, r = 4 lift with 6 curved entries, where most products
+    # of the bracket collide
+    Jhat, _ = _generated_lift(tmp_path, 8, 4, 6, 0, 1)
+    assert len(Jhat.terms) == 738
+    assert hashlib.sha256(str(Jhat).encode()).hexdigest()[:16] == \
+        "129402e05b5723a0"
 
 
 # -- self-brackets from the even half --------------------------------
