@@ -10,7 +10,9 @@ annihilates the term.  Indices are 0-based internally and rendered
 Every monomial an operation produces is canonical, so mono_mul merges
 its operands' ascending blocks in one pass and builds the product
 unchecked (GhostMonomial._new), as do the left derivatives, which
-remove one index.  The public constructor validates the order.  A
+remove one index; they and partial store no zero and wrap unchecked.
+mul_terms, the product on plain term dicts, serves ghost_mul and
+evaluate.  The public constructor validates the order.  A
 monomial hashes once, when it is built.  A product applies its sign
 by negation; a ring element's coefficients are never written in place,
 so results may share them.
@@ -91,6 +93,16 @@ def mono_mul(m1, m2):
     return (-1 if inv % 2 else 1), GhostMonomial._new(
         tuple(sorted(g1 + g2)) if g1 and g2 else g1 or g2,
         tuple(sorted(a1 + a2)) if a1 and a2 else a1 or a2)
+
+
+def mul_terms(out, a, b, neg=False):
+    "Add the graded product of term dicts a, b into out; negated if neg."
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            sign, m = mono_mul(m1, m2)
+            if sign:
+                c = c1 * c2
+                add_term(out, m, c if (sign < 0) == neg else -c)
 
 
 def check_mono(mono, rank):
@@ -218,12 +230,7 @@ class GradedFunction(Combination):
             return Section(self.ghost_mul(other.fun))
         self._check_like(other)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                sign, m = mono_mul(m1, m2)
-                if sign:
-                    c = c1 * c2
-                    add_term(out, m, c if sign > 0 else -c)
+        mul_terms(out, self.terms, other.terms)
         return GradedFunction._new(self.chart, self.rank, out)
 
     def pr_bidegree(self, h, k):
@@ -240,7 +247,7 @@ class GradedFunction(Combination):
             pos = m.g.index(A)
             m2 = GhostMonomial._new(m.g[:pos] + m.g[pos + 1:], m.a)
             out[m2] = -c if pos % 2 else c
-        return GradedFunction(self.chart, self.rank, out)
+        return GradedFunction._new(self.chart, self.rank, out)
 
     def left_deriv_antighost(self, A):
         "Left derivative along xi*_A."
@@ -251,11 +258,11 @@ class GradedFunction(Combination):
             pos = m.a.index(A)
             m2 = GhostMonomial._new(m.g, m.a[:pos] + m.a[pos + 1:])
             out[m2] = -c if (len(m.g) + pos) % 2 else c
-        return GradedFunction(self.chart, self.rank, out)
+        return GradedFunction._new(self.chart, self.rank, out)
 
     def partial(self, coord):
-        return GradedFunction(self.chart, self.rank,
-                              {m: c.partial(coord) for m, c in self.terms.items()})
+        return GradedFunction._new(self.chart, self.rank, {
+            m: d for m, c in self.terms.items() if (d := c.partial(coord))})
 
     def with_chart(self, chart):
         return GradedFunction(chart, self.rank,

@@ -38,7 +38,8 @@ from itertools import product as iproduct
 
 from .scalar import ScalarExpr, add_term
 from .ghost import (Combination, GhostMonomial, GradedFunction, Section,
-                    ONE_MONO, check_mono, mono_mul, shifted_parity)
+                    ONE_MONO, check_mono, mono_mul, mul_terms,
+                    shifted_parity)
 
 
 # -- letters ---------------------------------------------------------
@@ -264,9 +265,13 @@ def evaluate(D, args):
     the sort, and each multiset is peeled once.  A multiset holding a
     shifted-odd piece twice peels to 0 and is skipped; within a peel,
     the copies of a repeated even piece give equal values, so the first
-    is visited and scaled by the count.  The terms are grouped by word:
-    the peeled values of a word are summed over the multisets first,
-    and the word's ghost coefficient multiplies the sum once."""
+    is visited and scaled by the count: at the top through the
+    coefficient, below through the action, once per (letter, piece,
+    count).  Values are plain term dicts, and coefficients come first:
+    the word's ghost coefficients, scaled by multiplicity, count and
+    sign, multiply the head letter's action, and that product (the
+    value of a one-letter word) multiplies the peeled tail.  Each value
+    adds straight into the result, with no per-word sum."""
     chart, rank = D.chart, D.rank
     funs, pars = [], []  # per piece id: the function and its parity
 
@@ -318,52 +323,63 @@ def evaluate(D, args):
             raise ValueError("arity mismatch: a word of %d letters on %d "
                              "arguments" % (len(word), len(args)))
         by_word.setdefault(word, {})[mono] = coeff
-    acted = {}
+    acted, splits = {}, {}
 
-    def act(ell, pid):
-        key = (ell, pid)
+    def act(ell, pid, count=1):
+        # the terms of count times ell acting on piece pid
+        key = (ell, pid, count)
         if key not in acted:
-            acted[key] = _letter_apply(ell, funs[pid])
+            acted[key] = _letter_apply(ell, funs[pid]).terms if count == 1 \
+                else {m: c.scale(count) for m, c in act(ell, pid).items()}
         return acted[key]
+
+    def heads(parts):
+        # per distinct head piece: (piece, count, parity of the pieces
+        # before it, the other pieces)
+        if parts not in splits:
+            splits[parts] = [
+                (pid, parts.count(pid), sum(pars[p] for p in parts[:j]),
+                 parts[:j] + parts[j + 1:])
+                for j, pid in enumerate(parts) if not j or parts[j - 1] != pid]
+        return splits[parts]
 
     def peel(word, parts):
         # the head letter acts on each piece in turn, the tail on the
         # others; the sign passes the tail and the earlier pieces
-        if not word:
-            return GradedFunction.one(chart, rank)
         head, tail = word[0], word[1:]
         if not tail:
             return act(head, parts[0])
-        tail_par = word_parity(tail)
-        out = {}
-        for j, pid in enumerate(parts):
-            if j and parts[j - 1] == pid:
-                continue
-            val = act(head, pid)
-            if val.is_zero():
-                continue
-            rest = peel(tail, parts[:j] + parts[j + 1:])
-            if rest.is_zero():
-                continue
-            neg = (tail_par + sum(pars[p] for p in parts[:j])) * pars[pid] % 2
-            count = parts.count(pid)
-            for m, c in val.ghost_mul(rest).terms.items():
-                if count > 1:
-                    c = c.scale(count)
-                add_term(out, m, -c if neg else c)
-        return GradedFunction._new(chart, rank, out)
+        tail_par, out = word_parity(tail), {}
+        for pid, count, before, others in heads(parts):
+            val = act(head, pid, count)
+            if val:
+                mul_terms(out, val, peel(tail, others),
+                          pars[pid] and (tail_par + before) % 2)
+        return out
 
     total = {}
     for word, coeffs in by_word.items():
-        summed = {}
+        if not word:  # arity 0: the one multiset is empty
+            total.update(coeffs)
+            continue
+        head, tail = word[0], word[1:]
+        tail_par = word_parity(tail)
         for ids, mult in multisets.items():
-            for m, c in peel(word, ids).terms.items():
-                add_term(summed, m, c if mult == 1 else c.scale(mult))
-        if summed:
-            val = GradedFunction._new(chart, rank, coeffs).ghost_mul(
-                GradedFunction._new(chart, rank, summed))
-            for m, c in val.terms.items():
-                add_term(total, m, c)
+            for pid, count, before, others in heads(ids):
+                val = act(head, pid)
+                if not val:
+                    continue
+                if tail:
+                    rest = peel(tail, others)
+                    if not rest:
+                        continue
+                q = -mult * count if pars[pid] and (tail_par + before) % 2 \
+                    else mult * count
+                first = {} if tail else total
+                mul_terms(first, coeffs if q == 1 else
+                          {m: c.scale(q) for m, c in coeffs.items()}, val)
+                if tail:
+                    mul_terms(total, first, rest)
     if fr_flag == 0:
         return GradedFunction._new(chart, rank, total)
     return Section._new(chart, rank, total)

@@ -19,10 +19,12 @@ derivative only when it differentiates sin of a coordinate in a key
 that also holds cos of it (d sin = cos).  Every other sum, scaling,
 product or derivative of normal forms, merged key by key with the zero
 sums dropped, is normal already and is wrapped as it is (_new).  A
-product of two one-term elements multiplies its one pair directly
-unless both keys lead with cos.  Elements are never changed in place,
-so results share them: scale(1) returns the element and scale(-1) its
-negation.
+monomial factor maps keys one to one, so its product with any element
+is built pair by pair unless cos atoms of both factors can meet.  A
+derivative multiplies by an exponent only above 1, and substitute
+passes a key without a mapped atom as it is.  Elements are never
+changed in place, so results share them: scale(1) returns the element
+and scale(-1) its negation.
 """
 
 from fractions import Fraction
@@ -345,14 +347,16 @@ class ScalarExpr:
             return self.scale(b[()])
         if len(a) == 1 and () in a:
             return other.scale(a[()])
-        if len(a) == 1 and len(b) == 1:
+        # cos atoms lead a key, so none meet below, and a monomial factor
+        # maps keys one to one: each product is normal and nonzero
+        if len(a) == 1 or len(b) == 1:
+            if len(b) == 1:
+                a, b = b, a
             (k1, c1), = a.items()
-            (k2, c2), = b.items()
-            if k1[0][0][0] != "cos" or k2[0][0][0] != "cos":
-                # cos atoms lead a key, so no cos^2 arises: the one
-                # product is normal, its coefficient nonzero
-                return ScalarExpr._new(self.chart,
-                                       {_mul_keys(k1, k2): _exact(c1 * c2)})
+            if k1[0][0][0] != "cos" or not _cos_atoms(a) & _cos_atoms(b):
+                return ScalarExpr._new(self.chart, {
+                    _mul_keys(k1, k2): _exact(c1 * c2)
+                    for k2, c2 in b.items()})
         terms = {}
         for k1, c1 in a.items():
             for k2, c2 in b.items():
@@ -434,7 +438,7 @@ class ScalarExpr:
                     rest = key[:i] + key[i + 1:]
                 else:
                     rest = key[:i] + ((atom, e - 1),) + key[i + 1:]
-                coeff = c * e
+                coeff = c * e if e > 1 else c
                 if kind == "cos":
                     coeff = -coeff
                     datoms = ((("sin", coord), 1),)
@@ -445,26 +449,35 @@ class ScalarExpr:
         return ScalarExpr._new(self.chart, raw)
 
     def substitute(self, mapping):
-        """Ring homomorphism sending fiber coordinates to given elements;
-        only the mapped powers are multiplied out, each power once per
+        """Ring homomorphism sending fiber coordinates to given numbers
+        or elements of this chart; only the mapped powers are multiplied out, each power once per
         call, and the sum is normalised once."""
-        for name in mapping:
+        images = {}
+        for name, v in mapping.items():
             _check_name(name, self.chart.fiber, "fiber coordinate")
+            if not isinstance(v, ScalarExpr):
+                v = ScalarExpr.number(self.chart, v)
+            elif v.chart is not self.chart and v.chart != self.chart:
+                raise ValueError("ring elements of different charts: %r and "
+                                 "%r" % (self.chart, v.chart))
+            images[name] = v
         powers = {}
         raw = {}
         for key, c in self.terms.items():
-            image = ScalarExpr.number(self.chart, c)
-            rest = []
+            image, rest = None, []
             for atom, e in key:
-                if atom[0] == "x" and atom[1] in mapping:
+                if atom[0] == "x" and atom[1] in images:
                     power = powers.get((atom[1], e))
                     if power is None:
-                        power = powers[atom[1], e] = mapping[atom[1]] ** e
-                    image = image * power
+                        power = powers[atom[1], e] = images[atom[1]] ** e
+                    image = power if image is None else image * power
                 else:
                     rest.append((atom, e))
+            if image is None:
+                add_term(raw, key, c)
+                continue
             for k, q in image.terms.items():
-                add_term(raw, _mul_keys(rest, k), q)
+                add_term(raw, _mul_keys(rest, k), c * q)
         return ScalarExpr._new(self.chart, _reduce_terms(raw))
 
     def max_degree(self, names):

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import time
 from fractions import Fraction
@@ -633,6 +634,45 @@ def test_main_intertwine(capsys):
     out = capsys.readouterr().out
     assert "lift_intertwined: True" in out
     assert "charge_intertwined: True" in out
+
+
+def test_main_intertwine_does_not_replay(monkeypatch, capsys):
+    # gauge_intertwine returns only at its target, so both rows read
+    # True without replaying the exponentials
+    def replay(*args):
+        raise RuntimeError("GaugeAutomorphism replayed")
+
+    monkeypatch.setattr(solver.GaugeAutomorphism, "__call__", replay)
+    assert cli.main(["--command", "intertwine"]) == 0
+    out = capsys.readouterr().out
+    assert "lift_intertwined: True" in out
+    assert "charge_intertwined: True" in out
+
+
+def test_main_intertwine_rejects_rank1_up_front(tmp_path, monkeypatch,
+                                                capsys):
+    # the displacement raises the anti-ghost level by r - 1, so rank 1
+    # is refused before anything is lifted
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "demos", "scenarios", "small_rank1.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["connection2"] = doc.get("connection", "flat-trivial")
+    src = tmp_path / "rank1.json"
+    src.write_text(json.dumps(doc))
+
+    def lift(*args):
+        raise RuntimeError("lifted")
+
+    monkeypatch.setattr(cli, "lift_jacobi", lift)
+    assert cli.main(["--scenario", str(src), "--command", "intertwine"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "rank 1" in err and err.startswith("error: ")
+    # without connection2 the older message still comes first
+    del doc["connection2"]
+    src.write_text(json.dumps(doc))
+    assert cli.main(["--scenario", str(src), "--command", "intertwine"]) == 1
+    assert "connection2" in capsys.readouterr().err
 
 
 SMALL_DOC = {

@@ -262,3 +262,31 @@ def test_constructor_rejects_out_of_range_indices(mono):
     ch = t5_chart()
     with pytest.raises(ValueError, match="out of range for rank 2"):
         GradedFunction(ch, 2, {mono: ScalarExpr.one(ch)})
+
+
+def test_unchecked_derivatives_match_checked_twins():
+    # left derivatives and partials wrap their terms unchecked; each
+    # equals, and hashes like, the checked constructor's element of the
+    # same terms, and stores no zero coefficient
+    ch = t5_chart()
+    rng = rng_for("ghost-unchecked-derivatives")
+    seen = {"ghost": 0, "antighost": 0, "partial": 0, "partial-drops": 0}
+    for _ in range(40):
+        f = random_ghost_fun(rng, ch, 2, max_terms=6)
+        f = f + GradedFunction.ghost(ch, 2, 0).scale(
+            ScalarExpr.number(ch, Fraction(1, 3)))
+        results = [("ghost", f.left_deriv_ghost(A)) for A in range(2)]
+        results += [("antighost", f.left_deriv_antighost(A))
+                    for A in range(2)]
+        results += [("partial", f.partial(c)) for c in ch.coords]
+        for kind, got in results:
+            twin = GradedFunction(ch, 2, dict(got.terms))
+            assert got == twin and hash(got) == hash(twin)
+            assert all(not c.is_zero() for c in got.terms.values())
+            seen[kind] += not got.is_zero()
+        for c in ch.coords:
+            want = GradedFunction(ch, 2, {m: x.partial(c)
+                                          for m, x in f.terms.items()})
+            assert f.partial(c).terms == want.terms
+            seen["partial-drops"] += len(want.terms) < len(f.terms)
+    assert min(seen.values()) >= 20, seen

@@ -1,6 +1,6 @@
 from fractions import Fraction
 import hashlib
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product as iproduct
 import json
 import os
 import random
@@ -13,7 +13,7 @@ from jacobi_bfv.ghost import (GhostMonomial, GradedFunction, Section, ONE_MONO,
                               mono_mul, shifted_parity)
 from jacobi_bfv.multideriv import (
     M, d_letter, e_letter, f_letter, sort_word, word_parity, _letter_key,
-    _term_mul, _momenta, _dR_mom, _dL_gen,
+    _term_mul, _momenta, _dR_mom, _dL_gen, _letter_apply,
     MultiDerivation, md_mul, evaluate, sj_bracket,
     build_G, is_jacobi, jacobi_from_pair, jacobi_from_words, hamiltonian,
     jacobi_bracket)
@@ -22,7 +22,7 @@ from jacobi_bfv.models import t5_contact
 from jacobi_bfv.cli import parse_scenario
 from oracles import (gerstenhaber_eval_oracle, reconstruct, arity, tau,
                      op_bidegrees, to_section, evaluate_by_term,
-                     term_mul_by_sort)
+                     term_mul_by_sort, _peel)
 from conftest import (t5_chart, random_scalar, rng_for, random_ghost_fun,
                       random_homogeneous, random_md, random_hom_md,
                       all_letters)
@@ -1074,3 +1074,128 @@ def test_evaluate_shares_repeated_arguments():
     for kind in ("odd-twice", "odd-negated", "odd-3", "zero", "zeros"):
         assert kinds.pop(kind) == 0
     assert all(n >= 8 for n in kinds.values()), sorted(kinds.items())
+
+
+# -- coefficient-first evaluation ---------------------------------------
+
+def _multi_term_scalar(rng):
+    "A ring element of at least two terms."
+    while True:
+        c = random_scalar(rng, CH, max_terms=4)
+        if len(c.terms) >= 2:
+            return c
+
+
+def _coeff_first_md(rng, n, fr):
+    "Up to three words of length n, each with 2 or 3 ghost monomials."
+    letters = all_letters(CH, RANK)
+    terms = {}
+    for _ in range(3):
+        s, w = sort_word(tuple(rng.choice(letters) for _ in range(n)), CH)
+        if not s:
+            continue
+        for mono in rng.sample(MONOS, rng.randint(2, 3)):
+            terms[(mono, w, fr)] = _multi_term_scalar(rng).scale(s)
+    return MultiDerivation(CH, RANK, terms)
+
+
+ODD_MONOS = [GhostMonomial((0,), ()), GhostMonomial((1,), ()),
+             GhostMonomial((), (0,)), GhostMonomial((), (1,)),
+             GhostMonomial((0, 1), (1,))]
+
+
+def _even_section(rng):
+    """A section with a shifted-even piece only: three or four odd
+    monomials, so that products of its copies can survive."""
+    return Section(GradedFunction(CH, RANK, {
+        m: _multi_term_scalar(rng)
+        for m in rng.sample(ODD_MONOS, rng.randint(3, 4))}))
+
+
+def _has_dead_tail(D, args):
+    """Whether some word's head acts nonzero on a piece of one argument
+    while its tail peels to 0 on pieces of the others."""
+    split = [[(GradedFunction(CH, RANK, {m: c for m, c in lam.terms.items()
+                                         if shifted_parity(m) == par}), par)
+              for par in (0, 1)] for lam in args]
+    for (_, word, _) in D.terms:
+        if len(word) < 2:
+            continue
+        for combo in iproduct(*split):
+            for j, (fun, _) in enumerate(combo):
+                rest = list(combo[:j] + combo[j + 1:])
+                if not _letter_apply(word[0], fun).is_zero() and \
+                        _peel(word[1:], rest, CH, RANK).is_zero():
+                    return True
+    return False
+
+
+def test_evaluate_coefficient_first_matches_term_oracle():
+    # words carry 2 or 3 ghost monomials with multi-term coefficients;
+    # the argument lists give repeated even pieces (count 2 and 3) and
+    # multiset multiplicities 2 ([l, l]: the (even, odd) multiset) and
+    # -1, -2 ([l, -l]: (even, even) and (even, odd))
+    rng = rng_for("md-evaluate-coefficient-first")
+    seen = {}
+    for trial in range(6):
+        lam, kappa, ev = _mixed_section(rng), _mixed_section(rng), \
+            _even_section(rng)
+        cases = {0: {"arity-0": []},
+                 1: {"arity-1": [lam], "even-1": [ev]},
+                 2: {"arity-2": [lam, kappa], "doubled": [lam, _copy(lam)],
+                     "negated": [lam, -lam], "even-twice": [ev, _copy(ev)]},
+                 3: {"arity-3": [lam, kappa, ev],
+                     "even-thrice": [ev, ev, _copy(ev)],
+                     "even-twice-3": [ev, kappa, ev],
+                     "doubled-3": [kappa, lam, lam],
+                     "negated-3": [lam, kappa, -lam]}}
+        for n, named in cases.items():
+            for fr in (0, 1):
+                for _ in range(2):
+                    D = _coeff_first_md(rng, n, fr)
+                    for kind, args in named.items():
+                        want = evaluate_by_term(D, args)
+                        got = evaluate(D, args)
+                        assert type(got) is type(want) and got == want, kind
+                        if got.is_zero():
+                            continue
+                        seen[kind] = seen.get(kind, 0) + 1
+                        if _has_dead_tail(D, args):
+                            seen["dead-tail"] = seen.get("dead-tail", 0) + 1
+    assert len(seen) == 13 and all(k >= 8 for k in seen.values()), \
+        sorted(seen.items())
+
+
+def test_evaluate_calls_no_ghost_mul(tmp_path, monkeypatch):
+    # the BRST brackets of a charge-sweep structure multiply plain term
+    # dicts; GradedFunction.ghost_mul is never reached
+    import gen
+    import workloads
+    from jacobi_bfv import cli, multideriv
+    from jacobi_bfv.solver import brst_charge, brst_problem
+    params = workloads.CHARGE_STRUCTURES[0]
+    vals = random.Random(22)
+    st = gen.ChargeStructure(workloads.shape_rng("charge", params[:4],
+                                                 params[4]),
+                             vals, *params[:4])
+    path = tmp_path / "charge.json"
+    path.write_text(json.dumps(st.doc))
+    spec = parse_scenario(str(path))
+    Jhat, _ = lift_jacobi(spec.J, spec.conn, spec.max_iter)
+    section = tuple(cli.parse_expr(s, spec.chart) for s in st.section(
+        workloads.shape_rng("charge-section", params, 0), vals, True))
+    calls = []
+    plain = multideriv.evaluate
+
+    def counted(*args):
+        calls.append(1)
+        return plain(*args)
+
+    def fail(*args):
+        raise AssertionError("ghost_mul called inside evaluate")
+
+    monkeypatch.setattr(multideriv, "evaluate", counted)
+    monkeypatch.setattr(GradedFunction, "ghost_mul", fail)
+    omega, trace = brst_charge(Jhat, section)
+    assert brst_problem(Jhat, section).bracket(omega, omega).is_zero()
+    assert trace and len(calls) > 2 * len(trace)

@@ -378,6 +378,19 @@ def test_substitute_rejects_base_coords():
         S(ch, "y1").substitute({"phi1": ScalarExpr.zero(ch)})
 
 
+def test_substitute_takes_numbers_and_rejects_other_charts():
+    ch = t5_chart()
+    y1 = S(ch, "y1")
+    a = y1 * y1 + S(ch, "phi1") * y1 + 2
+    for q in (0, 3, Fraction(1, 2)):
+        assert a.substitute({"y1": q}) == \
+            a.substitute({"y1": ScalarExpr.number(ch, q)})
+    # checked even where no key holds the mapped atom
+    for b in (a, S(ch, "phi1")):
+        with pytest.raises(ValueError, match="different charts"):
+            b.substitute({"y1": ScalarExpr.one(ch.reduced())})
+
+
 def test_names_must_be_declared_in_their_role():
     ch = t5_chart(abstract=True)
     calls = [lambda: ScalarExpr.coord(ch, "zz"),
@@ -607,3 +620,105 @@ def test_equal_charts_give_the_same_arithmetic():
     D2 = MultiDerivation(ch2, 2, {k: c.with_chart(ch2)
                                   for k, c in D.terms.items()})
     assert list((D + D2).terms.items()) == list((D + D).terms.items())
+
+
+# -- monomial products, unit exponents, unmapped keys -------------------
+
+def _typed(x):
+    "Each stored coefficient with its exact type."
+    return {k: (type(c), c) for k, c in x.terms.items()}
+
+
+def test_monomial_products_match_reduce_oracle(monkeypatch):
+    # a one-term factor multiplies each term of the other directly; when
+    # cos atoms of both factors meet, the product is rewritten in full
+    calls = []
+    full = scalar._reduce_terms
+
+    def counted(raw):
+        calls.append(1)
+        return full(raw)
+
+    monkeypatch.setattr(scalar, "_reduce_terms", counted)
+    rng = rng_for("scalar-monomial-products")
+    seen = {"cos-meet": 0, "cos-apart": 0, "fraction": 0, "angular": 0,
+            "abstract": 0}
+    for ch, kind in ((t5_chart(abstract=True), "abstract"),
+                     (t5_contact().chart, "angular")):
+        ang = sorted(ch.angular)
+        monos = [ScalarExpr.sin(ch, ang[0])]
+        monos += [ScalarExpr.cos(ch, c) * S(ch, "y1") ** 2 for c in ang]
+        if ch.funcs:
+            monos.append(ScalarExpr.func(ch, "f1").partial(ang[0])
+                         * ScalarExpr.cos(ch, ang[0]))
+        for _ in range(40):
+            m = random_scalar(rng, ch, max_terms=1, allow_abstract=True)
+            if len(m.terms) == 1 and () not in m.terms:
+                monos.append(m.scale(Fraction(rng.randint(-5, 5) or 1, 3)))
+        for m in monos:
+            for _ in range(4):
+                p = random_scalar(rng, ch, max_terms=4, max_pow=3,
+                                  allow_abstract=True)
+                cos_m = sorted(scalar._cos_atoms(m.terms))
+                if cos_m and rng.random() < 0.5:
+                    p = p + ScalarExpr.cos(ch, cos_m[0][1]) * S(ch, "y2")
+                meet = bool(scalar._cos_atoms(m.terms) &
+                            scalar._cos_atoms(p.terms))
+                for a, b in ((m, p), (p, m)):
+                    del calls[:]
+                    got = a * b
+                    assert bool(calls) == meet
+                    assert _typed(got) == _typed(mul_by_reduce(a, b))
+                    assert_normal(got)
+                seen["cos-meet" if meet else "cos-apart"] += 1
+                seen["fraction"] += any(type(c) is Fraction
+                                        for c in m.terms.values())
+                seen[kind] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_unit_exponent_partial_keeps_coefficient_types():
+    # a unit exponent leaves the coefficient as it is: an int stays an
+    # int and a Fraction the same Fraction
+    rng = rng_for("scalar-unit-partial")
+    seen = {"int": 0, "fraction": 0}
+    for ch in (t5_chart(abstract=True), t5_contact().chart):
+        for _ in range(30):
+            a = random_scalar(rng, ch, max_terms=4, max_pow=1,
+                              allow_abstract=True)
+            a = a + (S(ch, "y1") * ScalarExpr.sin(ch, "phi1")).scale(
+                Fraction(rng.randint(1, 7), 2)) + S(ch, "phi2") * 3
+            for coord in ch.coords:
+                got = a.partial(coord)
+                assert _typed(got) == _typed(partial_by_reduce(a, coord))
+                assert_normal(got)
+                for c in got.terms.values():
+                    seen["int" if type(c) is int else "fraction"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_substitute_passes_unmapped_keys():
+    # keys without a mapped atom pass as they are; the others take the
+    # coefficient into the mapped image
+    rng = rng_for("scalar-substitute-unmapped")
+    seen = {"unmapped": 0, "mapped": 0}
+    for ch in (t5_chart(abstract=True), t5_contact().chart):
+        y1, y2 = S(ch, "y1"), S(ch, "y2")
+        c1 = ScalarExpr.cos(ch, "phi1")
+        for trial in range(30):
+            a = random_scalar(rng, ch, max_terms=4, allow_abstract=True)
+            a = a + (y1 * c1).scale(Fraction(2, 3)) + S(ch, "phi2") * 5
+            images = [ScalarExpr.zero(ch), ScalarExpr.number(ch, 3),
+                      c1 + y2, (c1 * S(ch, "phi1")).scale(Fraction(1, 2)),
+                      random_scalar(rng, ch, allow_abstract=True)]
+            mapping = {"y1": rng.choice(images)}
+            if trial % 2:
+                mapping["y2"] = rng.choice(images)
+            got = a.substitute(mapping)
+            assert _typed(got) == _typed(substitute_by_atom(a, mapping))
+            assert_normal(got)
+            for key in a.terms:
+                mapped = any(at[0] == "x" and at[1] in mapping
+                             for at, _ in key)
+                seen["mapped" if mapped else "unmapped"] += 1
+    assert min(seen.values()) >= 60, seen

@@ -124,6 +124,8 @@ calls = [
     lambda: ScalarExpr.func(ch, "zz"),
     lambda: one.partial("zz"),
     lambda: one.substitute({"phi1": one}),
+    lambda: y1.substitute({"y1": one_red}),
+    lambda: y1.substitute({"y1": 0.5}),
     lambda: one + 0.5,
     lambda: one - 0.5,
     lambda: one * 0.5,
@@ -172,7 +174,7 @@ def test_library_guards_survive_optimize(optimize):
     out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 53
+    assert len(lines) == 55
     assert all(ln.startswith("rejected:") for ln in lines), lines
 
 
