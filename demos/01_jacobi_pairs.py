@@ -50,7 +50,7 @@ broken = jacobi_from_pair(ch, rank, {
     ("phi3", "phi5"): -ScalarExpr.sin(ch, "phi3"),
     ("phi4", "y1"): y1 * ScalarExpr.sin(ch, "phi3")}, {})
 try:
-    lift_jacobi(broken, model.flat)
+    lift_jacobi(broken, model.conn)
 except NotJacobiError as exc:
     print("perturbed pair rejected; bracket residual starts with:")
     first = str(exc.residual).split(" + ")[0]

@@ -12,7 +12,7 @@ from jacobi_bfv.solver import lifting_problem
 model = t5_contact()
 ch, rank, J = model.chart, model.rank, model.J
 
-Q0, trace = lift_jacobi(J, model.flat)
+Q0, trace = lift_jacobi(J, model.conn)
 print("flat-trivial connection:")
 print("  lift =", Q0)
 print("  corrections needed:", len(trace))
@@ -32,7 +32,7 @@ print()
 
 # both lifts present the same structure; an inner automorphism of the
 # big bracket carries one onto the other
-prob = lifting_problem(J, model.flat)
+prob = lifting_problem(J, model.conn)
 phi = gauge_intertwine(Q0, Q1, prob)
 print("gauge transformation with", len(phi.generators), "generator(s):")
 for R in phi.generators:

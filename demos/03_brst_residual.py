@@ -13,7 +13,7 @@ from jacobi_bfv import (Chart, ScalarExpr, ConnectionSpec, lift_jacobi,
 
 model = t5_contact()
 ch, rank = model.chart, model.rank
-Jhat, _ = lift_jacobi(model.J, model.flat)
+Jhat, _ = lift_jacobi(model.J, model.conn)
 
 
 def report(label, section):

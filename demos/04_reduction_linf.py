@@ -11,7 +11,7 @@ from jacobi_bfv.ghost import GradedFunction
 model = t5_contact()
 ch, rank = model.chart, model.rank
 
-bfv = bfv_assemble(model.J, model.flat)
+bfv = bfv_assemble(model.J, model.conn)
 print("differential as an operator:")
 print(" ", bfv.op)
 print()

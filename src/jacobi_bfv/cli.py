@@ -1,8 +1,10 @@
 """Command line front end.
 
-Loads a scenario (a chart, a bracket pair, a connection and a section,
-all in a small JSON format with prefix-notation expressions), runs one
-of the engine commands against it and prints a deterministic report.
+Loads a scenario into a models.Model, either the builtin or a small
+JSON file with prefix-notation expressions (a file sets a chart, a
+bracket pair and whatever else it overrides of the Model defaults),
+runs one of the engine commands against it and prints a deterministic
+report.
 
 Exit codes: 0 on success, 2 on a ResidualError (an obstruction or a
 nonzero residual blocks the construction), 1 on any other ValueError.
@@ -14,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .scalar import Chart, ScalarExpr
-from .ghost import GradedFunction, Section
+from .ghost import GhostMonomial, GradedFunction, Section
 from .multideriv import M, d_letter, sj_bracket, jacobi_from_words
 from .contraction import ResidualError, ConnectionSpec, proj_p
 from .solver import (ObstructionError, obstruction_solve, lift_jacobi,
@@ -22,7 +24,7 @@ from .solver import (ObstructionError, obstruction_solve, lift_jacobi,
                      omega_section, coisotropy_residual, mc_check, BfvData,
                      reduced_differential, derived_brackets, v_immersion,
                      v_projection, gauge_intertwine, exp_ad)
-from .models import t5_contact
+from .models import Model, t5_contact
 
 SCHEMA = "bfv-scenario/1"
 COMMANDS = ("lift", "brst", "bfv", "residual", "reduce", "linf",
@@ -212,31 +214,6 @@ def parse_expr(src, chart):
 
 # -- scenarios -------------------------------------------------------
 
-class ScenarioSpec:
-    __slots__ = ("name", "chart", "rank", "J", "conn", "conn2", "section",
-                 "kmax", "max_iter")
-
-    def __init__(self, name, chart, rank, J, conn, conn2, section,
-                 kmax=3, max_iter=64):
-        self.name = name
-        self.chart = chart
-        self.rank = rank
-        self.J = J
-        self.conn = conn
-        self.conn2 = conn2
-        self.section = section
-        self.kmax = kmax
-        self.max_iter = max_iter
-
-
-def _builtin_t5():
-    model = t5_contact()
-    conn2 = ConnectionSpec(model.chart, model.rank,
-                           vert={(0, 1): ScalarExpr.sin(model.chart, "phi3")})
-    return ScenarioSpec(model.name, model.chart, model.rank, model.J,
-                        model.flat, conn2, model.section)
-
-
 def _parse_chart(obj):
     if not isinstance(obj, dict):
         raise ScenarioError("chart must be an object")
@@ -254,7 +231,7 @@ def _parse_chart(obj):
 
 
 def _parse_connection(obj, chart, rank):
-    if obj in (None, "flat-trivial"):
+    if obj == "flat-trivial":
         return ConnectionSpec(chart, rank)
     if not isinstance(obj, dict):
         raise ScenarioError("connection must be \"flat-trivial\" or an object")
@@ -305,7 +282,7 @@ def parse_scenario(source):
     ScenarioError on malformed input; the Jacobi condition is left to
     the lift that every command starts with."""
     if source in (None, "t5-contact"):
-        return _builtin_t5()
+        return t5_contact()
     try:
         with open(source) as fh:
             obj = json.load(fh)
@@ -350,30 +327,28 @@ def parse_scenario(source):
                 raise ScenarioError("unknown coordinate %r in vec" % c)
             words.append(((M, d_letter(c)), parse_expr(src, chart)))
     J = jacobi_from_words(chart, rank, words)
-    conn = _parse_connection(obj.get("connection"), chart, rank)
-    conn2 = None
-    if obj.get("connection2") is not None:
-        conn2 = _parse_connection(obj["connection2"], chart, rank)
-    raw_section = obj.get("section")
-    if raw_section is None:
-        raw_section = [0] * rank
-    if not isinstance(raw_section, list) or len(raw_section) != rank:
-        raise ScenarioError("section needs exactly %d components" % rank)
-    section = tuple(parse_expr(src, chart) for src in raw_section)
-    for c in section:
-        if c.max_degree(chart.fiber) != 0:
-            raise ScenarioError("section components must not involve "
-                                "fiber coordinates")
+    # Model supplies every default, so only what the file sets is passed
+    given = {}
+    for key, field in (("connection", "conn"), ("connection2", "conn2")):
+        if obj.get(key) is not None:
+            given[field] = _parse_connection(obj[key], chart, rank)
+    if obj.get("section") is not None:
+        raw_section = obj["section"]
+        if not isinstance(raw_section, list) or len(raw_section) != rank:
+            raise ScenarioError("section needs exactly %d components" % rank)
+        given["section"] = tuple(parse_expr(src, chart) for src in raw_section)
+        for c in given["section"]:
+            if c.max_degree(chart.fiber) != 0:
+                raise ScenarioError("section components must not involve "
+                                    "fiber coordinates")
     name = obj.get("name", source)
     if not isinstance(name, str):
         raise ScenarioError("name must be a string, got %r" % (name,))
     opts = _object(obj, "options")
     _only_keys(opts, {"kmax", "max_iter"}, "options")
-    return ScenarioSpec(name, chart, rank, J, conn,
-                        conn2, section,
-                        kmax=_count(opts.get("kmax", 3), "options.kmax"),
-                        max_iter=_count(opts.get("max_iter", 64),
-                                        "options.max_iter"))
+    for key, value in opts.items():
+        given[key] = _count(value, "options." + key)
+    return Model(name, J, **given)
 
 
 # -- reports ---------------------------------------------------------
@@ -399,9 +374,9 @@ def _generator_probes(chart, rank):
     for A in range(rank):
         probes.append(("xi^%d" % (A + 1),
                        Section(GradedFunction.ghost(chart, rank, A))))
+        # mu.fun is 1, so xi*_A mu is the anti-ghost as a section
         probes.append(("xi*_%d mu" % (A + 1),
-                       Section(GradedFunction.antighost(chart, rank, A)
-                               .ghost_mul(mu.fun))))
+                       Section(GradedFunction.antighost(chart, rank, A))))
     return probes
 
 
@@ -504,16 +479,13 @@ def run(command, spec, trace=False):
         # a second charge, displaced inside the gauge group, and back
         bprob = brst_problem(Jhat, spec.section)
         om0, _ = obstruction_solve(bprob, spec.max_iter)
-        gen = GradedFunction.one(spec.chart, spec.rank)
-        for A in range(spec.rank):
-            gen = gen.ghost_mul(GradedFunction.ghost(spec.chart,
-                                                     spec.rank, A))
-        for A in range(spec.rank):
-            gen = gen.ghost_mul(GradedFunction.antighost(spec.chart,
-                                                         spec.rank, A))
+        # X = xi^1..xi^r xi*_1..xi*_r is already in canonical order
         ang = [c for c in spec.chart.coords if c in spec.chart.angular]
-        if ang:
-            gen = gen.scale(ScalarExpr.sin(spec.chart, ang[0]))
+        coef = (ScalarExpr.sin(spec.chart, ang[0]) if ang
+                else ScalarExpr.one(spec.chart))
+        rng = range(spec.rank)
+        gen = GradedFunction(spec.chart, spec.rank,
+                             {GhostMonomial(rng, rng): coef})
         om1 = exp_ad(Section(gen), om0, bprob.bracket)
         psi = gauge_intertwine(om0, om1, bprob, spec.max_iter)
         out["charge_generators"] = [str(R) for R in psi.generators]

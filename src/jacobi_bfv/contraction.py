@@ -186,6 +186,9 @@ class BrstContraction:
     __slots__ = ("chart", "rank", "section", "red")
 
     def __init__(self, chart, rank, section):
+        if rank != len(chart.fiber):
+            raise ValueError("rank %r differs from the %d fiber coordinates"
+                             % (rank, len(chart.fiber)))
         if len(section) != rank:
             raise ValueError("a section has %d components, got %d"
                              % (rank, len(section)))

@@ -1,9 +1,13 @@
-"""Built-in scenario data.
+"""Scenario type and the builtin.
 
-A Model carries one chart, the operator J built from the
-bivector/vector pair that defines the bracket on it, and a default
-section of the fiber projection.  The only built-in is the contact
-structure on the five-torus with two constrained angles.
+A Model is one scenario: a chart, the operator J that defines the
+bracket on it, the connection every command lifts J along, a second
+connection for intertwine, a section of the fiber projection and the
+solver options.  Model states every default once: the flat trivial
+connection, no second connection, the zero section, kmax 3 and
+max_iter 64.  The scenario loader passes only what a file sets.  The
+only builtin is the contact structure on the five-torus with two
+constrained angles.
 """
 
 from .scalar import Chart, ScalarExpr
@@ -12,26 +16,33 @@ from .contraction import ConnectionSpec
 
 
 class Model:
-    "Chart plus structure data for one scenario."
+    """One scenario: J with its chart and rank, conn, conn2 (None when
+    absent), section, kmax (the largest m_k linf reports) and max_iter
+    (the cap on corrections per solve and exponentials per intertwiner)."""
 
-    __slots__ = ("name", "chart", "rank", "J", "flat", "section")
+    __slots__ = ("name", "chart", "rank", "J", "conn", "conn2", "section",
+                 "kmax", "max_iter")
 
-    def __init__(self, name, chart, rank, biv, vec, section=None):
+    def __init__(self, name, J, conn=None, conn2=None, section=None,
+                 kmax=3, max_iter=64):
         self.name = name
-        self.chart = chart
-        self.rank = rank
-        self.J = jacobi_from_pair(chart, rank, biv, vec)
-        self.flat = ConnectionSpec(chart, rank)
+        self.chart, self.rank = J.chart, J.rank
+        self.J = J
+        self.conn = ConnectionSpec(J.chart, J.rank) if conn is None else conn
+        self.conn2 = conn2
         if section is None:
-            section = tuple(ScalarExpr.zero(chart) for _ in range(rank))
+            section = tuple(ScalarExpr.zero(J.chart) for _ in range(J.rank))
         self.section = tuple(section)
+        self.kmax = kmax
+        self.max_iter = max_iter
 
 
 def t5_contact():
     """Bracket data of a contact structure on the five-torus, written in
     a chart where the last two coordinates span the conormal directions
     of the submanifold  y1 = y2 = 0.  The auxiliary vector field is
-    Y = sin(phi3) d4 + cos(phi3) d5."""
+    Y = sin(phi3) d4 + cos(phi3) d5; the second connection has
+    vert (0, 1) = sin(phi3)."""
     chart = Chart(
         ["phi1", "phi2", "phi3", "phi4", "phi5", "y1", "y2"],
         angular=["phi1", "phi2", "phi3", "phi4", "phi5"],
@@ -52,4 +63,5 @@ def t5_contact():
         ("phi2", "y2"): ScalarExpr.number(chart, -1),
     }
     vec = {"phi4": sin3, "phi5": cos3}
-    return Model("t5-contact", chart, 2, biv, vec)
+    return Model("t5-contact", jacobi_from_pair(chart, 2, biv, vec),
+                 conn2=ConnectionSpec(chart, 2, vert={(0, 1): sin3}))

@@ -16,9 +16,11 @@ corrections carry ghost/anti-ghost pairs), BRST charges over a lifting
 intertwining two solutions, realized as composites of exponentials of
 inner derivations.
 
-The remaining operations assemble the BFV differential from a charge,
-transfer it to the reduced side, and expose the derived bracket family
-on the reduced side.
+The remaining operations assemble the BFV differential from a charge
+and transfer it to the reduced side, where the derived brackets m_k of
+an operator live.  m_1 of the plain operator J is the direct route to
+the reduced differential, and the transfer is checked against it on
+generators.
 """
 
 from fractions import Fraction
@@ -226,6 +228,9 @@ def lift_jacobi(J, conn, max_iter=64):
 def omega_section(chart, rank, section):
     """The degree (1,0) candidate  sum_A (y_A - s_A) xi^A mu; the s_A
     are ring elements or plain numbers."""
+    if rank != len(chart.fiber):
+        raise ValueError("rank %r differs from the %d fiber coordinates"
+                         % (rank, len(chart.fiber)))
     if len(section) != rank:
         raise ValueError("a section has %d components, got %d"
                          % (rank, len(section)))
@@ -294,13 +299,6 @@ def bfv_assemble(J, conn, max_iter=64):
 
 # -- reduced side ----------------------------------------------------
 
-def _check_reduced(red_sec, red):
-    "Raise ValueError unless red_sec is a Section on the reduced chart red."
-    if not (isinstance(red_sec, Section) and red_sec.chart == red):
-        raise ValueError("expected a Section on the reduced chart, got %r"
-                         % (red_sec,))
-
-
 def v_immersion(red_sec, chart):
     """Right inverse of the canonical projection: a reduced monomial in
     the odd generators becomes the matching word of fiber derivatives,
@@ -308,7 +306,9 @@ def v_immersion(red_sec, chart):
     to chart order costs the sign of the permutation.  Anything but a
     Section on chart.reduced(), or a section with anti-ghosts, raises
     ValueError."""
-    _check_reduced(red_sec, chart.reduced())
+    if not (isinstance(red_sec, Section) and red_sec.chart == chart.reduced()):
+        raise ValueError("expected a Section on the reduced chart, got %r"
+                         % (red_sec,))
     terms = {}
     for mono, c in red_sec.terms.items():
         if mono.a:
@@ -342,14 +342,6 @@ def v_projection(D):
     return Section(GradedFunction(red, rank, terms))
 
 
-def de_rham_differential(J):
-    """Differential on the reduced side induced directly by the plain
-    operator, bypassing the charge and the transfer."""
-    def d(red_sec):
-        return v_projection(sj_bracket(J, v_immersion(red_sec, J.chart)))
-    return d
-
-
 def _generator_sections(chart, rank):
     red = chart.reduced()
     mur = Section.frame(red, rank)
@@ -366,8 +358,9 @@ def _generator_sections(chart, rank):
 
 def reduced_differential(bfv):
     """Transfer the differential to the reduced side and cross-check it
-    on generators against the direct route.  Returns the transferred
-    HplData; its dif is the reduced differential."""
+    on generators against the direct route, m_1 of the plain operator
+    J, which bypasses the charge and the transfer.  Returns the
+    transferred HplData; its dif is the reduced differential."""
     con = bfv.con
     # evaluate is linear in the operator, so delta is one evaluation
     pert = bfv.op - con.dif()
@@ -376,9 +369,9 @@ def reduced_differential(bfv):
         return evaluate(pert, [lam])
 
     hpl = hpl_deform(con.imm, con.proj, con.homotopy, delta)
-    dR = de_rham_differential(bfv.J)
+    m1 = derived_brackets(bfv.J, 1)[1]
     for g in _generator_sections(bfv.chart, bfv.rank):
-        if hpl.dif(g) != dR(g):
+        if hpl.dif(g) != m1(g):
             raise ResidualError("transferred differential disagrees with "
                                 "the direct one on %s" % g)
     return hpl
@@ -394,9 +387,10 @@ def derived_brackets(Jhat, k_max):
     {(): Jhat} at first, for as long as it lives: a call brackets only
     past the longest prefix already known.  Returns a dict mapping each
     arity k to a callable of k Sections on the reduced chart; any other
-    argument, or number of them, raises ValueError."""
+    number of arguments raises ValueError, and so does v_immersion for
+    any other argument before it enters the dict (one that cannot be
+    hashed raises TypeError at the lookup)."""
     chart = Jhat.chart
-    red = chart.reduced()
     nested = {(): Jhat}
 
     def make(k):
@@ -404,8 +398,6 @@ def derived_brackets(Jhat, k_max):
             if len(args) != k:
                 raise ValueError("m_%d takes %d arguments, got %d"
                                  % (k, k, len(args)))
-            for g in args:
-                _check_reduced(g, red)
             for j in range(1, k + 1):
                 key = args[:j]
                 if key not in nested:

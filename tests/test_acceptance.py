@@ -17,8 +17,7 @@ from jacobi_bfv.contraction import (
 from jacobi_bfv.solver import (
     ObstructionError, lift_jacobi, lifting_problem, gauge_intertwine,
     brst_charge, brst_problem, exp_ad, omega_section, coisotropy_residual,
-    mc_check, bfv_assemble, de_rham_differential, _generator_sections,
-    derived_brackets)
+    mc_check, bfv_assemble, _generator_sections, derived_brackets)
 from jacobi_bfv.models import t5_contact
 from oracles import gerstenhaber_eval_oracle, is_flat_trivial, tau, to_section
 from conftest import (t5_chart, rng_for, random_connection, random_plain_md,
@@ -29,7 +28,7 @@ MODEL = t5_contact()
 CH = MODEL.chart
 RANK = MODEL.rank
 J = MODEL.J
-FLAT = MODEL.flat
+FLAT = MODEL.conn
 
 ONE = ScalarExpr.one(CH)
 S3 = ScalarExpr.sin(CH, "phi3")
@@ -230,7 +229,7 @@ def test_criterion_6_hpl_transfers():
     d0 = bfv.con.dif()
     hpl2 = hpl_deform(bfv.con.imm, bfv.con.proj, bfv.con.homotopy,
                       lambda lam: bfv.dif(lam) - evaluate(d0, [lam]))
-    dR = de_rham_differential(J)
+    dR = derived_brackets(J, 1)[1]
     m = derived_brackets(Jhat, 1)
     for g in _generator_sections(CH, RANK):
         want = dR(g)

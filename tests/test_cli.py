@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from jacobi_bfv.scalar import ScalarExpr
+from jacobi_bfv.ghost import GradedFunction, Section
 from jacobi_bfv import cli, multideriv, solver
 from jacobi_bfv.cli import ScenarioError, parse_expr, parse_scenario
 from jacobi_bfv.multideriv import is_jacobi, sj_bracket
 from jacobi_bfv.contraction import ResidualError
 from jacobi_bfv.solver import NotJacobiError, lift_jacobi
-from jacobi_bfv.models import t5_contact
+from jacobi_bfv.models import Model, t5_contact
 from oracles import is_flat_trivial
 from conftest import t5_chart
 
@@ -119,9 +120,18 @@ def test_parse_expr_rejects():
 
 # -- scenario loading -------------------------------------------------
 
-def test_builtin_scenario():
+def same_scenario(a, b):
+    "Equal J, connections, section and options, name aside."
+    conns = [c and (c.vert, c.coef)
+             for c in (a.conn, a.conn2, b.conn, b.conn2)]
+    return (a.J == b.J and conns[:2] == conns[2:] and a.section == b.section
+            and (a.kmax, a.max_iter) == (b.kmax, b.max_iter))
+
+
+def test_builtin_scenario(tmp_path):
     spec = parse_scenario("t5-contact")
     model = t5_contact()
+    assert isinstance(spec, Model) and isinstance(model, Model)
     assert spec.name == "t5-contact"
     assert spec.rank == 2
     assert spec.J == model.J
@@ -129,6 +139,19 @@ def test_builtin_scenario():
     assert spec.conn2 is not None and not is_flat_trivial(spec.conn2)
     assert all(c.is_zero() for c in spec.section)
     assert parse_scenario(None).J == spec.J
+    assert same_scenario(spec, model)
+    # a file with no connection, section or options takes every default
+    # from Model: flat trivial, no connection2, zero section, 3 and 64
+    doc = {k: v for k, v in T5_DOC.items() if k != "section"}
+    path = tmp_path / "minimal.json"
+    path.write_text(json.dumps(doc))
+    bare = parse_scenario(str(path))
+    assert isinstance(bare, Model)
+    assert is_flat_trivial(bare.conn) and bare.conn2 is None
+    assert len(bare.section) == 2
+    assert all(c.is_zero() for c in bare.section)
+    assert (bare.kmax, bare.max_iter) == (3, 64)
+    assert same_scenario(bare, Model("defaults", bare.J))
 
 
 def test_scenario_file_matches_builtin(tmp_path):
@@ -382,6 +405,31 @@ def test_main_exit_code_by_type(monkeypatch, capsys):
                         raising(ValueError("boom")))
     assert cli.main(["--command", "check"]) == 1
     assert capsys.readouterr() == ("", "error: boom\n")
+
+
+def test_reduced_cross_check_is_live(monkeypatch, capsys):
+    # a transfer that is wrong on one generator, eta^2 here, fails the
+    # cross-check against m_1 of J: the library names that generator,
+    # and check reads it as its one FAIL row
+    model = t5_contact()
+    eta2 = Section(GradedFunction.ghost(model.chart.reduced(), 2, 1))
+    deform = solver.hpl_deform
+
+    def wrong_on_eta2(*args):
+        hpl = deform(*args)
+        dif = hpl.dif
+        hpl.dif = lambda x: dif(x) + eta2 if x == eta2 else dif(x)
+        return hpl
+
+    monkeypatch.setattr(solver, "hpl_deform", wrong_on_eta2)
+    bfv = solver.bfv_assemble(model.J, model.conn)
+    with pytest.raises(ResidualError) as err:
+        solver.reduced_differential(bfv)
+    assert str(err.value).endswith("the direct one on %s" % eta2)
+    assert cli.main(["--command", "check"]) == 2
+    out = capsys.readouterr().out
+    assert [ln for ln in out.splitlines() if "FAIL" in ln] == \
+        ["  reduced-match = FAIL"]
 
 
 @pytest.mark.parametrize("command, solves", [

@@ -227,7 +227,7 @@ def test_broken_pair_raises():
     J = jacobi_from_pair(CH, RANK, biv, vec)
     assert not is_jacobi(J)
     with pytest.raises(NotJacobiError) as err:
-        lift_jacobi(J, t5_contact().flat)
+        lift_jacobi(J, t5_contact().conn)
     assert err.value.residual == sj_bracket(J, J)
     assert not err.value.residual.is_zero()
 
@@ -261,7 +261,7 @@ def test_jacobi_from_words_raises_with_the_bracket():
     built = jacobi_from_words(CH, RANK, words)
     assert built == J and not is_jacobi(built)
     with pytest.raises(NotJacobiError) as err:
-        lift_jacobi(built, t5_contact().flat)
+        lift_jacobi(built, t5_contact().conn)
     assert err.value.residual == sj_bracket(J, J)
     assert not err.value.residual.is_zero()
 

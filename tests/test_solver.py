@@ -16,7 +16,7 @@ from jacobi_bfv.solver import (
     MCProblem, ObstructionError, NotJacobiError, obstruction_solve, exp_ad,
     GaugeAutomorphism, gauge_intertwine, lifting_problem, lift_jacobi,
     omega_section, brst_problem, brst_charge, coisotropy_residual, mc_check,
-    BfvData, bfv_assemble, v_immersion, v_projection, de_rham_differential,
+    BfvData, bfv_assemble, v_immersion, v_projection,
     reduced_differential, derived_brackets, md_antighost_level,
     section_antighost_level)
 from jacobi_bfv.models import t5_contact
@@ -52,15 +52,15 @@ def red_ghost(A, expr=None):
 
 
 def test_flat_lift_is_exact():
-    Jhat, trace = lift_jacobi(J, MODEL.flat)
+    Jhat, trace = lift_jacobi(J, MODEL.conn)
     assert trace == []
-    assert Jhat == build_G(CH, RANK) + imm_i_nabla(J, MODEL.flat)
+    assert Jhat == build_G(CH, RANK) + imm_i_nabla(J, MODEL.conn)
     assert is_jacobi(Jhat)
 
 
 def test_zero_lift_is_pairing():
     zero = MultiDerivation.zero(CH, RANK)
-    Jhat, trace = lift_jacobi(zero, MODEL.flat)
+    Jhat, trace = lift_jacobi(zero, MODEL.conn)
     assert trace == []
     assert Jhat == build_G(CH, RANK)
 
@@ -87,11 +87,11 @@ def test_lift_rejects_non_jacobi():
             ScalarExpr.coord(CH, "y1")})
     assert not is_jacobi(bad)
     with pytest.raises(NotJacobiError):
-        lift_jacobi(bad, MODEL.flat)
+        lift_jacobi(bad, MODEL.conn)
 
 
 LIFT_CONNECTIONS = {
-    "flat": MODEL.flat,
+    "flat": MODEL.conn,
     "vert": ConnectionSpec(CH, RANK,
                            vert={(0, 1): ScalarExpr.sin(CH, "phi3")}),
     "coef": ConnectionSpec(CH, RANK, coef={
@@ -141,7 +141,7 @@ def test_filtration_levels():
 
 
 def test_brst_charge_zero_section():
-    Jhat, _ = lift_jacobi(J, MODEL.flat)
+    Jhat, _ = lift_jacobi(J, MODEL.conn)
     om, trace = brst_charge(Jhat, (0, 0))
     assert trace == []
     assert om == omega_section(CH, RANK, (0, 0))
@@ -150,7 +150,7 @@ def test_brst_charge_zero_section():
 
 
 def test_brst_charge_constant_section():
-    Jhat, _ = lift_jacobi(J, MODEL.flat)
+    Jhat, _ = lift_jacobi(J, MODEL.conn)
     om, trace = brst_charge(Jhat, (Fraction(1, 2), -2))
     assert trace == []
     assert mc_check(om, Jhat)[0]
@@ -161,7 +161,7 @@ def test_brst_charge_curved_section():
     # sin(phi4) has a nonzero derivative along the auxiliary direction,
     # so the raw residual is nonzero while its projection vanishes: the
     # solver has to run at least one correction step
-    Jhat, _ = lift_jacobi(J, MODEL.flat)
+    Jhat, _ = lift_jacobi(J, MODEL.conn)
     s = (ScalarExpr.sin(CH, "phi4"), 0)
     assert coisotropy_residual(Jhat, s).is_zero()
     om, trace = brst_charge(Jhat, s)
@@ -171,7 +171,7 @@ def test_brst_charge_curved_section():
 
 
 def test_brst_obstruction():
-    Jhat, _ = lift_jacobi(J, MODEL.flat)
+    Jhat, _ = lift_jacobi(J, MODEL.conn)
     s = (ScalarExpr.sin(CH, "phi2"), 0)
     with pytest.raises(ObstructionError) as exc:
         brst_charge(Jhat, s)
@@ -187,9 +187,9 @@ def test_brst_obstruction():
 def test_gauge_intertwine_liftings():
     w = ScalarExpr.sin(CH, "phi3")
     conn = ConnectionSpec(CH, RANK, vert={(0, 1): w})
-    Q0, _ = lift_jacobi(J, MODEL.flat)
+    Q0, _ = lift_jacobi(J, MODEL.conn)
     Q1, _ = lift_jacobi(J, conn)
-    prob = lifting_problem(J, MODEL.flat)
+    prob = lifting_problem(J, MODEL.conn)
     phi = gauge_intertwine(Q0, Q1, prob)
     assert phi(Q0) == Q1
     assert len(phi.generators) >= 1
@@ -199,7 +199,7 @@ def test_gauge_intertwine_liftings():
 
 
 def test_gauge_intertwine_charges():
-    Jhat, _ = lift_jacobi(J, MODEL.flat)
+    Jhat, _ = lift_jacobi(J, MODEL.conn)
     om0, _ = brst_charge(Jhat, (0, 0))
     prob = brst_problem(Jhat, (0, 0))
     gen = GradedFunction.ghost(CH, RANK, 0).ghost_mul(
@@ -215,7 +215,7 @@ def test_gauge_intertwine_charges():
 
 
 def test_gauge_rejects_bad_endpoints():
-    Jhat, _ = lift_jacobi(J, MODEL.flat)
+    Jhat, _ = lift_jacobi(J, MODEL.conn)
     prob = brst_problem(Jhat, (0, 0))
     om0, _ = brst_charge(Jhat, (0, 0))
     bad = om0 + Section(GradedFunction.ghost(CH, RANK, 0))
@@ -226,13 +226,13 @@ def test_gauge_rejects_bad_endpoints():
 def test_caps_count_the_last_step():
     # a cap of k admits a solve that needs exactly k steps
     conn = ConnectionSpec(CH, RANK, vert={(0, 1): ScalarExpr.sin(CH, "phi3")})
-    Q0, trace = lift_jacobi(J, MODEL.flat, max_iter=0)
+    Q0, trace = lift_jacobi(J, MODEL.conn, max_iter=0)
     assert trace == []
     Q1, trace = lift_jacobi(J, conn, max_iter=1)
     assert len(trace) == 1 and sj_bracket(Q1, Q1).is_zero()
     with pytest.raises(ValueError, match="within 0 corrections"):
         lift_jacobi(J, conn, max_iter=0)
-    prob = lifting_problem(J, MODEL.flat)
+    prob = lifting_problem(J, MODEL.conn)
     phi = gauge_intertwine(Q0, Q1, prob, max_iter=1)
     assert len(phi.generators) == 1 and phi(Q0) == Q1
     assert gauge_intertwine(Q0, Q0, prob, max_iter=0).generators == []
@@ -242,14 +242,14 @@ def test_caps_count_the_last_step():
 
 def test_negative_caps_are_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
-        lift_jacobi(J, MODEL.flat, max_iter=-1)
-    Q0, _ = lift_jacobi(J, MODEL.flat)
+        lift_jacobi(J, MODEL.conn, max_iter=-1)
+    Q0, _ = lift_jacobi(J, MODEL.conn)
     with pytest.raises(ValueError, match="nonnegative"):
-        gauge_intertwine(Q0, Q0, lifting_problem(J, MODEL.flat), max_iter=-1)
+        gauge_intertwine(Q0, Q0, lifting_problem(J, MODEL.conn), max_iter=-1)
 
 
 def test_bfv_assemble_t5():
-    bfv = bfv_assemble(J, MODEL.flat)
+    bfv = bfv_assemble(J, MODEL.conn)
     mu = Section.frame(CH, RANK)
     assert bfv.dif(mu).is_zero()
     assert bfv.dif(Section(mu.fun.scale(ScalarExpr.coord(CH, "phi1")))) == \
@@ -264,7 +264,7 @@ def test_bfv_assemble_t5():
 
 def test_bfv_zero_structure_gives_koszul():
     zero = MultiDerivation.zero(CH, RANK)
-    bfv = bfv_assemble(zero, MODEL.flat)
+    bfv = bfv_assemble(zero, MODEL.conn)
     d0 = bfv.con.dif()
     rng = rng_for("solver-koszul")
     for trial in range(8):
@@ -273,7 +273,7 @@ def test_bfv_zero_structure_gives_koszul():
 
 
 def test_reduced_differential_t5():
-    bfv = bfv_assemble(J, MODEL.flat)
+    bfv = bfv_assemble(J, MODEL.conn)
     red = reduced_differential(bfv)
     mur = red_frame()
     assert red.dif(red_scalar(ScalarExpr.coord(RED, "phi1"))) == red_ghost(0)
@@ -282,7 +282,7 @@ def test_reduced_differential_t5():
     assert red.dif(red_scalar(ScalarExpr.coord(RED, "phi4"))).is_zero()
     assert red.dif(red_ghost(0)).is_zero()
     con = bfv.con
-    dR = de_rham_differential(J)
+    dR = derived_brackets(J, 1)[1]
     rng = rng_for("solver-red")
     for trial in range(8):
         lam = Section(random_ghost_fun(rng, CH, RANK))
@@ -299,7 +299,7 @@ def test_reduced_differential_on_random_sections(name):
     # evaluations, and d_BFV must square to zero on their immersions
     bfv = bfv_assemble(J, LIFT_CONNECTIONS[name])
     red = reduced_differential(bfv)
-    dR = de_rham_differential(J)
+    dR = derived_brackets(J, 1)[1]
     rng = rng_for("solver-red-random-" + name)
     for trial in range(8):
         g = random_reduced_section(rng, RED, RANK)
@@ -314,7 +314,7 @@ def test_reduced_differential_on_random_sections(name):
 def test_degree_zero_cocycles():
     # closed degree-0 elements are exactly the functions missing the
     # two constrained angles
-    bfv = bfv_assemble(J, MODEL.flat)
+    bfv = bfv_assemble(J, MODEL.conn)
     red = reduced_differential(bfv)
     for nm in ("phi3", "phi4", "phi5"):
         assert red.dif(red_scalar(ScalarExpr.sin(RED, nm))).is_zero()
@@ -351,9 +351,9 @@ def test_v_maps_follow_the_fiber_list():
 
 
 def test_derived_brackets_t5():
-    Jhat, _ = lift_jacobi(J, MODEL.flat)
+    Jhat, _ = lift_jacobi(J, MODEL.conn)
     mk = derived_brackets(Jhat, 3)
-    dR = de_rham_differential(J)
+    dR = derived_brackets(J, 1)[1]
     probes = [red_frame(),
               red_scalar(ScalarExpr.sin(RED, "phi4")),
               red_scalar(ScalarExpr.coord(RED, "phi1")),
@@ -411,7 +411,7 @@ def test_derived_brackets_match_unshared_oracle(which, tmp_path):
 
 def test_generic_solve_guard():
     # a candidate whose residual already fails the projection check
-    Jhat, _ = lift_jacobi(J, MODEL.flat)
+    Jhat, _ = lift_jacobi(J, MODEL.conn)
     prob = brst_problem(Jhat, (ScalarExpr.sin(CH, "phi2"), 0))
     with pytest.raises(ObstructionError):
         obstruction_solve(prob)
@@ -495,7 +495,7 @@ def test_filtration_guard_rejects_low_correction():
     conn = _curved({(0, 1): ScalarExpr.sin(CH, "phi3")})
     prob = lifting_problem(J, conn)
     H = prob.H
-    low = imm_i_nabla(J, MODEL.flat)
+    low = imm_i_nabla(J, MODEL.conn)
     assert md_antighost_level(low) == 0
     prob.H = lambda X: H(X) + low
     with pytest.raises(ValueError, match="filtration level 0, below 1"):

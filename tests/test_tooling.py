@@ -33,7 +33,7 @@ model = t5_contact()
 conn = ConnectionSpec(model.chart, model.rank,
                       {(0, 1): ScalarExpr.sin(model.chart, "phi3")})
 prob = lifting_problem(model.J, conn)
-H, low = prob.H, imm_i_nabla(model.J, model.flat)
+H, low = prob.H, imm_i_nabla(model.J, model.conn)
 prob.H = lambda X: H(X) + low
 try:
     obstruction_solve(prob)
@@ -81,7 +81,7 @@ from jacobi_bfv.multideriv import (MultiDerivation, M, d_letter, e_letter,
                                    evaluate, md_mul, sj_bracket,
                                    jacobi_from_pair, jacobi_from_words)
 from jacobi_bfv.contraction import BrstContraction
-from jacobi_bfv.solver import derived_brackets, v_immersion
+from jacobi_bfv.solver import derived_brackets, v_immersion, omega_section
 from jacobi_bfv.models import t5_contact
 model = t5_contact()
 ch, J = model.chart, model.J
@@ -138,6 +138,10 @@ calls = [
     lambda: y1.with_chart(red),
     lambda: v_immersion(with_antighost, ch),
     lambda: BrstContraction(ch, 2, (0, 0)).imm(with_antighost),
+    lambda: BrstContraction(ch, 1, (0,)),
+    lambda: BrstContraction(ch, 3, (0, 0, 0)),
+    lambda: omega_section(ch, 1, (0,)),
+    lambda: omega_section(ch, 3, (0, 0, 0)),
     lambda: derived_brackets(J, 2)[2](x_red),
     lambda: derived_brackets(J, 1)[1](x_red.fun),
     lambda: derived_brackets(J, 1)[1](
@@ -174,7 +178,7 @@ def test_library_guards_survive_optimize(optimize):
     out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 55
+    assert len(lines) == 59
     assert all(ln.startswith("rejected:") for ln in lines), lines
 
 
