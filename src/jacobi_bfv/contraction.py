@@ -49,6 +49,8 @@ class ConnectionSpec:
     vert[(A, B)] is the endomorphism-valued part attached to the frame
     direction, coef[(i, A, B)] the part attached to d_i; missing keys
     are zero, so ConnectionSpec(chart, rank) is the flat trivial one.
+    Frame indices A, B are ints below rank (a bool is not one); any
+    other raises ValueError.
     """
 
     __slots__ = ("chart", "rank", "vert", "coef")
@@ -75,6 +77,10 @@ class ConnectionSpec:
                 self.coef[(i, A, B)] = c
 
     def _check_frame(self, A, B):
+        for X in (A, B):
+            if isinstance(X, bool) or not isinstance(X, int):
+                raise ValueError("connection frame indices are ints, got %r"
+                                 % ((A, B),))
         if not (0 <= A < self.rank and 0 <= B < self.rank):
             raise ValueError("connection frame indices %r are out of range "
                              "for rank %d" % ((A, B), self.rank))

@@ -28,15 +28,21 @@ along t brings down.  Every product of the bracket lands at frame flag
 fr1 + fr2 - 1, which is checked to be 0 or 1.  The half bracket
 indexes the G-terms' left derivatives by momentum and skips, by integer
 masks, every product that would repeat a ghost index or an odd letter,
-so each _term_mul it calls survives.  The graded product md_mul and the
-bracket share one term product, _term_mul.
+so each _term_mul it calls survives.  It takes a coordinate derivative
+only of a coefficient that can depend on that coordinate
+(ScalarExpr.variables), so none that must vanish.  The products' ring
+terms add straight into one plain term dict per output key
+(scalar.add_product), wrapped as a ring element once at the end; a key
+whose sum cancels is dropped, as add_term drops it, so the terms come
+out in the order a sum of ring elements gives.  The graded product
+md_mul and the bracket share one term product, _term_mul.
 jacobi_from_words builds every structure operator J and brackets
 nothing: solver.lift_jacobi decides the Jacobi condition [[J, J]] = 0.
 """
 
 from itertools import product as iproduct
 
-from .scalar import ScalarExpr, add_term
+from .scalar import ScalarExpr, add_product, add_term
 from .ghost import (Combination, GhostMonomial, GradedFunction, Section,
                     ONE_MONO, check_mono, mono_mul, mul_terms,
                     shifted_parity)
@@ -445,12 +451,21 @@ def _half_bracket(F, G, chart):
 
     Only the momenta an F-term carries are visited.  Per momentum, the
     first F-term to need it indexes the G-terms whose left derivative by
-    it is nonzero, in G order.  A term's mask has one bit per odd letter
-    (m, d by chart axis) and per ghost and anti-ghost index; a pair whose
-    masks meet outside the momentum's own bit would repeat one of them,
-    so it is skipped before _term_mul.  An F-term's hits are sorted by
-    (G-term, momentum), so terms accumulate in (F-term, G-term, momentum)
-    order, at frame flag frF + frG - 1."""
+    it is nonzero, in G order.  For a d_i momentum the derivative is
+    taken only of a G-term whose coefficient's variables, computed once
+    per call and G-term, hold x^i: any other derivative is 0.  A term's
+    mask has one bit per odd letter (m, d by chart axis) and per ghost
+    and anti-ghost index; a pair whose masks meet outside the momentum's
+    own bit would repeat one of them, so it is skipped before _term_mul.
+    An F-term's hits are sorted by (G-term, momentum), so terms
+    accumulate in (F-term, G-term, momentum) order, at frame flag
+    frF + frG - 1.
+
+    Each output key sums its products in one plain term dict, through
+    add_product, and is wrapped as a ScalarExpr once at the end.  A key
+    whose sum cancels after a product is deleted, so a later product at
+    that key goes to the end: the keys and their order are those of
+    add_term over the products as ring elements."""
     pos, base = chart._pos, 1 + len(chart.coords)
 
     def bit(ell):  # m, d by axis, then e_A and f^A interleaved by A
@@ -469,14 +484,18 @@ def _half_bracket(F, G, chart):
                 bits |= bit(ell)
         return bits
 
-    out, index = {}, {}
+    sums, index, variables = {}, {}, None
     for (mF, wF, frF), cF in F:
         moms = _momenta(wF)
         maskF, hits = mask(mF, wF), []
         for p, ell in enumerate(moms):
             if ell not in index:
                 index[ell] = []
+                if ell[0] == "d" and variables is None:
+                    variables = [cG.variables() for _, cG in G]
                 for j, ((mG, wG, frG), cG) in enumerate(G):
+                    if ell[0] == "d" and ell[1] not in variables[j]:
+                        continue
                     b = _dL_gen(mG, wG, frG, cG, ell)
                     if b is not None:
                         index[ell].append((j, frG, b, mask(mG, wG)))
@@ -488,9 +507,14 @@ def _half_bracket(F, G, chart):
         hits.sort()  # each (j, p) occurs once, so the sort stops there
         for _, _, frG, (tA, cA), (tB, cB) in hits:
             sign, mono, word = _term_mul(tA, tB, chart)
-            c = cA * cB
-            add_term(out, (mono, word, frF + frG - 1), -c if sign < 0 else c)
-    return out
+            key = (mono, word, frF + frG - 1)
+            terms = sums.get(key)
+            if terms is None:
+                terms = sums[key] = {}
+            add_product(terms, cA, cB, sign < 0)
+            if not terms:
+                del sums[key]
+    return {key: ScalarExpr._new(chart, terms) for key, terms in sums.items()}
 
 
 def _parity_groups(D):

@@ -22,7 +22,9 @@ sums dropped, is normal already and is wrapped as it is (_new).  A
 monomial factor maps keys one to one, so its product with any element
 is built pair by pair unless cos atoms of both factors can meet.  A
 derivative multiplies by an exponent only above 1, and substitute
-passes a key without a mapped atom as it is.  Elements are never
+passes a key without a mapped atom as it is.  add_product sums products
+into a plain term dict by the same rules, for a caller that wraps the
+sum once.  Elements are never
 changed in place, so results share them: scale(1) returns the element
 and scale(-1) its negation.
 """
@@ -47,10 +49,12 @@ class Chart:
 
     fiber coordinates index the ghost generators elsewhere; abstract
     functions may depend on base coordinates only (the BRST homotopy
-    needs closed-form integration over fiber dependence).
+    needs closed-form integration over fiber dependence).  The reduced
+    chart is built once, with the chart; a chart without fiber
+    coordinates is its own reduced chart.
     """
 
-    __slots__ = ("coords", "angular", "fiber", "funcs", "_pos")
+    __slots__ = ("coords", "angular", "fiber", "funcs", "_pos", "_reduced")
 
     def __init__(self, coords, angular=(), fiber=(), funcs=None):
         self.coords = _names(coords)
@@ -77,6 +81,8 @@ class Chart:
                                      "coordinates only, got %r" % (d,))
             self.funcs[name] = deps
         self._pos = {c: i for i, c in enumerate(self.coords)}
+        self._reduced = Chart(self.base, self.angular & set(self.base), (),
+                              self.funcs) if self.fiber else self
 
     @property
     def base(self):
@@ -101,7 +107,7 @@ class Chart:
 
     def reduced(self):
         "The chart of the base alone (fiber coordinates removed)."
-        return Chart(self.base, self.angular & set(self.base), (), self.funcs)
+        return self._reduced
 
 
 # Atom encodings.  All are tuples whose first entry names the kind, so
@@ -211,6 +217,34 @@ def add_term(terms, key, c):
         terms[key] = c
     else:
         terms.pop(key, None)
+
+
+def add_product(terms, a, b, negate=False):
+    """Add a * b, negated when negate, into terms, the term dict of a
+    normal form, in place and key by key as add_term does; terms stays a
+    normal form's term dict with exact coefficients, so a caller that
+    sums products into it wraps it once, with _new.
+
+    Two one-term factors multiply inline unless both keys lead with a
+    cos atom: cos sorts first, so only then can they share one and reach
+    cos^2.  Any other pair goes through the ring product.  The factors'
+    own term dicts are only read."""
+    ta, tb, prod = a.terms, b.terms, None
+    if len(ta) == 1 and len(tb) == 1:
+        (k1, c1), = ta.items()
+        (k2, c2), = tb.items()
+        if not (k1 and k2 and k1[0][0][0] == "cos" == k2[0][0][0]):
+            prod = ((_mul_keys(k1, k2), c1 * c2),)
+    for key, c in prod or (a * b).terms.items():
+        if negate:
+            c = -c
+        old = terms.get(key)
+        if old is not None:
+            c = old + c
+        if c:
+            terms[key] = c if type(c) is int else _exact(c)
+        else:
+            terms.pop(key, None)
 
 
 def _reduce_terms(raw):
@@ -447,6 +481,20 @@ class ScalarExpr:
             return ScalarExpr._new(self.chart, _reduce_terms(raw))
         _exact_terms(raw)
         return ScalarExpr._new(self.chart, raw)
+
+    def variables(self):
+        """The coordinates this element can depend on: the coordinate of
+        each x, sin and cos atom and the declared dependencies of each
+        function atom.  Its partial along any other coordinate is 0."""
+        funcs = self.chart.funcs
+        out = set()
+        for key in self.terms:
+            for atom, _ in key:
+                if atom[0] in ("fn", "dfn"):
+                    out.update(funcs[atom[1]])
+                else:
+                    out.add(atom[1])
+        return out
 
     def substitute(self, mapping):
         """Ring homomorphism sending fiber coordinates to given numbers

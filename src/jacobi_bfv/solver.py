@@ -91,6 +91,12 @@ class NotJacobiError(ResidualError):
         self.residual = residual
 
 
+def _check_count(n, what):
+    "Raise ValueError unless n is a nonnegative int (a bool is not one)."
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError("%s must be a nonnegative int, got %r" % (what, n))
+
+
 def obstruction_solve(prob, max_iter=64):
     """Deform prob.Qbar into an exact Maurer-Cartan element.
 
@@ -105,11 +111,11 @@ def obstruction_solve(prob, max_iter=64):
 
     Returns (Q, trace); the trace records one entry per correction with
     the residual, its filtration level and the correction added.
-    Raises ObstructionError when the projected residual is nonzero, and
-    ResidualError when max_iter corrections leave a nonzero residual.
+    Raises ObstructionError when the projected residual is nonzero,
+    ResidualError when max_iter corrections leave a nonzero residual, and
+    ValueError for a max_iter that is not a nonnegative int.
     """
-    if max_iter < 0:
-        raise ValueError("max_iter must be nonnegative, got %d" % max_iter)
+    _check_count(max_iter, "max_iter")
     R = prob.bracket(prob.Qbar, prob.Qbar)
     if not R.is_zero():
         lev = prob.level(R)
@@ -176,9 +182,9 @@ class GaugeAutomorphism:
 def gauge_intertwine(Q0, Q1, prob, max_iter=64):
     """Automorphism phi with phi(Q0) = Q1, for two Maurer-Cartan
     elements agreeing below the filtration cut, composed of at most
-    max_iter exponentials."""
-    if max_iter < 0:
-        raise ValueError("max_iter must be nonnegative, got %d" % max_iter)
+    max_iter exponentials; a max_iter that is not a nonnegative int
+    raises ValueError."""
+    _check_count(max_iter, "max_iter")
     for Q in (Q0, Q1):
         if not prob.bracket(Q, Q).is_zero():
             raise ValueError("gauge endpoints must be Maurer-Cartan")
@@ -386,10 +392,12 @@ def derived_brackets(Jhat, k_max):
     family shares one dict from argument tuples to nested brackets,
     {(): Jhat} at first, for as long as it lives: a call brackets only
     past the longest prefix already known.  Returns a dict mapping each
-    arity k to a callable of k Sections on the reduced chart; any other
-    number of arguments raises ValueError, and so does v_immersion for
-    any other argument before it enters the dict (one that cannot be
-    hashed raises TypeError at the lookup)."""
+    arity k up to k_max, a nonnegative int (else ValueError), to a
+    callable of k Sections on the reduced chart; any other number of
+    arguments raises ValueError, and so does v_immersion for any other
+    argument before it enters the dict (one that cannot be hashed raises
+    TypeError at the lookup)."""
+    _check_count(k_max, "k_max")
     chart = Jhat.chart
     nested = {(): Jhat}
 

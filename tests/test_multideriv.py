@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from jacobi_bfv.scalar import ScalarExpr, add_term
+from jacobi_bfv.scalar import Chart, ScalarExpr, add_term
 from jacobi_bfv.ghost import (GhostMonomial, GradedFunction, Section, ONE_MONO,
                               mono_mul, shifted_parity)
 from jacobi_bfv.multideriv import (
@@ -689,6 +689,76 @@ def test_masked_bracket_matches_full_scan_when_crowded():
     assert nonzero >= 60
     assert seen.pop("d-axes") == set(CH.coords)
     assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_bracket_key_that_cancels_moves_to_the_end():
+    # d_phi1 and -d_phi2 both reach (phi1 + phi2 + phi4) d_phi3 and cancel
+    # at d_phi3; -d_phi2 then reaches d_y1, and d_phi4 adds d_phi3 again,
+    # after it
+    coord = lambda x: ScalarExpr.coord(CH, x)
+    D = single((d_letter("phi1"),)) - single((d_letter("phi2"),)) + \
+        single((d_letter("phi4"),))
+    E = single((d_letter("phi3"),), coeff=coord("phi1") + coord("phi2") +
+               coord("phi4")) + \
+        single((d_letter("y1"),), coeff=coord("phi2"))
+    got = sj_bracket(D, E)
+    assert [w for (_, w, _) in got.terms] == [(d_letter("y1"),),
+                                              (d_letter("phi3"),)]
+    assert _same_terms(got, _full_scan_bracket(D, E))
+
+
+def test_bracket_products_of_cos_atoms_are_rewritten():
+    # one-term products whose keys both lead with cos: cos^2 arises also
+    # when the first atoms differ (cos phi1 cos phi3 times cos phi3)
+    cos1, cos3 = (ScalarExpr.cos(CH, x) for x in ("phi1", "phi3"))
+    sin1, sin3 = (ScalarExpr.sin(CH, x) for x in ("phi1", "phi3"))
+    phi2 = ScalarExpr.coord(CH, "phi2")
+    cases = [(cos3, cos3), (cos1 * cos3, cos3), (cos3, cos1 * cos3),
+             (cos1, cos3), (cos1 * sin3, cos1), (sin1 * cos3, cos3 * sin1)]
+    for a, b in cases:
+        D = single((d_letter("phi2"), d_letter("phi4")), coeff=a)
+        E = single((d_letter("phi5"),), coeff=phi2 * b)
+        for X, Y in ((D, E), (E, D)):
+            got = sj_bracket(X, Y)
+            assert _same_terms(got, _full_scan_bracket(X, Y))
+        coeffs = list(sj_bracket(D, E).terms.values())
+        assert coeffs == [-(a * b)]
+        assert all(e == 1 for k in coeffs[0].terms for atom, e in k
+                   if atom[0] == "cos")
+
+
+def test_bracket_of_function_coefficients_matches_full_scan():
+    # f1 depends on phi1 and phi2, f2 on phi3 only: a d momentum's left
+    # derivative is skipped only when the coefficient cannot depend on it
+    chart = Chart(CH.coords, CH.angular, CH.fiber,
+                  funcs={"f1": ("phi1", "phi2"), "f2": ("phi3",)})
+    rng = rng_for("function-bracket")
+    seen = {"fn": 0, "dfn": 0}
+    nonzero = 0
+    for trial in range(60):
+        ops = []
+        for fr in (1, rng.randint(0, 1)):
+            X = random_md(rng, chart, RANK, rng.randint(1, 3), fr=fr,
+                          max_terms=5, allow_abstract=True)
+            # differentiate some coefficients, so dfn atoms appear
+            terms = {}
+            for key, c in X.terms.items():
+                if rng.random() < 0.5:
+                    c = c.partial(rng.choice(("phi1", "phi2", "phi3")))
+                if not c.is_zero():
+                    terms[key] = c
+            ops.append(MultiDerivation(chart, RANK, terms))
+            for c in terms.values():
+                atoms = {atom[0] for k in c.terms for atom, _ in k}
+                seen["fn"] += "fn" in atoms
+                seen["dfn"] += "dfn" in atoms
+        D, E = ops
+        for X, Y in ((D, E), (E, D), (D, D)):
+            got = sj_bracket(X, Y)
+            assert _same_terms(got, _full_scan_bracket(X, Y))
+            nonzero += not got.is_zero()
+    assert nonzero >= 60
+    assert all(n >= 20 for n in seen.values()), seen
 
 
 def _generated_lift(tmp_path, n, rank, curved, sid, seed):

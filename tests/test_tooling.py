@@ -80,11 +80,13 @@ from jacobi_bfv.ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
 from jacobi_bfv.multideriv import (MultiDerivation, M, d_letter, e_letter,
                                    evaluate, md_mul, sj_bracket,
                                    jacobi_from_pair, jacobi_from_words)
-from jacobi_bfv.contraction import BrstContraction
-from jacobi_bfv.solver import derived_brackets, v_immersion, omega_section
+from jacobi_bfv.contraction import BrstContraction, ConnectionSpec
+from jacobi_bfv.solver import (derived_brackets, v_immersion, omega_section,
+                               gauge_intertwine, lift_jacobi, lifting_problem)
 from jacobi_bfv.models import t5_contact
 model = t5_contact()
 ch, J = model.chart, model.J
+flat = lifting_problem(J, model.conn)
 red = ch.reduced()
 one = ScalarExpr.one(ch)
 one_red = ScalarExpr.one(red)
@@ -147,6 +149,16 @@ calls = [
     lambda: derived_brackets(J, 1)[1](
         Section(GradedFunction.scalar(ch, 2, y1))),
     lambda: derived_brackets(J, 1)[1](3),
+    lambda: derived_brackets(J, "2"),
+    lambda: derived_brackets(J, -1),
+    lambda: lift_jacobi(J, model.conn2, 0.5),
+    lambda: lift_jacobi(J, model.conn2, "2"),
+    lambda: lift_jacobi(J, model.conn2, True),
+    lambda: gauge_intertwine(flat.Qbar, flat.Qbar, flat, 0.5),
+    lambda: ConnectionSpec(ch, 2, vert={("0", 1): 1}),
+    lambda: ConnectionSpec(ch, 2, vert={(0.0, 1): 1}),
+    lambda: ConnectionSpec(ch, 2, vert={(True, 1): 1}),
+    lambda: ConnectionSpec(ch, 2, coef={("phi1", 0, 1.0): 1}),
     lambda: x_mu + Section.frame(ch, 1),
     lambda: Section(1),
     lambda: sj_bracket(d_phi1, dfun_rank1),
@@ -178,7 +190,7 @@ def test_library_guards_survive_optimize(optimize):
     out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 59
+    assert len(lines) == 69
     assert all(ln.startswith("rejected:") for ln in lines), lines
 
 
