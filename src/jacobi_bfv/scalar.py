@@ -219,7 +219,7 @@ def add_term(terms, key, c):
         terms.pop(key, None)
 
 
-def add_product(terms, a, b, negate=False):
+def add_product(terms, a, b, negate):
     """Add a * b, negated when negate, into terms, the term dict of a
     normal form, in place and key by key as add_term does; terms stays a
     normal form's term dict with exact coefficients, so a caller that
