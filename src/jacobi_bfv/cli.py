@@ -4,7 +4,8 @@ Loads a scenario into a models.Model, either the builtin or a small
 JSON file with prefix-notation expressions (a file sets a chart, a
 bracket pair and whatever else it overrides of the Model defaults),
 runs one of the engine commands against it and prints a deterministic
-report.
+report.  The parser reads only the JSON (types, shapes, keys, numbers
+and expressions); the library types it builds check every other rule.
 
 Exit codes: 0 on success, 2 on a ResidualError (an obstruction or a
 nonzero residual blocks the construction), 1 on any other ValueError.
@@ -20,7 +21,7 @@ from .ghost import GhostMonomial, GradedFunction, Section
 from .multideriv import M, d_letter, sj_bracket, jacobi_from_words
 from .contraction import ResidualError, ConnectionSpec, proj_p
 from .solver import (ObstructionError, obstruction_solve, lift_jacobi,
-                     lifting_problem, brst_problem, brst_charge,
+                     lifting_problem, brst_problem, brst_charge, _check_count,
                      omega_section, coisotropy_residual, mc_check, BfvData,
                      reduced_differential, derived_brackets, v_immersion,
                      v_projection, gauge_intertwine, exp_ad)
@@ -150,14 +151,13 @@ def _build(node, chart):
 
 
 def _count(value, what):
-    """A nonnegative integer read from JSON or the command line: an int,
-    or a float of integral value.  Anything else, a bool or a fractional
-    number included, is bad input and is never truncated."""
+    """A nonnegative integer read from JSON or the command line.  A float
+    of integral value becomes an int; solver._check_count rejects
+    anything else, a bool or a fractional number included, so nothing
+    is truncated."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ScenarioError("%s must be a nonnegative integer, got %r"
-                            % (what, value))
+    _check_count(value, what)
     return value
 
 
@@ -236,43 +236,54 @@ def _parse_connection(obj, chart, rank):
     if not isinstance(obj, dict):
         raise ScenarioError("connection must be \"flat-trivial\" or an object")
     _only_keys(obj, {"vert", "coef"}, "connection")
-
-    def index(A):
-        A = _count(A, "connection frame index")
-        if A >= rank:
-            raise ScenarioError("connection frame index %d is out of range "
-                                "for rank %d" % (A, rank))
-        return A
-
-    vert = {}
-    for A, B, src in _entries(obj.get("vert", []), 3, "connection vert"):
-        vert[(index(A), index(B))] = parse_expr(src, chart)
+    what = "connection frame index"
+    vert = {(_count(A, what), _count(B, what)): parse_expr(src, chart)
+            for A, B, src in _entries(obj.get("vert", []), 3,
+                                      "connection vert")}
     coef = {}
     for i, A, B, src in _entries(obj.get("coef", []), 4, "connection coef"):
-        if not isinstance(i, str) or i not in chart._pos:
-            raise ScenarioError("unknown coordinate %r in connection coef"
-                                % (i,))
-        coef[(i, index(A), index(B))] = parse_expr(src, chart)
+        # a JSON list or object cannot be a key; ConnectionSpec checks names
+        if not isinstance(i, str):
+            raise ScenarioError("connection coef coordinates are names, "
+                                "got %r" % (i,))
+        coef[(i, _count(A, what), _count(B, what))] = parse_expr(src, chart)
     return ConnectionSpec(chart, rank, vert, coef)
 
 
-def _words_from_terms(items, chart):
-    """Explicit coefficient form of the structure operator, as (word,
-    coefficient) pairs.  Letters are "m" or "d:<coord>"; each word holds
-    two of them."""
+def _jacobi_words(jac, chart):
+    """The structure operator as (word, coefficient) pairs.  biv entries
+    [ci, cj, expr] and vec entries c: expr become the terms words
+    ["d:ci", "d:cj"] and ["m", "d:c"] first, so one loop checks that
+    every word is two different letters, each "m" or "d:<coord>"."""
+    _only_keys(jac, {"biv", "vec", "terms"}, "jacobi")
+    if "terms" in jac:
+        if "biv" in jac or "vec" in jac:
+            raise ScenarioError("jacobi takes either biv/vec or terms, "
+                                "not both")
+        items = _entries(jac["terms"], 2, "jacobi terms")
+    else:
+        items = [[["d:" + c if isinstance(c, str) else c for c in (ci, cj)],
+                  src] for ci, cj, src in _entries(jac.get("biv", []), 3,
+                                                   "jacobi biv")]
+        items += [[["m", "d:" + c], src]
+                  for c, src in sorted(_object(jac, "vec").items())]
     letters = {"d:" + c: d_letter(c) for c in chart.coords}
     letters["m"] = M
     out = []
-    for word, src in _entries(items, 2, "jacobi terms"):
+    for word, src in items:
         if not isinstance(word, list):
             raise ScenarioError("jacobi terms words must be lists of "
                                 "letters, got %r" % (word,))
         for tok in word:
             if not isinstance(tok, str) or tok not in letters:
-                raise ScenarioError("bad letter %r in jacobi terms" % (tok,))
+                raise ScenarioError("bad letter %r in jacobi (not m, or an "
+                                    "unknown coordinate)" % (tok,))
         if len(word) != 2:
             raise ScenarioError("jacobi terms words carry two letters, got %r"
                                 % (word,))
+        if word[0] == word[1]:
+            raise ScenarioError("jacobi entry pairs %r with itself"
+                                % letters[word[0]][-1])
         out.append(([letters[tok] for tok in word], parse_expr(src, chart)))
     return out
 
@@ -280,7 +291,9 @@ def _words_from_terms(items, chart):
 def parse_scenario(source):
     """Builtin name or path of a JSON scenario file.  Raises
     ScenarioError on malformed input; the Jacobi condition is left to
-    the lift that every command starts with."""
+    the lift that every command starts with.  The library types check
+    every rule past the JSON reading, and a ValueError raised while the
+    model is built becomes a ScenarioError with the same message."""
     if source in (None, "t5-contact"):
         return t5_contact()
     try:
@@ -300,55 +313,29 @@ def parse_scenario(source):
     _only_keys(obj, {"schema", "name", "chart", "rank", "jacobi", "connection",
                      "connection2", "section", "options"}, "scenario")
     chart = _parse_chart(obj.get("chart"))
-    rank = obj.get("rank")
-    if isinstance(rank, bool) or not isinstance(rank, int) or \
-            rank != len(chart.fiber):
-        raise ScenarioError("rank must equal the number of fiber "
-                            "coordinates (%d)" % len(chart.fiber))
-    jac = _object(obj, "jacobi")
-    _only_keys(jac, {"biv", "vec", "terms"}, "jacobi")
-    if "terms" in jac:
-        if "biv" in jac or "vec" in jac:
-            raise ScenarioError("jacobi takes either biv/vec or terms, "
-                                "not both")
-        words = _words_from_terms(jac["terms"], chart)
-    else:
-        words = []
-        for ci, cj, src in _entries(jac.get("biv", []), 3, "jacobi biv"):
-            for c in (ci, cj):
-                if not isinstance(c, str) or c not in chart._pos:
-                    raise ScenarioError("unknown coordinate %r in biv" % c)
-            if ci == cj:
-                raise ScenarioError("biv entry pairs %r with itself" % ci)
-            words.append(((d_letter(ci), d_letter(cj)),
-                          parse_expr(src, chart)))
-        for c, src in sorted(_object(jac, "vec").items()):
-            if c not in chart._pos:
-                raise ScenarioError("unknown coordinate %r in vec" % c)
-            words.append(((M, d_letter(c)), parse_expr(src, chart)))
-    J = jacobi_from_words(chart, rank, words)
-    # Model supplies every default, so only what the file sets is passed
-    given = {}
-    for key, field in (("connection", "conn"), ("connection2", "conn2")):
-        if obj.get(key) is not None:
-            given[field] = _parse_connection(obj[key], chart, rank)
-    if obj.get("section") is not None:
-        raw_section = obj["section"]
-        if not isinstance(raw_section, list) or len(raw_section) != rank:
-            raise ScenarioError("section needs exactly %d components" % rank)
-        given["section"] = tuple(parse_expr(src, chart) for src in raw_section)
-        for c in given["section"]:
-            if c.max_degree(chart.fiber) != 0:
-                raise ScenarioError("section components must not involve "
-                                    "fiber coordinates")
+    words = _jacobi_words(_object(obj, "jacobi"), chart)
+    section = obj.get("section")
+    if isinstance(section, list):
+        section = tuple(parse_expr(src, chart) for src in section)
     name = obj.get("name", source)
     if not isinstance(name, str):
         raise ScenarioError("name must be a string, got %r" % (name,))
     opts = _object(obj, "options")
     _only_keys(opts, {"kmax", "max_iter"}, "options")
-    for key, value in opts.items():
-        given[key] = _count(value, "options." + key)
-    return Model(name, J, **given)
+    try:
+        # Model supplies every default, so only what the file sets is
+        # passed; it checks the rank before a connection is built at it
+        model = Model(name, jacobi_from_words(chart, obj.get("rank"), words),
+                      section=section,
+                      **{key: _count(value, "options." + key)
+                         for key, value in opts.items()})
+        for key, field in (("connection", "conn"), ("connection2", "conn2")):
+            if obj.get(key) is not None:
+                setattr(model, field,
+                        _parse_connection(obj[key], chart, model.rank))
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+    return model
 
 
 # -- reports ---------------------------------------------------------

@@ -26,7 +26,8 @@ of the fiber projection.  Its homotopy inverts the Koszul differential
 d[s] up to the projection/immersion pair by a radial integral about s,
 also in one pass: for a term c xi^S xi*_T, shift dc/dy_A to s,
 multiply each term of fiber degree k by 1/(k + |T| + 1), the integral
-of t^(k + |T|) over [0, 1], and shift back.
+of t^(k + |T|) over [0, 1], and shift back.  check_section is the one
+check of a rank and a section, for this class, omega_section and Model.
 
 hpl_deform transfers a contraction through a perturbation of the
 differential by the usual geometric series, evaluated lazily.
@@ -35,7 +36,8 @@ differential by the usual geometric series, evaluated lazily.
 from fractions import Fraction
 
 from .scalar import ScalarExpr, _exact, add_term
-from .ghost import GhostMonomial, GradedFunction, Section, ONE_MONO, mono_mul
+from .ghost import (GhostMonomial, GradedFunction, Section, ONE_MONO,
+                    mono_mul, check_mono)
 from .multideriv import e_letter, f_letter, MultiDerivation, md_mul
 
 
@@ -49,8 +51,9 @@ class ConnectionSpec:
     vert[(A, B)] is the endomorphism-valued part attached to the frame
     direction, coef[(i, A, B)] the part attached to d_i; missing keys
     are zero, so ConnectionSpec(chart, rank) is the flat trivial one.
-    Frame indices A, B are ints below rank (a bool is not one); any
-    other raises ValueError.
+    Frame indices A, B are ghost indices: ints below rank (a bool is
+    not one).  A coef coordinate is a chart coordinate.  Anything else
+    raises ValueError.
     """
 
     __slots__ = ("chart", "rank", "vert", "coef")
@@ -60,7 +63,7 @@ class ConnectionSpec:
         self.rank = rank
         self.vert = {}
         for (A, B), c in dict(vert or {}).items():
-            self._check_frame(A, B)
+            check_mono(GhostMonomial((A,), (B,)), rank)
             if not isinstance(c, ScalarExpr):
                 c = ScalarExpr.number(chart, c)
             if not c.is_zero():
@@ -70,20 +73,11 @@ class ConnectionSpec:
             if i not in chart._pos:
                 raise ValueError("unknown coordinate %r in connection coef"
                                  % (i,))
-            self._check_frame(A, B)
+            check_mono(GhostMonomial((A,), (B,)), rank)
             if not isinstance(c, ScalarExpr):
                 c = ScalarExpr.number(chart, c)
             if not c.is_zero():
                 self.coef[(i, A, B)] = c
-
-    def _check_frame(self, A, B):
-        for X in (A, B):
-            if isinstance(X, bool) or not isinstance(X, int):
-                raise ValueError("connection frame indices are ints, got %r"
-                                 % ((A, B),))
-        if not (0 <= A < self.rank and 0 <= B < self.rank):
-            raise ValueError("connection frame indices %r are out of range "
-                             "for rank %d" % ((A, B), self.rank))
 
 
 def _substitute_letters(D, image):
@@ -185,6 +179,31 @@ def homotopy_H_nabla(D, conn):
 
 # -- the contraction along a section ---------------------------------
 
+def check_section(chart, rank, section):
+    """The components of a section of the fiber projection as ring
+    elements.  rank must be an int (not a bool) equal to the number of
+    fiber coordinates, section a tuple or list of rank numbers or ring
+    elements free of the fiber coordinates; else ValueError."""
+    fiber = chart.fiber
+    if isinstance(rank, bool) or not isinstance(rank, int) or \
+            rank != len(fiber):
+        raise ValueError("rank must be an int equal to the number of fiber "
+                         "coordinates (%d), got %r" % (len(fiber), rank))
+    n = len(section) if isinstance(section, (tuple, list)) else None
+    if n != rank:
+        raise ValueError("a section needs exactly %d components, got %s" % (
+            rank, "%r, not a list" % (section,) if n is None else n))
+    out = []
+    for c in section:
+        if not isinstance(c, ScalarExpr):
+            c = ScalarExpr.number(chart, c)
+        if c.max_degree(fiber) != 0:
+            raise ValueError("section components must be functions on the "
+                             "base, free of the fiber coordinates")
+        out.append(c)
+    return tuple(out)
+
+
 class BrstContraction:
     """Contraction of the section module onto the reduced side along a
     section of the fiber projection (a tuple of base functions)."""
@@ -192,23 +211,9 @@ class BrstContraction:
     __slots__ = ("chart", "rank", "section", "red")
 
     def __init__(self, chart, rank, section):
-        if rank != len(chart.fiber):
-            raise ValueError("rank %r differs from the %d fiber coordinates"
-                             % (rank, len(chart.fiber)))
-        if len(section) != rank:
-            raise ValueError("a section has %d components, got %d"
-                             % (rank, len(section)))
         self.chart = chart
         self.rank = rank
-        vals = []
-        for c in section:
-            if not isinstance(c, ScalarExpr):
-                c = ScalarExpr.number(chart, c)
-            if c.max_degree(chart.fiber) != 0:
-                raise ValueError("section components must be functions "
-                                 "on the base")
-            vals.append(c)
-        self.section = tuple(vals)
+        self.section = check_section(chart, rank, section)
         self.red = chart.reduced()
 
     def dif(self):

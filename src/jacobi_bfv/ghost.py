@@ -12,10 +12,11 @@ its operands' ascending blocks in one pass and builds the product
 unchecked (GhostMonomial._new), as do the left derivatives, which
 remove one index; they and partial store no zero and wrap unchecked.
 mul_terms, the product on plain term dicts, serves ghost_mul and
-evaluate.  The public constructor validates the order.  A
-monomial hashes once, when it is built.  A product applies its sign
-by negation; a ring element's coefficients are never written in place,
-so results may share them.
+evaluate.  The public constructor validates the indices: ints, not
+bools, strictly ascending in each block; check_mono bounds them by a
+rank.  A monomial hashes once, when it is built.  A product applies its
+sign by negation; a ring element's coefficients are never written in
+place, so results may share them.
 """
 
 from .scalar import ScalarExpr, add_term
@@ -27,10 +28,11 @@ class GhostMonomial:
     def __init__(self, g=(), a=()):
         self.g = tuple(g)
         self.a = tuple(a)
-        if not (all(x < y for x, y in zip(self.g, self.g[1:])) and
+        if not (all(type(x) is int for x in self.g + self.a) and
+                all(x < y for x, y in zip(self.g, self.g[1:])) and
                 all(x < y for x, y in zip(self.a, self.a[1:]))):
             raise ValueError("ghost and anti-ghost indices must be strictly "
-                             "ascending, got %r" % ((self.g, self.a),))
+                             "ascending ints, got %r" % ((self.g, self.a),))
         self._hash = hash((self.g, self.a))
 
     @classmethod
@@ -225,9 +227,7 @@ class GradedFunction(Combination):
     # -- algebra -----------------------------------------------------
 
     def ghost_mul(self, other):
-        "Graded product; a Section argument returns a Section."
-        if isinstance(other, Section):
-            return Section(self.ghost_mul(other.fun))
+        "Graded product."
         self._check_like(other)
         out = {}
         mul_terms(out, self.terms, other.terms)
@@ -263,10 +263,6 @@ class GradedFunction(Combination):
     def partial(self, coord):
         return GradedFunction._new(self.chart, self.rank, {
             m: d for m, c in self.terms.items() if (d := c.partial(coord))})
-
-    def with_chart(self, chart):
-        return GradedFunction(chart, self.rank,
-                              {m: c.with_chart(chart) for m, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:

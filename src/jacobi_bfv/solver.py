@@ -30,7 +30,8 @@ from .ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
 from .multideriv import (d_letter, sort_word, MultiDerivation, evaluate,
                          sj_bracket, build_G, jacobi_bracket, hamiltonian)
 from .contraction import (ResidualError, imm_i_nabla, proj_p,
-                          homotopy_H_nabla, BrstContraction, hpl_deform)
+                          homotopy_H_nabla, BrstContraction, hpl_deform,
+                          check_section)
 
 
 def md_antighost_level(D):
@@ -94,7 +95,8 @@ class NotJacobiError(ResidualError):
 def _check_count(n, what):
     "Raise ValueError unless n is a nonnegative int (a bool is not one)."
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError("%s must be a nonnegative int, got %r" % (what, n))
+        raise ValueError("%s must be a nonnegative integer, got %r"
+                         % (what, n))
 
 
 def obstruction_solve(prob, max_iter=64):
@@ -232,17 +234,11 @@ def lift_jacobi(J, conn, max_iter=64):
 # -- BRST charges ----------------------------------------------------
 
 def omega_section(chart, rank, section):
-    """The degree (1,0) candidate  sum_A (y_A - s_A) xi^A mu; the s_A
-    are ring elements or plain numbers."""
-    if rank != len(chart.fiber):
-        raise ValueError("rank %r differs from the %d fiber coordinates"
-                         % (rank, len(chart.fiber)))
-    if len(section) != rank:
-        raise ValueError("a section has %d components, got %d"
-                         % (rank, len(section)))
+    """The degree (1,0) candidate  sum_A (y_A - s_A) xi^A mu of a
+    section that contraction.check_section accepts."""
     return Section(GradedFunction(chart, rank, {
         GhostMonomial((A,), ()): ScalarExpr.coord(chart, chart.fiber[A]) - s
-        for A, s in enumerate(section)}))
+        for A, s in enumerate(check_section(chart, rank, section))}))
 
 
 def brst_problem(Jhat, section):

@@ -11,7 +11,7 @@ from jacobi_bfv.ghost import GradedFunction, Section
 from jacobi_bfv import cli, multideriv, solver
 from jacobi_bfv.cli import ScenarioError, parse_expr, parse_scenario
 from jacobi_bfv.multideriv import is_jacobi, sj_bracket
-from jacobi_bfv.contraction import ResidualError
+from jacobi_bfv.contraction import ConnectionSpec, ResidualError
 from jacobi_bfv.solver import NotJacobiError, lift_jacobi
 from jacobi_bfv.models import Model, t5_contact
 from oracles import is_flat_trivial
@@ -328,10 +328,46 @@ CURVED = {"vert": [[0, 1, "(sin phi3)"]]}
     ({"chart": dict(T5_DOC["chart"], funcs={"f 1": ["phi1"]})},
      "bad chart: function names must be a list of names"),
     ({"options": {"max_iters": 0}}, "unknown options keys: max_iters"),
+    ({"jacobi": {"terms": [[["d:phi3", "d:phi3"], "5"]]}},
+     "pairs 'phi3' with itself"),
+    ({"jacobi": {"terms": [[["m", "m"], "3"]]}}, "pairs 'm' with itself"),
 ])
 def test_scenario_rejects_malformed_values(tmp_path, patch, match):
     with pytest.raises(ScenarioError, match=match):
         parse_scenario(scenario_file(tmp_path, **patch))
+
+
+# one bad value per input rule, as a scenario file holds it and as the
+# library type that owns the rule takes it; the rule that a J entry is
+# two different letters belongs to the file format, so its second
+# reading is the same entry in the terms form
+ONE_RULE = {
+    "rank-and-section": ({"section": ["0"]},
+                         lambda tmp: Model("lib", t5_contact().J,
+                                           section=(0,))),
+    "count": ({"options": {"max_iter": -1}},
+              lambda tmp: Model("lib", t5_contact().J, max_iter=-1)),
+    "frame-index": ({"connection": {"vert": [[0, 2, "1"]]}},
+                    lambda tmp: ConnectionSpec(CH, 2, vert={(0, 2): 1})),
+    "coef-coordinate": ({"connection": {"coef": [["zz", 0, 1, "1"]]}},
+                        lambda tmp: ConnectionSpec(
+                            CH, 2, coef={("zz", 0, 1): 1})),
+    "jacobi-entry": ({"jacobi": {"biv": [["phi3", "phi3", "1"]]}},
+                     lambda tmp: parse_scenario(scenario_file(tmp, jacobi={
+                         "terms": [[["d:phi3", "d:phi3"], "1"]]}))),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(ONE_RULE))
+def test_one_rule_one_message(tmp_path, rule):
+    patch, library = ONE_RULE[rule]
+    with pytest.raises(ScenarioError) as from_file:
+        parse_scenario(scenario_file(tmp_path, **patch))
+    with pytest.raises(ValueError) as from_library:
+        library(tmp_path)
+    # a file names an option by its JSON path, options.<key>
+    prefix = "options." if "options" in patch else ""
+    assert str(from_file.value) == prefix + str(from_library.value)
 
 
 def test_scenario_integral_numbers_accepted(tmp_path):

@@ -210,11 +210,6 @@ def test_section_wrapper():
     s = mu.scale(y1) + Section(GradedFunction.ghost(ch, 2, 0))
     assert not s.is_zero()
     assert s - s == Section.zero(ch, 2)
-    # functions act on sections through the module structure
-    t = GradedFunction.ghost(ch, 2, 1).ghost_mul(s)
-    assert isinstance(t, Section)
-    assert t.fun == GradedFunction.ghost(ch, 2, 1).scale(y1) - \
-        GradedFunction(ch, 2, {GhostMonomial((0, 1), ()): ScalarExpr.one(ch)})
 
 
 def test_section_linear_structure_matches_functions():

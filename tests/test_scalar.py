@@ -613,7 +613,8 @@ def test_equal_charts_give_the_same_arithmetic():
             assert list(got.terms.items()) == list(want.terms.items())
         assert a == a.with_chart(ch2)
         f, g = random_ghost_fun(rng, ch1), random_ghost_fun(rng, ch1)
-        g2 = g.with_chart(ch2)
+        g2 = GradedFunction(ch2, g.rank, {m: c.with_chart(ch2)
+                                          for m, c in g.terms.items()})
         assert list((f + g2).terms.items()) == list((f + g).terms.items())
         assert f.ghost_mul(g2) == f.ghost_mul(g)
     D = random_md(rng, ch1, 2, 2)

@@ -72,8 +72,9 @@ def test_filtration_guard_survives_optimize():
 # the target chart does not declare, operands of different charts or
 # ranks, a Section of a non-function or added to or subtracted from a
 # non-Section, a chart name that is not a string, a reduced section
-# with anti-ghosts, m_k on the wrong number of arguments, and m_k on a
-# bare function, a full-chart section or a number
+# with anti-ghosts, m_k on the wrong number of arguments, m_k on a
+# bare function, a full-chart section or a number, a Model of a bad
+# count or section, and ghost indices that are not ints
 BAD_LIBRARY_CALLS = """
 from jacobi_bfv.scalar import Chart, ScalarExpr
 from jacobi_bfv.ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
@@ -83,7 +84,7 @@ from jacobi_bfv.multideriv import (MultiDerivation, M, d_letter, e_letter,
 from jacobi_bfv.contraction import BrstContraction, ConnectionSpec
 from jacobi_bfv.solver import (derived_brackets, v_immersion, omega_section,
                                gauge_intertwine, lift_jacobi, lifting_problem)
-from jacobi_bfv.models import t5_contact
+from jacobi_bfv.models import Model, t5_contact
 model = t5_contact()
 ch, J = model.chart, model.J
 flat = lifting_problem(J, model.conn)
@@ -176,6 +177,12 @@ calls = [
     lambda: ScalarExpr(ch, {((("x", "zz"), 1),): 1}),
     lambda: ScalarExpr(ch, {((("x", "phi1"), 0),): 3}),
     lambda: ScalarExpr(ch, {((("x", "phi1"), -1),): 1}),
+    lambda: Model("x", J, kmax="3"),
+    lambda: Model("x", J, max_iter=True),
+    lambda: Model("x", J, section=(0,)),
+    lambda: Model("x", J, section=(y1, 0)),
+    lambda: GhostMonomial((True,), ()),
+    lambda: GhostMonomial((0.0,), ()),
 ]
 for call in calls:
     try:
@@ -190,7 +197,7 @@ def test_library_guards_survive_optimize(optimize):
     out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 69
+    assert len(lines) == 75
     assert all(ln.startswith("rejected:") for ln in lines), lines
 
 
