@@ -27,7 +27,9 @@ d[s] up to the projection/immersion pair by a radial integral about s,
 also in one pass: for a term c xi^S xi*_T, shift dc/dy_A to s,
 multiply each term of fiber degree k by 1/(k + |T| + 1), the integral
 of t^(k + |T|) over [0, 1], and shift back.  check_section is the one
-check of a rank and a section, for this class, omega_section and Model.
+check of a rank and a section, for this class, omega_section and Model;
+check_connection is the one check that a connection's chart and rank
+are those of the operator it lifts, for lifting_problem and Model.
 
 hpl_deform transfers a contraction through a perturbation of the
 differential by the usual geometric series, evaluated lazily.
@@ -78,6 +80,20 @@ class ConnectionSpec:
                 c = ScalarExpr.number(chart, c)
             if not c.is_zero():
                 self.coef[(i, A, B)] = c
+
+
+def check_connection(J, conn):
+    """Raise ValueError unless conn is a ConnectionSpec on J's chart and
+    at J's rank: the one check of a connection against the operator it
+    lifts, for lifting_problem and Model."""
+    if not isinstance(conn, ConnectionSpec):
+        raise ValueError("a connection is a ConnectionSpec, got %r" % (conn,))
+    if conn.rank != J.rank:
+        raise ValueError("a connection has the rank of J, %d, got rank %r"
+                         % (J.rank, conn.rank))
+    if conn.chart is not J.chart and conn.chart != J.chart:
+        raise ValueError("a connection lives on the chart of J, %r, got %r"
+                         % (J.chart, conn.chart))
 
 
 def _substitute_letters(D, image):

@@ -11,15 +11,17 @@ Every monomial an operation produces is canonical, so mono_mul merges
 its operands' ascending blocks in one pass and builds the product
 unchecked (GhostMonomial._new), as do the left derivatives, which
 remove one index; they and partial store no zero and wrap unchecked.
-mul_terms, the product on plain term dicts, serves ghost_mul and
-evaluate.  The public constructor validates the indices: ints, not
+mul_terms, the product on term dicts, serves ghost_mul and evaluate: it
+sums each product monomial's ring terms into one plain term dict
+through scalar.add_product, and the caller wraps each dict once
+(wrap_terms).  The public constructor validates the indices: ints, not
 bools, strictly ascending in each block; check_mono bounds them by a
 rank.  A monomial hashes once, when it is built.  A product applies its
 sign by negation; a ring element's coefficients are never written in
 place, so results may share them.
 """
 
-from .scalar import ScalarExpr, add_term
+from .scalar import ScalarExpr, add_product, add_term
 
 
 class GhostMonomial:
@@ -98,13 +100,25 @@ def mono_mul(m1, m2):
 
 
 def mul_terms(out, a, b, neg=False):
-    "Add the graded product of term dicts a, b into out; negated if neg."
+    """Add the graded product of term dicts a, b (monomial -> ring
+    element) into out, negated if neg.  out maps each monomial to the
+    plain term dict of its ring coefficient (scalar.add_product); a
+    monomial whose sum cancels is deleted, so wrap_terms can wrap out."""
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             sign, m = mono_mul(m1, m2)
             if sign:
-                c = c1 * c2
-                add_term(out, m, c if (sign < 0) == neg else -c)
+                terms = out.get(m)
+                if terms is None:
+                    terms = out[m] = {}
+                add_product(terms, c1, c2, (sign < 0) != neg)
+                if not terms:
+                    del out[m]
+
+
+def wrap_terms(chart, out):
+    "The monomial -> ring element dict of a dict that mul_terms filled."
+    return {m: ScalarExpr._new(chart, terms) for m, terms in out.items()}
 
 
 def check_mono(mono, rank):
@@ -148,13 +162,22 @@ class Combination:
             self.rank == other.rank
 
     def _check_like(self, other):
-        "Raise ValueError unless other is of this type, chart and rank."
-        if not self._like(other):
-            raise ValueError(
-                "operands must share type, chart and rank, got a %s of rank "
-                "%d and a %s of rank %r" % (
-                    type(self).__name__, self.rank, type(other).__name__,
-                    getattr(other, "rank", None)))
+        """Raise ValueError unless other is of this type, chart and rank;
+        the message names which of them differ."""
+        if self._like(other):
+            return
+        if isinstance(other, type(self)):
+            differ = " and ".join(
+                what for what, a, b in (("chart", self.chart, other.chart),
+                                        ("rank", self.rank, other.rank))
+                if a != b)
+        else:
+            differ = "type"
+        raise ValueError(
+            "operands must share type, chart and rank; they differ in %s: "
+            "got a %s of rank %d and a %s of rank %r" % (
+                differ, type(self).__name__, self.rank, type(other).__name__,
+                getattr(other, "rank", None)))
 
     def __add__(self, other):
         self._check_like(other)
@@ -231,7 +254,8 @@ class GradedFunction(Combination):
         self._check_like(other)
         out = {}
         mul_terms(out, self.terms, other.terms)
-        return GradedFunction._new(self.chart, self.rank, out)
+        return GradedFunction._new(self.chart, self.rank,
+                                   wrap_terms(self.chart, out))
 
     def pr_bidegree(self, h, k):
         return GradedFunction(self.chart, self.rank,

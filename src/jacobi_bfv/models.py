@@ -5,15 +5,16 @@ bracket on it, the connection every command lifts J along, a second
 connection for intertwine, a section of the fiber projection and the
 solver options.  Model states every default once: the flat trivial
 connection, no second connection, the zero section, kmax 3 and
-max_iter 64.  It checks rank, section and counts with the engine's own
-checks, so library callers and scenario files get the same messages.
-The scenario loader passes only what a file sets.  The only builtin is
-the contact structure on the five-torus with two constrained angles.
+max_iter 64.  It checks rank, section, connections and counts with the
+engine's own checks, so library callers and scenario files get the same
+messages.  The scenario loader passes only what a file sets.  The only
+builtin is the contact structure on the five-torus with two constrained
+angles.
 """
 
 from .scalar import Chart, ScalarExpr
 from .multideriv import jacobi_from_pair
-from .contraction import ConnectionSpec, check_section
+from .contraction import ConnectionSpec, check_connection, check_section
 from .solver import _check_count
 
 
@@ -21,7 +22,8 @@ class Model:
     """One scenario: J with its chart and rank, conn, conn2 (None when
     absent), section, kmax (the largest m_k linf reports) and max_iter
     (the cap on corrections per solve and exponentials per intertwiner).
-    A rank, section or count that breaks its rule raises ValueError."""
+    A rank, section, connection or count that breaks its rule raises
+    ValueError."""
 
     __slots__ = ("name", "chart", "rank", "J", "conn", "conn2", "section",
                  "kmax", "max_iter")
@@ -36,6 +38,9 @@ class Model:
         self.section = check_section(J.chart, J.rank, section)
         self.conn = ConnectionSpec(J.chart, J.rank) if conn is None else conn
         self.conn2 = conn2
+        for c in (self.conn, conn2):
+            if c is not None:
+                check_connection(J, c)
         _check_count(kmax, "kmax")
         _check_count(max_iter, "max_iter")
         self.kmax = kmax

@@ -45,7 +45,7 @@ from itertools import product as iproduct
 from .scalar import ScalarExpr, add_product, add_term
 from .ghost import (Combination, GhostMonomial, GradedFunction, Section,
                     ONE_MONO, check_mono, mono_mul, mul_terms,
-                    shifted_parity)
+                    shifted_parity, wrap_terms)
 
 
 # -- letters ---------------------------------------------------------
@@ -273,11 +273,21 @@ def evaluate(D, args):
     the copies of a repeated even piece give equal values, so the first
     is visited and scaled by the count: at the top through the
     coefficient, below through the action, once per (letter, piece,
-    count).  Values are plain term dicts, and coefficients come first:
-    the word's ghost coefficients, scaled by multiplicity, count and
-    sign, multiply the head letter's action, and that product (the
-    value of a one-letter word) multiplies the peeled tail.  Each value
-    adds straight into the result, with no per-word sum."""
+    count).  Coefficients come first: the word's ghost coefficients,
+    scaled by multiplicity, count and sign, multiply the head letter's
+    action, and that head product (the value of a one-letter word)
+    multiplies the peeled tail.
+
+    D's words are indexed by head letter once per call, each with its
+    tail's parity, so a head letter that acts as 0 on a piece skips all
+    its words at once.  The head products of all words and pieces that
+    share a (tail, other pieces) pair are summed first, and the sum
+    multiplies the tail's value, peeled once per pair: by
+    distributivity, (sum_w C_w X_w) Y = sum_w (C_w X_w) Y.  Every
+    product sums its ring terms into one plain term dict per monomial
+    (ghost.mul_terms), wrapped once.  The monomials of the result may
+    come in another order than a word-by-word sum gives; the result is
+    equal, and every report sorts them."""
     chart, rank = D.chart, D.rank
     funs, pars = [], []  # per piece id: the function and its parity
 
@@ -322,13 +332,19 @@ def evaluate(D, args):
                 if a > b and pars[a] and pars[b]:
                     sign = -sign
         add_term(multisets, ids, sign)
-    fr_flag = D.frame()
+    out_type = GradedFunction if D.frame() == 0 else Section
     by_word = {}
     for (mono, word, _), coeff in D.terms.items():
         if len(word) != len(args):
             raise ValueError("arity mismatch: a word of %d letters on %d "
                              "arguments" % (len(word), len(args)))
         by_word.setdefault(word, {})[mono] = coeff
+    if not args:  # the one multiset is empty: D is its own value
+        return out_type._new(chart, rank, dict(by_word.get((), {})))
+    by_head = {}  # head letter -> (tail, its parity, ghost coefficients)
+    for word, coeffs in by_word.items():
+        by_head.setdefault(word[0], []).append(
+            (word[1:], word_parity(word[1:]), coeffs))
     acted, splits = {}, {}
 
     def act(ell, pid, count=1):
@@ -361,34 +377,35 @@ def evaluate(D, args):
             if val:
                 mul_terms(out, val, peel(tail, others),
                           pars[pid] and (tail_par + before) % 2)
-        return out
+        return wrap_terms(chart, out)
 
-    total = {}
-    for word, coeffs in by_word.items():
-        if not word:  # arity 0: the one multiset is empty
-            total.update(coeffs)
-            continue
-        head, tail = word[0], word[1:]
-        tail_par = word_parity(tail)
-        for ids, mult in multisets.items():
-            for pid, count, before, others in heads(ids):
+    total, groups = {}, {}  # (tail, others) -> (tail value, head sum)
+    for ids, mult in multisets.items():
+        for pid, count, before, others in heads(ids):
+            for head, words in by_head.items():
                 val = act(head, pid)
                 if not val:
                     continue
-                if tail:
-                    rest = peel(tail, others)
-                    if not rest:
-                        continue
-                q = -mult * count if pars[pid] and (tail_par + before) % 2 \
-                    else mult * count
-                first = {} if tail else total
-                mul_terms(first, coeffs if q == 1 else
-                          {m: c.scale(q) for m, c in coeffs.items()}, val)
-                if tail:
-                    mul_terms(total, first, rest)
-    if fr_flag == 0:
-        return GradedFunction._new(chart, rank, total)
-    return Section._new(chart, rank, total)
+                for tail, tail_par, coeffs in words:
+                    out = total
+                    if tail:
+                        group = groups.get((tail, others))
+                        if group is None:
+                            group = groups[tail, others] = \
+                                (peel(tail, others), {})
+                        rest, out = group
+                        if not rest:
+                            continue
+                    q = mult * count
+                    if pars[pid] and (tail_par + before) % 2:
+                        q = -q
+                    mul_terms(out, coeffs if q in (1, -1) else
+                              {m: c.scale(q) for m, c in coeffs.items()},
+                              val, q == -1)
+    for rest, heads_sum in groups.values():
+        if heads_sum:
+            mul_terms(total, wrap_terms(chart, heads_sum), rest)
+    return out_type._new(chart, rank, wrap_terms(chart, total))
 
 
 # -- the Schouten-Jacobi bracket ------------------------------------

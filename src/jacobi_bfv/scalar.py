@@ -19,14 +19,19 @@ derivative only when it differentiates sin of a coordinate in a key
 that also holds cos of it (d sin = cos).  Every other sum, scaling,
 product or derivative of normal forms, merged key by key with the zero
 sums dropped, is normal already and is wrapped as it is (_new).  A
-monomial factor maps keys one to one, so its product with any element
-is built pair by pair unless cos atoms of both factors can meet.  A
 derivative multiplies by an exponent only above 1, and substitute
-passes a key without a mapped atom as it is.  add_product sums products
-into a plain term dict by the same rules, for a caller that wraps the
-sum once.  Elements are never
-changed in place, so results share them: scale(1) returns the element
-and scale(-1) its negation.
+passes a key without a mapped atom as it is.
+
+add_product holds the pair-product rule for factors of every shape: it
+sums each pair product of two elements straight into a plain term
+dict, and rewrites cos^2 only when cos atoms of both factors meet.
+The engine's products (the bracket, ghost.mul_terms) sum into one such
+dict per output key and wrap it once.  The ring product * keeps two
+fast paths, a constant factor (a scaling) and a monomial factor, which
+maps keys one to one, so its product is built key by key unless cos
+atoms of both factors meet; any other product goes through
+add_product.  Elements are never changed in place, so results share
+them: scale(1) returns the element and scale(-1) its negation.
 """
 
 from fractions import Fraction
@@ -225,17 +230,27 @@ def add_product(terms, a, b, negate):
     normal form's term dict with exact coefficients, so a caller that
     sums products into it wraps it once, with _new.
 
-    Two one-term factors multiply inline unless both keys lead with a
-    cos atom: cos sorts first, so only then can they share one and reach
-    cos^2.  Any other pair goes through the ring product.  The factors'
-    own term dicts are only read."""
-    ta, tb, prod = a.terms, b.terms, None
+    Factors of any size: each pair product adds straight into terms,
+    unless cos atoms of both factors meet, when the pair products are
+    summed and rewritten first.  Two one-term factors skip that test
+    unless both keys lead with a cos atom: cos sorts first, so only then
+    can they share one.  The factors' own term dicts are only read."""
+    ta, tb = a.terms, b.terms
     if len(ta) == 1 and len(tb) == 1:
         (k1, c1), = ta.items()
         (k2, c2), = tb.items()
-        if not (k1 and k2 and k1[0][0][0] == "cos" == k2[0][0][0]):
-            prod = ((_mul_keys(k1, k2), c1 * c2),)
-    for key, c in prod or (a * b).terms.items():
+        prod = ((_mul_keys(k1, k2), c1 * c2),)
+        meet = k1 and k2 and k1[0][0][0] == "cos" == k2[0][0][0]
+    else:
+        prod = ((_mul_keys(k1, k2), c1 * c2)
+                for k1, c1 in ta.items() for k2, c2 in tb.items())
+        meet = True
+    if meet and _cos_atoms(ta) & _cos_atoms(tb):  # cos^2 can arise
+        raw = {}
+        for key, c in prod:
+            add_term(raw, key, c)
+        prod = _reduce_terms(raw).items()
+    for key, c in prod:
         if negate:
             c = -c
         old = terms.get(key)
@@ -392,12 +407,7 @@ class ScalarExpr:
                     _mul_keys(k1, k2): _exact(c1 * c2)
                     for k2, c2 in b.items()})
         terms = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                add_term(terms, _mul_keys(k1, k2), c1 * c2)
-        if _cos_atoms(a) & _cos_atoms(b):  # cos^2 can arise
-            return ScalarExpr._new(self.chart, _reduce_terms(terms))
-        _exact_terms(terms)
+        add_product(terms, self, other, False)
         return ScalarExpr._new(self.chart, terms)
 
     def __rmul__(self, other):

@@ -31,7 +31,7 @@ from .multideriv import (d_letter, sort_word, MultiDerivation, evaluate,
                          sj_bracket, build_G, jacobi_bracket, hamiltonian)
 from .contraction import (ResidualError, imm_i_nabla, proj_p,
                           homotopy_H_nabla, BrstContraction, hpl_deform,
-                          check_section)
+                          check_connection, check_section)
 
 
 def md_antighost_level(D):
@@ -184,10 +184,11 @@ class GaugeAutomorphism:
 def gauge_intertwine(Q0, Q1, prob, max_iter=64):
     """Automorphism phi with phi(Q0) = Q1, for two Maurer-Cartan
     elements agreeing below the filtration cut, composed of at most
-    max_iter exponentials; a max_iter that is not a nonnegative int
-    raises ValueError."""
+    max_iter exponentials.  An endpoint that is not Maurer-Cartan (each
+    is bracketed once, and equal endpoints once in all) or a max_iter
+    that is not a nonnegative int raises ValueError."""
     _check_count(max_iter, "max_iter")
-    for Q in (Q0, Q1):
+    for Q in (Q0,) if Q1 == Q0 else (Q0, Q1):
         if not prob.bracket(Q, Q).is_zero():
             raise ValueError("gauge endpoints must be Maurer-Cartan")
     diff = Q1 - Q0
@@ -212,6 +213,9 @@ def gauge_intertwine(Q0, Q1, prob, max_iter=64):
 # -- lifting ---------------------------------------------------------
 
 def lifting_problem(J, conn):
+    """The lift of J along conn as an MCProblem; a conn off J's chart or
+    rank raises ValueError."""
+    check_connection(J, conn)
     G = build_G(J.chart, J.rank)
     return MCProblem(
         bracket=sj_bracket,

@@ -340,7 +340,10 @@ def test_scenario_rejects_malformed_values(tmp_path, patch, match):
 # one bad value per input rule, as a scenario file holds it and as the
 # library type that owns the rule takes it; the rule that a J entry is
 # two different letters belongs to the file format, so its second
-# reading is the same entry in the terms form
+# reading is the same entry in the terms form; a file cannot break the
+# rule that a connection has J's chart and rank, as the loader builds
+# every connection on them, so its readings are the two library calls
+# that apply it, Model and lift_jacobi
 ONE_RULE = {
     "rank-and-section": ({"section": ["0"]},
                          lambda tmp: Model("lib", t5_contact().J,
@@ -355,14 +358,23 @@ ONE_RULE = {
     "jacobi-entry": ({"jacobi": {"biv": [["phi3", "phi3", "1"]]}},
                      lambda tmp: parse_scenario(scenario_file(tmp, jacobi={
                          "terms": [[["d:phi3", "d:phi3"], "1"]]}))),
+    "connection-chart-and-rank": (
+        lambda tmp: lift_jacobi(t5_contact().J, ConnectionSpec(CH, 1)),
+        lambda tmp: Model("lib", t5_contact().J,
+                          conn2=ConnectionSpec(CH, 1))),
 }
 
 
 @pytest.mark.parametrize("rule", sorted(ONE_RULE))
 def test_one_rule_one_message(tmp_path, rule):
     patch, library = ONE_RULE[rule]
-    with pytest.raises(ScenarioError) as from_file:
-        parse_scenario(scenario_file(tmp_path, **patch))
+    if callable(patch):  # a rule with no file reading
+        patch, first = {}, patch
+    else:
+        first = lambda tmp: parse_scenario(scenario_file(tmp, **patch))
+    with pytest.raises(ValueError) as from_file:
+        first(tmp_path)
+    assert patch == {} or from_file.type is ScenarioError
     with pytest.raises(ValueError) as from_library:
         library(tmp_path)
     # a file names an option by its JSON path, options.<key>

@@ -1182,22 +1182,36 @@ def _even_section(rng):
         for m in rng.sample(ODD_MONOS, rng.randint(3, 4))}))
 
 
-def _has_dead_tail(D, args):
-    """Whether some word's head acts nonzero on a piece of one argument
-    while its tail peels to 0 on pieces of the others."""
+def _peel_kinds(D, args):
+    """The evaluate paths that D takes on args, as a set of names:
+    "dead-tail", a head acts nonzero on a piece of one argument while
+    its tail peels to 0 on pieces of the others; "dead-head", a head
+    letter acts as 0 on a nonzero piece; "shared-tail", two head
+    products, of two words or of two pieces of one argument, multiply
+    one nonzero tail value."""
     split = [[(GradedFunction(CH, RANK, {m: c for m, c in lam.terms.items()
                                          if shifted_parity(m) == par}), par)
               for par in (0, 1)] for lam in args]
+    kinds, tails = set(), {}
     for (_, word, _) in D.terms:
         if len(word) < 2:
             continue
         for combo in iproduct(*split):
-            for j, (fun, _) in enumerate(combo):
+            for j, (fun, par) in enumerate(combo):
+                if _letter_apply(word[0], fun).is_zero():
+                    if not fun.is_zero():
+                        kinds.add("dead-head")
+                    continue
                 rest = list(combo[:j] + combo[j + 1:])
-                if not _letter_apply(word[0], fun).is_zero() and \
-                        _peel(word[1:], rest, CH, RANK).is_zero():
-                    return True
-    return False
+                if _peel(word[1:], rest, CH, RANK).is_zero():
+                    kinds.add("dead-tail")
+                    continue
+                others = tuple((i, p) for i, (_, p) in enumerate(combo)
+                               if i != j)
+                tails.setdefault((word[1:], others), set()).add((word[0], par))
+    if any(len(heads) > 1 for heads in tails.values()):
+        kinds.add("shared-tail")
+    return kinds
 
 
 def test_evaluate_coefficient_first_matches_term_oracle():
@@ -1229,20 +1243,17 @@ def test_evaluate_coefficient_first_matches_term_oracle():
                         assert type(got) is type(want) and got == want, kind
                         if got.is_zero():
                             continue
-                        seen[kind] = seen.get(kind, 0) + 1
-                        if _has_dead_tail(D, args):
-                            seen["dead-tail"] = seen.get("dead-tail", 0) + 1
-    assert len(seen) == 13 and all(k >= 8 for k in seen.values()), \
+                        for name in [kind] + sorted(_peel_kinds(D, args)):
+                            seen[name] = seen.get(name, 0) + 1
+    assert len(seen) == 15 and all(k >= 8 for k in seen.values()), \
         sorted(seen.items())
 
 
-def test_evaluate_calls_no_ghost_mul(tmp_path, monkeypatch):
-    # the BRST brackets of a charge-sweep structure multiply plain term
-    # dicts; GradedFunction.ghost_mul is never reached
+def _charge_structure(tmp_path):
+    "The first charge-sweep structure, lifted, and its section."
     import gen
     import workloads
-    from jacobi_bfv import cli, multideriv
-    from jacobi_bfv.solver import brst_charge, brst_problem
+    from jacobi_bfv import cli
     params = workloads.CHARGE_STRUCTURES[0]
     vals = random.Random(22)
     st = gen.ChargeStructure(workloads.shape_rng("charge", params[:4],
@@ -1254,6 +1265,15 @@ def test_evaluate_calls_no_ghost_mul(tmp_path, monkeypatch):
     Jhat, _ = lift_jacobi(spec.J, spec.conn, spec.max_iter)
     section = tuple(cli.parse_expr(s, spec.chart) for s in st.section(
         workloads.shape_rng("charge-section", params, 0), vals, True))
+    return Jhat, section
+
+
+def test_evaluate_calls_no_ghost_mul(tmp_path, monkeypatch):
+    # the BRST brackets of a charge-sweep structure multiply plain term
+    # dicts; GradedFunction.ghost_mul is never reached
+    from jacobi_bfv import multideriv
+    from jacobi_bfv.solver import brst_charge, brst_problem
+    Jhat, section = _charge_structure(tmp_path)
     calls = []
     plain = multideriv.evaluate
 
@@ -1269,3 +1289,30 @@ def test_evaluate_calls_no_ghost_mul(tmp_path, monkeypatch):
     omega, trace = brst_charge(Jhat, section)
     assert brst_problem(Jhat, section).bracket(omega, omega).is_zero()
     assert trace and len(calls) > 2 * len(trace)
+
+
+def test_evaluate_calls_no_ring_mul(tmp_path, monkeypatch):
+    # evaluate sums every coefficient product into plain term dicts
+    # (scalar.add_product): the BRST charge of a charge-sweep structure
+    # calls ScalarExpr.__mul__ outside evaluate only
+    from jacobi_bfv import multideriv
+    from jacobi_bfv.solver import brst_charge
+    Jhat, section = _charge_structure(tmp_path)
+    inside, muls = [], {False: 0, True: 0}
+    plain_evaluate, plain_mul = multideriv.evaluate, ScalarExpr.__mul__
+
+    def counted_evaluate(*args):
+        inside.append(1)
+        try:
+            return plain_evaluate(*args)
+        finally:
+            inside.pop()
+
+    def counted_mul(a, b):
+        muls[bool(inside)] += 1
+        return plain_mul(a, b)
+
+    monkeypatch.setattr(multideriv, "evaluate", counted_evaluate)
+    monkeypatch.setattr(ScalarExpr, "__mul__", counted_mul)
+    _, trace = brst_charge(Jhat, section)
+    assert trace and muls[False] > 0 and muls[True] == 0, muls

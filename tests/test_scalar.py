@@ -183,7 +183,8 @@ def test_fast_paths_match_always_normalising_oracle():
     seen = {"cos-both": 0, "cos-one": 0, "sin-beside-cos": 0, "dfn": 0,
             "halves-integral": 0, "constant-left": 0, "constant-right": 0,
             "zero": 0, "single-single": 0, "single-cos-cos-same": 0,
-            "single-cos-cos-different": 0, "single-constant": 0}
+            "single-cos-cos-different": 0, "single-constant": 0,
+            "sum-1x1": 0, "sum-1xN": 0, "sum-MxN": 0, "sum-cancels": 0}
 
     def cos_coords(x):
         return {at[1] for key in x.terms for at, _ in key if at[0] == "cos"}
@@ -211,6 +212,24 @@ def test_fast_paths_match_always_normalising_oracle():
             seen["single-constant"] += (single(a) and set(b.terms) == {()}) \
                 or (single(b) and set(a.terms) == {()})
             seen["zero"] += a.is_zero() or b.is_zero()
+            # add_product sums the same product into a target whose keys
+            # it cancels in full or in one key, negated or not; cos-both
+            # counts the pairs whose cos atoms meet
+            want = mul_by_reduce(a, b)
+            lead = ScalarExpr._new(ch, dict(list(want.terms.items())[:1]))
+            for negate, sign in ((False, 1), (True, -1)):
+                for pre in (b - want.scale(sign), b - lead.scale(sign)):
+                    terms = dict(pre.terms)
+                    scalar.add_product(terms, a, b, negate)
+                    summed = ScalarExpr._new(ch, terms)
+                    assert summed.terms == (pre + want.scale(sign)).terms, \
+                        (a, b, negate)
+                    assert_normal(summed)
+                    seen["sum-cancels"] += not set(pre.terms) <= set(terms)
+            sizes = sorted((len(a.terms), len(b.terms)))
+            if sizes[0]:
+                seen["sum-1x1" if sizes[1] == 1 else "sum-1xN"
+                     if sizes[0] == 1 else "sum-MxN"] += 1
             seen["halves-integral"] += any(
                 type(c) is int for c in got.terms.values()) and any(
                 type(c) is Fraction for x in (a, b) for c in x.terms.values())

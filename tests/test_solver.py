@@ -223,6 +223,34 @@ def test_gauge_rejects_bad_endpoints():
         gauge_intertwine(om0, bad, prob)
 
 
+def test_gauge_brackets_equal_endpoints_once():
+    # equal endpoints are one Maurer-Cartan check, not two; an equal
+    # pair that is not Maurer-Cartan is still refused
+    prob = lifting_problem(J, MODEL.conn)
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return sj_bracket(a, b)
+
+    counting = MCProblem(counted, prob.Qbar, prob.level, prob.N, prob.H,
+                         prob.P)
+    Q0, _ = lift_jacobi(J, MODEL.conn)
+    Q1 = MultiDerivation(CH, RANK, dict(Q0.terms))
+    assert Q1 is not Q0 and Q1 == Q0
+    assert gauge_intertwine(Q0, Q1, counting).generators == []
+    assert len(calls) == 1
+    curved = ConnectionSpec(CH, RANK,
+                            vert={(0, 1): ScalarExpr.sin(CH, "phi3")})
+    bad = lifting_problem(J, curved).Qbar
+    assert not sj_bracket(bad, bad).is_zero()
+    with pytest.raises(ValueError,
+                       match="gauge endpoints must be Maurer-Cartan"):
+        gauge_intertwine(bad, MultiDerivation(CH, RANK, dict(bad.terms)),
+                         counting)
+    assert len(calls) == 2
+
+
 def test_caps_count_the_last_step():
     # a cap of k admits a solve that needs exactly k steps
     conn = ConnectionSpec(CH, RANK, vert={(0, 1): ScalarExpr.sin(CH, "phi3")})

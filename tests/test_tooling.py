@@ -74,7 +74,9 @@ def test_filtration_guard_survives_optimize():
 # non-Section, a chart name that is not a string, a reduced section
 # with anti-ghosts, m_k on the wrong number of arguments, m_k on a
 # bare function, a full-chart section or a number, a Model of a bad
-# count or section, and ghost indices that are not ints
+# count or section, ghost indices that are not ints, and a connection
+# off J's chart or rank, or not a ConnectionSpec, given to Model (conn
+# or conn2), lift_jacobi or lifting_problem
 BAD_LIBRARY_CALLS = """
 from jacobi_bfv.scalar import Chart, ScalarExpr
 from jacobi_bfv.ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
@@ -183,6 +185,11 @@ calls = [
     lambda: Model("x", J, section=(y1, 0)),
     lambda: GhostMonomial((True,), ()),
     lambda: GhostMonomial((0.0,), ()),
+    lambda: Model("x", J, conn=ConnectionSpec(ch, 1)),
+    lambda: Model("x", J, conn2=ConnectionSpec(ch, 3)),
+    lambda: Model("x", J, conn="flat-trivial"),
+    lambda: lift_jacobi(J, ConnectionSpec(red, 2)),
+    lambda: lifting_problem(J, ConnectionSpec(ch, 1)),
 ]
 for call in calls:
     try:
@@ -197,7 +204,7 @@ def test_library_guards_survive_optimize(optimize):
     out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 75
+    assert len(lines) == 80
     assert all(ln.startswith("rejected:") for ln in lines), lines
 
 
