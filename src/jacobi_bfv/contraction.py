@@ -340,8 +340,9 @@ def hpl_deform(imm, proj, homotopy, delta):
     difs = {}
 
     def dif2(x):
-        if x not in difs:
-            difs[x] = proj2(delta(imm(x)))
-        return difs[x]
+        out = difs.get(x)
+        if out is None:
+            out = difs[x] = proj2(delta(imm(x)))
+        return out
 
     return HplData(imm2, proj2, homotopy2, dif2)

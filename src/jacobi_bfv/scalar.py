@@ -57,9 +57,14 @@ class Chart:
     needs closed-form integration over fiber dependence).  The reduced
     chart is built once, with the chart; a chart without fiber
     coordinates is its own reduced chart.
+
+    Charts are never mutated after construction, so the identity that
+    == compares (coordinates, angular set, fiber order, functions with
+    their dependencies) and its hash are built once, in __init__.
     """
 
-    __slots__ = ("coords", "angular", "fiber", "funcs", "_pos", "_reduced")
+    __slots__ = ("coords", "angular", "fiber", "funcs", "_pos", "_id", "_hash",
+                 "_reduced")
 
     def __init__(self, coords, angular=(), fiber=(), funcs=None):
         self.coords = _names(coords)
@@ -86,6 +91,9 @@ class Chart:
                                      "coordinates only, got %r" % (d,))
             self.funcs[name] = deps
         self._pos = {c: i for i, c in enumerate(self.coords)}
+        self._id = (self.coords, self.angular, self.fiber,
+                    tuple(sorted(self.funcs.items())))
+        self._hash = hash(self._id)
         self._reduced = Chart(self.base, self.angular & set(self.base), (),
                               self.funcs) if self.fiber else self
 
@@ -96,15 +104,11 @@ class Chart:
     def axis(self, name):
         return self._pos[name]
 
-    def _key(self):
-        return (self.coords, self.angular, self.fiber,
-                tuple(sorted(self.funcs.items())))
-
     def __eq__(self, other):
-        return isinstance(other, Chart) and self._key() == other._key()
+        return isinstance(other, Chart) and self._id == other._id
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return "Chart(%r, angular=%r, fiber=%r)" % (
@@ -234,9 +238,16 @@ def add_product(terms, a, b, negate):
     unless cos atoms of both factors meet, when the pair products are
     summed and rewritten first.  Two one-term factors skip that test
     unless both keys lead with a cos atom: cos sorts first, so only then
-    can they share one.  The factors' own term dicts are only read."""
+    can they share one.  A factor that is the constant 1 or -1 adds the
+    other's coefficients as they are, negated when needed, in the
+    other's key order.  The factors' own term dicts are only read."""
     ta, tb = a.terms, b.terms
-    if len(ta) == 1 and len(tb) == 1:
+    if len(tb) == 1 and tb.get(()) in (1, -1):
+        ta, tb = tb, ta
+    if len(ta) == 1 and ta.get(()) in (1, -1):
+        prod, meet = tb.items(), False
+        negate = negate != (ta[()] == -1)
+    elif len(ta) == 1 and len(tb) == 1:
         (k1, c1), = ta.items()
         (k2, c2), = tb.items()
         prod = ((_mul_keys(k1, k2), c1 * c2),)

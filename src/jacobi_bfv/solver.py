@@ -20,7 +20,8 @@ The remaining operations assemble the BFV differential from a charge
 and transfer it to the reduced side, where the derived brackets m_k of
 an operator live.  m_1 of the plain operator J is the direct route to
 the reduced differential, and the transfer is checked against it on
-generators.
+generators.  Project first: the m_k and the coisotropy residual work
+only on the terms of an operator that their projection can see.
 """
 
 from fractions import Fraction
@@ -265,9 +266,25 @@ def brst_charge(Jhat, section, max_iter=64):
 
 def coisotropy_residual(Jhat, section):
     """Projected self-bracket of the candidate charge; vanishes exactly
-    when the image of the section is coisotropic."""
+    when the image of the section is coisotropic.
+
+    Project first: of the arity-2 terms of Jhat, only those with no
+    anti-ghost and only d letters are evaluated.  The arguments, Qbar =
+    sum_A (y_A - s_A) xi^A mu, carry no anti-ghost and no letter makes
+    one, so an f letter kills them and an anti-ghost term lands where
+    proj drops it.  m and e_A leave a factor y_A - s_A in every term,
+    which vanishes on the section, where proj evaluates.  Every other
+    term is kept, a word of another length too, so a bad Jhat raises as
+    it did unpruned: a mixed frame or a wrong arity as evaluate raises
+    it, and anything but a MultiDerivation where it is first used."""
     prob = brst_problem(Jhat, section)
-    return prob.P(prob.bracket(prob.Qbar, prob.Qbar))
+    if isinstance(Jhat, MultiDerivation):
+        Jhat.frame()  # a mixed operator raises here, as evaluate would
+        Jhat = MultiDerivation._new(Jhat.chart, Jhat.rank, {
+            (mono, word, fr): c for (mono, word, fr), c in Jhat.terms.items()
+            if len(word) != 2
+            or not mono.a and word[0][0] == word[1][0] == "d"})
+    return prob.P(jacobi_bracket(prob.Qbar, prob.Qbar, Jhat))
 
 
 def mc_check(Om, Jhat):
@@ -383,35 +400,67 @@ def reduced_differential(bfv):
     return hpl
 
 
+def _within_reach(D, budget):
+    """The terms of D that at most budget more brackets with v_immersion
+    can carry to v_projection (see derived_brackets): ONE_MONO, frame 1,
+    only m and d letters, at most budget of them off the fiber."""
+    fibs = {d_letter(f) for f in D.chart.fiber}
+    return MultiDerivation._new(D.chart, D.rank, {
+        (mono, word, fr): c for (mono, word, fr), c in D.terms.items()
+        if fr == 1 and mono == ONE_MONO
+        and all(ell[0] in ("m", "d") for ell in word)
+        and sum(ell not in fibs for ell in word) <= budget})
+
+
 def derived_brackets(Jhat, k_max):
     """The multibracket family on the reduced side,
 
         m_k(a_1, ..., a_k) = v_proj [[...[[Jhat, v_imm a_1], ...], v_imm a_k]].
 
     Each argument prefix names a nested bracket of its own, so the
-    family shares one dict from argument tuples to nested brackets,
-    {(): Jhat} at first, for as long as it lives: a call brackets only
-    past the longest prefix already known.  Returns a dict mapping each
-    arity k up to k_max, a nonnegative int (else ValueError), to a
-    callable of k Sections on the reduced chart; any other number of
-    arguments raises ValueError, and so does v_immersion for any other
-    argument before it enters the dict (one that cannot be hashed raises
-    TypeError at the lookup)."""
+    family shares one dict from argument tuples to nested brackets for
+    as long as it lives: a call brackets only past the longest prefix
+    already known, with one lookup per prefix.
+
+    Project first: only the part of each nested bracket that can still
+    reach v_projection is bracketed and stored (_within_reach).  A
+    bracket with v_imm a (ONE_MONO, frame 1, fiber d letters and a base
+    coefficient) keeps an X-term's ghost monomial, frame and e/f letters,
+    consumes at most one of its m or base d letters and adds only fiber
+    d letters, while v_projection keeps ONE_MONO, frame 1 and all-fiber
+    words.  So the dict starts as {(): the terms of Jhat with ONE_MONO,
+    frame 1 and only m/d letters, at most k_max of them off the fiber},
+    and the level-j bracket keeps at most k_max - j such letters, a
+    bound that holds for every m_k with k <= k_max.  The values are
+    exactly those of the unpruned brackets.
+
+    Returns a dict mapping each arity k up to k_max, a nonnegative int
+    (else ValueError), to a callable of k Sections on the reduced chart;
+    any other number of arguments raises ValueError, and so does
+    v_immersion for any other argument before it enters the dict (one
+    that cannot be hashed raises TypeError at the lookup).  A Jhat that
+    is not a MultiDerivation is kept as given, so it raises where it
+    did unpruned: sj_bracket rejects it at the first call."""
     _check_count(k_max, "k_max")
     chart = Jhat.chart
-    nested = {(): Jhat}
+    nested = {(): _within_reach(Jhat, k_max)
+              if isinstance(Jhat, MultiDerivation) else Jhat}
 
     def make(k):
         def m_k(*args):
             if len(args) != k:
                 raise ValueError("m_%d takes %d arguments, got %d"
                                  % (k, k, len(args)))
+            X = nested[()]
             for j in range(1, k + 1):
                 key = args[:j]
-                if key not in nested:
-                    nested[key] = sj_bracket(nested[key[:-1]],
-                                             v_immersion(key[-1], chart))
-            return v_projection(nested[args])
+                Y = nested.get(key)
+                if Y is None:
+                    Y = nested[key] = _within_reach(
+                        sj_bracket(X, v_immersion(key[-1], chart)),
+                        k_max - j)
+                X = Y
+            return v_projection(X)
         return m_k
 
     return {k: make(k) for k in range(1, k_max + 1)}

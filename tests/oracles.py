@@ -24,7 +24,9 @@ from another side:
   term_mul_by_sort multiplies (mono, word) terms by sorting the
   concatenated word with sort_word;
 - derived_brackets_unshared builds every m_k value from Jhat afresh,
-  sharing no argument prefix;
+  sharing no argument prefix and pruning no term;
+- coisotropy_residual_full is the projected self-bracket of the
+  candidate charge with all of Jhat evaluated;
 - hpl_dif_by_series is the transferred differential summed homotopy
   first, proj (delta (sum_k (h delta)^k (imm x))), and
   reduced_dif_by_series applies it to the BFV transfer, with delta as
@@ -47,7 +49,8 @@ from jacobi_bfv.multideriv import (M, d_letter, e_letter, f_letter,
                                    word_parity, _letter_apply,
                                    MultiDerivation, evaluate, md_mul)
 from jacobi_bfv.contraction import _weight
-from jacobi_bfv.solver import sj_bracket, v_immersion, v_projection
+from jacobi_bfv.solver import (sj_bracket, v_immersion, v_projection,
+                               brst_problem)
 
 
 # -- degrees ----------------------------------------------------------
@@ -408,8 +411,8 @@ def gerstenhaber_eval_oracle(D, E, args):
 # -- the reduced side, one value at a time ---------------------------
 
 def derived_brackets_unshared(Jhat, k_max):
-    """derived_brackets with no shared state: every m_k call brackets
-    from Jhat through all of its arguments."""
+    """derived_brackets with no shared state and no pruning: every m_k
+    call brackets all of Jhat through all of its arguments."""
     chart = Jhat.chart
 
     def make(k):
@@ -422,6 +425,13 @@ def derived_brackets_unshared(Jhat, k_max):
         return m_k
 
     return {k: make(k) for k in range(1, k_max + 1)}
+
+
+def coisotropy_residual_full(Jhat, section):
+    """coisotropy_residual with no term of Jhat dropped: the BRST
+    problem's projected self-bracket of its candidate charge."""
+    prob = brst_problem(Jhat, section)
+    return prob.P(prob.bracket(prob.Qbar, prob.Qbar))
 
 
 def hpl_dif_by_series(imm, proj, homotopy, delta, x):

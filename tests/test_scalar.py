@@ -158,7 +158,7 @@ def fast_path_pool(rng, ch):
     s1, c1 = ScalarExpr.sin(ch, "phi1"), ScalarExpr.cos(ch, "phi1")
     c2, y1 = ScalarExpr.cos(ch, "phi2"), S(ch, "y1")
     f1, half = ScalarExpr.func(ch, "f1"), Fraction(1, 2)
-    pool = [ScalarExpr.zero(ch), ScalarExpr.one(ch),
+    pool = [ScalarExpr.zero(ch), ScalarExpr.one(ch), -ScalarExpr.one(ch),
             ScalarExpr.number(ch, half), ScalarExpr.number(ch, -3),
             s1, c1, c2, s1 * c1, s1 ** 3 * c1 * c2 - c1 * y1,
             (s1 * y1).scale(half), (c1 * y1).scale(2) + 1,
@@ -184,7 +184,8 @@ def test_fast_paths_match_always_normalising_oracle():
             "halves-integral": 0, "constant-left": 0, "constant-right": 0,
             "zero": 0, "single-single": 0, "single-cos-cos-same": 0,
             "single-cos-cos-different": 0, "single-constant": 0,
-            "sum-1x1": 0, "sum-1xN": 0, "sum-MxN": 0, "sum-cancels": 0}
+            "sum-1x1": 0, "sum-1xN": 0, "sum-MxN": 0, "sum-cancels": 0,
+            "unit-constant": 0}
 
     def cos_coords(x):
         return {at[1] for key in x.terms for at, _ in key if at[0] == "cos"}
@@ -226,6 +227,21 @@ def test_fast_paths_match_always_normalising_oracle():
                         (a, b, negate)
                     assert_normal(summed)
                     seen["sum-cancels"] += not set(pre.terms) <= set(terms)
+            # a factor 1 or -1 adds the other's coefficients unmultiplied,
+            # in the other's key order; for 1 the very objects
+            for u, other in ((a, b), (b, a)):
+                if u.terms not in ({(): 1}, {(): -1}):
+                    continue
+                seen["unit-constant"] += 1
+                for negate in (False, True):
+                    terms = {}
+                    scalar.add_product(terms, a, b, negate)
+                    sign = -1 if negate else 1
+                    assert terms == mul_by_reduce(a, b).scale(sign).terms
+                    assert list(terms) == list(other.terms), (a, b)
+                    if u.terms[()] * sign == 1:
+                        for key, c in terms.items():
+                            assert type(c) is int or c is other.terms[key]
             sizes = sorted((len(a.terms), len(b.terms)))
             if sizes[0]:
                 seen["sum-1x1" if sizes[1] == 1 else "sum-1xN"
@@ -614,6 +630,25 @@ def test_constants_hash_like_their_numbers():
     x = S(ch, "phi1")
     assert hash(x) == hash((ch, tuple(sorted(x.terms.items()))))
     assert hash(x + 1) == hash((ch, tuple(sorted((x + 1).terms.items()))))
+
+
+def test_chart_identity_is_its_roles():
+    # charts built apart from equal lists are one chart, as a dict key
+    # too; a different dependency, angular set or fiber order is not
+    def build(funcs=(("f1", ["phi1"]),), angular=("phi1",),
+              fiber=("y1", "y2")):
+        return Chart(["phi1", "phi2", "y1", "y2"], angular=list(angular),
+                     fiber=list(fiber), funcs=dict(funcs))
+
+    ch1, ch2 = build(), build()
+    assert ch1 is not ch2 and ch1 == ch2 and hash(ch1) == hash(ch2)
+    assert {ch1: "one"}[ch2] == "one" and len({ch1, ch2}) == 1
+    for other in (build(funcs=(("f1", ["phi2"]),)),
+                  build(funcs=(("f1", ["phi1", "phi2"]),)),
+                  build(angular=("phi1", "phi2")), build(angular=()),
+                  build(fiber=("y2", "y1"))):
+        assert other != ch1 and ch1 != other
+        assert len({ch1, other}) == 2
 
 
 def test_equal_charts_give_the_same_arithmetic():

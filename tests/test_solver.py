@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from itertools import product as iproduct
 import os
 import sys
@@ -19,11 +20,13 @@ from jacobi_bfv.solver import (
     BfvData, bfv_assemble, v_immersion, v_projection,
     reduced_differential, derived_brackets, md_antighost_level,
     section_antighost_level)
-from jacobi_bfv.models import t5_contact
-from jacobi_bfv import cli
+from jacobi_bfv.models import Model, t5_contact
+from jacobi_bfv import cli, solver
 from conftest import (t5_chart, rng_for, random_scalar, random_ghost_fun,
+                      random_md,
                       random_base_scalar, random_reduced_section)
-from oracles import derived_brackets_unshared, reduced_dif_by_series
+from oracles import (derived_brackets_unshared, reduced_dif_by_series,
+                     coisotropy_residual_full)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -406,35 +409,198 @@ def test_derived_brackets_t5():
     assert seen >= 3
 
 
+def _fiber_cubic():
+    """A Poisson structure whose leading coefficient is cubic in the
+    fiber, lifted along a curved connection: m_1 to m_4 are active."""
+    ch = Chart(["x1", "x2", "y1", "y2"], fiber=["y1", "y2"])
+    x1, y1, y2 = (ScalarExpr.coord(ch, c) for c in ("x1", "y1", "y2"))
+    J = jacobi_from_pair(ch, 2, {
+        ("x1", "x2"): y1 * y1 * y2 + y1 * y1 + y2 + x1 + 1,
+        ("x2", "y1"): ScalarExpr.one(ch)}, {})
+    return Model("fiber-cubic", J, conn=ConnectionSpec(
+        ch, 2, vert={(0, 1): x1}, coef={("x2", 1, 0): x1}))
+
+
+def _rank3():
+    """A constant Poisson structure of rank 3 with a curved connection;
+    a ghost-carrying word can act at rank 3 and up only."""
+    ch = Chart(["x1", "x2", "x3", "y1", "y2", "y3"], fiber=["y1", "y2", "y3"])
+    x1, x3 = ScalarExpr.coord(ch, "x1"), ScalarExpr.coord(ch, "x3")
+    J = jacobi_from_pair(ch, 3, {("x1", "y1"): 1, ("x2", "y2"): 1,
+                                 ("x3", "y3"): 1, ("x1", "x2"): 2}, {})
+    return Model("rank3", J, conn=ConnectionSpec(
+        ch, 3, vert={(0, 1): x1}, coef={("x2", 2, 0): x3}))
+
+
 def _scenario_spec(which, tmp_path):
-    if which == "conf-a":
-        name, _, doc, _ = workloads.generated_scenario(
-            workloads.CLI_GENERATED[0], 0)
-        return cli.parse_scenario(workloads.write_scenario(
-            str(tmp_path), name, doc))
-    if which == "t5-abstract":
+    if which == "fiber-cubic":
+        return _fiber_cubic()
+    if which == "rank3":
+        return _rank3()
+    for params in workloads.CLI_GENERATED:
+        if which == params[0]:
+            name, _, doc, _ = workloads.generated_scenario(params, 0)
+            return cli.parse_scenario(workloads.write_scenario(
+                str(tmp_path), name, doc))
+    if which in ("t5-abstract", "small-rank1"):
         return cli.parse_scenario(os.path.join(
-            ROOT, "demos", "scenarios", "t5_abstract.json"))
+            ROOT, "demos", "scenarios", which.replace("-", "_") + ".json"))
     return cli.parse_scenario(which)
 
 
-@pytest.mark.parametrize("which", ["t5-contact", "t5-abstract", "conf-a"])
+def _probe_tuples(probes, k):
+    "Every k-tuple of probes up to k = 3; sorted 4-tuples only."
+    if k < 4:
+        return iproduct(probes, repeat=k)
+    return combinations_with_replacement(probes, k)
+
+
+@pytest.mark.parametrize("which", ["t5-contact", "t5-abstract", "conf-a",
+                                   "small-rank1", "conf-b", "conf-d",
+                                   "fiber-cubic"])
 def test_derived_brackets_match_unshared_oracle(which, tmp_path):
-    # one family takes every probe tuple of arity <= 3, so later calls
+    # one family per k_max takes its probe tuples in turn, so later calls
     # reuse the prefixes of earlier ones; each value must equal the
-    # oracle's, which brackets from Jhat afresh
+    # oracle's, which brackets all of Jhat afresh
     spec = _scenario_spec(which, tmp_path)
     Jhat, _ = lift_jacobi(spec.J, spec.conn)
     probes = [sec for _, sec in cli._reduced_probes(spec.chart, spec.rank)]
-    mk = derived_brackets(Jhat, 3)
-    ref = derived_brackets_unshared(Jhat, 3)
-    nonzero = 0
-    for k in (1, 2, 3):
-        for args in iproduct(probes, repeat=k):
-            got = mk[k](*args)
-            assert got == ref[k](*args), (k, args)
-            nonzero += not got.is_zero()
-    assert nonzero > len(probes)
+    active, nonzero = set(), 0
+    for k_max in (3, 1, 4):
+        mk = derived_brackets(Jhat, k_max)
+        ref = derived_brackets_unshared(Jhat, k_max)
+        for k in range(1, k_max + 1):
+            for args in _probe_tuples(probes, k):
+                got = mk[k](*args)
+                assert got == ref[k](*args), (k_max, k, args)
+                if not got.is_zero():
+                    active.add((k_max, k))
+                    nonzero += k_max == 3
+    # the k_max = 3 family of each of the first three scenarios has more
+    # nonzero values than there are probes; active holds the (k_max, k)
+    # pairs with a nonzero value, and on the fiber-cubic chart every m_k
+    # of every family is active
+    if which in ("t5-contact", "t5-abstract", "conf-a"):
+        assert nonzero > len(probes), nonzero
+    assert active, which
+    if which == "fiber-cubic":
+        assert active == {(k_max, k) for k_max in (1, 3, 4)
+                          for k in range(1, k_max + 1)}
+
+
+@pytest.mark.parametrize("which", ["t5-contact", "fiber-cubic"])
+def test_derived_brackets_bracket_only_what_can_reach(which, tmp_path,
+                                                      monkeypatch):
+    # every first operand derived_brackets hands sj_bracket at prefix
+    # length j holds only ONE_MONO, frame-1, m/d-letter terms with at
+    # most k_max - j letters off the fiber, while the full lift holds
+    # terms of every other kind
+    spec = _scenario_spec(which, tmp_path)
+    Jhat, _ = lift_jacobi(spec.J, spec.conn)
+    chart = spec.chart
+    fibs = {d_letter(y) for y in chart.fiber}
+
+    def reachable(key, budget):
+        mono, word, fr = key
+        return mono == ONE_MONO and fr == 1 and \
+            all(ell[0] in ("m", "d") for ell in word) and \
+            sum(ell not in fibs for ell in word) <= budget
+
+    assert not all(reachable(key, 1) for key in Jhat.terms)
+    calls = []
+    real = solver.sj_bracket
+
+    def recording(D, E):
+        calls.append(D)
+        return real(D, E)
+
+    monkeypatch.setattr(solver, "sj_bracket", recording)
+    probes = [sec for _, sec in cli._reduced_probes(chart, spec.rank)]
+    for k_max in (1, 3, 4):
+        mk = derived_brackets(Jhat, k_max)
+        checked = 0
+        for k in range(1, k_max + 1):
+            for args in _probe_tuples(probes[:4], k):
+                del calls[:]
+                mk[k](*args)
+                # the calls bracket the prefixes past the longest known
+                for j, D in enumerate(calls, start=k - len(calls)):
+                    for key in D.terms:
+                        assert reachable(key, k_max - j), (k_max, j, key)
+                    checked += 1
+        assert checked, k_max
+
+
+def _residual_cases(tmp_path):
+    rng = rng_for("solver-residual-pruned")
+    cases = []
+    for which in ("t5-contact", "t5-abstract", "conf-a", "conf-b", "conf-c",
+                  "conf-d", "rank3"):
+        spec = _scenario_spec(which, tmp_path)
+        conns = [spec.conn] + ([spec.conn2] if spec.conn2 else [])
+        if which == "t5-contact":
+            assert len(conns) == 2
+        zero = (0,) * spec.rank
+        sections = [spec.section, zero] + [
+            tuple(random_base_scalar(rng, spec.chart, max_terms=2)
+                  for _ in range(spec.rank)) for _ in range(3)]
+        for conn in conns:
+            Jhat, _ = lift_jacobi(spec.J, conn)
+            cases += [(which, Jhat, s) for s in sections]
+            # a random arity-2 part brings words of every letter kind, with
+            # ghosts and anti-ghosts, that no lift has; from rank 3 on, a
+            # word of d letters after a ghost can act
+            ghost_dd = MultiDerivation(spec.chart, spec.rank, {(
+                GhostMonomial((spec.rank - 1,), ()),
+                (d_letter(spec.chart.coords[0]), d_letter(spec.chart.fiber[0])),
+                1): ScalarExpr.one(spec.chart)})
+            for s in sections:
+                cases.append((which, Jhat + ghost_dd + random_md(
+                    rng, spec.chart, spec.rank, 2, max_terms=6), s))
+    return cases
+
+
+def test_coisotropy_residual_matches_full_evaluation(tmp_path):
+    # of the arity-2 terms of Jhat the residual evaluates only the
+    # anti-ghost-free d-letter words; it must equal the projection of the
+    # full self-bracket, coisotropic or not
+    seen = {"coisotropic": 0, "obstructed": 0}
+    for which, Jhat, s in _residual_cases(tmp_path):
+        got = coisotropy_residual(Jhat, s)
+        assert got == coisotropy_residual_full(Jhat, s), (which, s)
+        seen["coisotropic" if got.is_zero() else "obstructed"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_pruned_maps_keep_their_errors():
+    # a Jhat with an arity-3 anti-ghost term, or a frame-0 term, raises
+    # in the residual as the full evaluation does; the m_k see neither
+    Jhat, _ = lift_jacobi(J, MODEL.conn)
+    one = ScalarExpr.one(CH)
+    arity3 = Jhat + MultiDerivation(CH, RANK, {
+        (GhostMonomial((0,), (0,)),
+         (d_letter("phi1"), d_letter("phi2"), d_letter("phi3")), 1): one})
+    framed = Jhat + MultiDerivation(CH, RANK, {
+        (GhostMonomial((0,), (0,)), (d_letter("phi1"), d_letter("y1")), 0):
+            one})
+    for bad, match in ((arity3, "arity mismatch: a word of 3 letters on 2 "
+                                "arguments"),
+                       (framed, "mixed frame flags")):
+        for residual in (coisotropy_residual, coisotropy_residual_full):
+            with pytest.raises(ValueError, match=match):
+                residual(bad, (0, 0))
+        g = red_ghost(0, ScalarExpr.coord(RED, "phi3"))
+        for k in (1, 2):
+            args = (red_frame(),) * (k - 1) + (g,)
+            assert derived_brackets(bad, 2)[k](*args) == \
+                derived_brackets_unshared(bad, 2)[k](*args)
+    # a Jhat that is not an operator raises at the first bracket
+    sec = red_frame()
+    mk = derived_brackets(Section.frame(CH, RANK), 1)
+    with pytest.raises(ValueError, match="they differ in type"):
+        mk[1](sec)
+    with pytest.raises(ValueError, match="they differ in type"):
+        derived_brackets_unshared(Section.frame(CH, RANK), 1)[1](sec)
 
 
 def test_generic_solve_guard():
