@@ -1,11 +1,15 @@
 """Assemble the differential for the zero section, push it down to the
 reduced side, and read off the start of the homotopy bracket family.
+The reduced differential is one step of the perturbation lemma; the
+lemma itself, hpl_deform, transfers a lift back to the plain bracket.
 
     python3 demos/04_reduction_linf.py
 """
 
-from jacobi_bfv import (ScalarExpr, Section, bfv_assemble,
-                        reduced_differential, derived_brackets, t5_contact)
+from jacobi_bfv import (ScalarExpr, Section, MultiDerivation, bfv_assemble,
+                        reduced_differential, derived_brackets, lift_jacobi,
+                        build_G, sj_bracket, imm_i_nabla, proj_p,
+                        homotopy_H_nabla, hpl_deform, t5_contact)
 from jacobi_bfv.ghost import GradedFunction
 
 model = t5_contact()
@@ -36,9 +40,26 @@ print("transferred differential on the reduced chart (%s):"
       % ", ".join(redc.coords))
 for nm in redc.coords:
     sec = Section(mur.fun.scale(ScalarExpr.coord(redc, nm)))
-    print("  d'(%s mu) = %s" % (nm, red.dif(sec)))
+    print("  d'(%s mu) = %s" % (nm, red(sec)))
 print("functions of phi3, phi4, phi5 alone are the degree-0 cocycles;")
 print("they are the functions on the quotient of the zero section")
+print()
+
+# the perturbation lemma on the lifting side: perturbing [[G, .]] by
+# the rest of a lift transfers it back to the plain bracket [[J, .]]
+conn2 = model.conn2
+Jhat2, _ = lift_jacobi(model.J, conn2)
+hpl = hpl_deform(lambda X: imm_i_nabla(X, conn2), proj_p,
+                 lambda X: homotopy_H_nabla(X, conn2),
+                 lambda X: sj_bracket(Jhat2 - build_G(ch, rank), X))
+print("perturbation lemma on the lifting side, along the second "
+      "connection:")
+coord_probes = {nm: MultiDerivation.from_section(
+    Section(mu.fun.scale(ScalarExpr.coord(ch, nm)))) for nm in ch.coords}
+for nm in ("phi1", "phi4", "y1"):
+    print("  d'(%s mu) = %s" % (nm, hpl.dif(coord_probes[nm])))
+print("equals [[J, P]] on every coordinate probe P:", all(
+    hpl.dif(P) == sj_bracket(model.J, P) for P in coord_probes.values()))
 print()
 
 mk = derived_brackets(bfv.Jhat, 3)

@@ -437,7 +437,7 @@ def run(command, spec, trace=False):
 
     elif command == "reduce":
         red = reduced_differential(BfvData(spec.J, Jhat, spec.max_iter))
-        out["generators"] = [[nm, _red_str(red.dif(sec))]
+        out["generators"] = [[nm, _red_str(red(sec))]
                              for nm, sec in
                              _reduced_probes(spec.chart, spec.rank)]
 

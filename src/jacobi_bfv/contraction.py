@@ -32,7 +32,9 @@ check_connection is the one check that a connection's chart and rank
 are those of the operator it lifts, for lifting_problem and Model.
 
 hpl_deform transfers a contraction through a perturbation of the
-differential by the usual geometric series, evaluated lazily.
+differential by the usual geometric series, evaluated lazily; demo 04
+transfers a lift back to the plain bracket through it.  Along a section
+the series stops at its first term (solver.reduced_differential).
 """
 
 from fractions import Fraction
@@ -324,8 +326,7 @@ def hpl_deform(imm, proj, homotopy, delta):
     a cap of 64 steps guards against a non-nilpotent tail.  dif' is the
     usual sum_k proj (delta (homotopy delta)^k (imm x)) run delta first:
     delta (homotopy delta)^k = (delta homotopy)^k delta, so the series
-    is proj's and no delta is left to apply to its sum.  Each dif' value
-    is computed once per section and remembered by the returned maps.
+    is proj's and no delta is left to apply to its sum.
     """
 
     def proj2(x):
@@ -337,12 +338,7 @@ def hpl_deform(imm, proj, homotopy, delta):
     def homotopy2(x):
         return homotopy(_series(lambda y: delta(homotopy(y)), x))
 
-    difs = {}
-
     def dif2(x):
-        out = difs.get(x)
-        if out is None:
-            out = difs[x] = proj2(delta(imm(x)))
-        return out
+        return proj2(delta(imm(x)))
 
     return HplData(imm2, proj2, homotopy2, dif2)

@@ -18,10 +18,11 @@ inner derivations.
 
 The remaining operations assemble the BFV differential from a charge
 and transfer it to the reduced side, where the derived brackets m_k of
-an operator live.  m_1 of the plain operator J is the direct route to
-the reduced differential, and the transfer is checked against it on
-generators.  Project first: the m_k and the coisotropy residual work
-only on the terms of an operator that their projection can see.
+an operator live; the transfer is the one step proj d_BFV imm.  m_1 of
+the plain operator J is the direct route to the reduced differential,
+and the transfer is checked against it on generators.  Project first:
+the m_k and the coisotropy residual work only on the terms of an
+operator that their projection can see.
 """
 
 from fractions import Fraction
@@ -31,7 +32,7 @@ from .ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
 from .multideriv import (d_letter, sort_word, MultiDerivation, evaluate,
                          sj_bracket, build_G, jacobi_bracket, hamiltonian)
 from .contraction import (ResidualError, imm_i_nabla, proj_p,
-                          homotopy_H_nabla, BrstContraction, hpl_deform,
+                          homotopy_H_nabla, BrstContraction,
                           check_connection, check_section)
 
 
@@ -380,24 +381,26 @@ def _generator_sections(chart, rank):
 
 
 def reduced_differential(bfv):
-    """Transfer the differential to the reduced side and cross-check it
-    on generators against the direct route, m_1 of the plain operator
-    J, which bypasses the charge and the transfer.  Returns the
-    transferred HplData; its dif is the reduced differential."""
+    """The differential transferred to the reduced side, the map
+    x -> proj (d_BFV (imm x)); a mismatch on a generator with the direct
+    route, m_1 of the plain operator J, raises ResidualError.
+
+    The perturbation lemma gives sum_k proj delta (h delta)^k imm, with
+    delta = d_BFV - d[s].  The homotopy h adds one anti-ghost and delta
+    removes none (d[s] is the part of d_BFV that does), so for k >= 1
+    every term carries an anti-ghost, which proj drops.  In the k = 0
+    term d[s], made of f letters, vanishes on imm x: no anti-ghost."""
     con = bfv.con
-    # evaluate is linear in the operator, so delta is one evaluation
-    pert = bfv.op - con.dif()
 
-    def delta(lam):
-        return evaluate(pert, [lam])
+    def red(x):
+        return con.proj(bfv.dif(con.imm(x)))
 
-    hpl = hpl_deform(con.imm, con.proj, con.homotopy, delta)
     m1 = derived_brackets(bfv.J, 1)[1]
     for g in _generator_sections(bfv.chart, bfv.rank):
-        if hpl.dif(g) != m1(g):
+        if red(g) != m1(g):
             raise ResidualError("transferred differential disagrees with "
                                 "the direct one on %s" % g)
-    return hpl
+    return red
 
 
 def _within_reach(D, budget):
@@ -417,10 +420,10 @@ def derived_brackets(Jhat, k_max):
 
         m_k(a_1, ..., a_k) = v_proj [[...[[Jhat, v_imm a_1], ...], v_imm a_k]].
 
-    Each argument prefix names a nested bracket of its own, so the
-    family shares one dict from argument tuples to nested brackets for
-    as long as it lives: a call brackets only past the longest prefix
-    already known, with one lookup per prefix.
+    The family shares one trie of nested brackets for as long as it
+    lives, one dict per level: a node is (X, {argument: node}), and a
+    call walks down it, bracketing only past the deepest node already
+    known, with one lookup (and one hash) per argument.
 
     Project first: only the part of each nested bracket that can still
     reach v_projection is bracketed and stored (_within_reach).  A
@@ -428,38 +431,36 @@ def derived_brackets(Jhat, k_max):
     coefficient) keeps an X-term's ghost monomial, frame and e/f letters,
     consumes at most one of its m or base d letters and adds only fiber
     d letters, while v_projection keeps ONE_MONO, frame 1 and all-fiber
-    words.  So the dict starts as {(): the terms of Jhat with ONE_MONO,
-    frame 1 and only m/d letters, at most k_max of them off the fiber},
-    and the level-j bracket keeps at most k_max - j such letters, a
-    bound that holds for every m_k with k <= k_max.  The values are
-    exactly those of the unpruned brackets.
+    words.  So the root holds the terms of Jhat with ONE_MONO, frame 1
+    and only m/d letters, at most k_max of them off the fiber, and a
+    node at depth j keeps at most k_max - j such letters, a bound that
+    holds for every m_k with k <= k_max.  The values are exactly those
+    of the unpruned brackets.
 
     Returns a dict mapping each arity k up to k_max, a nonnegative int
     (else ValueError), to a callable of k Sections on the reduced chart;
     any other number of arguments raises ValueError, and so does
-    v_immersion for any other argument before it enters the dict (one
+    v_immersion for any other argument before it enters the trie (one
     that cannot be hashed raises TypeError at the lookup).  A Jhat that
     is not a MultiDerivation is kept as given, so it raises where it
     did unpruned: sj_bracket rejects it at the first call."""
     _check_count(k_max, "k_max")
     chart = Jhat.chart
-    nested = {(): _within_reach(Jhat, k_max)
-              if isinstance(Jhat, MultiDerivation) else Jhat}
+    root = (_within_reach(Jhat, k_max)
+            if isinstance(Jhat, MultiDerivation) else Jhat, {})
 
     def make(k):
         def m_k(*args):
             if len(args) != k:
                 raise ValueError("m_%d takes %d arguments, got %d"
                                  % (k, k, len(args)))
-            X = nested[()]
-            for j in range(1, k + 1):
-                key = args[:j]
-                Y = nested.get(key)
-                if Y is None:
-                    Y = nested[key] = _within_reach(
-                        sj_bracket(X, v_immersion(key[-1], chart)),
-                        k_max - j)
-                X = Y
+            X, below = root
+            for j, a in enumerate(args, 1):
+                node = below.get(a)
+                if node is None:
+                    node = below[a] = (_within_reach(
+                        sj_bracket(X, v_immersion(a, chart)), k_max - j), {})
+                X, below = node
             return v_projection(X)
         return m_k
 

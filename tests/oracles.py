@@ -27,6 +27,9 @@ from another side:
   sharing no argument prefix and pruning no term;
 - coisotropy_residual_full is the projected self-bracket of the
   candidate charge with all of Jhat evaluated;
+- mc_series is the Maurer-Cartan series of the m_k at one element,
+  sum_k (-1)^(k-1) m_k(sigma, ..., sigma)/k!, which -2 times is the
+  coisotropy residual of the section sigma names;
 - hpl_dif_by_series is the transferred differential summed homotopy
   first, proj (delta (sum_k (h delta)^k (imm x))), and
   reduced_dif_by_series applies it to the BFV transfer, with delta as
@@ -432,6 +435,16 @@ def coisotropy_residual_full(Jhat, section):
     problem's projected self-bracket of its candidate charge."""
     prob = brst_problem(Jhat, section)
     return prob.P(prob.bracket(prob.Qbar, prob.Qbar))
+
+
+def mc_series(m, sigma, K):
+    """sum_(k <= K) (-1)^(k-1) m_k(sigma, ..., sigma)/k! for the family
+    m of derived_brackets."""
+    out = Section.zero(sigma.chart, sigma.rank)
+    for k in range(1, K + 1):
+        out = out + m[k](*[sigma] * k).scale(
+            Fraction((-1) ** (k - 1), math.factorial(k)))
+    return out
 
 
 def hpl_dif_by_series(imm, proj, homotopy, delta, x):

@@ -11,7 +11,8 @@ from jacobi_bfv.ghost import GradedFunction, Section
 from jacobi_bfv import cli, multideriv, solver
 from jacobi_bfv.cli import ScenarioError, parse_expr, parse_scenario
 from jacobi_bfv.multideriv import is_jacobi, sj_bracket
-from jacobi_bfv.contraction import ConnectionSpec, ResidualError
+from jacobi_bfv.contraction import (BrstContraction, ConnectionSpec,
+                                    ResidualError)
 from jacobi_bfv.solver import NotJacobiError, lift_jacobi
 from jacobi_bfv.models import Model, t5_contact
 from oracles import is_flat_trivial
@@ -458,18 +459,21 @@ def test_main_exit_code_by_type(monkeypatch, capsys):
 def test_reduced_cross_check_is_live(monkeypatch, capsys):
     # a transfer that is wrong on one generator, eta^2 here, fails the
     # cross-check against m_1 of J: the library names that generator,
-    # and check reads it as its one FAIL row
+    # and check reads it as its one FAIL row.  The immersion the
+    # one-step map starts from adds phi2 mu to eta^2, and d_BFV takes
+    # phi2 mu to xi^2 mu, which projects to eta^2.
     model = t5_contact()
-    eta2 = Section(GradedFunction.ghost(model.chart.reduced(), 2, 1))
-    deform = solver.hpl_deform
+    red = model.chart.reduced()
+    eta2 = Section(GradedFunction.ghost(red, 2, 1))
+    phi2 = Section(Section.frame(red, 2).fun.scale(
+        ScalarExpr.coord(red, "phi2")))
+    imm = BrstContraction.imm
 
-    def wrong_on_eta2(*args):
-        hpl = deform(*args)
-        dif = hpl.dif
-        hpl.dif = lambda x: dif(x) + eta2 if x == eta2 else dif(x)
-        return hpl
+    def wrong_on_eta2(self, x):
+        out = imm(self, x)
+        return out + imm(self, phi2) if x == eta2 else out
 
-    monkeypatch.setattr(solver, "hpl_deform", wrong_on_eta2)
+    monkeypatch.setattr(BrstContraction, "imm", wrong_on_eta2)
     bfv = solver.bfv_assemble(model.J, model.conn)
     with pytest.raises(ResidualError) as err:
         solver.reduced_differential(bfv)
@@ -558,24 +562,21 @@ def test_main_derived_brackets_share_prefixes(monkeypatch, capsys, command,
     assert len(calls) == brackets
 
 
-def test_main_reduce_applies_delta_once_per_step(monkeypatch, capsys):
-    # the generator cross-check transfers 13 sections; each costs one
-    # delta on its immersion plus one per series step, and reduce then
-    # prints the remembered values of its 8 probes, a subset of them.
-    # Homotopy first, with the probes transferred again, it took 50.
-    deltas = []
-    deform = solver.hpl_deform
+def test_main_reduce_evaluates_d_bfv_once_per_section(monkeypatch, capsys):
+    # the one-step map evaluates d_BFV once per section it transfers:
+    # 13 generators for the cross-check, then the 8 probes reduce
+    # prints, evaluated again since the map keeps no memo
+    calls = []
+    dif = solver.BfvData.dif
 
-    def counting(imm, proj, homotopy, delta):
-        def counted(lam):
-            deltas.append(1)
-            return delta(lam)
-        return deform(imm, proj, homotopy, counted)
+    def counting(self, lam):
+        calls.append(lam)
+        return dif(self, lam)
 
-    monkeypatch.setattr(solver, "hpl_deform", counting)
+    monkeypatch.setattr(solver.BfvData, "dif", counting)
     assert cli.main(["--command", "reduce"]) == 0
     capsys.readouterr()
-    assert len(deltas) == 28
+    assert len(calls) == 13 + 8
 
 
 def test_main_check_passes(capsys):

@@ -541,7 +541,7 @@ def test_coefficients_are_ints_or_proper_fractions():
     red = reduced_differential(bfv)
     gens = _generator_sections(ch, rank)
     dR = derived_brackets(J, 1)[1]
-    results += [red.dif(g) for g in gens] + [dR(g) for g in gens]
+    results += [red(g) for g in gens] + [dR(g) for g in gens]
     mk = derived_brackets(Jhat, 3)
     results += [mk[1](g) for g in gens]
     results += [mk[2](g, h) for g in gens[:4] for h in gens[-2:]]

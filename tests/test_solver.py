@@ -26,7 +26,7 @@ from conftest import (t5_chart, rng_for, random_scalar, random_ghost_fun,
                       random_md,
                       random_base_scalar, random_reduced_section)
 from oracles import (derived_brackets_unshared, reduced_dif_by_series,
-                     coisotropy_residual_full)
+                     coisotropy_residual_full, mc_series)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -307,39 +307,81 @@ def test_reduced_differential_t5():
     bfv = bfv_assemble(J, MODEL.conn)
     red = reduced_differential(bfv)
     mur = red_frame()
-    assert red.dif(red_scalar(ScalarExpr.coord(RED, "phi1"))) == red_ghost(0)
-    assert red.dif(red_scalar(ScalarExpr.sin(RED, "phi2"))) == \
+    assert red(red_scalar(ScalarExpr.coord(RED, "phi1"))) == red_ghost(0)
+    assert red(red_scalar(ScalarExpr.sin(RED, "phi2"))) == \
         red_ghost(1, ScalarExpr.cos(RED, "phi2"))
-    assert red.dif(red_scalar(ScalarExpr.coord(RED, "phi4"))).is_zero()
-    assert red.dif(red_ghost(0)).is_zero()
+    assert red(red_scalar(ScalarExpr.coord(RED, "phi4"))).is_zero()
+    assert red(red_ghost(0)).is_zero()
     con = bfv.con
     dR = derived_brackets(J, 1)[1]
     rng = rng_for("solver-red")
     for trial in range(8):
         lam = Section(random_ghost_fun(rng, CH, RANK))
         g = con.proj(lam)
-        assert red.dif(red.dif(g)).is_zero()
-        assert red.dif(g) == dR(g)
+        assert red(red(g)).is_zero()
+        assert red(g) == dR(g)
 
 
-@pytest.mark.parametrize("name", ["flat", "vert"])
-def test_reduced_differential_on_random_sections(name):
+def _bfv_over(name, tmp_path):
+    """(scenario, BFV data lifted along its connection); flat and vert
+    are t5-contact lifted along its two connections."""
+    if name in LIFT_CONNECTIONS:
+        return MODEL, bfv_assemble(J, LIFT_CONNECTIONS[name])
+    spec = _scenario_spec(name, tmp_path)
+    return spec, bfv_assemble(spec.J, spec.conn)
+
+
+@pytest.mark.parametrize("name", ["flat", "vert", "t5-abstract",
+                                  "small-rank1", "conf-a"])
+def test_reduced_differential_on_random_sections(name, tmp_path):
     # reduced_differential cross-checks itself on generators only; on
-    # seeded random reduced sections the transfer must still match the
-    # direct route and the homotopy-first series with delta as two
-    # evaluations, and d_BFV must square to zero on their immersions
-    bfv = bfv_assemble(J, LIFT_CONNECTIONS[name])
+    # the generators and on seeded random reduced sections the one-step
+    # map must match the direct route and the homotopy-first series with
+    # delta as two evaluations, and d_BFV must square to zero on their
+    # immersions
+    spec, bfv = _bfv_over(name, tmp_path)
     red = reduced_differential(bfv)
-    dR = derived_brackets(J, 1)[1]
+    dR = derived_brackets(spec.J, 1)[1]
     rng = rng_for("solver-red-random-" + name)
-    for trial in range(8):
-        g = random_reduced_section(rng, RED, RANK)
-        assert red.dif(g) == dR(g) == reduced_dif_by_series(bfv, g)
-        assert red.dif(g) == dR(g)  # a second call reads the memo
+    sections = solver._generator_sections(spec.chart, spec.rank) + [
+        random_reduced_section(rng, spec.chart.reduced(), spec.rank)
+        for _ in range(8)]
+    for g in sections:
+        assert red(g) == dR(g) == reduced_dif_by_series(bfv, g)
         lam = bfv.con.imm(g)
         assert bfv.dif(bfv.dif(lam)).is_zero()
-        lam = lam + Section(random_ghost_fun(rng, CH, RANK))
+        lam = lam + Section(random_ghost_fun(rng, spec.chart, spec.rank))
         assert bfv.dif(bfv.dif(lam)).is_zero()
+
+
+@pytest.mark.parametrize("name", ["flat", "vert", "t5-abstract"])
+def test_reduced_series_dies_under_proj(name, tmp_path):
+    # why the reduced differential is one step: delta = d_BFV - d[s]
+    # lowers no anti-ghost count and the homotopy adds one, so each term
+    # of (h delta)^k imm x carries at least k anti-ghosts, and
+    # proj delta of it is zero for every step k >= 1 of the series
+    spec, bfv = _bfv_over(name, tmp_path)
+    con = bfv.con
+    d0 = con.dif()
+    assert md_antighost_level(bfv.op - d0) >= 0
+
+    def delta(lam):
+        return bfv.dif(lam) - evaluate(d0, [lam])
+
+    longest = 0
+    for x in solver._generator_sections(spec.chart, spec.rank):
+        cur = con.imm(x)
+        for k in range(1, 64):
+            cur = con.homotopy(delta(cur))
+            if cur.is_zero():
+                break
+            assert min(len(mono.a) for mono in cur.terms) >= k, (x, k)
+            assert con.proj(delta(cur)).is_zero(), (x, k)
+            longest = max(longest, k)
+        else:
+            raise AssertionError("series did not terminate on %s" % x)
+    # the series runs two steps on some generator, so the tail is real
+    assert longest >= 2
 
 
 def test_degree_zero_cocycles():
@@ -348,11 +390,11 @@ def test_degree_zero_cocycles():
     bfv = bfv_assemble(J, MODEL.conn)
     red = reduced_differential(bfv)
     for nm in ("phi3", "phi4", "phi5"):
-        assert red.dif(red_scalar(ScalarExpr.sin(RED, nm))).is_zero()
+        assert red(red_scalar(ScalarExpr.sin(RED, nm))).is_zero()
     mixed = ScalarExpr.sin(RED, "phi4") * ScalarExpr.coord(RED, "phi3")
-    assert red.dif(red_scalar(mixed)).is_zero()
+    assert red(red_scalar(mixed)).is_zero()
     for nm in ("phi1", "phi2"):
-        assert not red.dif(red_scalar(ScalarExpr.sin(RED, nm))).is_zero()
+        assert not red(red_scalar(ScalarExpr.sin(RED, nm))).is_zero()
 
 
 def test_v_maps_are_a_section_pair():
@@ -601,6 +643,43 @@ def test_pruned_maps_keep_their_errors():
         mk[1](sec)
     with pytest.raises(ValueError, match="they differ in type"):
         derived_brackets_unshared(Section.frame(CH, RANK), 1)[1](sec)
+
+
+# (section, coisotropic) on t5-contact; the obstructed ones include
+# sections where m_1, m_2 or both contribute to the series
+MC_SECTIONS = {
+    "zero": ((0, 0), True),
+    "phi3": ((ScalarExpr.coord(CH, "phi3"), 0), True),
+    "phi2-phi1": ((ScalarExpr.coord(CH, "phi2"), ScalarExpr.coord(CH, "phi1")),
+                  True),
+    "phi2": ((ScalarExpr.coord(CH, "phi2"), 0), False),
+    "phi4-phi5": ((ScalarExpr.coord(CH, "phi4"), ScalarExpr.coord(CH, "phi5")),
+                  False),
+    "phi1phi4-phi2": ((ScalarExpr.coord(CH, "phi1") * ScalarExpr.coord(
+        CH, "phi4"), ScalarExpr.coord(CH, "phi2")), False),
+    "phi2phi4-phi1phi5": ((ScalarExpr.coord(CH, "phi2") * ScalarExpr.coord(
+        CH, "phi4"), ScalarExpr.coord(CH, "phi1") * ScalarExpr.coord(
+        CH, "phi5")), False),
+}
+
+
+@pytest.mark.parametrize("conn", ["conn", "conn2"])
+@pytest.mark.parametrize("name", sorted(MC_SECTIONS))
+def test_coisotropy_is_the_maurer_cartan_equation(name, conn):
+    # the image of s is coisotropic exactly when sigma = sum_A s_A eta^A
+    # solves the Maurer-Cartan equation of the m_k: the residual is -2
+    # times its series, here summed up to k = 4, for the m_k of Jhat
+    # and of J alike
+    s, coisotropic = MC_SECTIONS[name]
+    Jhat, _ = lift_jacobi(J, getattr(MODEL, conn))
+    sigma = Section.zero(RED, RANK)
+    for A, c in enumerate(s):
+        c = c if isinstance(c, ScalarExpr) else ScalarExpr.number(CH, c)
+        sigma = sigma + red_ghost(A, c.with_chart(RED))
+    res = coisotropy_residual(Jhat, s)
+    for D in (Jhat, J):
+        assert res == mc_series(derived_brackets(D, 4), sigma, 4).scale(-2)
+    assert res.is_zero() == coisotropic
 
 
 def test_generic_solve_guard():

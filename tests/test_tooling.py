@@ -306,6 +306,33 @@ def test_tracer_installs_counts_and_uninstalls():
         assert all(now[k] is v for k, v in attrs.items()), owner
 
 
+def test_no_command_reaches_the_hpl_series(monkeypatch, capsys):
+    # the reduced side is one step, proj d_BFV imm, so no command needs
+    # the perturbation series: with hpl_deform raising wherever an
+    # engine module holds it, every command on every shipped scenario
+    # exits and prints as it does without
+    def every_command():
+        out = []
+        for scenario in SCENARIOS:
+            for command in cli.COMMANDS:
+                code = cli.main(["--scenario", scenario, "--command", command])
+                out.append((scenario, command, code, capsys.readouterr()))
+        return out
+
+    plain = every_command()
+
+    def series(*args):
+        raise RuntimeError("hpl_deform reached")
+
+    held = [name for name, mod in sorted(sys.modules.items())
+            if name.startswith("jacobi_bfv")
+            and vars(mod).get("hpl_deform") is contraction.hpl_deform]
+    assert "jacobi_bfv.contraction" in held
+    for name in held:
+        monkeypatch.setattr(sys.modules[name], "hpl_deform", series)
+    assert every_command() == plain
+
+
 def test_src_has_no_assert():
     # python -O strips assert statements, so none may guard the engine
     pkg = os.path.join(ROOT, "src", "jacobi_bfv")
