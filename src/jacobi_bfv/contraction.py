@@ -25,11 +25,12 @@ The second one contracts the section module along a chosen section s
 of the fiber projection.  Its homotopy inverts the Koszul differential
 d[s] up to the projection/immersion pair by a radial integral about s,
 also in one pass: for a term c xi^S xi*_T, shift dc/dy_A to s,
-multiply each term of fiber degree k by 1/(k + |T| + 1), the integral
-of t^(k + |T|) over [0, 1], and shift back.  check_section is the one
-check of a rank and a section, for this class, omega_section and Model;
-check_connection is the one check that a connection's chart and rank
-are those of the operator it lifts, for lifting_problem and Model.
+divide each term of fiber degree k by k + |T| + 1, as the integral of
+t^(k + |T|) over [0, 1] does (ScalarExpr.over_degree), and shift back.
+check_section is the one check of a rank and a section, for this
+class, omega_section and Model; check_connection is the one check
+that a connection's chart and rank are those of the operator it
+lifts, for lifting_problem and Model.
 
 hpl_deform transfers a contraction through a perturbation of the
 differential by the usual geometric series, evaluated lazily; demo 04
@@ -39,7 +40,7 @@ the series stops at its first term (solver.reduced_differential).
 
 from fractions import Fraction
 
-from .scalar import ScalarExpr, _exact, add_term
+from .scalar import ScalarExpr, add_term, as_ring
 from .ghost import (GhostMonomial, GradedFunction, Section, ONE_MONO,
                     mono_mul, check_mono)
 from .multideriv import e_letter, f_letter, MultiDerivation, md_mul
@@ -56,8 +57,9 @@ class ConnectionSpec:
     direction, coef[(i, A, B)] the part attached to d_i; missing keys
     are zero, so ConnectionSpec(chart, rank) is the flat trivial one.
     Frame indices A, B are ghost indices: ints below rank (a bool is
-    not one).  A coef coordinate is a chart coordinate.  Anything else
-    raises ValueError.
+    not one).  A coef coordinate is a chart coordinate, and an entry a
+    number or a ring element of the chart.  Anything else raises
+    ValueError.
     """
 
     __slots__ = ("chart", "rank", "vert", "coef")
@@ -68,8 +70,7 @@ class ConnectionSpec:
         self.vert = {}
         for (A, B), c in dict(vert or {}).items():
             check_mono(GhostMonomial((A,), (B,)), rank)
-            if not isinstance(c, ScalarExpr):
-                c = ScalarExpr.number(chart, c)
+            c = as_ring(chart, c)
             if not c.is_zero():
                 self.vert[(A, B)] = c
         self.coef = {}
@@ -78,8 +79,7 @@ class ConnectionSpec:
                 raise ValueError("unknown coordinate %r in connection coef"
                                  % (i,))
             check_mono(GhostMonomial((A,), (B,)), rank)
-            if not isinstance(c, ScalarExpr):
-                c = ScalarExpr.number(chart, c)
+            c = as_ring(chart, c)
             if not c.is_zero():
                 self.coef[(i, A, B)] = c
 
@@ -201,7 +201,8 @@ def check_section(chart, rank, section):
     """The components of a section of the fiber projection as ring
     elements.  rank must be an int (not a bool) equal to the number of
     fiber coordinates, section a tuple or list of rank numbers or ring
-    elements free of the fiber coordinates; else ValueError."""
+    elements of the chart free of the fiber coordinates; else
+    ValueError."""
     fiber = chart.fiber
     if isinstance(rank, bool) or not isinstance(rank, int) or \
             rank != len(fiber):
@@ -213,8 +214,7 @@ def check_section(chart, rank, section):
             rank, "%r, not a list" % (section,) if n is None else n))
     out = []
     for c in section:
-        if not isinstance(c, ScalarExpr):
-            c = ScalarExpr.number(chart, c)
+        c = as_ring(chart, c)
         if c.max_degree(fiber) != 0:
             raise ValueError("section components must be functions on the "
                              "base, free of the fiber coordinates")
@@ -233,13 +233,6 @@ class BrstContraction:
         self.rank = rank
         self.section = check_section(chart, rank, section)
         self.red = chart.reduced()
-
-    def dif(self):
-        "The Koszul differential d[s] as an arity-1 operator."
-        chart = self.chart
-        return MultiDerivation(chart, self.rank, {
-            (ONE_MONO, (f_letter(A),), 1): ScalarExpr.coord(chart, y) - s
-            for A, (y, s) in enumerate(zip(chart.fiber, self.section))})
 
     def proj(self, sec):
         "Project to the reduced side: drop anti-ghosts, evaluate on s."
@@ -265,7 +258,6 @@ class BrstContraction:
         docstring); exact on coefficients polynomial in the fiber
         coordinates."""
         chart = self.chart
-        fiber = set(chart.fiber)
         ys = [ScalarExpr.coord(chart, y) for y in chart.fiber]
         up = {y: Y + s for y, Y, s in zip(chart.fiber, ys, self.section)}
         down = {y: Y - s for y, Y, s in zip(chart.fiber, ys, self.section)}
@@ -275,13 +267,8 @@ class BrstContraction:
                 sgn, mono2 = mono_mul(GhostMonomial((), (A,)), mono)
                 if not sgn:
                     continue
-                g = c.partial(y).substitute(up)
-                g = ScalarExpr._new(chart, {
-                    key: _exact(Fraction(q) / (sum(e for atom, e in key
-                                                   if atom[0] == "x"
-                                                   and atom[1] in fiber)
-                                               + len(mono.a) + 1))
-                    for key, q in g.terms.items()})
+                g = c.partial(y).substitute(up).over_degree(
+                    chart.fiber, len(mono.a) + 1)
                 add_term(terms, mono2, g.substitute(down).scale(-sgn))
         return Section._new(chart, self.rank, terms)
 

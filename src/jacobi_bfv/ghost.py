@@ -12,16 +12,17 @@ its operands' ascending blocks in one pass and builds the product
 unchecked (GhostMonomial._new), as do the left derivatives, which
 remove one index; they and partial store no zero and wrap unchecked.
 mul_terms, the product on term dicts, serves ghost_mul and evaluate: it
-sums each product monomial's ring terms into one plain term dict
-through scalar.add_product, and the caller wraps each dict once
-(wrap_terms).  The public constructor validates the indices: ints, not
-bools, strictly ascending in each block; check_mono bounds them by a
-rank.  A monomial hashes once, when it is built.  A product applies its
-sign by negation; a ring element's coefficients are never written in
-place, so results may share them.
+sums each product into its monomial's key through scalar.add_product,
+and the caller wraps the sums once (scalar.wrap_sums).  The public
+constructors take coefficients through scalar.as_ring.  The monomial
+constructor validates the indices: ints, not bools, strictly ascending
+in each block; check_mono bounds them by a rank.  A monomial hashes
+once, when it is built.  A product applies its sign by negation; a
+ring element's coefficients are never written in place, so results
+may share them.
 """
 
-from .scalar import ScalarExpr, add_product, add_term
+from .scalar import ScalarExpr, add_product, add_term, as_ring, wrap_sums
 
 
 class GhostMonomial:
@@ -101,24 +102,13 @@ def mono_mul(m1, m2):
 
 def mul_terms(out, a, b, neg=False):
     """Add the graded product of term dicts a, b (monomial -> ring
-    element) into out, negated if neg.  out maps each monomial to the
-    plain term dict of its ring coefficient (scalar.add_product); a
-    monomial whose sum cancels is deleted, so wrap_terms can wrap out."""
+    element) into out, negated if neg: the sums of scalar.add_product,
+    keyed by monomial, for scalar.wrap_sums."""
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             sign, m = mono_mul(m1, m2)
             if sign:
-                terms = out.get(m)
-                if terms is None:
-                    terms = out[m] = {}
-                add_product(terms, c1, c2, (sign < 0) != neg)
-                if not terms:
-                    del out[m]
-
-
-def wrap_terms(chart, out):
-    "The monomial -> ring element dict of a dict that mul_terms filled."
-    return {m: ScalarExpr._new(chart, terms) for m, terms in out.items()}
+                add_product(out, m, c1, c2, (sign < 0) != neg)
 
 
 def check_mono(mono, rank):
@@ -224,6 +214,7 @@ class GradedFunction(Combination):
         self.rank = rank
         self.terms = {}
         for mono, coeff in (terms or {}).items():
+            coeff = as_ring(chart, coeff)
             if coeff.is_zero():
                 continue
             check_mono(mono, rank)
@@ -255,7 +246,7 @@ class GradedFunction(Combination):
         out = {}
         mul_terms(out, self.terms, other.terms)
         return GradedFunction._new(self.chart, self.rank,
-                                   wrap_terms(self.chart, out))
+                                   wrap_sums(self.chart, out))
 
     def pr_bidegree(self, h, k):
         return GradedFunction(self.chart, self.rank,

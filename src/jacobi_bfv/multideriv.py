@@ -30,22 +30,22 @@ indexes the G-terms' left derivatives by momentum and skips, by integer
 masks, every product that would repeat a ghost index or an odd letter,
 so each _term_mul it calls survives.  It takes a coordinate derivative
 only of a coefficient that can depend on that coordinate
-(ScalarExpr.variables), so none that must vanish.  The products' ring
-terms add straight into one plain term dict per output key
-(scalar.add_product), wrapped as a ring element once at the end; a key
-whose sum cancels is dropped, as add_term drops it, so the terms come
-out in the order a sum of ring elements gives.  The graded product
-md_mul and the bracket share one term product, _term_mul.
+(ScalarExpr.variables), so none that must vanish.  Each product sums
+at its output key through scalar.add_product, and the sums are wrapped
+once at the end (scalar.wrap_sums); a key whose sum cancels is dropped,
+as add_term drops it, so the terms come out in the order a sum of ring
+elements gives.  The graded product md_mul and the bracket share one
+term product, _term_mul; md_mul keeps the ring product * (see there).
 jacobi_from_words builds every structure operator J and brackets
 nothing: solver.lift_jacobi decides the Jacobi condition [[J, J]] = 0.
 """
 
 from itertools import product as iproduct
 
-from .scalar import ScalarExpr, add_product, add_term
+from .scalar import ScalarExpr, add_product, add_term, as_ring, wrap_sums
 from .ghost import (Combination, GhostMonomial, GradedFunction, Section,
                     ONE_MONO, check_mono, mono_mul, mul_terms,
-                    shifted_parity, wrap_terms)
+                    shifted_parity)
 
 
 # -- letters ---------------------------------------------------------
@@ -117,7 +117,8 @@ def _letter_str(ell):
 # -- the operator class ----------------------------------------------
 
 class MultiDerivation(Combination):
-    """Finite sum of word terms; keys are (mono, word, fr)."""
+    """Finite sum of word terms; keys are (mono, word, fr), and the
+    constructor takes coefficients through scalar.as_ring."""
 
     __slots__ = ()
 
@@ -126,6 +127,7 @@ class MultiDerivation(Combination):
         self.rank = rank
         self.terms = {}
         for (mono, word, fr), coeff in (terms or {}).items():
+            coeff = as_ring(chart, coeff)
             if coeff.is_zero():
                 continue
             if fr not in (0, 1):
@@ -220,7 +222,15 @@ def _term_mul(t1, t2, chart):
 
 def md_mul(D1, D2):
     """Graded product of word operators of one chart and rank; at most
-    one factor may carry the frame flag, else ValueError."""
+    one factor may carry the frame flag, else ValueError.
+
+    Its coefficients multiply with the ring product *, not through
+    scalar.add_product: they are mostly the constant 1 of a connection
+    image (_substitute_letters), where * returns the other factor as it
+    is, while add_product copies every coefficient into a new term dict.
+    Routed through add_product, substitution took about 38-44 ms per
+    round of the lift-curved benchmark workload instead of 32-37 ms, on
+    a 2-core machine."""
     D1._check_like(D2)
     chart, rank = D1.chart, D1.rank
     terms = {}
@@ -377,7 +387,7 @@ def evaluate(D, args):
             if val:
                 mul_terms(out, val, peel(tail, others),
                           pars[pid] and (tail_par + before) % 2)
-        return wrap_terms(chart, out)
+        return wrap_sums(chart, out)
 
     total, groups = {}, {}  # (tail, others) -> (tail value, head sum)
     for ids, mult in multisets.items():
@@ -404,8 +414,8 @@ def evaluate(D, args):
                               val, q == -1)
     for rest, heads_sum in groups.values():
         if heads_sum:
-            mul_terms(total, wrap_terms(chart, heads_sum), rest)
-    return out_type._new(chart, rank, wrap_terms(chart, total))
+            mul_terms(total, wrap_sums(chart, heads_sum), rest)
+    return out_type._new(chart, rank, wrap_sums(chart, total))
 
 
 # -- the Schouten-Jacobi bracket ------------------------------------
@@ -478,11 +488,11 @@ def _half_bracket(F, G, chart):
     accumulate in (F-term, G-term, momentum) order, at frame flag
     frF + frG - 1.
 
-    Each output key sums its products in one plain term dict, through
-    add_product, and is wrapped as a ScalarExpr once at the end.  A key
-    whose sum cancels after a product is deleted, so a later product at
-    that key goes to the end: the keys and their order are those of
-    add_term over the products as ring elements."""
+    Each product sums at its output key through add_product, and the
+    sums are wrapped once at the end (wrap_sums).  A key whose sum
+    cancels after a product is deleted, so a later product at that key
+    goes to the end: the keys and their order are those of add_term
+    over the products as ring elements."""
     pos, base = chart._pos, 1 + len(chart.coords)
 
     def bit(ell):  # m, d by axis, then e_A and f^A interleaved by A
@@ -524,14 +534,8 @@ def _half_bracket(F, G, chart):
         hits.sort()  # each (j, p) occurs once, so the sort stops there
         for _, _, frG, (tA, cA), (tB, cB) in hits:
             sign, mono, word = _term_mul(tA, tB, chart)
-            key = (mono, word, frF + frG - 1)
-            terms = sums.get(key)
-            if terms is None:
-                terms = sums[key] = {}
-            add_product(terms, cA, cB, sign < 0)
-            if not terms:
-                del sums[key]
-    return {key: ScalarExpr._new(chart, terms) for key, terms in sums.items()}
+            add_product(sums, (mono, word, frF + frG - 1), cA, cB, sign < 0)
+    return wrap_sums(chart, sums)
 
 
 def _parity_groups(D):
@@ -594,9 +598,10 @@ def is_jacobi(J):
 
 def jacobi_from_words(chart, rank, terms):
     """The operator  sum c * w [mu]  of (word, c) pairs, words in any
-    order (a repeated odd letter drops the term), c a ring element or a
-    number.  Letters are M or d_letter of a chart coordinate; any other
-    raises ValueError.  The Jacobi condition is not checked here."""
+    order (a repeated odd letter drops the term), c a ring element of
+    the chart or a number.  Letters are M or d_letter of a chart
+    coordinate.  Anything else raises ValueError.  The Jacobi condition
+    is not checked here."""
     letters = [M] + [d_letter(x) for x in chart.coords]
     out = {}
     for word, c in terms:
@@ -607,9 +612,7 @@ def jacobi_from_words(chart, rank, terms):
         sgn, canon = sort_word(tuple(word), chart)
         if not sgn:
             continue
-        if not isinstance(c, ScalarExpr):
-            c = ScalarExpr.number(chart, c)
-        add_term(out, (ONE_MONO, canon, 1), c.scale(sgn))
+        add_term(out, (ONE_MONO, canon, 1), as_ring(chart, c).scale(sgn))
     return MultiDerivation(chart, rank, out)
 
 

@@ -22,15 +22,18 @@ sums dropped, is normal already and is wrapped as it is (_new).  A
 derivative multiplies by an exponent only above 1, and substitute
 passes a key without a mapped atom as it is.
 
-add_product holds the pair-product rule for factors of every shape: it
-sums each pair product of two elements straight into a plain term
-dict, and rewrites cos^2 only when cos atoms of both factors meet.
-The engine's products (the bracket, ghost.mul_terms) sum into one such
-dict per output key and wrap it once.  The ring product * keeps two
-fast paths, a constant factor (a scaling) and a monomial factor, which
-maps keys one to one, so its product is built key by key unless cos
-atoms of both factors meet; any other product goes through
-add_product.  Elements are never changed in place, so results share
+add_product is the one product rule of the engine.  It sums each pair
+product of two elements of any shape straight into a plain term dict,
+one per key of a dict of sums, rewrites cos^2 only when cos atoms of
+both factors meet, and deletes a key whose sum cancels; wrap_sums
+wraps each dict once.  The bracket, ghost.mul_terms and the ring
+product * sum through it; * keeps only a constant factor (a scaling)
+in front.  as_ring is the one rule for a coefficient at the library
+boundary: a number exactly, a ring element of an equal chart as it is,
+anything else ValueError.  No other module knows the term format: they
+build and read ring elements through this module's functions and
+methods (over_degree divides each term by a fiber degree for the BRST
+homotopy).  Elements are never changed in place, so results share
 them: scale(1) returns the element and scale(-1) its negation.
 """
 
@@ -228,19 +231,23 @@ def add_term(terms, key, c):
         terms.pop(key, None)
 
 
-def add_product(terms, a, b, negate):
-    """Add a * b, negated when negate, into terms, the term dict of a
-    normal form, in place and key by key as add_term does; terms stays a
-    normal form's term dict with exact coefficients, so a caller that
-    sums products into it wraps it once, with _new.
+def add_product(sums, key, a, b, negate):
+    """Add a * b, negated when negate, at sums[key], in place: the one
+    product rule of the engine.  sums maps each key to the plain term
+    dict of a normal form with exact coefficients, made on first use
+    and summed as add_term sums; a key whose sum cancels is deleted, so
+    a later product at it goes to the end.  wrap_sums wraps sums once.
 
-    Factors of any size: each pair product adds straight into terms,
-    unless cos atoms of both factors meet, when the pair products are
-    summed and rewritten first.  Two one-term factors skip that test
+    Factors of any size: each pair product adds straight into the term
+    dict, unless cos atoms of both factors meet, when the pair products
+    are summed and rewritten first.  Two one-term factors skip that test
     unless both keys lead with a cos atom: cos sorts first, so only then
     can they share one.  A factor that is the constant 1 or -1 adds the
     other's coefficients as they are, negated when needed, in the
     other's key order.  The factors' own term dicts are only read."""
+    terms = sums.get(key)
+    if terms is None:
+        terms = sums[key] = {}
     ta, tb = a.terms, b.terms
     if len(tb) == 1 and tb.get(()) in (1, -1):
         ta, tb = tb, ta
@@ -258,19 +265,43 @@ def add_product(terms, a, b, negate):
         meet = True
     if meet and _cos_atoms(ta) & _cos_atoms(tb):  # cos^2 can arise
         raw = {}
-        for key, c in prod:
-            add_term(raw, key, c)
+        for k, c in prod:
+            add_term(raw, k, c)
         prod = _reduce_terms(raw).items()
-    for key, c in prod:
+    for k, c in prod:
         if negate:
             c = -c
-        old = terms.get(key)
+        old = terms.get(k)
         if old is not None:
             c = old + c
         if c:
-            terms[key] = c if type(c) is int else _exact(c)
+            terms[k] = c if type(c) is int else _exact(c)
         else:
-            terms.pop(key, None)
+            terms.pop(k, None)
+    if not terms:
+        del sums[key]
+
+
+def wrap_sums(chart, sums):
+    "The key -> ring element dict of a dict that add_product filled."
+    return {key: ScalarExpr._new(chart, terms) for key, terms in sums.items()}
+
+
+def as_ring(chart, c):
+    """c as a ring element of chart: a number exactly, as number takes
+    it, and a ring element of an equal chart as it is; a ring element of
+    another chart raises ValueError."""
+    if not isinstance(c, ScalarExpr):
+        return ScalarExpr.number(chart, c)
+    if c.chart is not chart and c.chart != chart:
+        raise ValueError("ring elements of different charts: %r and %r"
+                         % (chart, c.chart))
+    return c
+
+
+def _degree(key, names):
+    "Total power of the named plain-coordinate atoms in a key."
+    return sum(e for atom, e in key if atom[0] == "x" and atom[1] in names)
 
 
 def _reduce_terms(raw):
@@ -371,13 +402,8 @@ class ScalarExpr:
         return not self.terms
 
     def __add__(self, other):
-        if not isinstance(other, ScalarExpr):
-            other = ScalarExpr.number(self.chart, other)
-        if self.chart is not other.chart and self.chart != other.chart:
-            raise ValueError("ring elements of different charts: %r and %r"
-                             % (self.chart, other.chart))
         terms = dict(self.terms)
-        for k, c in other.terms.items():
+        for k, c in as_ring(self.chart, other).terms.items():
             add_term(terms, k, c)
         _exact_terms(terms)
         return ScalarExpr._new(self.chart, terms)
@@ -389,37 +415,21 @@ class ScalarExpr:
                                {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, ScalarExpr):
-            other = ScalarExpr.number(self.chart, other)
-        return self + (-other)
+        return self + (-as_ring(self.chart, other))
 
     def __rsub__(self, other):
         return ScalarExpr.number(self.chart, other) - self
 
     def __mul__(self, other):
-        if not isinstance(other, ScalarExpr):
-            return self.scale(other)
-        if self.chart is not other.chart and self.chart != other.chart:
-            raise ValueError("ring elements of different charts: %r and %r"
-                             % (self.chart, other.chart))
+        other = as_ring(self.chart, other)
         a, b = self.terms, other.terms
         if len(b) == 1 and () in b:
             return self.scale(b[()])
         if len(a) == 1 and () in a:
             return other.scale(a[()])
-        # cos atoms lead a key, so none meet below, and a monomial factor
-        # maps keys one to one: each product is normal and nonzero
-        if len(a) == 1 or len(b) == 1:
-            if len(b) == 1:
-                a, b = b, a
-            (k1, c1), = a.items()
-            if k1[0][0][0] != "cos" or not _cos_atoms(a) & _cos_atoms(b):
-                return ScalarExpr._new(self.chart, {
-                    _mul_keys(k1, k2): _exact(c1 * c2)
-                    for k2, c2 in b.items()})
-        terms = {}
-        add_product(terms, self, other, False)
-        return ScalarExpr._new(self.chart, terms)
+        sums = {}
+        add_product(sums, (), self, other, False)
+        return ScalarExpr._new(self.chart, sums.get((), {}))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -524,12 +534,7 @@ class ScalarExpr:
         images = {}
         for name, v in mapping.items():
             _check_name(name, self.chart.fiber, "fiber coordinate")
-            if not isinstance(v, ScalarExpr):
-                v = ScalarExpr.number(self.chart, v)
-            elif v.chart is not self.chart and v.chart != self.chart:
-                raise ValueError("ring elements of different charts: %r and "
-                                 "%r" % (self.chart, v.chart))
-            images[name] = v
+            images[name] = as_ring(self.chart, v)
         powers = {}
         raw = {}
         for key, c in self.terms.items():
@@ -552,11 +557,16 @@ class ScalarExpr:
     def max_degree(self, names):
         "Largest total power of the named plain-coordinate atoms."
         names = set(names)
-        best = 0
-        for key in self.terms:
-            d = sum(e for atom, e in key if atom[0] == "x" and atom[1] in names)
-            best = max(best, d)
-        return best
+        return max((_degree(key, names) for key in self.terms), default=0)
+
+    def over_degree(self, names, shift):
+        """Each term divided by its total power of the named plain
+        coordinates plus shift, a positive int: the integral of
+        t^(power + shift - 1) over [0, 1]."""
+        names = set(names)
+        return ScalarExpr._new(self.chart, {
+            key: _exact(Fraction(c) / (_degree(key, names) + shift))
+            for key, c in self.terms.items()})
 
     def with_chart(self, chart):
         """Reinterpret over another chart declaring the same atoms; an

@@ -30,10 +30,15 @@ from another side:
 - mc_series is the Maurer-Cartan series of the m_k at one element,
   sum_k (-1)^(k-1) m_k(sigma, ..., sigma)/k!, which -2 times is the
   coisotropy residual of the section sigma names;
+- koszul_dif is the Koszul differential d[s] of a BRST contraction as
+  an arity-1 operator;
 - hpl_dif_by_series is the transferred differential summed homotopy
   first, proj (delta (sum_k (h delta)^k (imm x))), and
   reduced_dif_by_series applies it to the BFV transfer, with delta as
   the difference of two evaluations;
+- conformal_pair is the conformal change J_a of a Jacobi pair by a
+  base function a, the pair that Jacobi equivalence by the line-bundle
+  automorphism a relates to J;
 - single builds a one-term operator;
 - tau, arity, the bidegrees and the weight parts sort operators and
   functions by degree.
@@ -50,7 +55,8 @@ from jacobi_bfv.ghost import (GhostMonomial, GradedFunction, Section, ONE_MONO,
 from jacobi_bfv.multideriv import (M, d_letter, e_letter, f_letter,
                                    letter_odd, _letter_key, sort_word,
                                    word_parity, _letter_apply,
-                                   MultiDerivation, evaluate, md_mul)
+                                   MultiDerivation, evaluate, md_mul,
+                                   jacobi_from_pair)
 from jacobi_bfv.contraction import _weight
 from jacobi_bfv.solver import (sj_bracket, v_immersion, v_projection,
                                brst_problem)
@@ -459,16 +465,49 @@ def hpl_dif_by_series(imm, proj, homotopy, delta, x):
     raise AssertionError("perturbation series did not terminate")
 
 
+def koszul_dif(con):
+    """The Koszul differential d[s] of a BrstContraction as an arity-1
+    operator: sum_A (y_A - s_A) f^A with the frame."""
+    chart = con.chart
+    return MultiDerivation(chart, con.rank, {
+        (ONE_MONO, (f_letter(A),), 1): ScalarExpr.coord(chart, y) - s
+        for A, (y, s) in enumerate(zip(chart.fiber, con.section))})
+
+
 def reduced_dif_by_series(bfv, x):
     """hpl_dif_by_series on the BRST contraction of bfv, with delta the
     difference of two evaluations, d_BFV(lam) - d[s](lam)."""
     con = bfv.con
-    d0 = con.dif()
+    d0 = koszul_dif(con)
 
     def delta(lam):
         return bfv.dif(lam) - evaluate(d0, [lam])
 
     return hpl_dif_by_series(con.imm, con.proj, con.homotopy, delta, x)
+
+
+# -- Jacobi equivalence ------------------------------------------------
+
+def conformal_pair(J, a):
+    """J_a = (a Lambda, a Gamma + Lambda# da) for the pair J = (Lambda,
+    Gamma) of a structure operator, read off its d-d and m-d words, and
+    a ring element a of J's chart: (Lambda# da)^j = sum_i Lambda^(ij) d_i a,
+    with Lambda^(ji) = -Lambda^(ij)."""
+    biv, vec = {}, {}
+
+    def add(j, c):
+        vec[j] = vec[j] + c if j in vec else c
+
+    for (mono, word, fr), c in J.terms.items():
+        assert mono == ONE_MONO and fr == 1 and len(word) == 2, word
+        if word[0] == M:
+            add(word[1][1], a * c)
+        else:
+            i, j = word[0][1], word[1][1]
+            biv[(i, j)] = a * c
+            add(j, c * a.partial(i))
+            add(i, -(c * a.partial(j)))
+    return jacobi_from_pair(J.chart, J.rank, biv, vec)
 
 
 # -- reconstruction from probes --------------------------------------

@@ -19,7 +19,8 @@ from jacobi_bfv.solver import (
     brst_charge, brst_problem, exp_ad, omega_section, coisotropy_residual,
     mc_check, bfv_assemble, _generator_sections, derived_brackets)
 from jacobi_bfv.models import t5_contact
-from oracles import gerstenhaber_eval_oracle, is_flat_trivial, tau, to_section
+from oracles import (gerstenhaber_eval_oracle, is_flat_trivial, koszul_dif,
+                     tau, to_section)
 from conftest import (t5_chart, rng_for, random_connection, random_plain_md,
                       random_md, random_hom_md, random_ghost_fun,
                       random_homogeneous, random_base_scalar)
@@ -195,7 +196,7 @@ def test_criterion_5_contraction_suites():
 
         s = tuple(random_base_scalar(rng, CH, 2) for _ in range(RANK))
         con = BrstContraction(CH, RANK, s)
-        dop = con.dif()
+        dop = koszul_dif(con)
 
         def d(lam):
             return evaluate(dop, [lam])
@@ -226,7 +227,7 @@ def test_criterion_6_hpl_transfers():
         assert hpl1.dif(P) == sj_bracket(J, P)
 
     bfv = bfv_assemble(J, FLAT)
-    d0 = bfv.con.dif()
+    d0 = koszul_dif(bfv.con)
     hpl2 = hpl_deform(bfv.con.imm, bfv.con.proj, bfv.con.homotopy,
                       lambda lam: bfv.dif(lam) - evaluate(d0, [lam]))
     dR = derived_brackets(J, 1)[1]

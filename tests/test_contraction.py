@@ -13,7 +13,7 @@ from jacobi_bfv.contraction import (
     _h_twist, homotopy_H_nabla, BrstContraction, hpl_deform)
 from jacobi_bfv.models import t5_contact
 from oracles import (twisted_weight_parts, twist_by_occurrence,
-                     hpl_dif_by_series)
+                     hpl_dif_by_series, koszul_dif)
 from conftest import (t5_chart, random_scalar, rng_for, random_ghost_fun,
                       random_md, random_connection, random_plain_md,
                       random_base_scalar, random_reduced_section)
@@ -226,7 +226,7 @@ def test_koszul_homotopy_identity():
     for trial in range(10):
         s = tuple(random_base_scalar(rng, CH, 2) for _ in range(RANK))
         con = BrstContraction(CH, RANK, s)
-        dop = con.dif()
+        dop = koszul_dif(con)
 
         def d(lam):
             return evaluate(dop, [lam])
@@ -355,7 +355,7 @@ def test_hpl_second_transfer():
     om = GradedFunction.ghost(CH, RANK, 0).scale(y1) + \
         GradedFunction.ghost(CH, RANK, 1).scale(y2)
     dbfv = sj_bracket(JH, MultiDerivation.from_section(Section(om)))
-    d0 = con.dif()
+    d0 = koszul_dif(con)
 
     def dfull(lam):
         return evaluate(dbfv, [lam])

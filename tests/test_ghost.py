@@ -259,6 +259,18 @@ def test_constructor_rejects_out_of_range_indices(mono):
         GradedFunction(ch, 2, {mono: ScalarExpr.one(ch)})
 
 
+def test_constructor_takes_numbers_exactly():
+    # a number coefficient becomes the ring element number makes of it;
+    # zero drops its monomial and a binary float is rejected
+    ch = t5_chart()
+    assert GradedFunction(ch, 2, {ONE_MONO: 1}) == GradedFunction.one(ch, 2)
+    half = GradedFunction(ch, 2, {ONE_MONO: Fraction(1, 2)})
+    assert half == GradedFunction.one(ch, 2).scale(Fraction(1, 2))
+    assert GradedFunction(ch, 2, {ONE_MONO: 0}).is_zero()
+    with pytest.raises(ValueError, match="coefficients are exact"):
+        GradedFunction(ch, 2, {ONE_MONO: 0.5})
+
+
 def test_unchecked_derivatives_match_checked_twins():
     # left derivatives and partials wrap their terms unchecked; each
     # equals, and hashes like, the checked constructor's element of the

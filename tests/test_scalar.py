@@ -213,20 +213,22 @@ def test_fast_paths_match_always_normalising_oracle():
             seen["single-constant"] += (single(a) and set(b.terms) == {()}) \
                 or (single(b) and set(a.terms) == {()})
             seen["zero"] += a.is_zero() or b.is_zero()
-            # add_product sums the same product into a target whose keys
-            # it cancels in full or in one key, negated or not; cos-both
+            # add_product sums the same product at a key whose terms it
+            # cancels in full or in one term, negated or not; cos-both
             # counts the pairs whose cos atoms meet
             want = mul_by_reduce(a, b)
             lead = ScalarExpr._new(ch, dict(list(want.terms.items())[:1]))
             for negate, sign in ((False, 1), (True, -1)):
                 for pre in (b - want.scale(sign), b - lead.scale(sign)):
-                    terms = dict(pre.terms)
-                    scalar.add_product(terms, a, b, negate)
-                    summed = ScalarExpr._new(ch, terms)
+                    sums = {"k": dict(pre.terms)} if pre else {}
+                    scalar.add_product(sums, "k", a, b, negate)
+                    summed = scalar.wrap_sums(ch, sums).get(
+                        "k", ScalarExpr.zero(ch))
                     assert summed.terms == (pre + want.scale(sign)).terms, \
                         (a, b, negate)
                     assert_normal(summed)
-                    seen["sum-cancels"] += not set(pre.terms) <= set(terms)
+                    seen["sum-cancels"] += \
+                        not set(pre.terms) <= set(summed.terms)
             # a factor 1 or -1 adds the other's coefficients unmultiplied,
             # in the other's key order; for 1 the very objects
             for u, other in ((a, b), (b, a)):
@@ -234,8 +236,9 @@ def test_fast_paths_match_always_normalising_oracle():
                     continue
                 seen["unit-constant"] += 1
                 for negate in (False, True):
-                    terms = {}
-                    scalar.add_product(terms, a, b, negate)
+                    sums = {}
+                    scalar.add_product(sums, "k", a, b, negate)
+                    terms = sums.get("k", {})
                     sign = -1 if negate else 1
                     assert terms == mul_by_reduce(a, b).scale(sign).terms
                     assert list(terms) == list(other.terms), (a, b)
@@ -259,6 +262,32 @@ def test_fast_paths_match_always_normalising_oracle():
                 (("sin", coord), e) in key and (("cos", coord), 1) in key
                 for key in a.terms for e in (1, 2, 3))
     assert min(seen.values()) >= 5, seen
+
+
+def test_add_product_deletes_a_cancelled_key_and_re_enters_it_last():
+    # for each factor shape, a key whose sum cancels leaves sums (no
+    # empty dict stays behind), a later product at it goes after every
+    # other key, and a zero product makes no key
+    ch = t5_chart(abstract=True)
+    y1, y2, x = S(ch, "y1"), S(ch, "y2"), S(ch, "phi1")
+    c1, s1 = ScalarExpr.cos(ch, "phi1"), ScalarExpr.sin(ch, "phi1")
+    one = ScalarExpr.one(ch)
+    shapes = {"+1": (one, y1 + x), "-1": (y1 - s1, -one), "1x1": (y1, x),
+              "1xN": (y1, x + y2), "MxN": (y1 + x, y2 - s1),
+              "cos-meeting": (c1 + y1, c1 * y2 + x)}
+    assert scalar._cos_atoms(c1.terms) <= scalar._cos_atoms(
+        (c1 * y2 + x).terms)
+    for name, (a, b) in shapes.items():
+        want = mul_by_reduce(a, b)
+        sums = {}
+        for key, negate in (("k", False), ("other", False), ("k", True)):
+            scalar.add_product(sums, key, a, b, negate)
+        assert list(sums) == ["other"], name
+        scalar.add_product(sums, "k", a, b, False)
+        assert list(sums) == ["other", "k"], name
+        assert sums["k"] == want.terms, name
+        scalar.add_product(sums, "zero", a, ScalarExpr.zero(ch), False)
+        assert list(sums) == ["other", "k"], name
 
 
 def test_unit_scales_share_or_negate():

@@ -26,7 +26,8 @@ from conftest import (t5_chart, rng_for, random_scalar, random_ghost_fun,
                       random_md,
                       random_base_scalar, random_reduced_section)
 from oracles import (derived_brackets_unshared, reduced_dif_by_series,
-                     coisotropy_residual_full, mc_series)
+                     coisotropy_residual_full, mc_series, koszul_dif,
+                     conformal_pair)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -296,7 +297,7 @@ def test_bfv_assemble_t5():
 def test_bfv_zero_structure_gives_koszul():
     zero = MultiDerivation.zero(CH, RANK)
     bfv = bfv_assemble(zero, MODEL.conn)
-    d0 = bfv.con.dif()
+    d0 = koszul_dif(bfv.con)
     rng = rng_for("solver-koszul")
     for trial in range(8):
         lam = Section(random_ghost_fun(rng, CH, RANK))
@@ -362,7 +363,7 @@ def test_reduced_series_dies_under_proj(name, tmp_path):
     # proj delta of it is zero for every step k >= 1 of the series
     spec, bfv = _bfv_over(name, tmp_path)
     con = bfv.con
-    d0 = con.dif()
+    d0 = koszul_dif(con)
     assert md_antighost_level(bfv.op - d0) >= 0
 
     def delta(lam):
@@ -680,6 +681,56 @@ def test_coisotropy_is_the_maurer_cartan_equation(name, conn):
     for D in (Jhat, J):
         assert res == mc_series(derived_brackets(D, 4), sigma, 4).scale(-2)
     assert res.is_zero() == coisotropic
+
+
+# conformal factors a (base functions, nowhere zero) and sections for
+# Jacobi equivalence; the middle two sections are obstructed
+CONFORMAL = {
+    "2+sin1": lambda: 2 + ScalarExpr.sin(CH, "phi1"),
+    "(1+phi2)(3+cos4)": lambda: (1 + ScalarExpr.coord(CH, "phi2")) * (
+        3 + ScalarExpr.cos(CH, "phi4")),
+}
+CONFORMAL_SECTIONS = [
+    (0, 0), (ScalarExpr.coord(CH, "phi4"), ScalarExpr.coord(CH, "phi5")),
+    (ScalarExpr.coord(CH, "phi1") * ScalarExpr.coord(CH, "phi4"),
+     ScalarExpr.coord(CH, "phi2")), (ScalarExpr.sin(CH, "phi3"), 0)]
+
+
+@pytest.mark.parametrize("conn", ["conn", "conn2"])
+@pytest.mark.parametrize("name", sorted(CONFORMAL))
+def test_jacobi_equivalence_is_the_conformal_change(name, conn):
+    # J_a = (a Lambda, a Gamma + Lambda# da) is Jacobi, its coisotropy
+    # residual is a times that of J along the same connection, and its
+    # m_k are those of J conjugated by a: m_1^a(g) = m_1(a g) in degree
+    # 0 and a m_1(g) in degree 1, a m_2^a(f, g) = m_2(a f, a g)
+    a = CONFORMAL[name]()
+    a_red = a.with_chart(RED)
+    Ja = conformal_pair(J, a)
+    assert is_jacobi(Ja) and Ja != J
+    conn = getattr(MODEL, conn)
+    Jhat, Jhat_a = lift_jacobi(J, conn)[0], lift_jacobi(Ja, conn)[0]
+    obstructed = 0
+    for s in CONFORMAL_SECTIONS:
+        res = coisotropy_residual(Jhat, s)
+        assert coisotropy_residual(Jhat_a, s) == res.scale(a_red)
+        obstructed += not res.is_zero()
+    assert obstructed == 2
+    deg0 = [red_frame()] + [red_scalar(ScalarExpr.coord(RED, nm))
+                            for nm in RED.coords]
+    deg0.append(red_scalar(ScalarExpr.sin(RED, "phi3")))
+    deg1 = [red_ghost(0), red_ghost(1),
+            red_ghost(0, ScalarExpr.coord(RED, "phi4"))]
+    m, m_a = derived_brackets(J, 2), derived_brackets(Ja, 2)
+    for g in deg0:
+        assert m_a[1](g) == m[1](g.scale(a_red))
+    for g in deg1:
+        assert m_a[1](g) == m[1](g).scale(a_red)
+    seen = 0
+    for f, g in combinations_with_replacement(deg0, 2):
+        want = m[2](f.scale(a_red), g.scale(a_red))
+        assert m_a[2](f, g).scale(a_red) == want
+        seen += not want.is_zero()
+    assert seen >= 5
 
 
 def test_generic_solve_guard():

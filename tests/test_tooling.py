@@ -76,7 +76,9 @@ def test_filtration_guard_survives_optimize():
 # bare function, a full-chart section or a number, a Model of a bad
 # count or section, ghost indices that are not ints, and a connection
 # off J's chart or rank, or not a ConnectionSpec, given to Model (conn
-# or conn2), lift_jacobi or lifting_problem
+# or conn2), lift_jacobi or lifting_problem, and a coefficient of
+# another chart given to a section, a connection, a ghost-algebra
+# element, an operator or a structure builder
 BAD_LIBRARY_CALLS = """
 from jacobi_bfv.scalar import Chart, ScalarExpr
 from jacobi_bfv.ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
@@ -100,6 +102,7 @@ dfun_rank1 = MultiDerivation(ch, 1, {(ONE_MONO, (d_letter("phi1"),), 0): one})
 y1 = ScalarExpr.coord(ch, "y1")
 xi6 = GhostMonomial((5,), ())
 x_mu = Section(GradedFunction.scalar(ch, 2, ScalarExpr.coord(ch, "phi1")))
+a_other = ScalarExpr.coord(Chart(["a"]), "a")
 mixed = MultiDerivation(ch, 2, {(ONE_MONO, (M,), 0): one,
                                 (ONE_MONO, (d_letter("phi1"),), 1): one})
 d_phi1, d_phi2 = (MultiDerivation(ch, 2, {(ONE_MONO, (d_letter(x),), 1): one})
@@ -190,6 +193,15 @@ calls = [
     lambda: Model("x", J, conn="flat-trivial"),
     lambda: lift_jacobi(J, ConnectionSpec(red, 2)),
     lambda: lifting_problem(J, ConnectionSpec(ch, 1)),
+    lambda: Model("x", J, section=(one_red, 0)),
+    lambda: BrstContraction(ch, 2, (one_red, 0)),
+    lambda: ConnectionSpec(ch, 2, vert={(0, 1): one_red}),
+    lambda: ConnectionSpec(ch, 2, coef={("phi1", 0, 1): a_other}),
+    lambda: GradedFunction(ch, 2, {ONE_MONO: one_red}),
+    lambda: GradedFunction(ch, 2, {ONE_MONO: 0.5}),
+    lambda: MultiDerivation(ch, 2, {(ONE_MONO, (), 1): a_other}),
+    lambda: jacobi_from_words(ch, 2, [((M, d_letter("phi1")), a_other)]),
+    lambda: jacobi_from_pair(ch, 2, {("phi1", "phi2"): one_red}, {}),
 ]
 for call in calls:
     try:
@@ -204,7 +216,7 @@ def test_library_guards_survive_optimize(optimize):
     out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 80
+    assert len(lines) == 89
     assert all(ln.startswith("rejected:") for ln in lines), lines
 
 
@@ -445,6 +457,39 @@ def test_src_has_no_unused_imports():
                    for name, line in sorted(imported.items())
                    if name not in used]
     assert unused == []
+
+
+RING_PRIVATE = {"_exact", "_exact_terms", "_reduce_terms", "_mul_keys",
+                "_cos_atoms"}
+
+
+def test_only_scalar_knows_the_term_format():
+    # the ring's term format lives in scalar.py: no other engine module
+    # wraps raw term dicts (ScalarExpr._new) or names the ring's private
+    # helpers, whether imported or reached as attributes
+    pkg = os.path.join(ROOT, "src", "jacobi_bfv")
+    found = []
+    for fname in sorted(os.listdir(pkg)):
+        if not fname.endswith(".py") or fname == "scalar.py":
+            continue
+        with open(os.path.join(pkg, fname)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+                if node.attr == "_new" and \
+                        ast.unparse(node.value).endswith("ScalarExpr"):
+                    names = ["ScalarExpr._new"]
+            else:
+                continue
+            found += ["%s:%d %s" % (fname, node.lineno, name)
+                      for name in names
+                      if name in RING_PRIVATE or name == "ScalarExpr._new"]
+    assert found == []
 
 
 def test_src_has_no_test_only_code():
