@@ -170,7 +170,7 @@ def _entries(items, size, what):
     return items
 
 
-def _names(value, what):
+def _name_list(value, what):
     "A JSON list of names, each an identifier the expression syntax reads."
     if not isinstance(value, list) or not all(
             isinstance(v, str) and v.isidentifier() for v in value):
@@ -220,11 +220,11 @@ def _parse_chart(obj):
     _only_keys(obj, {"coords", "angular", "fiber", "funcs"}, "chart")
     try:
         funcs = _object(obj, "funcs")
-        _names(list(funcs), "function names")
-        return Chart(_names(obj["coords"], "coords"),
-                     angular=_names(obj.get("angular", []), "angular"),
-                     fiber=_names(obj["fiber"], "fiber"),
-                     funcs={k: _names(v, "funcs %r" % k)
+        _name_list(list(funcs), "function names")
+        return Chart(_name_list(obj["coords"], "coords"),
+                     angular=_name_list(obj.get("angular", []), "angular"),
+                     fiber=_name_list(obj["fiber"], "fiber"),
+                     funcs={k: _name_list(v, "funcs %r" % k)
                             for k, v in funcs.items()})
     except (KeyError, ValueError, TypeError) as exc:
         raise ScenarioError("bad chart: %s" % exc)

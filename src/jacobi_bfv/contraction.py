@@ -30,7 +30,8 @@ t^(k + |T|) over [0, 1] does (ScalarExpr.over_degree), and shift back.
 check_section is the one check of a rank and a section, for this
 class, omega_section and Model; check_connection is the one check
 that a connection's chart and rank are those of the operator it
-lifts, for lifting_problem and Model.
+lifts, for lifting_problem and Model; check_reduced is the one check
+of a reduced section, for imm and solver.v_immersion.
 
 hpl_deform transfers a contraction through a perturbation of the
 differential by the usual geometric series, evaluated lazily; demo 04
@@ -222,6 +223,19 @@ def check_section(chart, rank, section):
     return tuple(out)
 
 
+def check_reduced(red_sec, chart):
+    """Raise ValueError unless red_sec is a Section on chart.reduced()
+    without anti-ghosts: the one check of a reduced section, for
+    BrstContraction.imm and solver.v_immersion."""
+    if not (isinstance(red_sec, Section) and red_sec.chart == chart.reduced()):
+        raise ValueError("expected a Section on the reduced chart, got %r"
+                         % (red_sec,))
+    for mono in red_sec.terms:
+        if mono.a:
+            raise ValueError("reduced sections carry no anti-ghosts, got %s"
+                             % (red_sec,))
+
+
 class BrstContraction:
     """Contraction of the section module onto the reduced side along a
     section of the fiber projection (a tuple of base functions)."""
@@ -243,15 +257,12 @@ class BrstContraction:
              for mono, c in sec.terms.items() if not mono.a}))
 
     def imm(self, red_sec):
-        """Pull a reduced section back over the full chart; a section
-        with anti-ghosts raises ValueError."""
-        terms = {}
-        for mono, c in red_sec.terms.items():
-            if mono.a:
-                raise ValueError("reduced sections carry no anti-ghosts, "
-                                 "got %s" % (red_sec,))
-            terms[mono] = c.with_chart(self.chart)
-        return Section(GradedFunction(self.chart, self.rank, terms))
+        """Pull a reduced section back over the full chart; anything
+        check_reduced rejects raises ValueError."""
+        check_reduced(red_sec, self.chart)
+        return Section(GradedFunction(self.chart, self.rank, {
+            mono: c.with_chart(self.chart)
+            for mono, c in red_sec.terms.items()}))
 
     def homotopy(self, sec):
         """Integration homotopy against d[s], in one pass (see the module

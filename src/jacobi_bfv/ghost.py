@@ -11,9 +11,10 @@ Every monomial an operation produces is canonical, so mono_mul merges
 its operands' ascending blocks in one pass and builds the product
 unchecked (GhostMonomial._new), as do the left derivatives, which
 remove one index; they and partial store no zero and wrap unchecked.
-mul_terms, the product on term dicts, serves ghost_mul and evaluate: it
-sums each product into its monomial's key through scalar.add_product,
-and the caller wraps the sums once (scalar.wrap_sums).  The public
+mul_terms, the product on monomial -> ring element dicts, serves
+ghost_mul and evaluate: it sums each product into its monomial's
+integer sum through scalar.add_product, and the caller wraps the sums
+once (scalar.wrap_sums).  The public
 constructors take coefficients through scalar.as_ring.  The monomial
 constructor validates the indices: ints, not bools, strictly ascending
 in each block; check_mono bounds them by a rank.  A monomial hashes
@@ -101,9 +102,9 @@ def mono_mul(m1, m2):
 
 
 def mul_terms(out, a, b, neg=False):
-    """Add the graded product of term dicts a, b (monomial -> ring
-    element) into out, negated if neg: the sums of scalar.add_product,
-    keyed by monomial, for scalar.wrap_sums."""
+    """Add the graded product of dicts a, b (monomial -> ring element)
+    into out, negated if neg: the sums of scalar.add_product, keyed by
+    monomial, for scalar.wrap_sums."""
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             sign, m = mono_mul(m1, m2)

@@ -227,10 +227,11 @@ def md_mul(D1, D2):
     Its coefficients multiply with the ring product *, not through
     scalar.add_product: they are mostly the constant 1 of a connection
     image (_substitute_letters), where * returns the other factor as it
-    is, while add_product copies every coefficient into a new term dict.
-    Routed through add_product, substitution took about 38-44 ms per
-    round of the lift-curved benchmark workload instead of 32-37 ms, on
-    a 2-core machine."""
+    is, while add_product scales every coefficient into integer sums
+    that wrap_sums divides back.  Routed through add_product and
+    wrap_sums, a round of the lift-curved benchmark workload took about
+    9 % longer (calibrated median 0.062 -> 0.067 s, 4 alternating 8 s
+    runs each, a 2-core x86-64 machine, Python 3.11)."""
     D1._check_like(D2)
     chart, rank = D1.chart, D1.rank
     terms = {}
@@ -294,10 +295,10 @@ def evaluate(D, args):
     share a (tail, other pieces) pair are summed first, and the sum
     multiplies the tail's value, peeled once per pair: by
     distributivity, (sum_w C_w X_w) Y = sum_w (C_w X_w) Y.  Every
-    product sums its ring terms into one plain term dict per monomial
-    (ghost.mul_terms), wrapped once.  The monomials of the result may
-    come in another order than a word-by-word sum gives; the result is
-    equal, and every report sorts them."""
+    product sums its ring terms into one integer sum per monomial
+    (ghost.mul_terms, scalar.add_product), wrapped once.  The monomials
+    of the result may come in another order than a word-by-word sum
+    gives; the result is equal, and every report sorts them."""
     chart, rank = D.chart, D.rank
     funs, pars = [], []  # per piece id: the function and its parity
 

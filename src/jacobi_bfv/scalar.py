@@ -12,32 +12,41 @@ reject any other.  No floating point enters the ring.
 
 Full normalisation (the cos^2 rewrite plus a merge of every term) runs
 only where the normal form can break: in the public constructor, in
-substitute, and in a product or derivative that can create cos^2.
-Since a normal form holds cos with exponent <= 1, a product reaches
-cos^2 only when both factors carry cos of one coordinate, and a
-derivative only when it differentiates sin of a coordinate in a key
-that also holds cos of it (d sin = cos).  Every other sum, scaling,
-product or derivative of normal forms, merged key by key with the zero
-sums dropped, is normal already and is wrapped as it is (_new).  A
-derivative multiplies by an exponent only above 1, and substitute
-passes a key without a mapped atom as it is.
+substitute, and in a derivative that can create cos^2, which it does
+only when it differentiates sin of a coordinate in a key that also
+holds cos of it (d sin = cos).  Every other sum, scaling or derivative
+of normal forms, merged key by key with the zero sums dropped, is
+normal already and is wrapped as it is (_new).  A derivative
+multiplies by an exponent only above 1, and substitute passes a key
+without a mapped atom as it is.
 
-add_product is the one product rule of the engine.  It sums each pair
-product of two elements of any shape straight into a plain term dict,
-one per key of a dict of sums, rewrites cos^2 only when cos atoms of
-both factors meet, and deletes a key whose sum cancels; wrap_sums
-wraps each dict once.  The bracket, ghost.mul_terms and the ring
-product * sum through it; * keeps only a constant factor (a scaling)
-in front.  as_ring is the one rule for a coefficient at the library
-boundary: a number exactly, a ring element of an equal chart as it is,
-anything else ValueError.  No other module knows the term format: they
-build and read ring elements through this module's functions and
-methods (over_degree divides each term by a fiber degree for the BRST
+add_product is the one product rule of the engine, and it runs on
+integers.  It adds each pair product of two elements of any shape to
+the running sum at one key of a dict of sums.  A running sum is a dict
+of integer numerators over one denominator: each factor's coefficients
+are scaled to integers over their lcm denominator, the key's
+denominator grows by lcm only when a product needs it to, and every
+pair product multiplies and adds plain ints.  A numerator is zero
+exactly when the sum is, so a key whose numerators cancel is deleted
+as add_term deletes it.  A normal form holds cos with exponent <= 1,
+and cos sorts first in a key, so a product reaches cos^2 only for a
+pair of keys that both lead with cos; _cos_squared rewrites each cos^2
+of such a pair in place, one level deep.  wrap_sums divides once per
+term, an int when the division is exact and a Fraction otherwise.
+The bracket, ghost.mul_terms and the ring product * sum through it; *
+keeps only a constant factor (a scaling) in front.
+
+as_ring is the one rule for a coefficient at the library boundary: a
+number exactly, a ring element of an equal chart as it is, anything
+else ValueError.  No other module knows the term format: they build
+and read ring elements through this module's functions and methods
+(over_degree divides each term by a fiber degree for the BRST
 homotopy).  Elements are never changed in place, so results share
 them: scale(1) returns the element and scale(-1) its negation.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _names(names):
@@ -168,17 +177,6 @@ def _key_ok(key, chart):
     return True
 
 
-def _cos_atoms(terms):
-    "The cos atoms of a normal form; they lead each key, as cos sorts first."
-    out = set()
-    for key in terms:
-        for atom, _ in key:
-            if atom[0] != "cos":
-                break
-            out.add(atom)
-    return out
-
-
 def _mul_keys(k1, k2):
     if not k2:
         return tuple(k1)
@@ -231,60 +229,96 @@ def add_term(terms, key, c):
         terms.pop(key, None)
 
 
+def _over_lcm(terms):
+    """The coefficients of a term dict as integer numerators over their
+    lcm denominator: (numerators, denominator).  An all-int dict is
+    returned as it is, over 1."""
+    d = 1
+    for c in terms.values():
+        if type(c) is not int and d % c.denominator:
+            d = lcm(d, c.denominator)
+    if d == 1:
+        return terms, 1
+    return {k: c * d if type(c) is int else c.numerator * (d // c.denominator)
+            for k, c in terms.items()}, d
+
+
+def _cos_squared(k1, k2, n):
+    """The (key, numerator) terms of n times the product of two keys that
+    both lead with cos, each cos^2 rewritten in place to 1 - sin^2.  A
+    normal form holds each cos once, so one rewrite per coordinate is
+    all a product can need."""
+    exps = dict(k1)
+    for atom, e in k2:
+        exps[atom] = exps.get(atom, 0) + e
+    out = [(exps, n)]
+    for atom in [at for at, _ in k2 if at[0] == "cos" and exps[at] == 2]:
+        sin = ("sin", atom[1])
+        for ex, m in out[:]:
+            del ex[atom]
+            ex = dict(ex)
+            ex[sin] = ex.get(sin, 0) + 2
+            out.append((ex, -m))
+    return [(tuple(sorted(ex.items())), m) for ex, m in out]
+
+
 def add_product(sums, key, a, b, negate):
     """Add a * b, negated when negate, at sums[key], in place: the one
-    product rule of the engine.  sums maps each key to the plain term
-    dict of a normal form with exact coefficients, made on first use
-    and summed as add_term sums; a key whose sum cancels is deleted, so
-    a later product at it goes to the end.  wrap_sums wraps sums once.
+    product rule of the engine.  A key's running sum is a dict of integer
+    numerators over one denominator, made on first use; wrap_sums wraps
+    sums once.  A key whose numerators cancel is deleted, so a later
+    product at it goes to the end, exactly as add_term sums.
 
-    Factors of any size: each pair product adds straight into the term
-    dict, unless cos atoms of both factors meet, when the pair products
-    are summed and rewritten first.  Two one-term factors skip that test
-    unless both keys lead with a cos atom: cos sorts first, so only then
-    can they share one.  A factor that is the constant 1 or -1 adds the
-    other's coefficients as they are, negated when needed, in the
-    other's key order.  The factors' own term dicts are only read."""
-    terms = sums.get(key)
-    if terms is None:
-        terms = sums[key] = {}
-    ta, tb = a.terms, b.terms
-    if len(tb) == 1 and tb.get(()) in (1, -1):
-        ta, tb = tb, ta
-    if len(ta) == 1 and ta.get(()) in (1, -1):
-        prod, meet = tb.items(), False
-        negate = negate != (ta[()] == -1)
-    elif len(ta) == 1 and len(tb) == 1:
-        (k1, c1), = ta.items()
-        (k2, c2), = tb.items()
-        prod = ((_mul_keys(k1, k2), c1 * c2),)
-        meet = k1 and k2 and k1[0][0][0] == "cos" == k2[0][0][0]
-    else:
-        prod = ((_mul_keys(k1, k2), c1 * c2)
-                for k1, c1 in ta.items() for k2, c2 in tb.items())
-        meet = True
-    if meet and _cos_atoms(ta) & _cos_atoms(tb):  # cos^2 can arise
-        raw = {}
-        for k, c in prod:
-            add_term(raw, k, c)
-        prod = _reduce_terms(raw).items()
-    for k, c in prod:
-        if negate:
-            c = -c
-        old = terms.get(k)
-        if old is not None:
-            c = old + c
-        if c:
-            terms[k] = c if type(c) is int else _exact(c)
-        else:
-            terms.pop(k, None)
-    if not terms:
+    Each factor's coefficients are scaled to integers over their lcm
+    denominator (an all-int factor as it is), the key's denominator
+    grows by lcm only when it must, and every pair product is a product
+    of plain ints.  A pair of keys that both lead with cos (cos sorts
+    first, so only then can they share one) has each cos^2 rewritten to
+    1 - sin^2 (_cos_squared).  The factors' own term dicts are only
+    read."""
+    acc = sums.get(key)
+    if acc is None:
+        acc = sums[key] = [1, {}]
+    den, nums = acc
+    ta, da = _over_lcm(a.terms)
+    tb, db = _over_lcm(b.terms)
+    d = da * db
+    if den % d:
+        grow = d // gcd(den, d)
+        den = acc[0] = den * grow
+        for k in nums:
+            nums[k] *= grow
+    q = -(den // d) if negate else den // d
+    for k1, n1 in ta.items():
+        n1 *= q
+        cos1 = k1 and k1[0][0][0] == "cos"
+        for k2, n2 in tb.items():
+            if cos1 and k2 and k2[0][0][0] == "cos":
+                prods = _cos_squared(k1, k2, n1 * n2)
+            else:
+                prods = ((_mul_keys(k1, k2), n1 * n2),)
+            for k, n in prods:
+                n += nums.get(k, 0)
+                if n:
+                    nums[k] = n
+                else:
+                    del nums[k]
+    if not nums:
         del sums[key]
 
 
 def wrap_sums(chart, sums):
-    "The key -> ring element dict of a dict that add_product filled."
-    return {key: ScalarExpr._new(chart, terms) for key, terms in sums.items()}
+    """The key -> ring element dict of a dict that add_product filled:
+    each numerator divided once by its key's denominator, an int when
+    the division is exact and a Fraction otherwise.  The sums are spent:
+    an element may keep a key's numerator dict as its terms."""
+    out = {}
+    for key, (den, nums) in sums.items():
+        if den != 1:
+            nums = {k: n // den if n % den == 0 else Fraction(n, den)
+                    for k, n in nums.items()}
+        out[key] = ScalarExpr._new(chart, nums)
+    return out
 
 
 def as_ring(chart, c):
@@ -429,7 +463,8 @@ class ScalarExpr:
             return other.scale(a[()])
         sums = {}
         add_product(sums, (), self, other, False)
-        return ScalarExpr._new(self.chart, sums.get((), {}))
+        return wrap_sums(self.chart, sums).get(()) or \
+            ScalarExpr.zero(self.chart)
 
     def __rmul__(self, other):
         return self.__mul__(other)

@@ -33,7 +33,7 @@ from .multideriv import (d_letter, sort_word, MultiDerivation, evaluate,
                          sj_bracket, build_G, jacobi_bracket, hamiltonian)
 from .contraction import (ResidualError, imm_i_nabla, proj_p,
                           homotopy_H_nabla, BrstContraction,
-                          check_connection, check_section)
+                          check_connection, check_reduced, check_section)
 
 
 def md_antighost_level(D):
@@ -330,14 +330,9 @@ def v_immersion(red_sec, chart):
     to chart order costs the sign of the permutation.  Anything but a
     Section on chart.reduced(), or a section with anti-ghosts, raises
     ValueError."""
-    if not (isinstance(red_sec, Section) and red_sec.chart == chart.reduced()):
-        raise ValueError("expected a Section on the reduced chart, got %r"
-                         % (red_sec,))
+    check_reduced(red_sec, chart)
     terms = {}
     for mono, c in red_sec.terms.items():
-        if mono.a:
-            raise ValueError("reduced sections carry no anti-ghosts, got %s"
-                             % (red_sec,))
         sign, word = sort_word(tuple(d_letter(chart.fiber[A])
                                      for A in mono.g), chart)
         terms[(ONE_MONO, word, 1)] = c.with_chart(chart).scale(sign)
@@ -383,7 +378,8 @@ def _generator_sections(chart, rank):
 def reduced_differential(bfv):
     """The differential transferred to the reduced side, the map
     x -> proj (d_BFV (imm x)); a mismatch on a generator with the direct
-    route, m_1 of the plain operator J, raises ResidualError.
+    route, m_1 of the plain operator J, raises ResidualError.  The map
+    answers the generators from the values that cross-check computed.
 
     The perturbation lemma gives sum_k proj delta (h delta)^k imm, with
     delta = d_BFV - d[s].  The homotopy h adds one anti-ghost and delta
@@ -391,15 +387,20 @@ def reduced_differential(bfv):
     every term carries an anti-ghost, which proj drops.  In the k = 0
     term d[s], made of f letters, vanishes on imm x: no anti-ghost."""
     con = bfv.con
+    known = {}  # the generators' values, from the cross-check
 
     def red(x):
+        if isinstance(x, Section) and x in known:
+            return known[x]
         return con.proj(bfv.dif(con.imm(x)))
 
     m1 = derived_brackets(bfv.J, 1)[1]
     for g in _generator_sections(bfv.chart, bfv.rank):
-        if red(g) != m1(g):
+        val = red(g)
+        if val != m1(g):
             raise ResidualError("transferred differential disagrees with "
                                 "the direct one on %s" % g)
+        known[g] = val
     return red
 
 

@@ -18,7 +18,7 @@ from another side:
   in one at a time;
 - mul_by_reduce and partial_by_reduce are the ring product and
   derivative that normalise every result in full, through the public
-  constructor;
+  constructor, and cos_atoms lists the cos atoms of a normal form;
 - mono_mul_by_sort multiplies ghost monomials by sorting the
   concatenated index tuples into a validated GhostMonomial, and
   term_mul_by_sort multiplies (mono, word) terms by sorting the
@@ -284,6 +284,17 @@ def _merge_keys(k1, k2):
     for atom, e in k2:
         exps[atom] = exps.get(atom, 0) + e
     return tuple(sorted(exps.items()))
+
+
+def cos_atoms(terms):
+    "The cos atoms of a normal form; they lead each key, as cos sorts first."
+    out = set()
+    for key in terms:
+        for atom, _ in key:
+            if atom[0] != "cos":
+                break
+            out.add(atom)
+    return out
 
 
 def mul_by_reduce(a, b):

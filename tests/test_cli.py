@@ -564,8 +564,8 @@ def test_main_derived_brackets_share_prefixes(monkeypatch, capsys, command,
 
 def test_main_reduce_evaluates_d_bfv_once_per_section(monkeypatch, capsys):
     # the one-step map evaluates d_BFV once per section it transfers:
-    # 13 generators for the cross-check, then the 8 probes reduce
-    # prints, evaluated again since the map keeps no memo
+    # the 13 generators of its cross-check; the 8 probes reduce prints
+    # are among them, so the map answers them from the cross-check
     calls = []
     dif = solver.BfvData.dif
 
@@ -576,7 +576,7 @@ def test_main_reduce_evaluates_d_bfv_once_per_section(monkeypatch, capsys):
     monkeypatch.setattr(solver.BfvData, "dif", counting)
     assert cli.main(["--command", "reduce"]) == 0
     capsys.readouterr()
-    assert len(calls) == 13 + 8
+    assert len(calls) == 13
 
 
 def test_main_check_passes(capsys):

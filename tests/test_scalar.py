@@ -1,3 +1,5 @@
+import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,9 +15,13 @@ from jacobi_bfv.solver import (lift_jacobi, brst_charge, bfv_assemble,
                                _generator_sections)
 from jacobi_bfv.models import t5_contact
 from oracles import (eval_num, substitute_by_atom, mul_by_reduce,
-                     partial_by_reduce)
+                     partial_by_reduce, cos_atoms)
 from conftest import (t5_chart, random_scalar, random_point, rng_for,
                       random_ghost_fun, random_md)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from tracing import FRACTION_OPS  # noqa: E402
 
 
 def S(chart, name):
@@ -180,6 +186,7 @@ def test_fast_paths_match_always_normalising_oracle():
     ch = t5_chart(abstract=True)
     rng = rng_for("scalar-fast-paths")
     pool = fast_path_pool(rng, ch)
+    one = ScalarExpr.one(ch)
     seen = {"cos-both": 0, "cos-one": 0, "sin-beside-cos": 0, "dfn": 0,
             "halves-integral": 0, "constant-left": 0, "constant-right": 0,
             "zero": 0, "single-single": 0, "single-cos-cos-same": 0,
@@ -214,23 +221,25 @@ def test_fast_paths_match_always_normalising_oracle():
                 or (single(b) and set(a.terms) == {()})
             seen["zero"] += a.is_zero() or b.is_zero()
             # add_product sums the same product at a key whose terms it
-            # cancels in full or in one term, negated or not; cos-both
-            # counts the pairs whose cos atoms meet
+            # cancels in full or in one term, negated or not, after a
+            # first sum (pre times 1); cos-both counts the pairs whose
+            # cos atoms meet.  The sums are read through wrap_sums only.
             want = mul_by_reduce(a, b)
             lead = ScalarExpr._new(ch, dict(list(want.terms.items())[:1]))
             for negate, sign in ((False, 1), (True, -1)):
                 for pre in (b - want.scale(sign), b - lead.scale(sign)):
-                    sums = {"k": dict(pre.terms)} if pre else {}
+                    sums = {}
+                    scalar.add_product(sums, "k", pre, one, False)
                     scalar.add_product(sums, "k", a, b, negate)
                     summed = scalar.wrap_sums(ch, sums).get(
                         "k", ScalarExpr.zero(ch))
-                    assert summed.terms == (pre + want.scale(sign)).terms, \
-                        (a, b, negate)
+                    assert _typed(summed) == \
+                        _typed(pre + want.scale(sign)), (a, b, negate)
                     assert_normal(summed)
                     seen["sum-cancels"] += \
                         not set(pre.terms) <= set(summed.terms)
-            # a factor 1 or -1 adds the other's coefficients unmultiplied,
-            # in the other's key order; for 1 the very objects
+            # a factor 1 or -1 adds the other's coefficients, negated
+            # when needed, with their exact types, in the other's key order
             for u, other in ((a, b), (b, a)):
                 if u.terms not in ({(): 1}, {(): -1}):
                     continue
@@ -238,13 +247,12 @@ def test_fast_paths_match_always_normalising_oracle():
                 for negate in (False, True):
                     sums = {}
                     scalar.add_product(sums, "k", a, b, negate)
-                    terms = sums.get("k", {})
+                    got_u = scalar.wrap_sums(ch, sums).get(
+                        "k", ScalarExpr.zero(ch))
                     sign = -1 if negate else 1
-                    assert terms == mul_by_reduce(a, b).scale(sign).terms
-                    assert list(terms) == list(other.terms), (a, b)
-                    if u.terms[()] * sign == 1:
-                        for key, c in terms.items():
-                            assert type(c) is int or c is other.terms[key]
+                    assert _typed(got_u) == \
+                        _typed(mul_by_reduce(a, b).scale(sign))
+                    assert list(got_u.terms) == list(other.terms), (a, b)
             sizes = sorted((len(a.terms), len(b.terms)))
             if sizes[0]:
                 seen["sum-1x1" if sizes[1] == 1 else "sum-1xN"
@@ -275,19 +283,174 @@ def test_add_product_deletes_a_cancelled_key_and_re_enters_it_last():
     shapes = {"+1": (one, y1 + x), "-1": (y1 - s1, -one), "1x1": (y1, x),
               "1xN": (y1, x + y2), "MxN": (y1 + x, y2 - s1),
               "cos-meeting": (c1 + y1, c1 * y2 + x)}
-    assert scalar._cos_atoms(c1.terms) <= scalar._cos_atoms(
-        (c1 * y2 + x).terms)
+    assert cos_atoms(c1.terms) <= cos_atoms((c1 * y2 + x).terms)
     for name, (a, b) in shapes.items():
         want = mul_by_reduce(a, b)
         sums = {}
         for key, negate in (("k", False), ("other", False), ("k", True)):
             scalar.add_product(sums, key, a, b, negate)
-        assert list(sums) == ["other"], name
+        assert list(scalar.wrap_sums(ch, sums)) == ["other"], name
         scalar.add_product(sums, "k", a, b, False)
-        assert list(sums) == ["other", "k"], name
-        assert sums["k"] == want.terms, name
+        wrapped = scalar.wrap_sums(ch, sums)
+        assert list(wrapped) == ["other", "k"], name
+        assert _typed(wrapped["k"]) == _typed(want), name
         scalar.add_product(sums, "zero", a, ScalarExpr.zero(ch), False)
-        assert list(sums) == ["other", "k"], name
+        assert list(scalar.wrap_sums(ch, sums)) == ["other", "k"], name
+
+
+def _summed(ch, steps, key="k"):
+    "The element that add_product sums at key over (a, b, negate) steps."
+    sums = {}
+    for a, b, negate in steps:
+        scalar.add_product(sums, key, a, b, negate)
+    return scalar.wrap_sums(ch, sums).get(key, ScalarExpr.zero(ch))
+
+
+def _sum_by_reduce(ch, steps):
+    "The same sum through the always-normalising product."
+    out = ScalarExpr.zero(ch)
+    for a, b, negate in steps:
+        out = out + mul_by_reduce(a, b).scale(-1 if negate else 1)
+    return out
+
+
+def test_integer_sums_grow_their_denominator_exactly():
+    # factors over the coprime denominators 2, 3, 5 and 7 summed at one
+    # key: after every step the key's sum, read through wrap_sums, has
+    # the oracle's exact values and types (ints where integral)
+    ch = t5_chart(abstract=True)
+    y1, y2, x = S(ch, "y1"), S(ch, "y2"), S(ch, "phi1")
+    s1 = ScalarExpr.sin(ch, "phi1")
+    steps = []
+    for p in (2, 3, 5, 7):
+        q = Fraction(1, p)
+        steps.append((y1.scale(q) + x, y2 + s1.scale(Fraction(p - 1, p)),
+                      p == 5))
+        steps.append((y1 * y2, ScalarExpr.number(ch, q * p * 2), False))
+    steps.append((x.scale(Fraction(1, 2)), y1 * 2 + 1, False))
+    steps.append((x.scale(Fraction(1, 2)), y1 * 2, True))  # halves cancel
+    seen = {"int": 0, "fraction": 0}
+    for j in range(1, len(steps) + 1):
+        got = _summed(ch, steps[:j])
+        assert _typed(got) == _typed(_sum_by_reduce(ch, steps[:j])), j
+        assert_normal(got)
+        for c in got.terms.values():
+            seen["int" if type(c) is int else "fraction"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_integer_sum_cancels_after_growing_and_re_enters_last():
+    # a key whose denominator grew to 6 cancels to zero and leaves sums;
+    # a later product at it goes after every other key, over its own
+    # denominator again
+    ch = t5_chart(abstract=True)
+    y1, x = S(ch, "y1"), S(ch, "phi1")
+    half, third = y1.scale(Fraction(1, 2)), x.scale(Fraction(1, 3))
+    fifth = (y1 + x).scale(Fraction(2, 5))
+    sums = {}
+    for key, a, b, negate in (("k", half, x, False), ("k", third, y1, False),
+                              ("other", half, half, False),
+                              ("k", half, x, True), ("k", third, y1, True)):
+        scalar.add_product(sums, key, a, b, negate)
+    assert list(scalar.wrap_sums(ch, sums)) == ["other"]
+    scalar.add_product(sums, "k", fifth, y1 * 5, False)
+    wrapped = scalar.wrap_sums(ch, sums)
+    assert list(wrapped) == ["other", "k"]
+    assert _typed(wrapped["k"]) == _typed(mul_by_reduce(fifth, y1 * 5))
+    assert _typed(wrapped["other"]) == _typed(mul_by_reduce(half, half))
+    assert all(type(c) is int for c in wrapped["k"].terms.values())
+
+
+def test_unit_factors_with_fraction_partners():
+    # a factor 1 or -1 on either side, negated or not, of a partner with
+    # Fraction coefficients: the partner's values, signed, its exact
+    # types and its key order; summed onto halves, an int where integral
+    ch = t5_chart(abstract=True)
+    y1, y2 = S(ch, "y1"), S(ch, "y2")
+    c1 = ScalarExpr.cos(ch, "phi1")
+    one = ScalarExpr.one(ch)
+    partner = y1.scale(Fraction(1, 2)) + (c1 * y2).scale(Fraction(-2, 3)) + 4
+    for u in (one, -one):
+        for a, b in ((u, partner), (partner, u)):
+            for negate in (False, True):
+                got = _summed(ch, [(a, b, negate)])
+                assert _typed(got) == _typed(
+                    _sum_by_reduce(ch, [(a, b, negate)]))
+                assert list(got.terms) == list(partner.terms)
+                steps = [(y1.scale(Fraction(1, 2)), one, False),
+                         (a, b, negate)]
+                got = _summed(ch, steps)
+                assert _typed(got) == _typed(_sum_by_reduce(ch, steps))
+    got = _summed(ch, [(y1.scale(Fraction(1, 2)), one, False),
+                       (one, partner, False)])
+    assert got.terms[((("x", "y1"), 1),)] == 1
+    assert type(got.terms[((("x", "y1"), 1),)]) is int
+
+
+def test_cos_meets_on_one_and_two_coordinates():
+    # key pairs whose cos atoms meet on one and on two angular
+    # coordinates, alone and summed at one key with Fraction
+    # coefficients: each cos^2 rewritten to 1 - sin^2, exactly
+    ch = t5_chart(abstract=True)
+    y1, x = S(ch, "y1"), S(ch, "phi1")
+    s1, c1 = ScalarExpr.sin(ch, "phi1"), ScalarExpr.cos(ch, "phi1")
+    s2, c2 = ScalarExpr.sin(ch, "phi2"), ScalarExpr.cos(ch, "phi2")
+    c3 = ScalarExpr.cos(ch, "phi3")
+    third = Fraction(1, 3)
+    pairs = {"one": (c1 * y1, (c1 * s1).scale(third)),
+             "one-of-two": (c1 * c3, c1 * c2 * x),
+             "two": ((c1 * c2).scale(third), c1 * c2 * s2 * y1),
+             "two-sums": (c1 * c2 + c1.scale(third) - s2,
+                          (c1 * c2 * y1).scale(Fraction(3, 2)) + c2 * s1)}
+    for name, (a, b) in pairs.items():
+        for negate in (False, True):
+            steps = [(a, b, negate)]
+            got = _summed(ch, steps)
+            assert _typed(got) == _typed(_sum_by_reduce(ch, steps)), name
+            assert_normal(got)
+            assert _typed(a * b) == _typed(mul_by_reduce(a, b)), name
+        # the rewrite's sin^2 terms meet the terms of another product
+        steps = [(a, b, False), (s1 * s1, s2 * s2 * y1, True),
+                 (b, a.scale(third), False)]
+        got = _summed(ch, steps)
+        assert _typed(got) == _typed(_sum_by_reduce(ch, steps)), name
+        assert_normal(got)
+    # two meets give four rewritten keys
+    assert len((c1 * c2 * (c1 * c2)).terms) == 4
+
+
+def test_add_product_makes_no_fraction_ops(monkeypatch):
+    # add_product sums integer numerators: none of the Fraction
+    # operations the benchmark tracer counts runs inside it, and
+    # wrap_sums builds at most one Fraction per term it stores
+    ch = t5_chart(abstract=True)
+    pool = fast_path_pool(rng_for("scalar-fraction-ops"), ch)
+    assert sum(type(c) is Fraction for x in pool
+               for c in x.terms.values()) >= 20
+    ops, made = [], []
+    for op in FRACTION_OPS:
+        def counted(*args, _orig=getattr(Fraction, op), _op=op):
+            ops.append(_op)
+            return _orig(*args)
+        monkeypatch.setattr(Fraction, op, counted)
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    sums = {}
+    for i, a in enumerate(pool):
+        for j, b in enumerate(pool):
+            scalar.add_product(sums, (i + j) % 7, a, b, (i * j) % 2 == 1)
+    assert ops == [] and made == []
+    wrapped = scalar.wrap_sums(ch, sums)
+    monkeypatch.undo()
+    stored = sum(len(x.terms) for x in wrapped.values())
+    assert ops == [] and 0 < len(made) <= stored
+    assert sum(type(c) is Fraction for x in wrapped.values()
+               for c in x.terms.values()) == len(made)
 
 
 def test_unit_scales_share_or_negate():
@@ -356,11 +519,15 @@ def test_fast_paths_skip_normalisation(monkeypatch):
     for make in cheap:
         make()
     assert calls == []
-    c1 = ScalarExpr.cos(ch, "phi1")
-    for make in (lambda: c1 * c1, lambda: (s1 * c1).partial("phi1")):
-        del calls[:]
+    # a product never calls _reduce_terms, not even one that makes cos^2;
+    # a derivative that makes cos^2 still does
+    c1, c2 = ScalarExpr.cos(ch, "phi1"), ScalarExpr.cos(ch, "phi2")
+    for make in (lambda: c1 * c1, lambda: (c1 * c2 + x) * (c1 * c2 - s1),
+                 lambda: (c1 + y1.scale(Fraction(1, 3))) ** 3):
         make()
-        assert len(calls) >= 1
+    assert calls == []
+    (s1 * c1).partial("phi1")
+    assert len(calls) >= 1
 
 
 def test_substitute_raises_each_power_once(monkeypatch):
@@ -715,7 +882,8 @@ def _typed(x):
 
 def test_monomial_products_match_reduce_oracle(monkeypatch):
     # a one-term factor multiplies each term of the other directly; when
-    # cos atoms of both factors meet, the product is rewritten in full
+    # cos atoms of both factors meet, each key pair's cos^2 is rewritten
+    # in place, so no product calls _reduce_terms
     calls = []
     full = scalar._reduce_terms
 
@@ -743,15 +911,14 @@ def test_monomial_products_match_reduce_oracle(monkeypatch):
             for _ in range(4):
                 p = random_scalar(rng, ch, max_terms=4, max_pow=3,
                                   allow_abstract=True)
-                cos_m = sorted(scalar._cos_atoms(m.terms))
+                cos_m = sorted(cos_atoms(m.terms))
                 if cos_m and rng.random() < 0.5:
                     p = p + ScalarExpr.cos(ch, cos_m[0][1]) * S(ch, "y2")
-                meet = bool(scalar._cos_atoms(m.terms) &
-                            scalar._cos_atoms(p.terms))
+                meet = bool(cos_atoms(m.terms) & cos_atoms(p.terms))
                 for a, b in ((m, p), (p, m)):
                     del calls[:]
                     got = a * b
-                    assert bool(calls) == meet
+                    assert calls == []
                     assert _typed(got) == _typed(mul_by_reduce(a, b))
                     assert_normal(got)
                 seen["cos-meet" if meet else "cos-apart"] += 1

@@ -146,6 +146,8 @@ calls = [
     lambda: y1.with_chart(red),
     lambda: v_immersion(with_antighost, ch),
     lambda: BrstContraction(ch, 2, (0, 0)).imm(with_antighost),
+    lambda: BrstContraction(ch, 2, (0, 0)).imm(Section(GradedFunction.scalar(
+        Chart(["phi1"]), 2, ScalarExpr.coord(Chart(["phi1"]), "phi1")))),
     lambda: BrstContraction(ch, 1, (0,)),
     lambda: BrstContraction(ch, 3, (0, 0, 0)),
     lambda: omega_section(ch, 1, (0,)),
@@ -216,7 +218,7 @@ def test_library_guards_survive_optimize(optimize):
     out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 89
+    assert len(lines) == 90
     assert all(ln.startswith("rejected:") for ln in lines), lines
 
 
@@ -459,14 +461,32 @@ def test_src_has_no_unused_imports():
     assert unused == []
 
 
-RING_PRIVATE = {"_exact", "_exact_terms", "_reduce_terms", "_mul_keys",
-                "_cos_atoms"}
+def _ring_private():
+    "Every module-level name of scalar.py that starts with an underscore."
+    with open(os.path.join(ROOT, "src", "jacobi_bfv", "scalar.py")) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return {nm for nm in names if nm.startswith("_")}
+
+
+RING_PRIVATE = _ring_private()
 
 
 def test_only_scalar_knows_the_term_format():
     # the ring's term format lives in scalar.py: no other engine module
     # wraps raw term dicts (ScalarExpr._new) or names the ring's private
-    # helpers, whether imported or reached as attributes
+    # helpers (every module-level _name of scalar.py), whether imported
+    # or reached as attributes
+    assert {"_exact", "_exact_terms", "_reduce_terms", "_mul_keys",
+            "_over_lcm", "_cos_squared"} <= RING_PRIVATE
     pkg = os.path.join(ROOT, "src", "jacobi_bfv")
     found = []
     for fname in sorted(os.listdir(pkg)):
