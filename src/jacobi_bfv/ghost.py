@@ -14,13 +14,13 @@ remove one index; they and partial store no zero and wrap unchecked.
 mul_terms, the product on monomial -> ring element dicts, serves
 ghost_mul and evaluate: it sums each product into its monomial's
 integer sum through scalar.add_product, and the caller wraps the sums
-once (scalar.wrap_sums).  The public
+once (scalar.wrap_sums).  A product's merge sign and the caller's sign
+or multiplicity reach add_product as one int factor.  The public
 constructors take coefficients through scalar.as_ring.  The monomial
 constructor validates the indices: ints, not bools, strictly ascending
 in each block; check_mono bounds them by a rank.  A monomial hashes
-once, when it is built.  A product applies its sign by negation; a
-ring element's coefficients are never written in place, so results
-may share them.
+once, when it is built.  A ring element's coefficients are never
+written in place, so results may share them.
 """
 
 from .scalar import ScalarExpr, add_product, add_term, as_ring, wrap_sums
@@ -101,15 +101,16 @@ def mono_mul(m1, m2):
         tuple(sorted(a1 + a2)) if a1 and a2 else a1 or a2)
 
 
-def mul_terms(out, a, b, neg=False):
-    """Add the graded product of dicts a, b (monomial -> ring element)
-    into out, negated if neg: the sums of scalar.add_product, keyed by
-    monomial, for scalar.wrap_sums."""
+def mul_terms(out, a, b, factor=1):
+    """Add factor times the graded product of dicts a, b (monomial ->
+    ring element) into out, for a nonzero int factor: the sums of
+    scalar.add_product, keyed by monomial, for scalar.wrap_sums.  Each
+    product's merge sign joins the factor."""
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             sign, m = mono_mul(m1, m2)
             if sign:
-                add_product(out, m, c1, c2, (sign < 0) != neg)
+                add_product(out, m, c1, c2, sign * factor)
 
 
 def check_mono(mono, rank):

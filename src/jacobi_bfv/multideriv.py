@@ -30,11 +30,13 @@ indexes the G-terms' left derivatives by momentum and skips, by integer
 masks, every product that would repeat a ghost index or an odd letter,
 so each _term_mul it calls survives.  It takes a coordinate derivative
 only of a coefficient that can depend on that coordinate
-(ScalarExpr.variables), so none that must vanish.  Each product sums
-at its output key through scalar.add_product, and the sums are wrapped
-once at the end (scalar.wrap_sums); a key whose sum cancels is dropped,
-as add_term drops it, so the terms come out in the order a sum of ring
-elements gives.  The graded product md_mul and the bracket share one
+(ScalarExpr.variables), so none that must vanish.  A bracket has one
+accumulator: each product of every half bracket sums at its output key
+through scalar.add_product, its signs, multiplicities and t-weight
+passed as one int factor, and the sums are wrapped once at the end
+(scalar.wrap_sums); a key whose sum cancels is dropped, as add_term
+drops it, so the terms come out in the order a sum of ring elements
+gives.  The graded product md_mul and the bracket share one
 term product, _term_mul; md_mul keeps the ring product * (see there).
 jacobi_from_words builds every structure operator J and brackets
 nothing: solver.lift_jacobi decides the Jacobi condition [[J, J]] = 0.
@@ -282,12 +284,12 @@ def evaluate(D, args):
     the sort, and each multiset is peeled once.  A multiset holding a
     shifted-odd piece twice peels to 0 and is skipped; within a peel,
     the copies of a repeated even piece give equal values, so the first
-    is visited and scaled by the count: at the top through the
-    coefficient, below through the action, once per (letter, piece,
-    count).  Coefficients come first: the word's ghost coefficients,
-    scaled by multiplicity, count and sign, multiply the head letter's
+    is visited and its product counted that many times.  Coefficients
+    come first: the word's ghost coefficients multiply the head letter's
     action, and that head product (the value of a one-letter word)
-    multiplies the peeled tail.
+    multiplies the peeled tail.  Multiplicity, count and sign reach each
+    product as one int factor (ghost.mul_terms), so no coefficient or
+    action is copied to be scaled.
 
     D's words are indexed by head letter once per call, each with its
     tail's parity, so a head letter that acts as 0 on a piece skips all
@@ -358,13 +360,11 @@ def evaluate(D, args):
             (word[1:], word_parity(word[1:]), coeffs))
     acted, splits = {}, {}
 
-    def act(ell, pid, count=1):
-        # the terms of count times ell acting on piece pid
-        key = (ell, pid, count)
-        if key not in acted:
-            acted[key] = _letter_apply(ell, funs[pid]).terms if count == 1 \
-                else {m: c.scale(count) for m, c in act(ell, pid).items()}
-        return acted[key]
+    def act(ell, pid):
+        # the terms of ell acting on piece pid
+        if (ell, pid) not in acted:
+            acted[ell, pid] = _letter_apply(ell, funs[pid]).terms
+        return acted[ell, pid]
 
     def heads(parts):
         # per distinct head piece: (piece, count, parity of the pieces
@@ -384,10 +384,11 @@ def evaluate(D, args):
             return act(head, parts[0])
         tail_par, out = word_parity(tail), {}
         for pid, count, before, others in heads(parts):
-            val = act(head, pid, count)
+            val = act(head, pid)
             if val:
                 mul_terms(out, val, peel(tail, others),
-                          pars[pid] and (tail_par + before) % 2)
+                          -count if pars[pid] and (tail_par + before) % 2
+                          else count)
         return wrap_sums(chart, out)
 
     total, groups = {}, {}  # (tail, others) -> (tail value, head sum)
@@ -410,9 +411,7 @@ def evaluate(D, args):
                     q = mult * count
                     if pars[pid] and (tail_par + before) % 2:
                         q = -q
-                    mul_terms(out, coeffs if q in (1, -1) else
-                              {m: c.scale(q) for m, c in coeffs.items()},
-                              val, q == -1)
+                    mul_terms(out, coeffs, val, q)
     for rest, heads_sum in groups.values():
         if heads_sum:
             mul_terms(total, wrap_sums(chart, heads_sum), rest)
@@ -441,26 +440,26 @@ def _momenta(word):
 def _dR_mom(mono, word, c, ell):
     """Right derivative of a term by a momentum letter it carries: an odd
     letter leaves with the sign of the odd letters after it, an even one
-    with its multiplicity.  Returns ((mono, word), coefficient)."""
+    with its multiplicity.  Returns ((mono, word), c, that int)."""
     pos = word.index(ell)
     rest = word[:pos] + word[pos + 1:]
     if letter_odd(ell):
-        return (mono, rest), (-c if word_parity(word[pos + 1:]) else c)
-    return (mono, rest), c.scale(word.count(ell))
+        return (mono, rest), c, -1 if word_parity(word[pos + 1:]) else 1
+    return (mono, rest), c, word.count(ell)
 
 
 def _dL_gen(mono, word, fr, c, ell):
     """Left derivative of a term by the generator conjugate to ell, as
-    ((mono, word), coefficient) or None: a coordinate acts on the
-    coefficient, t multiplies by the t-weight fr - n + eps, and a ghost
-    or anti-ghost leaves with the sign of the ghosts before it."""
+    ((mono, word), coefficient, int factor) or None: a coordinate acts
+    on the coefficient, t brings down the t-weight fr - n + eps, and a
+    ghost or anti-ghost leaves with the sign of the ghosts before it."""
     kind = ell[0]
     if kind == "d":
         c2 = c.partial(ell[1])
-        return None if c2.is_zero() else ((mono, word), c2)
+        return None if c2.is_zero() else ((mono, word), c2, 1)
     if kind == "m":
         w = fr - len(word) + (M in word)
-        return None if w == 0 else ((mono, word), c.scale(w))
+        return None if w == 0 else ((mono, word), c, w)
     gens = mono.g if kind == "e" else mono.a
     if ell[1] not in gens:
         return None
@@ -470,12 +469,13 @@ def _dL_gen(mono, word, fr, c, ell):
         mono2 = GhostMonomial._new(rest, mono.a)
     else:
         mono2, pos = GhostMonomial._new(mono.g, rest), pos + len(mono.g)
-    return (mono2, word), (-c if pos % 2 else c)
+    return (mono2, word), c, -1 if pos % 2 else 1
 
 
-def _half_bracket(F, G, chart):
-    """sum over momenta u of (dR F / du)(dL G / d(generator of u)), for
-    lists F, G of (key, coefficient) pairs.
+def _half_bracket(F, G, chart, sums, factor):
+    """Add factor times the sum over momenta u of
+    (dR F / du)(dL G / d(generator of u)), for lists F, G of (key,
+    coefficient) pairs, to the add_product sums of a bracket.
 
     Only the momenta an F-term carries are visited.  Per momentum, the
     first F-term to need it indexes the G-terms whose left derivative by
@@ -489,8 +489,10 @@ def _half_bracket(F, G, chart):
     accumulate in (F-term, G-term, momentum) order, at frame flag
     frF + frG - 1.
 
-    Each product sums at its output key through add_product, and the
-    sums are wrapped once at the end (wrap_sums).  A key whose sum
+    Each product sums at its output key through add_product, with the
+    int factor of the call times the sign of _term_mul and the ints of
+    the two derivatives (a sign, a multiplicity or a t-weight), so no
+    coefficient is copied to be signed or scaled.  A key whose sum
     cancels after a product is deleted, so a later product at that key
     goes to the end: the keys and their order are those of add_term
     over the products as ring elements."""
@@ -512,7 +514,7 @@ def _half_bracket(F, G, chart):
                 bits |= bit(ell)
         return bits
 
-    sums, index, variables = {}, {}, None
+    index, variables = {}, None
     for (mF, wF, frF), cF in F:
         moms = _momenta(wF)
         maskF, hits = mask(mF, wF), []
@@ -533,10 +535,10 @@ def _half_bracket(F, G, chart):
                     dR = dR or _dR_mom(mF, wF, cF, ell)
                     hits.append((j, p, frG, dR, b))
         hits.sort()  # each (j, p) occurs once, so the sort stops there
-        for _, _, frG, (tA, cA), (tB, cB) in hits:
+        for _, _, frG, (tA, cA, kA), (tB, cB, kB) in hits:
             sign, mono, word = _term_mul(tA, tB, chart)
-            add_product(sums, (mono, word, frF + frG - 1), cA, cB, sign < 0)
-    return wrap_sums(chart, sums)
+            add_product(sums, (mono, word, frF + frG - 1), cA, cB,
+                        sign * kA * kB * factor)
 
 
 def _parity_groups(D):
@@ -561,23 +563,25 @@ def sj_bracket(D, E):
     self-bracket every half bracket that involves an odd group therefore
     appears twice with opposite signs and cancels, which leaves
     [[D, D]] = 2 H(F_0, F_0) over the even group F_0: one half bracket
-    instead of up to eight.  That branch is taken on identity, D is E."""
+    instead of up to eight.  That branch is taken on identity, D is E.
+
+    Every half bracket sums into one accumulator with an int factor:
+    2 for the self-bracket, else 1 for H(F_a, F_b) and -flip for
+    H(F_b, F_a).  The sums are wrapped once (wrap_sums), so the terms
+    come in the order of add_term over every product in sequence."""
     D._check_like(E)
-    chart = D.chart
+    chart, sums = D.chart, {}
     if D is E:
         even = _parity_groups(D).get(0, [])
-        out = {key: c.scale(2)
-               for key, c in _half_bracket(even, even, chart).items()}
+        _half_bracket(even, even, chart, sums, 2)
     else:
-        out = {}
         groups_E = _parity_groups(E)
         for tD, FD in _parity_groups(D).items():
             for tE, FE in groups_E.items():
-                flip = -1 if ((tD + 1) * (tE + 1)) % 2 else 1
-                for key, c in _half_bracket(FD, FE, chart).items():
-                    add_term(out, key, c)
-                for key, c in _half_bracket(FE, FD, chart).items():
-                    add_term(out, key, c.scale(-flip))
+                _half_bracket(FD, FE, chart, sums, 1)
+                _half_bracket(FE, FD, chart, sums,
+                              1 if ((tD + 1) * (tE + 1)) % 2 else -1)
+    out = wrap_sums(chart, sums)
     if any(fr < 0 for _, _, fr in out):
         raise ValueError("the bracket of two function-valued operators "
                          "is not a word operator")

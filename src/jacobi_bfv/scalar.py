@@ -5,36 +5,34 @@ plain coordinates, sin/cos of angular coordinates, abstract function
 symbols (base-coordinate dependence only), and formal partial-derivative
 atoms of the abstract symbols.  The normal form is unique: monomials are
 kept in a fixed sorted order, cos carries exponent <= 1 (cos^2 is
-rewritten to 1 - sin^2 exhaustively), zero coefficients are dropped.
-A coefficient is an int when it is integral and a Fraction otherwise,
-never a float: number and scale take an integral float as an int and
-reject any other.  No floating point enters the ring.
+rewritten to 1 - sin^2), zero coefficients are dropped.  A coefficient
+is an int when it is integral and a Fraction otherwise, never a float:
+number and scale take an integral float as an int and reject any
+other.  No floating point enters the ring.
 
-Full normalisation (the cos^2 rewrite plus a merge of every term) runs
-only where the normal form can break: in the public constructor, in
-substitute, and in a derivative that can create cos^2, which it does
-only when it differentiates sin of a coordinate in a key that also
-holds cos of it (d sin = cos).  Every other sum, scaling or derivative
-of normal forms, merged key by key with the zero sums dropped, is
-normal already and is wrapped as it is (_new).  A derivative
-multiplies by an exponent only above 1, and substitute passes a key
-without a mapped atom as it is.
+Only the public constructor normalises arbitrary input (_reduce_terms),
+rewriting each cos^e in one step.  Every operation on normal forms
+keeps them normal through one key product, _key_mul: a normal key holds
+cos with exponent <= 1, and cos sorts first, so a product reaches cos^2
+only for a pair of keys that both lead with cos, and _key_mul rewrites
+each cos^2 of such a pair in place, one level deep.  A product, a
+derivative (d sin = cos beside a cos of the same coordinate) and
+substitute multiply keys through it; sums and scalings merge key by key
+with the zero sums dropped, and every result is wrapped as it is
+(_new).
 
 add_product is the one product rule of the engine, and it runs on
-integers.  It adds each pair product of two elements of any shape to
-the running sum at one key of a dict of sums.  A running sum is a dict
-of integer numerators over one denominator: each factor's coefficients
-are scaled to integers over their lcm denominator, the key's
-denominator grows by lcm only when a product needs it to, and every
-pair product multiplies and adds plain ints.  A numerator is zero
-exactly when the sum is, so a key whose numerators cancel is deleted
-as add_term deletes it.  A normal form holds cos with exponent <= 1,
-and cos sorts first in a key, so a product reaches cos^2 only for a
-pair of keys that both lead with cos; _cos_squared rewrites each cos^2
-of such a pair in place, one level deep.  wrap_sums divides once per
-term, an int when the division is exact and a Fraction otherwise.
-The bracket, ghost.mul_terms and the ring product * sum through it; *
-keeps only a constant factor (a scaling) in front.
+integers.  It adds each pair product of two elements of any shape,
+times a nonzero int factor (a sign or a multiplicity), to the running
+sum at one key of a dict of sums.  A running sum is a dict of integer
+numerators over one denominator: each factor's coefficients are scaled
+to integers over their lcm denominator, the key's denominator grows by
+lcm only when a product needs it to, and every pair product multiplies
+and adds plain ints.  A numerator is zero exactly when the sum is, so a
+key whose numerators cancel is deleted as add_term deletes it.
+wrap_sums divides once per term, an int when the division is exact and
+a Fraction otherwise.  The bracket, ghost.mul_terms and the ring product
+* sum through it; * keeps only a constant factor (a scaling) in front.
 
 as_ring is the one rule for a coefficient at the library boundary: a
 number exactly, a ring element of an equal chart as it is, anything
@@ -46,7 +44,7 @@ them: scale(1) returns the element and scale(-1) its negation.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 
 def _names(names):
@@ -177,17 +175,6 @@ def _key_ok(key, chart):
     return True
 
 
-def _mul_keys(k1, k2):
-    if not k2:
-        return tuple(k1)
-    if not k1:
-        return k2
-    exps = dict(k1)
-    for atom, e in k2:
-        exps[atom] = exps.get(atom, 0) + e
-    return tuple(sorted(exps.items()))
-
-
 def _exact(q):
     "q as a coefficient: an int when integral, a Fraction otherwise."
     if type(q) is int:
@@ -243,14 +230,21 @@ def _over_lcm(terms):
             for k, c in terms.items()}, d
 
 
-def _cos_squared(k1, k2, n):
-    """The (key, numerator) terms of n times the product of two keys that
-    both lead with cos, each cos^2 rewritten in place to 1 - sin^2.  A
-    normal form holds each cos once, so one rewrite per coordinate is
-    all a product can need."""
+def _key_mul(k1, k2, n):
+    """The (key, coefficient) terms of n times the product of two normal
+    keys: one term, unless both keys lead with cos (cos sorts first, so
+    only then can they share one), when each cos^2 is rewritten in place
+    to 1 - sin^2.  A normal key holds each cos once, so one rewrite per
+    coordinate is all a product can need."""
+    if not k2:
+        return ((k1, n),)
+    if not k1:
+        return ((k2, n),)
     exps = dict(k1)
     for atom, e in k2:
         exps[atom] = exps.get(atom, 0) + e
+    if k1[0][0][0] != "cos" or k2[0][0][0] != "cos":
+        return ((tuple(sorted(exps.items())), n),)
     out = [(exps, n)]
     for atom in [at for at, _ in k2 if at[0] == "cos" and exps[at] == 2]:
         sin = ("sin", atom[1])
@@ -262,19 +256,19 @@ def _cos_squared(k1, k2, n):
     return [(tuple(sorted(ex.items())), m) for ex, m in out]
 
 
-def add_product(sums, key, a, b, negate):
-    """Add a * b, negated when negate, at sums[key], in place: the one
-    product rule of the engine.  A key's running sum is a dict of integer
-    numerators over one denominator, made on first use; wrap_sums wraps
-    sums once.  A key whose numerators cancel is deleted, so a later
+def add_product(sums, key, a, b, factor=1):
+    """Add factor * a * b at sums[key], in place, for a nonzero int
+    factor (a sign, a multiplicity or a weight; 0 is not a factor): the
+    one product rule of the engine.  A key's running sum is a dict of
+    integer numerators over one denominator, made on first use;
+    wrap_sums wraps sums once.  A key whose numerators cancel is deleted, so a later
     product at it goes to the end, exactly as add_term sums.
 
     Each factor's coefficients are scaled to integers over their lcm
     denominator (an all-int factor as it is), the key's denominator
     grows by lcm only when it must, and every pair product is a product
-    of plain ints.  A pair of keys that both lead with cos (cos sorts
-    first, so only then can they share one) has each cos^2 rewritten to
-    1 - sin^2 (_cos_squared).  The factors' own term dicts are only
+    of plain ints, the factor folded into the scale of a.  Each key pair
+    multiplies through _key_mul.  The factors' own term dicts are only
     read."""
     acc = sums.get(key)
     if acc is None:
@@ -288,16 +282,11 @@ def add_product(sums, key, a, b, negate):
         den = acc[0] = den * grow
         for k in nums:
             nums[k] *= grow
-    q = -(den // d) if negate else den // d
+    q = den // d * factor
     for k1, n1 in ta.items():
         n1 *= q
-        cos1 = k1 and k1[0][0][0] == "cos"
         for k2, n2 in tb.items():
-            if cos1 and k2 and k2[0][0][0] == "cos":
-                prods = _cos_squared(k1, k2, n1 * n2)
-            else:
-                prods = ((_mul_keys(k1, k2), n1 * n2),)
-            for k, n in prods:
+            for k, n in _key_mul(k1, k2, n1 * n2):
                 n += nums.get(k, 0)
                 if n:
                     nums[k] = n
@@ -339,27 +328,30 @@ def _degree(key, names):
 
 
 def _reduce_terms(raw):
-    # Exhaustive cos^2 -> 1 - sin^2 rewrite, then merge and drop zeros.
+    """The normal form of a term dict whose keys may hold cos^e, e >= 2:
+    each such power rewritten in one step,
+    cos^e = cos^(e mod 2) * sum_j (-1)^j C(e // 2, j) sin^(2j),
+    then every term merged with the zeros dropped."""
     out = {}
-    stack = list(raw.items())
-    while stack:
-        key, c = stack.pop()
-        if c == 0:
-            continue
-        hit = None
+    for key, c in raw.items():
+        c = _exact(c)
+        terms = [(key, c)]
         for atom, e in key:
-            if atom[0] == "cos" and e >= 2:
-                hit = (atom, e)
-                break
-        if hit is None:
-            add_term(out, key, c)
-            continue
-        atom, e = hit
-        rest = tuple((a, x) for a, x in key if a != atom)
-        if e > 2:
-            rest = _mul_keys(rest, ((atom, e - 2),))
-        stack.append((rest, c))
-        stack.append((_mul_keys(rest, ((("sin", atom[1]), 2),)), -c))
+            if atom[0] != "cos" or e < 2:
+                continue
+            sin, half, expanded = ("sin", atom[1]), e // 2, []
+            for k, q in terms:
+                exps = dict(k)
+                exps[atom] = e % 2
+                for j in range(half + 1):
+                    ex = dict(exps)
+                    ex[sin] = ex.get(sin, 0) + 2 * j
+                    expanded.append((tuple(sorted(
+                        (at, x) for at, x in ex.items() if x)),
+                        (-1) ** j * comb(half, j) * q))
+            terms = expanded
+        for k, q in terms:
+            add_term(out, k, q)
     _exact_terms(out)
     return out
 
@@ -462,7 +454,7 @@ class ScalarExpr:
         if len(a) == 1 and () in a:
             return other.scale(a[()])
         sums = {}
-        add_product(sums, (), self, other, False)
+        add_product(sums, (), self, other)
         return wrap_sums(self.chart, sums).get(()) or \
             ScalarExpr.zero(self.chart)
 
@@ -508,7 +500,6 @@ class ScalarExpr:
         _check_name(coord, self.chart._pos, "coordinate")
         funcs = self.chart.funcs
         raw = {}
-        cos_squared = False
         for key, c in self.terms.items():
             for i, (atom, e) in enumerate(key):
                 kind = atom[0]
@@ -520,7 +511,6 @@ class ScalarExpr:
                     if atom[1] != coord:
                         continue
                     datoms = ((("cos", coord), 1),)
-                    cos_squared = cos_squared or datoms[0] in key
                 elif kind == "cos":
                     if atom[1] != coord:
                         continue
@@ -542,9 +532,8 @@ class ScalarExpr:
                 if kind == "cos":
                     coeff = -coeff
                     datoms = ((("sin", coord), 1),)
-                add_term(raw, _mul_keys(rest, datoms), coeff)
-        if cos_squared:
-            return ScalarExpr._new(self.chart, _reduce_terms(raw))
+                for k, q in _key_mul(rest, datoms, coeff):
+                    add_term(raw, k, q)
         _exact_terms(raw)
         return ScalarExpr._new(self.chart, raw)
 
@@ -564,8 +553,9 @@ class ScalarExpr:
 
     def substitute(self, mapping):
         """Ring homomorphism sending fiber coordinates to given numbers
-        or elements of this chart; only the mapped powers are multiplied out, each power once per
-        call, and the sum is normalised once."""
+        or elements of this chart.  Only the mapped powers are multiplied
+        out, each power once per call; each key of the image meets the
+        unmapped rest of its term through _key_mul."""
         images = {}
         for name, v in mapping.items():
             _check_name(name, self.chart.fiber, "fiber coordinate")
@@ -585,9 +575,12 @@ class ScalarExpr:
             if image is None:
                 add_term(raw, key, c)
                 continue
+            rest = tuple(rest)
             for k, q in image.terms.items():
-                add_term(raw, _mul_keys(rest, k), c * q)
-        return ScalarExpr._new(self.chart, _reduce_terms(raw))
+                for k2, q2 in _key_mul(rest, k, c * q):
+                    add_term(raw, k2, q2)
+        _exact_terms(raw)
+        return ScalarExpr._new(self.chart, raw)
 
     def max_degree(self, names):
         "Largest total power of the named plain-coordinate atoms."

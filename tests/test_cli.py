@@ -484,6 +484,28 @@ def test_reduced_cross_check_is_live(monkeypatch, capsys):
         ["  reduced-match = FAIL"]
 
 
+def test_m2_antisymmetry_row_is_live(monkeypatch, capsys):
+    # an m_2 that is not antisymmetric on one degree-0 pair, (mu, phi1
+    # mu) here, fails check's m2-antisymmetry-degree0 row and no other
+    red = t5_contact().chart.reduced()
+    mu = Section.frame(red, 2)
+    phi1 = mu.scale(ScalarExpr.coord(red, "phi1"))
+    family = solver.derived_brackets
+
+    def lopsided(Jhat, k_max):
+        mk = family(Jhat, k_max)
+        m2 = mk[2]
+        mk[2] = lambda a, b: m2(a, b) + mu if (a, b) == (mu, phi1) \
+            else m2(a, b)
+        return mk
+
+    monkeypatch.setattr(cli, "derived_brackets", lopsided)
+    assert cli.main(["--command", "check"]) == 2
+    out = capsys.readouterr().out
+    assert [ln for ln in out.splitlines() if "FAIL" in ln] == \
+        ["  m2-antisymmetry-degree0 = FAIL"]
+
+
 @pytest.mark.parametrize("command, solves", [
     ("lift", 1), ("brst", 2), ("bfv", 2), ("residual", 1), ("reduce", 2),
     ("linf", 1), ("intertwine", 3), ("check", 3)])

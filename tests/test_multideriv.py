@@ -487,10 +487,10 @@ def _ref_dL_coord(key, c, coord):
     return None if c2.is_zero() else (key, c2)
 
 
-def _full_scan_half_bracket(F, G, chart, rank):
+def _full_scan_half_bracket(F, G, chart, rank, out, sign):
     """Reference half-bracket: every (F-term, G-term) pair against every
-    coordinate, pi_t and every ghost index, as a plain scan."""
-    out = {}
+    coordinate, pi_t and every ghost index, as a plain scan; each
+    product, times sign, is added to out in turn."""
     pairs = []
     for kF, cF in F.items():
         for kG, cG in G.items():
@@ -518,19 +518,13 @@ def _full_scan_half_bracket(F, G, chart, rank):
                         pairs.append((a, b))
     for (kA, cA), (kB, cB) in pairs:
         key, c = _ref_symbol_mul(kA, cA, kB, cB, chart)
-        if key is None:
-            continue
-        c0 = out.get(key)
-        c0 = c if c0 is None else c0 + c
-        if c0.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = c0
-    return out
+        if key is not None:
+            add_term(out, key, c.scale(sign))
 
 
 def _full_scan_bracket(D, E):
-    "Reference bracket: symbol parity groups, two half-brackets each."
+    """Reference bracket: symbol parity groups, two half-brackets each,
+    every product summed into one dict in sequence."""
     chart, rank = D.chart, D.rank
     groups = []
     for X in (D, E):
@@ -542,10 +536,8 @@ def _full_scan_bracket(D, E):
     for tD, FD in groups[0].items():
         for tE, FE in groups[1].items():
             flip = -1 if ((tD + 1) * (tE + 1)) % 2 else 1
-            for key, c in _full_scan_half_bracket(FD, FE, chart, rank).items():
-                add_term(out, key, c)
-            for key, c in _full_scan_half_bracket(FE, FD, chart, rank).items():
-                add_term(out, key, c.scale(-flip))
+            _full_scan_half_bracket(FD, FE, chart, rank, out, 1)
+            _full_scan_half_bracket(FE, FD, chart, rank, out, -flip)
     return _ref_from_symbols(out, chart, rank)
 
 
@@ -656,12 +648,12 @@ def _skipped_products(F, G, seen):
     # momentum) products that the half bracket skips by their masks
     for (mF, wF, _), cF in F.terms.items():
         for ell in _momenta(wF):
-            (mA, wA), _ = _dR_mom(mF, wF, cF, ell)
+            (mA, wA), _, _ = _dR_mom(mF, wF, cF, ell)
             for (mG, wG, frG), cG in G.terms.items():
                 b = _dL_gen(mG, wG, frG, cG, ell)
                 if b is None:
                     continue
-                (mB, wB), _ = b
+                (mB, wB), _, _ = b
                 seen["ghost"] += bool(set(mA.g) & set(mB.g))
                 seen["antighost"] += bool(set(mA.a) & set(mB.a))
                 seen["m"] += M in wA and M in wB

@@ -1,5 +1,6 @@
 import os
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -221,20 +222,20 @@ def test_fast_paths_match_always_normalising_oracle():
                 or (single(b) and set(a.terms) == {()})
             seen["zero"] += a.is_zero() or b.is_zero()
             # add_product sums the same product at a key whose terms it
-            # cancels in full or in one term, negated or not, after a
+            # cancels in full or in one term, at factor 1 or -1, after a
             # first sum (pre times 1); cos-both counts the pairs whose
             # cos atoms meet.  The sums are read through wrap_sums only.
             want = mul_by_reduce(a, b)
             lead = ScalarExpr._new(ch, dict(list(want.terms.items())[:1]))
-            for negate, sign in ((False, 1), (True, -1)):
+            for sign in (1, -1):
                 for pre in (b - want.scale(sign), b - lead.scale(sign)):
                     sums = {}
-                    scalar.add_product(sums, "k", pre, one, False)
-                    scalar.add_product(sums, "k", a, b, negate)
+                    scalar.add_product(sums, "k", pre, one)
+                    scalar.add_product(sums, "k", a, b, sign)
                     summed = scalar.wrap_sums(ch, sums).get(
                         "k", ScalarExpr.zero(ch))
                     assert _typed(summed) == \
-                        _typed(pre + want.scale(sign)), (a, b, negate)
+                        _typed(pre + want.scale(sign)), (a, b, sign)
                     assert_normal(summed)
                     seen["sum-cancels"] += \
                         not set(pre.terms) <= set(summed.terms)
@@ -244,12 +245,11 @@ def test_fast_paths_match_always_normalising_oracle():
                 if u.terms not in ({(): 1}, {(): -1}):
                     continue
                 seen["unit-constant"] += 1
-                for negate in (False, True):
+                for sign in (1, -1):
                     sums = {}
-                    scalar.add_product(sums, "k", a, b, negate)
+                    scalar.add_product(sums, "k", a, b, sign)
                     got_u = scalar.wrap_sums(ch, sums).get(
                         "k", ScalarExpr.zero(ch))
-                    sign = -1 if negate else 1
                     assert _typed(got_u) == \
                         _typed(mul_by_reduce(a, b).scale(sign))
                     assert list(got_u.terms) == list(other.terms), (a, b)
@@ -287,30 +287,30 @@ def test_add_product_deletes_a_cancelled_key_and_re_enters_it_last():
     for name, (a, b) in shapes.items():
         want = mul_by_reduce(a, b)
         sums = {}
-        for key, negate in (("k", False), ("other", False), ("k", True)):
-            scalar.add_product(sums, key, a, b, negate)
+        for key, factor in (("k", 1), ("other", 1), ("k", -1)):
+            scalar.add_product(sums, key, a, b, factor)
         assert list(scalar.wrap_sums(ch, sums)) == ["other"], name
-        scalar.add_product(sums, "k", a, b, False)
+        scalar.add_product(sums, "k", a, b)
         wrapped = scalar.wrap_sums(ch, sums)
         assert list(wrapped) == ["other", "k"], name
         assert _typed(wrapped["k"]) == _typed(want), name
-        scalar.add_product(sums, "zero", a, ScalarExpr.zero(ch), False)
+        scalar.add_product(sums, "zero", a, ScalarExpr.zero(ch))
         assert list(scalar.wrap_sums(ch, sums)) == ["other", "k"], name
 
 
 def _summed(ch, steps, key="k"):
-    "The element that add_product sums at key over (a, b, negate) steps."
+    "The element that add_product sums at key over (a, b, factor) steps."
     sums = {}
-    for a, b, negate in steps:
-        scalar.add_product(sums, key, a, b, negate)
+    for a, b, factor in steps:
+        scalar.add_product(sums, key, a, b, factor)
     return scalar.wrap_sums(ch, sums).get(key, ScalarExpr.zero(ch))
 
 
 def _sum_by_reduce(ch, steps):
     "The same sum through the always-normalising product."
     out = ScalarExpr.zero(ch)
-    for a, b, negate in steps:
-        out = out + mul_by_reduce(a, b).scale(-1 if negate else 1)
+    for a, b, factor in steps:
+        out = out + mul_by_reduce(a, b).scale(factor)
     return out
 
 
@@ -325,10 +325,10 @@ def test_integer_sums_grow_their_denominator_exactly():
     for p in (2, 3, 5, 7):
         q = Fraction(1, p)
         steps.append((y1.scale(q) + x, y2 + s1.scale(Fraction(p - 1, p)),
-                      p == 5))
-        steps.append((y1 * y2, ScalarExpr.number(ch, q * p * 2), False))
-    steps.append((x.scale(Fraction(1, 2)), y1 * 2 + 1, False))
-    steps.append((x.scale(Fraction(1, 2)), y1 * 2, True))  # halves cancel
+                      -1 if p == 5 else 1))
+        steps.append((y1 * y2, ScalarExpr.number(ch, q * p * 2), 1))
+    steps.append((x.scale(Fraction(1, 2)), y1 * 2 + 1, 1))
+    steps.append((x.scale(Fraction(1, 2)), y1 * 2, -1))  # halves cancel
     seen = {"int": 0, "fraction": 0}
     for j in range(1, len(steps) + 1):
         got = _summed(ch, steps[:j])
@@ -348,12 +348,12 @@ def test_integer_sum_cancels_after_growing_and_re_enters_last():
     half, third = y1.scale(Fraction(1, 2)), x.scale(Fraction(1, 3))
     fifth = (y1 + x).scale(Fraction(2, 5))
     sums = {}
-    for key, a, b, negate in (("k", half, x, False), ("k", third, y1, False),
-                              ("other", half, half, False),
-                              ("k", half, x, True), ("k", third, y1, True)):
-        scalar.add_product(sums, key, a, b, negate)
+    for key, a, b, factor in (("k", half, x, 1), ("k", third, y1, 1),
+                              ("other", half, half, 1),
+                              ("k", half, x, -1), ("k", third, y1, -1)):
+        scalar.add_product(sums, key, a, b, factor)
     assert list(scalar.wrap_sums(ch, sums)) == ["other"]
-    scalar.add_product(sums, "k", fifth, y1 * 5, False)
+    scalar.add_product(sums, "k", fifth, y1 * 5)
     wrapped = scalar.wrap_sums(ch, sums)
     assert list(wrapped) == ["other", "k"]
     assert _typed(wrapped["k"]) == _typed(mul_by_reduce(fifth, y1 * 5))
@@ -362,7 +362,7 @@ def test_integer_sum_cancels_after_growing_and_re_enters_last():
 
 
 def test_unit_factors_with_fraction_partners():
-    # a factor 1 or -1 on either side, negated or not, of a partner with
+    # a constant 1 or -1 on either side, at factor 1 or -1, of a partner with
     # Fraction coefficients: the partner's values, signed, its exact
     # types and its key order; summed onto halves, an int where integral
     ch = t5_chart(abstract=True)
@@ -372,17 +372,17 @@ def test_unit_factors_with_fraction_partners():
     partner = y1.scale(Fraction(1, 2)) + (c1 * y2).scale(Fraction(-2, 3)) + 4
     for u in (one, -one):
         for a, b in ((u, partner), (partner, u)):
-            for negate in (False, True):
-                got = _summed(ch, [(a, b, negate)])
+            for factor in (1, -1):
+                got = _summed(ch, [(a, b, factor)])
                 assert _typed(got) == _typed(
-                    _sum_by_reduce(ch, [(a, b, negate)]))
+                    _sum_by_reduce(ch, [(a, b, factor)]))
                 assert list(got.terms) == list(partner.terms)
-                steps = [(y1.scale(Fraction(1, 2)), one, False),
-                         (a, b, negate)]
+                steps = [(y1.scale(Fraction(1, 2)), one, 1),
+                         (a, b, factor)]
                 got = _summed(ch, steps)
                 assert _typed(got) == _typed(_sum_by_reduce(ch, steps))
-    got = _summed(ch, [(y1.scale(Fraction(1, 2)), one, False),
-                       (one, partner, False)])
+    got = _summed(ch, [(y1.scale(Fraction(1, 2)), one, 1),
+                       (one, partner, 1)])
     assert got.terms[((("x", "y1"), 1),)] == 1
     assert type(got.terms[((("x", "y1"), 1),)]) is int
 
@@ -403,15 +403,15 @@ def test_cos_meets_on_one_and_two_coordinates():
              "two-sums": (c1 * c2 + c1.scale(third) - s2,
                           (c1 * c2 * y1).scale(Fraction(3, 2)) + c2 * s1)}
     for name, (a, b) in pairs.items():
-        for negate in (False, True):
-            steps = [(a, b, negate)]
+        for factor in (1, -1):
+            steps = [(a, b, factor)]
             got = _summed(ch, steps)
             assert _typed(got) == _typed(_sum_by_reduce(ch, steps)), name
             assert_normal(got)
             assert _typed(a * b) == _typed(mul_by_reduce(a, b)), name
         # the rewrite's sin^2 terms meet the terms of another product
-        steps = [(a, b, False), (s1 * s1, s2 * s2 * y1, True),
-                 (b, a.scale(third), False)]
+        steps = [(a, b, 1), (s1 * s1, s2 * s2 * y1, -1),
+                 (b, a.scale(third), 1)]
         got = _summed(ch, steps)
         assert _typed(got) == _typed(_sum_by_reduce(ch, steps)), name
         assert_normal(got)
@@ -443,7 +443,7 @@ def test_add_product_makes_no_fraction_ops(monkeypatch):
     sums = {}
     for i, a in enumerate(pool):
         for j, b in enumerate(pool):
-            scalar.add_product(sums, (i + j) % 7, a, b, (i * j) % 2 == 1)
+            scalar.add_product(sums, (i + j) % 7, a, b, (-1) ** (i * j))
     assert ops == [] and made == []
     wrapped = scalar.wrap_sums(ch, sums)
     monkeypatch.undo()
@@ -519,15 +519,67 @@ def test_fast_paths_skip_normalisation(monkeypatch):
     for make in cheap:
         make()
     assert calls == []
-    # a product never calls _reduce_terms, not even one that makes cos^2;
-    # a derivative that makes cos^2 still does
+    # no product, derivative or substitution calls _reduce_terms, not
+    # even one that makes cos^2; only the public constructor does
     c1, c2 = ScalarExpr.cos(ch, "phi1"), ScalarExpr.cos(ch, "phi2")
-    for make in (lambda: c1 * c1, lambda: (c1 * c2 + x) * (c1 * c2 - s1),
-                 lambda: (c1 + y1.scale(Fraction(1, 3))) ** 3):
-        make()
+    y2 = S(ch, "y2")
+    made = [c1 * c1, (c1 * c2 + x) * (c1 * c2 - s1),
+            (c1 + y1.scale(Fraction(1, 3))) ** 3,
+            (s1 * c1).partial("phi1"), (s1 ** 3 * c1 * c2).partial("phi1"),
+            (c1 * y1 ** 2 + y2).substitute({"y1": c1 - s1, "y2": c1 * c2})]
     assert calls == []
-    (s1 * c1).partial("phi1")
-    assert len(calls) >= 1
+    for m in made:
+        assert_normal(m)
+    ScalarExpr(ch, {((("cos", "phi1"), 2),): 1})
+    assert len(calls) == 1
+
+
+def test_constructor_rewrites_a_cos_power_in_one_step():
+    # the public constructor rewrites cos^e in one step, to
+    # cos^(e mod 2) (1 - sin^2)^(e // 2): a key holding cos^64 cos^63
+    # normalises at once, and small powers beside a sin of the same
+    # coordinate match the powers the ring product builds
+    ch = t5_chart(abstract=True)
+    c1, c2 = ScalarExpr.cos(ch, "phi1"), ScalarExpr.cos(ch, "phi2")
+    s1, y1 = ScalarExpr.sin(ch, "phi1"), S(ch, "y1")
+    start = time.perf_counter()
+    big = ScalarExpr(ch, {((("cos", "phi1"), 64), (("cos", "phi2"), 63)): 1})
+    assert time.perf_counter() - start < 1
+    assert len(big.terms) == 33 * 32
+    assert_normal(big)
+    assert big == c1 ** 64 * c2 ** 63
+    for e in range(7):
+        for f in range(5):
+            for s in range(3):
+                key = tuple((atom, x) for atom, x in (
+                    (("cos", "phi1"), e), (("cos", "phi2"), f),
+                    (("sin", "phi1"), s), (("x", "y1"), 1)) if x)
+                got = ScalarExpr(ch, {key: Fraction(3, 2)})
+                want = c1 ** e * c2 ** f * s1 ** s * y1.scale(Fraction(3, 2))
+                assert _typed(got) == _typed(want), key
+                assert_normal(got)
+
+
+def test_add_product_sums_int_factors():
+    # factors 1, -1, 2, -2 and 3 summed at one key, after every step:
+    # the sum of (a * b).scale(factor), with exact types
+    ch = t5_chart(abstract=True)
+    pool = fast_path_pool(rng_for("scalar-int-factors"), ch)
+    factors = (1, -1, 2, -2, 3)
+    seen = {"cancels": 0, "fraction": 0}
+    for i, a in enumerate(pool):
+        for b in (pool[(7 * i + 3) % len(pool)], a):
+            steps = [(a, b, f) for f in factors]
+            steps[2:2] = [(b, pool[i - 1], 3)]
+            want = ScalarExpr.zero(ch)
+            for j, (x, y, f) in enumerate(steps, 1):
+                want = want + (x * y).scale(f)
+                got = _summed(ch, steps[:j])
+                assert _typed(got) == _typed(want), (a, b, j)
+                seen["cancels"] += j == 2 and not (a * b).is_zero()
+                seen["fraction"] += any(type(c) is Fraction
+                                        for c in got.terms.values())
+    assert min(seen.values()) >= 5, seen
 
 
 def test_substitute_raises_each_power_once(monkeypatch):
@@ -564,6 +616,7 @@ def test_substitute_raises_each_power_once(monkeypatch):
     ({"x1": 1}, "declared atoms"),
     ({((("x", ("x1",)), 1),): 1}, "declared atoms"),
     ({((("x", "x1"), 1), ((1,), 1)): 1}, "declared atoms"),
+    ({((("cos", "t"), 2),): "1"}, "coefficients are exact"),
 ])
 def test_constructor_rejects_malformed_keys(terms, match):
     ch = Chart(["x1", "x2", "t"], angular=["t"], funcs={"f": ("x1", "x2")})
@@ -783,6 +836,7 @@ def test_binary_floats_are_rejected(q):
     calls = [lambda: ScalarExpr.number(ch, q),
              lambda: one.scale(q),
              lambda: ScalarExpr(ch, {(): q}),
+             lambda: ScalarExpr(ch, {((("cos", "phi1"), 3),): q}),
              lambda: jacobi_from_words(ch, 2, [((d_letter("phi1"),), q)]),
              lambda: ConnectionSpec(ch, 2, {(0, 1): q}),
              lambda: ConnectionSpec(ch, 2, {}, {("phi1", 0, 1): q}),

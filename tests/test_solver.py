@@ -227,6 +227,31 @@ def test_gauge_rejects_bad_endpoints():
         gauge_intertwine(om0, bad, prob)
 
 
+def test_gauge_rejects_endpoints_apart_in_the_projected_part():
+    # the charges over (0, 0) and (sin phi3, 0) are both Maurer-Cartan,
+    # but they differ in the projected part, which no gauge map of the
+    # charge problem over (0, 0) moves
+    Jhat, _ = lift_jacobi(J, MODEL.conn)
+    prob = brst_problem(Jhat, (0, 0))
+    om0, _ = brst_charge(Jhat, (0, 0))
+    om1, _ = brst_charge(Jhat, (ScalarExpr.sin(CH, "phi3"), 0))
+    with pytest.raises(ValueError, match="gauge endpoints differ in the "
+                       "projected part"):
+        gauge_intertwine(om0, om1, prob)
+
+
+def test_exp_ad_is_the_taylor_shift():
+    # with [R, t] = dt/dx on a polynomial chart, exp(ad_R) is the shift
+    # x -> x + 1: x^3 goes to (x + 1)^3, and products go to products
+    ch = Chart(["x", "y"])
+    x, y = ScalarExpr.coord(ch, "x"), ScalarExpr.coord(ch, "y")
+    shift = lambda t: exp_ad(None, t, lambda R, u: u.partial("x"))
+    assert shift(x ** 3) == (x + 1) ** 3
+    f, g = x * x * y + Fraction(1, 2), x ** 3 - x * 2 + y
+    assert shift(f * g) == shift(f) * shift(g)
+    assert shift(y) == y
+
+
 def test_gauge_brackets_equal_endpoints_once():
     # equal endpoints are one Maurer-Cartan check, not two; an equal
     # pair that is not Maurer-Cartan is still refused
@@ -822,5 +847,6 @@ def test_filtration_guard_rejects_low_correction():
     low = imm_i_nabla(J, MODEL.conn)
     assert md_antighost_level(low) == 0
     prob.H = lambda X: H(X) + low
-    with pytest.raises(ValueError, match="filtration level 0, below 1"):
+    with pytest.raises(ValueError, match="correction 1 sits at filtration "
+                       "level 0, below 1"):
         obstruction_solve(prob)

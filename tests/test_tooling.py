@@ -485,8 +485,8 @@ def test_only_scalar_knows_the_term_format():
     # wraps raw term dicts (ScalarExpr._new) or names the ring's private
     # helpers (every module-level _name of scalar.py), whether imported
     # or reached as attributes
-    assert {"_exact", "_exact_terms", "_reduce_terms", "_mul_keys",
-            "_over_lcm", "_cos_squared"} <= RING_PRIVATE
+    assert {"_exact", "_exact_terms", "_reduce_terms", "_over_lcm",
+            "_key_mul"} <= RING_PRIVATE
     pkg = os.path.join(ROOT, "src", "jacobi_bfv")
     found = []
     for fname in sorted(os.listdir(pkg)):
@@ -510,6 +510,55 @@ def test_only_scalar_knows_the_term_format():
                       for name in names
                       if name in RING_PRIVATE or name == "ScalarExpr._new"]
     assert found == []
+
+
+FACTOR_ARG = {"add_product": 4, "mul_terms": 3}
+
+
+def _flag_factors(tree):
+    """(line, call) of each add_product or mul_terms call whose factor is
+    a bool constant, a comparison or a boolean operation, and the number
+    of such calls seen."""
+    found, calls = [], 0
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name not in FACTOR_ARG:
+            continue
+        calls += 1
+        pos = FACTOR_ARG[name]
+        for arg in node.args[pos:pos + 1] + [
+                kw.value for kw in node.keywords if kw.arg == "factor"]:
+            if isinstance(arg, (ast.Compare, ast.BoolOp)) or \
+                    isinstance(arg, ast.UnaryOp) and \
+                    isinstance(arg.op, ast.Not) or \
+                    isinstance(arg, ast.Constant) and \
+                    isinstance(arg.value, bool):
+                found.append((node.lineno, ast.unparse(node)))
+    return found, calls
+
+
+def test_product_factors_are_ints():
+    # add_product and mul_terms take a nonzero int factor: a flag passed
+    # there (sign < 0, q == -1, True) would silently become the factor 1
+    # or 0, and a factor 0 raises KeyError partway through a sum
+    bad = ("add_product(s, k, a, b, sign < 0)\n"
+           "mul_terms(o, a, b, q == -1)\n"
+           "scalar.add_product(s, k, a, b, factor=True)\n"
+           "mul_terms(o, a, b, not q)\n"
+           "add_product(s, k, a, b, -sign)\n")
+    assert [line for line, _ in _flag_factors(ast.parse(bad))[0]] == \
+        [1, 2, 3, 4]
+    pkg = os.path.join(ROOT, "src", "jacobi_bfv")
+    found, calls = [], 0
+    for fname in sorted(os.listdir(pkg)):
+        if fname.endswith(".py"):
+            with open(os.path.join(pkg, fname)) as fh:
+                got, n = _flag_factors(ast.parse(fh.read()))
+            found += ["%s:%d %s" % (fname, line, call) for line, call in got]
+            calls += n
+    assert calls >= 6 and found == []
 
 
 def test_src_has_no_test_only_code():
