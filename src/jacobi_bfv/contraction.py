@@ -29,9 +29,9 @@ divide each term of fiber degree k by k + |T| + 1, as the integral of
 t^(k + |T|) over [0, 1] does (ScalarExpr.over_degree), and shift back.
 check_section is the one check of a rank and a section, for this
 class, omega_section and Model; check_connection is the one check
-that a connection's chart and rank are those of the operator it
-lifts, for lifting_problem and Model; check_reduced is the one check
-of a reduced section, for imm and solver.v_immersion.
+that J is an operator and that a connection's chart and rank are
+those of J, for lifting_problem and Model; check_reduced is the one
+check of a reduced section, for imm and solver.v_immersion.
 
 hpl_deform transfers a contraction through a perturbation of the
 differential by the usual geometric series, evaluated lazily; demo 04
@@ -85,18 +85,23 @@ class ConnectionSpec:
                 self.coef[(i, A, B)] = c
 
 
-def check_connection(J, conn):
-    """Raise ValueError unless conn is a ConnectionSpec on J's chart and
-    at J's rank: the one check of a connection against the operator it
-    lifts, for lifting_problem and Model."""
-    if not isinstance(conn, ConnectionSpec):
-        raise ValueError("a connection is a ConnectionSpec, got %r" % (conn,))
-    if conn.rank != J.rank:
-        raise ValueError("a connection has the rank of J, %d, got rank %r"
-                         % (J.rank, conn.rank))
-    if conn.chart is not J.chart and conn.chart != J.chart:
-        raise ValueError("a connection lives on the chart of J, %r, got %r"
-                         % (J.chart, conn.chart))
+def check_connection(J, *conns):
+    """Raise ValueError unless J is a MultiDerivation and each conn is a
+    ConnectionSpec on J's chart and at J's rank: the one check of an
+    operator and the connections it is lifted along, for
+    lifting_problem and Model."""
+    if not isinstance(J, MultiDerivation):
+        raise ValueError("J is a MultiDerivation, got %r" % (J,))
+    for conn in conns:
+        if not isinstance(conn, ConnectionSpec):
+            raise ValueError("a connection is a ConnectionSpec, got %r"
+                             % (conn,))
+        if conn.rank != J.rank:
+            raise ValueError("a connection has the rank of J, %d, got rank "
+                             "%r" % (J.rank, conn.rank))
+        if conn.chart is not J.chart and conn.chart != J.chart:
+            raise ValueError("a connection lives on the chart of J, %r, got "
+                             "%r" % (J.chart, conn.chart))
 
 
 def _substitute_letters(D, image):

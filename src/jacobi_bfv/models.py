@@ -5,11 +5,11 @@ bracket on it, the connection every command lifts J along, a second
 connection for intertwine, a section of the fiber projection and the
 solver options.  Model states every default once: the flat trivial
 connection, no second connection, the zero section, kmax 3 and
-max_iter 64.  It checks rank, section, connections and counts with the
-engine's own checks, so library callers and scenario files get the same
-messages.  The scenario loader passes only what a file sets.  The only
-builtin is the contact structure on the five-torus with two constrained
-angles.
+max_iter 64.  It checks J, rank, section, connections and counts with
+the engine's own checks, so library callers and scenario files get the
+same messages.  The scenario loader passes only what a file sets.  The
+only builtin is the contact structure on the five-torus with two
+constrained angles.
 """
 
 from .scalar import Chart, ScalarExpr
@@ -22,7 +22,7 @@ class Model:
     """One scenario: J with its chart and rank, conn, conn2 (None when
     absent), section, kmax (the largest m_k linf reports) and max_iter
     (the cap on corrections per solve and exponentials per intertwiner).
-    A rank, section, connection or count that breaks its rule raises
+    A J, rank, section, connection or count that breaks its rule raises
     ValueError."""
 
     __slots__ = ("name", "chart", "rank", "J", "conn", "conn2", "section",
@@ -30,6 +30,7 @@ class Model:
 
     def __init__(self, name, J, conn=None, conn2=None, section=None,
                  kmax=3, max_iter=64):
+        check_connection(J, *(c for c in (conn, conn2) if c is not None))
         self.name = name
         self.chart, self.rank = J.chart, J.rank
         self.J = J
@@ -38,9 +39,6 @@ class Model:
         self.section = check_section(J.chart, J.rank, section)
         self.conn = ConnectionSpec(J.chart, J.rank) if conn is None else conn
         self.conn2 = conn2
-        for c in (self.conn, conn2):
-            if c is not None:
-                check_connection(J, c)
         _check_count(kmax, "kmax")
         _check_count(max_iter, "max_iter")
         self.kmax = kmax

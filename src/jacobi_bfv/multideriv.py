@@ -32,12 +32,11 @@ so each _term_mul it calls survives.  It takes a coordinate derivative
 only of a coefficient that can depend on that coordinate
 (ScalarExpr.variables), so none that must vanish.  A bracket has one
 accumulator: each product of every half bracket sums at its output key
-through scalar.add_product, its signs, multiplicities and t-weight
-passed as one int factor, and the sums are wrapped once at the end
-(scalar.wrap_sums); a key whose sum cancels is dropped, as add_term
-drops it, so the terms come out in the order a sum of ring elements
-gives.  The graded product md_mul and the bracket share one
-term product, _term_mul; md_mul keeps the ring product * (see there).
+through scalar.add_product as soon as it is found, its signs,
+multiplicities and t-weight passed as one int factor, and the sums are
+wrapped once at the end (scalar.wrap_sums).  The graded product md_mul
+and the bracket share one term product, _term_mul; md_mul keeps the
+ring product * (see there).
 jacobi_from_words builds every structure operator J and brackets
 nothing: solver.lift_jacobi decides the Jacobi condition [[J, J]] = 0.
 """
@@ -298,9 +297,7 @@ def evaluate(D, args):
     multiplies the tail's value, peeled once per pair: by
     distributivity, (sum_w C_w X_w) Y = sum_w (C_w X_w) Y.  Every
     product sums its ring terms into one integer sum per monomial
-    (ghost.mul_terms, scalar.add_product), wrapped once.  The monomials
-    of the result may come in another order than a word-by-word sum
-    gives; the result is equal, and every report sorts them."""
+    (ghost.mul_terms, scalar.add_product), wrapped once."""
     chart, rank = D.chart, D.rank
     funs, pars = [], []  # per piece id: the function and its parity
 
@@ -427,16 +424,6 @@ def evaluate(D, args):
 # after the monomial's ghosts, so a term's parity is
 # mono.parity() + word_parity(word).
 
-def _momenta(word):
-    """The letters of a word, each once, in the order the bracket visits
-    them: d letters in chart order, then m, then per ghost index e_A and
-    f^A."""
-    even = sorted({ell for ell in word if not letter_odd(ell)},
-                  key=lambda ell: (ell[1], ell[0]))
-    return [ell for ell in word if ell[0] == "d"] + \
-        ([M] if M in word else []) + even
-
-
 def _dR_mom(mono, word, c, ell):
     """Right derivative of a term by a momentum letter it carries: an odd
     letter leaves with the sign of the odd letters after it, an even one
@@ -477,25 +464,21 @@ def _half_bracket(F, G, chart, sums, factor):
     (dR F / du)(dL G / d(generator of u)), for lists F, G of (key,
     coefficient) pairs, to the add_product sums of a bracket.
 
-    Only the momenta an F-term carries are visited.  Per momentum, the
-    first F-term to need it indexes the G-terms whose left derivative by
-    it is nonzero, in G order.  For a d_i momentum the derivative is
-    taken only of a G-term whose coefficient's variables, computed once
-    per call and G-term, hold x^i: any other derivative is 0.  A term's
-    mask has one bit per odd letter (m, d by chart axis) and per ghost
-    and anti-ghost index; a pair whose masks meet outside the momentum's
-    own bit would repeat one of them, so it is skipped before _term_mul.
-    An F-term's hits are sorted by (G-term, momentum), so terms
-    accumulate in (F-term, G-term, momentum) order, at frame flag
-    frF + frG - 1.
+    Only the momenta an F-term carries are visited, each distinct letter
+    once, in word order.  Per momentum, the first F-term to need it
+    indexes the G-terms whose left derivative by it is nonzero.  For a
+    d_i momentum the derivative is taken only of a G-term whose
+    coefficient's variables, computed once per call and G-term, hold
+    x^i: any other derivative is 0.  A term's mask has one bit per odd
+    letter (m, d by chart axis) and per ghost and anti-ghost index; a
+    pair whose masks meet outside the momentum's own bit would repeat
+    one of them, so it is skipped before _term_mul.  Every other pair
+    adds its product at once, at frame flag frF + frG - 1.
 
     Each product sums at its output key through add_product, with the
     int factor of the call times the sign of _term_mul and the ints of
     the two derivatives (a sign, a multiplicity or a t-weight), so no
-    coefficient is copied to be signed or scaled.  A key whose sum
-    cancels after a product is deleted, so a later product at that key
-    goes to the end: the keys and their order are those of add_term
-    over the products as ring elements."""
+    coefficient is copied to be signed or scaled."""
     pos, base = chart._pos, 1 + len(chart.coords)
 
     def bit(ell):  # m, d by axis, then e_A and f^A interleaved by A
@@ -516,9 +499,8 @@ def _half_bracket(F, G, chart, sums, factor):
 
     index, variables = {}, None
     for (mF, wF, frF), cF in F:
-        moms = _momenta(wF)
-        maskF, hits = mask(mF, wF), []
-        for p, ell in enumerate(moms):
+        maskF = mask(mF, wF)
+        for ell in dict.fromkeys(wF):
             if ell not in index:
                 index[ell] = []
                 if ell[0] == "d" and variables is None:
@@ -528,17 +510,14 @@ def _half_bracket(F, G, chart, sums, factor):
                         continue
                     b = _dL_gen(mG, wG, frG, cG, ell)
                     if b is not None:
-                        index[ell].append((j, frG, b, mask(mG, wG)))
+                        index[ell].append((frG, b, mask(mG, wG)))
             rest, dR = maskF & ~bit(ell), None
-            for j, frG, b, maskG in index[ell]:
+            for frG, (tB, cB, kB), maskG in index[ell]:
                 if not rest & maskG:
-                    dR = dR or _dR_mom(mF, wF, cF, ell)
-                    hits.append((j, p, frG, dR, b))
-        hits.sort()  # each (j, p) occurs once, so the sort stops there
-        for _, _, frG, (tA, cA, kA), (tB, cB, kB) in hits:
-            sign, mono, word = _term_mul(tA, tB, chart)
-            add_product(sums, (mono, word, frF + frG - 1), cA, cB,
-                        sign * kA * kB * factor)
+                    tA, cA, kA = dR = dR or _dR_mom(mF, wF, cF, ell)
+                    sign, mono, word = _term_mul(tA, tB, chart)
+                    add_product(sums, (mono, word, frF + frG - 1), cA, cB,
+                                sign * kA * kB * factor)
 
 
 def _parity_groups(D):
@@ -567,8 +546,7 @@ def sj_bracket(D, E):
 
     Every half bracket sums into one accumulator with an int factor:
     2 for the self-bracket, else 1 for H(F_a, F_b) and -flip for
-    H(F_b, F_a).  The sums are wrapped once (wrap_sums), so the terms
-    come in the order of add_term over every product in sequence."""
+    H(F_b, F_a).  The sums are wrapped once (wrap_sums)."""
     D._check_like(E)
     chart, sums = D.chart, {}
     if D is E:

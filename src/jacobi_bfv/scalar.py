@@ -10,6 +10,11 @@ is an int when it is integral and a Fraction otherwise, never a float:
 number and scale take an integral float as an int and reject any
 other.  No floating point enters the ring.
 
+A result is its set of terms: equality, hashing and every rendering
+read a term dict as a set of (key, coefficient) pairs, never in the
+order its keys were inserted, so any operation may add its terms in
+any order.
+
 Only the public constructor normalises arbitrary input (_reduce_terms),
 rewriting each cos^e in one step.  Every operation on normal forms
 keeps them normal through one key product, _key_mul: a normal key holds
@@ -204,9 +209,9 @@ def add_term(terms, key, c):
     """Add c at key of a sparse key -> coefficient dict, in place.
 
     The one merge step of every linear combination in the engine.  A
-    key whose sum cancels is dropped, so a later term at that key goes
-    to the end; a key that survives keeps its place.  Coefficients are
-    ints, Fractions or ring elements, and falsy exactly when zero."""
+    key whose sum cancels is dropped, so no zero is stored.
+    Coefficients are ints, Fractions or ring elements, and falsy
+    exactly when zero."""
     old = terms.get(key)
     if old is not None:
         c = old + c
@@ -261,8 +266,8 @@ def add_product(sums, key, a, b, factor=1):
     factor (a sign, a multiplicity or a weight; 0 is not a factor): the
     one product rule of the engine.  A key's running sum is a dict of
     integer numerators over one denominator, made on first use;
-    wrap_sums wraps sums once.  A key whose numerators cancel is deleted, so a later
-    product at it goes to the end, exactly as add_term sums.
+    wrap_sums wraps sums once.  A key whose numerators cancel is
+    deleted, so no sum is zero.
 
     Each factor's coefficients are scaled to integers over their lcm
     denominator (an all-int factor as it is), the key's denominator
@@ -473,7 +478,7 @@ class ScalarExpr:
         return ScalarExpr._new(self.chart, terms)
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError("exponents are nonnegative ints, got %r" % (n,))
         out = ScalarExpr.one(self.chart)
         for _ in range(n):

@@ -215,8 +215,8 @@ def gauge_intertwine(Q0, Q1, prob, max_iter=64):
 # -- lifting ---------------------------------------------------------
 
 def lifting_problem(J, conn):
-    """The lift of J along conn as an MCProblem; a conn off J's chart or
-    rank raises ValueError."""
+    """The lift of J along conn as an MCProblem; a J that is not an
+    operator or a conn off J's chart or rank raises ValueError."""
     check_connection(J, conn)
     G = build_G(J.chart, J.rank)
     return MCProblem(

@@ -39,6 +39,9 @@ from another side:
 - conformal_pair is the conformal change J_a of a Jacobi pair by a
   base function a, the pair that Jacobi equivalence by the line-bundle
   automorphism a relates to J;
+- hamiltonian_shear is the shift dh that the Hamiltonian flow of a
+  base function h gives the fiber values of a section, the move that
+  Hamiltonian equivalence by h makes;
 - single builds a one-term operator;
 - tau, arity, the bidegrees and the weight parts sort operators and
   functions by degree.
@@ -519,6 +522,33 @@ def conformal_pair(J, a):
             add(j, c * a.partial(i))
             add(i, -(c * a.partial(j)))
     return jacobi_from_pair(J.chart, J.rank, biv, vec)
+
+
+def hamiltonian_shear(J, h):
+    """dh = (dh_A), dh_A = sum_i Lambda^(y_A i) d_i h at y = 0, for the
+    pair J = (Lambda, Gamma) of a structure operator and a ring element
+    h of J's chart: the Hamiltonian flow of h moves a section y = s to
+    y = s + dh.  h must depend neither on a fiber coordinate nor on a
+    coordinate Gamma moves along, so that Gamma(h) = 0; any other h
+    raises ValueError."""
+    chart = J.chart
+    moved = {word[1][1] for (_, word, _) in J.terms if word[0] == M}
+    bad = h.variables() & (moved | set(chart.fiber))
+    if bad:
+        raise ValueError("h depends on %s" % ", ".join(sorted(bad)))
+    at_zero = {y: 0 for y in chart.fiber}
+    shear = [ScalarExpr.zero(chart) for _ in chart.fiber]
+    for (mono, word, fr), c in J.terms.items():
+        assert mono == ONE_MONO and fr == 1 and len(word) == 2, word
+        if word[0] == M:
+            continue
+        i, j = word[0][1], word[1][1]  # c = Lambda^(ij) = -Lambda^(ji)
+        for y, x, sign in ((i, j, 1), (j, i, -1)):
+            if y in chart.fiber:
+                A = chart.fiber.index(y)
+                shear[A] = shear[A] + (c.substitute(at_zero) *
+                                       h.partial(x)).scale(sign)
+    return tuple(shear)
 
 
 # -- reconstruction from probes --------------------------------------

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -17,6 +18,11 @@ from jacobi_bfv.solver import NotJacobiError, lift_jacobi
 from jacobi_bfv.models import Model, t5_contact
 from oracles import is_flat_trivial
 from conftest import t5_chart
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+import gen  # noqa: E402
+import workloads  # noqa: E402
 
 CH = t5_chart()
 
@@ -332,10 +338,20 @@ CURVED = {"vert": [[0, 1, "(sin phi3)"]]}
     ({"jacobi": {"terms": [[["d:phi3", "d:phi3"], "5"]]}},
      "pairs 'phi3' with itself"),
     ({"jacobi": {"terms": [[["m", "m"], "3"]]}}, "pairs 'm' with itself"),
+    ({"section": ["(neg phi1 phi2)", "0"]}, "neg expects one argument"),
+    ({"section": ["(^ phi1)", "0"]}, "expects a base and an integer"),
+    ({"connection": {"coef": [[["phi4"], 0, 1, "1"]]}},
+     "connection coef coordinates are names, got"),
 ])
 def test_scenario_rejects_malformed_values(tmp_path, patch, match):
     with pytest.raises(ScenarioError, match=match):
         parse_scenario(scenario_file(tmp_path, **patch))
+
+
+def test_run_rejects_an_unknown_command(tmp_path):
+    spec = parse_scenario(scenario_file(tmp_path))
+    with pytest.raises(ScenarioError, match="unknown command 'lifts'"):
+        cli.run("lifts", spec)
 
 
 # one bad value per input rule, as a scenario file holds it and as the
@@ -639,6 +655,39 @@ def test_main_brst_trace(tmp_path, capsys):
     assert "corrections: 1" in out
     assert "mc: True" in out
     assert "step 1" in out and "correction" in out
+
+
+def _json_report(capsys, argv):
+    assert cli.main(argv + ["--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_main_lift_and_bfv_trace(tmp_path, capsys):
+    # a charge-sweep structure whose lift and zero-section charge each
+    # take one correction: lift --trace lists the lift's rows, bfv
+    # --trace the lift's and then the charge's, each numbered from 1,
+    # and every other key is the report without --trace
+    params = (3, 2, 3, 4)
+    st = gen.ChargeStructure(workloads.shape_rng("charge", params, 5),
+                             random.Random(0), *params)
+    path = str(tmp_path / "charge.json")
+    with open(path, "w") as fh:
+        json.dump(st.doc, fh)
+    spec = parse_scenario(path)
+    Jhat, lift_tr = lift_jacobi(spec.J, spec.conn)
+    charge_tr = solver.BfvData(spec.J, Jhat).charge_trace
+    assert len(lift_tr) == len(charge_tr) == 1
+    rows = lambda tr: [{"step": rec["step"], "level": rec["level"],
+                        "residual": str(rec["residual"]),
+                        "correction": str(rec["correction"])} for rec in tr]
+    for command, traces in (("lift", [lift_tr]),
+                            ("bfv", [lift_tr, charge_tr])):
+        argv = ["--scenario", path, "--command", command]
+        traced = _json_report(capsys, argv + ["--trace"])
+        got = traced.pop("trace")
+        assert got == [row for tr in traces for row in rows(tr)]
+        assert [row["step"] for row in got] == [1] * len(traces)
+        assert traced == _json_report(capsys, argv)
 
 
 def test_main_obstruction_exit(tmp_path, capsys):

@@ -5,7 +5,8 @@ The reference digests and the scenario list belong to the benchmark
 read-only: the shipped scenarios plus every value variant of each
 generated scenario, each run through all commands in-process.
 Parsing those scenarios forms no bracket: the lift that every command
-starts with decides the Jacobi condition.
+starts with decides the Jacobi condition.  A result is its set of terms,
+so no report may depend on the order a term dict was filled in.
 """
 
 import json
@@ -19,6 +20,8 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
 from jacobi_bfv import cli, multideriv  # noqa: E402
+from jacobi_bfv.ghost import Combination  # noqa: E402
+from jacobi_bfv.scalar import ScalarExpr  # noqa: E402
 
 
 def _scenarios():
@@ -68,4 +71,31 @@ def test_reports_match_recorded_digests(tmp_path, name, path, doc, codes):
         want = (codes.get(command, 0), DIGESTS["%s/%s" % (name, command)])
         if got != want:
             wrong.append((command, got, want))
+    assert not wrong
+
+
+def test_reports_do_not_read_term_order(monkeypatch):
+    # every ring element and every combination the engine wraps keeps its
+    # terms in reverse insertion order, and every report of the shipped
+    # scenarios still matches its digest
+    def reversing(new):
+        def wrapped(cls, *args):
+            *head, terms = args
+            return new(cls, *head, dict(reversed(terms.items())))
+        return classmethod(wrapped)
+
+    monkeypatch.setattr(ScalarExpr, "_new",
+                        reversing(ScalarExpr._new.__func__))
+    monkeypatch.setattr(Combination, "_new",
+                        reversing(Combination._new.__func__))
+    shipped = [s for s in SCENARIOS if s[2] is None]
+    assert len(shipped) == 3
+    wrong = []
+    for name, path, _, codes in shipped:
+        for command in cli.COMMANDS:
+            got = workloads.report_digest(
+                workloads.run_cli(cli, path, command))
+            want = (codes.get(command, 0), DIGESTS["%s/%s" % (name, command)])
+            if got != want:
+                wrong.append((name, command))
     assert not wrong

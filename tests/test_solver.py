@@ -12,7 +12,7 @@ from jacobi_bfv.multideriv import (
     d_letter, MultiDerivation, evaluate, sj_bracket, build_G, is_jacobi,
     jacobi_from_pair, jacobi_bracket)
 from jacobi_bfv.contraction import (ConnectionSpec, imm_i_nabla, proj_p,
-                                    BrstContraction)
+                                    BrstContraction, ResidualError)
 from jacobi_bfv.solver import (
     MCProblem, ObstructionError, NotJacobiError, obstruction_solve, exp_ad,
     GaugeAutomorphism, gauge_intertwine, lifting_problem, lift_jacobi,
@@ -27,7 +27,7 @@ from conftest import (t5_chart, rng_for, random_scalar, random_ghost_fun,
                       random_base_scalar, random_reduced_section)
 from oracles import (derived_brackets_unshared, reduced_dif_by_series,
                      coisotropy_residual_full, mc_series, koszul_dif,
-                     conformal_pair)
+                     conformal_pair, hamiltonian_shear)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -758,6 +758,62 @@ def test_jacobi_equivalence_is_the_conformal_change(name, conn):
     assert seen >= 5
 
 
+# base functions h of phi1, phi2 and phi3, so Gamma(h) = 0, and
+# coisotropic sections of the same coordinates: the flow of h moves
+# only y1, y2, phi4 and phi5
+_phi = lambda c: ScalarExpr.coord(CH, c)
+_sin = lambda c: ScalarExpr.sin(CH, c)
+HAMILTONIANS = {
+    "sin1": _sin("phi1"),
+    "sin1cos2": _sin("phi1") * ScalarExpr.cos(CH, "phi2"),
+    "phi1phi2": _phi("phi1") * _phi("phi2"),
+    "sin1+phi2^2": _sin("phi1") + _phi("phi2") ** 2,
+    "phi3sin1": _phi("phi3") * _sin("phi1"),
+}
+SHEARED_SECTIONS = {
+    "zero": (0, 0),
+    "sin3": (_sin("phi3"), 0),
+    "sin3-cos3": (_sin("phi3"), ScalarExpr.cos(CH, "phi3")),
+    "phi1-phi2": (_phi("phi1"), _phi("phi2")),
+}
+
+
+def _charge_or_obstructed(Jhat, s):
+    try:
+        return brst_charge(Jhat, s)[0]
+    except ObstructionError:
+        return "obstructed"
+
+
+@pytest.mark.parametrize("section", sorted(SHEARED_SECTIONS))
+@pytest.mark.parametrize("h", sorted(HAMILTONIANS))
+@pytest.mark.parametrize("conn", ["conn", "conn2"])
+def test_hamiltonian_equivalence_is_charge_transport(conn, h, section):
+    # the flow of h moves the section s to s + dh, and the charge over
+    # s + dh is exp(ad h mu) of the charge over s under the bracket of
+    # sections that Jhat induces; over s - dh it is not
+    Jhat = lift_jacobi(J, getattr(MODEL, conn))[0]
+    h, s = HAMILTONIANS[h], SHEARED_SECTIONS[section]
+    dh = hamiltonian_shear(J, h)
+    assert dh == (h.partial("phi1"), h.partial("phi2"))
+    h_mu = Section(GradedFunction.scalar(CH, RANK, h))
+    moved = exp_ad(h_mu, brst_charge(Jhat, s)[0],
+                   lambda a, b: jacobi_bracket(a, b, Jhat))
+    assert brst_charge(Jhat, tuple(a + b for a, b in zip(s, dh)))[0] == moved
+    assert _charge_or_obstructed(
+        Jhat, tuple(a - b for a, b in zip(s, dh))) != moved
+
+
+def test_hamiltonian_shear_rejects_a_moving_h():
+    # Gamma = sin(phi3) d_phi4 + cos(phi3) d_phi5 moves along phi4 and
+    # phi5, and no h may depend on a fiber coordinate
+    for h, name in ((_sin("phi4"), "phi4"),
+                    (_phi("phi1") * _phi("phi5"), "phi5"),
+                    (_phi("y2"), "y2")):
+        with pytest.raises(ValueError, match="h depends on %s$" % name):
+            hamiltonian_shear(J, h)
+
+
 def test_generic_solve_guard():
     # a candidate whose residual already fails the projection check
     Jhat, _ = lift_jacobi(J, MODEL.conn)
@@ -850,3 +906,42 @@ def test_filtration_guard_rejects_low_correction():
     with pytest.raises(ValueError, match="correction 1 sits at filtration "
                        "level 0, below 1"):
         obstruction_solve(prob)
+
+
+# -- guards that no shipped problem reaches ---------------------------
+
+def _hand_built(prob, **fields):
+    "prob with some of its fields replaced."
+    keys = ("bracket", "Qbar", "level", "N", "H", "P")
+    return MCProblem(*(fields.get(k, getattr(prob, k)) for k in keys))
+
+
+def test_solve_guards_fire_on_hand_built_problems():
+    # the curved lift's first residual sits at level 0: a base index of
+    # 1 puts it below the filtration, and a homotopy that returns zero
+    # leaves it uncorrected
+    curved = _curved({(0, 1): ScalarExpr.sin(CH, "phi3")})
+    prob = lifting_problem(J, curved)
+    zero = lambda X: MultiDerivation.zero(CH, RANK)
+    with pytest.raises(ResidualError, match=r"bracket residual escapes the "
+                       r"filtration \(level 0 < base 1\)"):
+        obstruction_solve(_hand_built(prob, N=1))
+    with pytest.raises(ResidualError, match="nonzero residual with zero "
+                       "correction; contraction data is inconsistent"):
+        obstruction_solve(_hand_built(prob, H=zero))
+    # two lifts that differ above the cut, with nothing to move one to
+    # the other
+    Q0, Q1 = lift_jacobi(J, MODEL.conn)[0], lift_jacobi(J, curved)[0]
+    with pytest.raises(ResidualError, match="intertwining stalled: homotopy "
+                       "of the difference vanishes"):
+        gauge_intertwine(Q0, Q1, _hand_built(lifting_problem(J, MODEL.conn),
+                                             H=zero))
+
+
+def test_exp_ad_rejects_a_series_that_does_not_die():
+    # with [R, x] = x every term is x/k!, never zero
+    one = ScalarExpr.one(CH)
+    with pytest.raises(ResidualError, match="exponential series did not "
+                       "terminate"):
+        exp_ad(None, one, lambda R, u: u)
+

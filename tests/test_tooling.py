@@ -78,7 +78,8 @@ def test_filtration_guard_survives_optimize():
 # off J's chart or rank, or not a ConnectionSpec, given to Model (conn
 # or conn2), lift_jacobi or lifting_problem, and a coefficient of
 # another chart given to a section, a connection, a ghost-algebra
-# element, an operator or a structure builder
+# element, an operator or a structure builder, a J that is not an
+# operator given to Model or lift_jacobi, and a bool exponent
 BAD_LIBRARY_CALLS = """
 from jacobi_bfv.scalar import Chart, ScalarExpr
 from jacobi_bfv.ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
@@ -204,6 +205,9 @@ calls = [
     lambda: MultiDerivation(ch, 2, {(ONE_MONO, (), 1): a_other}),
     lambda: jacobi_from_words(ch, 2, [((M, d_letter("phi1")), a_other)]),
     lambda: jacobi_from_pair(ch, 2, {("phi1", "phi2"): one_red}, {}),
+    lambda: Model("x", "not an operator"),
+    lambda: lift_jacobi("not an operator", model.conn),
+    lambda: y1 ** True,
 ]
 for call in calls:
     try:
@@ -218,7 +222,7 @@ def test_library_guards_survive_optimize(optimize):
     out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 90
+    assert len(lines) == 93
     assert all(ln.startswith("rejected:") for ln in lines), lines
 
 
