@@ -44,7 +44,8 @@ from fractions import Fraction
 from .scalar import ScalarExpr, add_term, as_ring
 from .ghost import (GhostMonomial, GradedFunction, Section, ONE_MONO,
                     mono_mul, check_mono)
-from .multideriv import e_letter, f_letter, MultiDerivation, md_mul
+from .multideriv import (e_letter, f_letter, MultiDerivation, md_mul,
+                         check_operator)
 
 
 class ResidualError(ValueError):
@@ -86,12 +87,10 @@ class ConnectionSpec:
 
 
 def check_connection(J, *conns):
-    """Raise ValueError unless J is a MultiDerivation and each conn is a
-    ConnectionSpec on J's chart and at J's rank: the one check of an
-    operator and the connections it is lifted along, for
-    lifting_problem and Model."""
-    if not isinstance(J, MultiDerivation):
-        raise ValueError("J is a MultiDerivation, got %r" % (J,))
+    """Raise ValueError unless J is an operator (check_operator) and each
+    conn is a ConnectionSpec on J's chart and at J's rank: the one check
+    of the connections J is lifted along, for lifting_problem and Model."""
+    check_operator(J)
     for conn in conns:
         if not isinstance(conn, ConnectionSpec):
             raise ValueError("a connection is a ConnectionSpec, got %r"

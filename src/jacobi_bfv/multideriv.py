@@ -186,6 +186,12 @@ class MultiDerivation(Combination):
         return "<MultiDerivation %s>" % self
 
 
+def check_operator(J):
+    "Raise ValueError unless J is a MultiDerivation: the operator rule."
+    if not isinstance(J, MultiDerivation):
+        raise ValueError("J is a MultiDerivation, got %r" % (J,))
+
+
 def _term_mul(t1, t2, chart):
     """Product of two (mono, word) terms as (sign, mono, word), sign 0
     when it vanishes.  The factor order is m1 w1 m2 w2: the odd letters
@@ -265,9 +271,10 @@ def _letter_apply(ell, fun):
 def evaluate(D, args):
     """Apply the operator to section arguments; returns a Section for a
     frame-valued operator, a GradedFunction otherwise (a Section when D
-    has no terms at all).  Raises ValueError for an argument that is not
-    a Section and for a word whose length is not the number of
-    arguments.
+    has no terms at all).  Before any choice of pieces it raises
+    ValueError for a D that is not an operator (check_operator) or mixes
+    frame flags, an argument that is not a Section and a word whose
+    length is not the number of arguments, and a zero D returns.
 
     Each argument splits into its pieces of shifted parity 0 and 1, and
     pieces equal up to sign share one id: the two arguments of a
@@ -286,9 +293,7 @@ def evaluate(D, args):
     is visited and its product counted that many times.  Coefficients
     come first: the word's ghost coefficients multiply the head letter's
     action, and that head product (the value of a one-letter word)
-    multiplies the peeled tail.  Multiplicity, count and sign reach each
-    product as one int factor (ghost.mul_terms), so no coefficient or
-    action is copied to be scaled.
+    multiplies the peeled tail.
 
     D's words are indexed by head letter once per call, each with its
     tail's parity, so a head letter that acts as 0 on a piece skips all
@@ -296,8 +301,10 @@ def evaluate(D, args):
     share a (tail, other pieces) pair are summed first, and the sum
     multiplies the tail's value, peeled once per pair: by
     distributivity, (sum_w C_w X_w) Y = sum_w (C_w X_w) Y.  Every
-    product sums its ring terms into one integer sum per monomial
-    (ghost.mul_terms, scalar.add_product), wrapped once."""
+    product sums into one integer sum per monomial, wrapped once, with
+    multiplicity, count and sign as one int factor (ghost.mul_terms), so
+    no coefficient or action is copied to be scaled."""
+    check_operator(D)
     chart, rank = D.chart, D.rank
     funs, pars = [], []  # per piece id: the function and its parity
 
@@ -328,6 +335,15 @@ def evaluate(D, args):
         if not parts:
             parts.append(piece(GradedFunction.zero(chart, rank), 0))
         split.append(parts)
+    out_type = GradedFunction if D.frame() == 0 else Section
+    by_word = {}
+    for (mono, word, _), coeff in D.terms.items():
+        if len(word) != len(args):
+            raise ValueError("arity mismatch: a word of %d letters on %d "
+                             "arguments" % (len(word), len(args)))
+        by_word.setdefault(word, {})[mono] = coeff
+    if not (args and by_word):  # D is its own value, or zero
+        return out_type._new(chart, rank, dict(by_word.get((), {})))
     # each choice adds its sign to its multiset: the product of its
     # pieces' signs, and -1 for each pair of odd pieces the sort swaps
     multisets = {}
@@ -342,15 +358,6 @@ def evaluate(D, args):
                 if a > b and pars[a] and pars[b]:
                     sign = -sign
         add_term(multisets, ids, sign)
-    out_type = GradedFunction if D.frame() == 0 else Section
-    by_word = {}
-    for (mono, word, _), coeff in D.terms.items():
-        if len(word) != len(args):
-            raise ValueError("arity mismatch: a word of %d letters on %d "
-                             "arguments" % (len(word), len(args)))
-        by_word.setdefault(word, {})[mono] = coeff
-    if not args:  # the one multiset is empty: D is its own value
-        return out_type._new(chart, rank, dict(by_word.get((), {})))
     by_head = {}  # head letter -> (tail, its parity, ghost coefficients)
     for word, coeffs in by_word.items():
         by_head.setdefault(word[0], []).append(
@@ -532,9 +539,9 @@ def _parity_groups(D):
 
 def sj_bracket(D, E):
     """Schouten-Jacobi bracket of two word operators.  Raises ValueError
-    for operators of different charts or ranks, and when the bracket
-    does not land in frame flag 0 or 1, which happens only for two
-    function-valued operators.
+    for a D that is not an operator (check_operator), an E of another
+    type, chart or rank, and a bracket that does not land in frame flag
+    0 or 1, which happens only for two function-valued operators.
 
     Over each pair (a, b) of parity groups F_a of D and F_b of E the
     bracket adds H(F_a, F_b) - flip * H(F_b, F_a), H the half bracket,
@@ -547,6 +554,7 @@ def sj_bracket(D, E):
     Every half bracket sums into one accumulator with an int factor:
     2 for the self-bracket, else 1 for H(F_a, F_b) and -flip for
     H(F_b, F_a).  The sums are wrapped once (wrap_sums)."""
+    check_operator(D)
     D._check_like(E)
     chart, sums = D.chart, {}
     if D is E:

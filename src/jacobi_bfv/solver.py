@@ -30,10 +30,14 @@ from fractions import Fraction
 from .scalar import ScalarExpr, add_term
 from .ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
 from .multideriv import (d_letter, sort_word, MultiDerivation, evaluate,
-                         sj_bracket, build_G, jacobi_bracket, hamiltonian)
+                         sj_bracket, build_G, jacobi_bracket, hamiltonian,
+                         check_operator)
 from .contraction import (ResidualError, imm_i_nabla, proj_p,
                           homotopy_H_nabla, BrstContraction,
                           check_connection, check_reduced, check_section)
+
+# the largest k_max of derived_brackets, which builds each m_k up front
+MAX_ARITY = 64
 
 
 def md_antighost_level(D):
@@ -248,6 +252,7 @@ def omega_section(chart, rank, section):
 
 
 def brst_problem(Jhat, section):
+    check_operator(Jhat)
     chart, rank = Jhat.chart, Jhat.rank
     con = BrstContraction(chart, rank, section)
     return MCProblem(
@@ -275,16 +280,12 @@ def coisotropy_residual(Jhat, section):
     one, so an f letter kills them and an anti-ghost term lands where
     proj drops it.  m and e_A leave a factor y_A - s_A in every term,
     which vanishes on the section, where proj evaluates.  Every other
-    term is kept, a word of another length too, so a bad Jhat raises as
-    it did unpruned: a mixed frame or a wrong arity as evaluate raises
-    it, and anything but a MultiDerivation where it is first used."""
+    term is kept, so evaluate still rejects a wrong arity."""
     prob = brst_problem(Jhat, section)
-    if isinstance(Jhat, MultiDerivation):
-        Jhat.frame()  # a mixed operator raises here, as evaluate would
-        Jhat = MultiDerivation._new(Jhat.chart, Jhat.rank, {
-            (mono, word, fr): c for (mono, word, fr), c in Jhat.terms.items()
-            if len(word) != 2
-            or not mono.a and word[0][0] == word[1][0] == "d"})
+    Jhat.frame()  # mixed frame flags raise before the pruning drops any
+    Jhat = MultiDerivation._new(Jhat.chart, Jhat.rank, {
+        (mono, word, fr): c for (mono, word, fr), c in Jhat.terms.items()
+        if len(word) != 2 or not mono.a and word[0][0] == word[1][0] == "d"})
     return prob.P(jacobi_bracket(prob.Qbar, prob.Qbar, Jhat))
 
 
@@ -438,17 +439,17 @@ def derived_brackets(Jhat, k_max):
     holds for every m_k with k <= k_max.  The values are exactly those
     of the unpruned brackets.
 
-    Returns a dict mapping each arity k up to k_max, a nonnegative int
-    (else ValueError), to a callable of k Sections on the reduced chart;
-    any other number of arguments raises ValueError, and so does
-    v_immersion for any other argument before it enters the trie (one
-    that cannot be hashed raises TypeError at the lookup).  A Jhat that
-    is not a MultiDerivation is kept as given, so it raises where it
-    did unpruned: sj_bracket rejects it at the first call."""
+    Returns, for an operator Jhat (check_operator), a dict mapping each
+    arity k up to k_max, a nonnegative int at most MAX_ARITY (else
+    ValueError), to a callable of k Sections on the reduced chart; any
+    other number of arguments raises ValueError, and so does
+    check_reduced for any other argument before its lookup."""
+    check_operator(Jhat)
     _check_count(k_max, "k_max")
+    if k_max > MAX_ARITY:
+        raise ValueError("k_max is at most %d, got %d" % (MAX_ARITY, k_max))
     chart = Jhat.chart
-    root = (_within_reach(Jhat, k_max)
-            if isinstance(Jhat, MultiDerivation) else Jhat, {})
+    root = (_within_reach(Jhat, k_max), {})
 
     def make(k):
         def m_k(*args):
@@ -457,6 +458,7 @@ def derived_brackets(Jhat, k_max):
                                  % (k, k, len(args)))
             X, below = root
             for j, a in enumerate(args, 1):
+                check_reduced(a, chart)
                 node = below.get(a)
                 if node is None:
                     node = below[a] = (_within_reach(

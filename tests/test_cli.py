@@ -360,7 +360,8 @@ def test_run_rejects_an_unknown_command(tmp_path):
 # reading is the same entry in the terms form; a file cannot break the
 # rule that a connection has J's chart and rank, as the loader builds
 # every connection on them, so its readings are the two library calls
-# that apply it, Model and lift_jacobi
+# that apply it, Model and lift_jacobi; nor can it give J as anything
+# but an operator, so Model and derived_brackets read the operator rule
 ONE_RULE = {
     "rank-and-section": ({"section": ["0"]},
                          lambda tmp: Model("lib", t5_contact().J,
@@ -379,6 +380,8 @@ ONE_RULE = {
         lambda tmp: lift_jacobi(t5_contact().J, ConnectionSpec(CH, 1)),
         lambda tmp: Model("lib", t5_contact().J,
                           conn2=ConnectionSpec(CH, 1))),
+    "operator": (lambda tmp: Model("lib", "x"),
+                 lambda tmp: solver.derived_brackets("x", 1)),
 }
 
 

@@ -1072,6 +1072,26 @@ def test_evaluate_rejects_bad_arguments():
         evaluate(mixed, [x_mu])
 
 
+def test_evaluate_reads_its_operator_before_any_choice(monkeypatch):
+    # a wrong arity and a zero operator are answered before the choices
+    # of argument pieces are enumerated, which this patch forbids
+    from jacobi_bfv import multideriv
+
+    def no_choices(*split):
+        raise AssertionError("evaluate enumerated choices")
+
+    monkeypatch.setattr(multideriv, "iproduct", no_choices)
+    biv, vec = t5_pair()
+    J = jacobi_from_pair(CH, RANK, biv, vec)
+    x_mu = scalar_section(ScalarExpr.coord(CH, "phi1"))
+    with pytest.raises(ValueError, match="arity mismatch"):
+        evaluate(J, [x_mu])
+    zero = evaluate(MultiDerivation(CH, RANK), [x_mu, x_mu])
+    assert type(zero) is Section and zero.is_zero()
+    with pytest.raises(AssertionError, match="enumerated choices"):
+        evaluate(J, [x_mu, x_mu])
+
+
 # -- repeated arguments ------------------------------------------------
 
 def _copy(lam):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
+import math
 import os
 import sys
 
@@ -662,13 +663,26 @@ def test_pruned_maps_keep_their_errors():
             args = (red_frame(),) * (k - 1) + (g,)
             assert derived_brackets(bad, 2)[k](*args) == \
                 derived_brackets_unshared(bad, 2)[k](*args)
-    # a Jhat that is not an operator raises at the first bracket
-    sec = red_frame()
-    mk = derived_brackets(Section.frame(CH, RANK), 1)
-    with pytest.raises(ValueError, match="they differ in type"):
-        mk[1](sec)
-    with pytest.raises(ValueError, match="they differ in type"):
-        derived_brackets_unshared(Section.frame(CH, RANK), 1)[1](sec)
+    # a Jhat that is not an operator is rejected before any member is
+    # built; the unshared oracle's first bracket applies the same rule
+    with pytest.raises(ValueError, match="J is a MultiDerivation"):
+        derived_brackets(Section.frame(CH, RANK), 1)
+    with pytest.raises(ValueError, match="J is a MultiDerivation"):
+        derived_brackets_unshared(Section.frame(CH, RANK), 1)[1](red_frame())
+
+
+def test_derived_brackets_bound_and_arguments():
+    # k_max is capped at MAX_ARITY, and an m_k argument that cannot be
+    # hashed is rejected by the reduced-section rule before its lookup
+    assert sorted(derived_brackets(J, solver.MAX_ARITY)) == \
+        list(range(1, solver.MAX_ARITY + 1))
+    with pytest.raises(ValueError, match="^k_max is at most 64, got 65$"):
+        derived_brackets(J, 65)
+    m = derived_brackets(J, 2)
+    for args in (([1],), (red_frame(), {})):
+        with pytest.raises(ValueError, match="^expected a Section on the "
+                                             "reduced chart, got"):
+            m[len(args)](*args)
 
 
 # (section, coisotropic) on t5-contact; the obstructed ones include
@@ -698,14 +712,86 @@ def test_coisotropy_is_the_maurer_cartan_equation(name, conn):
     # and of J alike
     s, coisotropic = MC_SECTIONS[name]
     Jhat, _ = lift_jacobi(J, getattr(MODEL, conn))
-    sigma = Section.zero(RED, RANK)
-    for A, c in enumerate(s):
-        c = c if isinstance(c, ScalarExpr) else ScalarExpr.number(CH, c)
-        sigma = sigma + red_ghost(A, c.with_chart(RED))
+    sigma = _sigma(CH, s)
     res = coisotropy_residual(Jhat, s)
     for D in (Jhat, J):
         assert res == mc_series(derived_brackets(D, 4), sigma, 4).scale(-2)
     assert res.is_zero() == coisotropic
+
+
+def _sigma(chart, s):
+    "sum_A s_A eta^A on chart.reduced(), for a section s of chart."
+    red = chart.reduced()
+    out = Section.zero(red, len(s))
+    for A, c in enumerate(s):
+        c = c if isinstance(c, ScalarExpr) else ScalarExpr.number(chart, c)
+        out = out + Section(
+            GradedFunction.ghost(red, len(s), A).scale(c.with_chart(red)))
+    return out
+
+
+# Poisson charts where m_3, m_4 and m_5 contribute to the series: the
+# bivector Lambda^(x1 x2) of each, two connections and six sections
+MC5_CHART = Chart(["x1", "x2", "y1", "y2"], fiber=["y1", "y2"])
+_x = {c: ScalarExpr.coord(MC5_CHART, c) for c in MC5_CHART.coords}
+MC5_PAIRS = {
+    "y1y2+y1^2": _x["y1"] * _x["y2"] + _x["y1"] ** 2,
+    "y1^2y2+y2": _x["y1"] ** 2 * _x["y2"] + _x["y2"],
+}
+MC5_CONNS = {
+    "flat": ConnectionSpec(MC5_CHART, 2),
+    "curved": ConnectionSpec(MC5_CHART, 2, vert={(0, 1): _x["x1"]},
+                             coef={("x2", 1, 0): _x["x2"]}),
+}
+MC5_SECTIONS = [(0, 0), (_x["x1"], 0), (_x["x1"], _x["x2"]),
+                (1, _x["x1"] * _x["x2"]), (_x["x2"] ** 2, 1),
+                (_x["x1"] + _x["x2"], _x["x1"])]
+
+
+def _mc5_residuals(pair, conn):
+    "(J, Jhat, [(section, sigma, residual)]) of one MC5 chart."
+    J5 = jacobi_from_pair(MC5_CHART, 2, {("x1", "x2"): MC5_PAIRS[pair]}, {})
+    Jhat = lift_jacobi(J5, MC5_CONNS[conn])[0]
+    return J5, Jhat, [(s, _sigma(MC5_CHART, s), coisotropy_residual(Jhat, s))
+                      for s in MC5_SECTIONS]
+
+
+@pytest.mark.parametrize("conn", sorted(MC5_CONNS))
+@pytest.mark.parametrize("pair", sorted(MC5_PAIRS))
+def test_coisotropy_is_the_maurer_cartan_equation_up_to_m5(pair, conn):
+    # as on t5-contact, with the series summed up to k = 6, above the
+    # fiber degree of Lambda (at most 3), for the m_k of Jhat and of J
+    J5, Jhat, cases = _mc5_residuals(pair, conn)
+    for D in (Jhat, J5):
+        m = derived_brackets(D, 6)
+        for s, sigma, res in cases:
+            assert res == mc_series(m, sigma, 6).scale(-2), s
+
+
+def test_maurer_cartan_series_up_to_m5_is_live():
+    # 8 of the 24 residuals are nonzero and m_3, m_4 and m_5 contribute;
+    # with the signs (-1)^(k-1) for k >= 3 replaced by +1 the flat cases
+    # disagree twice
+    def flipped(m, sigma, K):
+        out = Section.zero(sigma.chart, sigma.rank)
+        for k in range(1, K + 1):
+            out = out + m[k](*[sigma] * k).scale(Fraction(
+                (-1) ** (k - 1) if k < 3 else 1, math.factorial(k)))
+        return out
+
+    nonzero, active, disagree = 0, set(), 0
+    for pair in MC5_PAIRS:
+        for conn in MC5_CONNS:
+            J5, _, cases = _mc5_residuals(pair, conn)
+            m = derived_brackets(J5, 6)
+            for s, sigma, res in cases:
+                nonzero += not res.is_zero()
+                active |= {k for k in range(1, 7)
+                           if not m[k](*[sigma] * k).is_zero()}
+                if conn == "flat":
+                    disagree += res != flipped(m, sigma, 6).scale(-2)
+    assert (nonzero, disagree) == (8, 2)
+    assert {3, 4, 5} <= active
 
 
 # conformal factors a (base functions, nowhere zero) and sections for
@@ -802,6 +888,72 @@ def test_hamiltonian_equivalence_is_charge_transport(conn, h, section):
     assert brst_charge(Jhat, tuple(a + b for a, b in zip(s, dh)))[0] == moved
     assert _charge_or_obstructed(
         Jhat, tuple(a - b for a, b in zip(s, dh))) != moved
+
+
+# sections of phi1, phi2 and phi3 whose residual is nonzero, and
+# sections in phi4 or phi5, which the flow of h moves
+OBSTRUCTED_SHEARED = {
+    "phi2": (_phi("phi2"), 0),
+    "phi1phi2-sin3": (_phi("phi1") * _phi("phi2"), _sin("phi3")),
+    "sin2-phi1": (_sin("phi2"), _phi("phi1")),
+}
+MOVED_SECTIONS = {
+    "sin4": (_sin("phi4"), 0),
+    "phi5": (0, _phi("phi5")),
+    "sin4-cos5": (_sin("phi4"), ScalarExpr.cos(CH, "phi5")),
+}
+
+
+def test_hamiltonian_equivalence_keeps_the_residual():
+    # the residual over s + dh and over s - dh is that over s, on the
+    # coisotropic and the obstructed sections of phi1, phi2 and phi3 (it
+    # is a curl of s here, so both signs hold); on sections the flow
+    # moves it is not
+    held, moved, obstructed = 0, 0, 0
+    for conn in ("conn", "conn2"):
+        Jhat = lift_jacobi(J, getattr(MODEL, conn))[0]
+        for h in HAMILTONIANS.values():
+            dh = hamiltonian_shear(J, h)
+            for group in (SHEARED_SECTIONS, OBSTRUCTED_SHEARED,
+                          MOVED_SECTIONS):
+                for s in group.values():
+                    res = coisotropy_residual(Jhat, s)
+                    obstructed += group is OBSTRUCTED_SHEARED and \
+                        not res.is_zero()
+                    for sign in (1, -1):
+                        same = coisotropy_residual(Jhat, tuple(
+                            a + b.scale(sign) for a, b in zip(s, dh))) == res
+                        if group is MOVED_SECTIONS:
+                            moved += not same
+                        else:
+                            assert same, (conn, h, s, sign)
+                            held += 1
+    assert (held, moved, obstructed) == (140, 52, 30)
+
+
+def test_hamiltonian_equivalence_is_the_reduced_gauge_field():
+    # sum_(k < 4) m_(k+1)(h mu, sigma, ..., sigma)/k! is the shear
+    # sum_A dh_A eta^A, for sigma = +-sum_A s_A eta^A and the m_k of Jhat
+    # and of J; the m_(k>=2) terms cancel here, so the negated shear,
+    # which never matches, pins the sign of m_1 only
+    cases = 0
+    for conn in ("conn", "conn2"):
+        Jhat = lift_jacobi(J, getattr(MODEL, conn))[0]
+        for D in (Jhat, J):
+            m = derived_brackets(D, 4)
+            for h in HAMILTONIANS.values():
+                h_mu = Section(GradedFunction.scalar(RED, RANK,
+                                                     h.with_chart(RED)))
+                shear = _sigma(CH, hamiltonian_shear(J, h))
+                for s in SHEARED_SECTIONS.values():
+                    for sigma in (_sigma(CH, s), _sigma(CH, s).scale(-1)):
+                        got = Section.zero(RED, RANK)
+                        for k in range(4):
+                            got = got + m[k + 1](h_mu, *[sigma] * k).scale(
+                                Fraction(1, math.factorial(k)))
+                        assert got == shear and got != shear.scale(-1)
+                        cases += 1
+    assert cases == 160
 
 
 def test_hamiltonian_shear_rejects_a_moving_h():

@@ -79,7 +79,9 @@ def test_filtration_guard_survives_optimize():
 # or conn2), lift_jacobi or lifting_problem, and a coefficient of
 # another chart given to a section, a connection, a ghost-algebra
 # element, an operator or a structure builder, a J that is not an
-# operator given to Model or lift_jacobi, and a bool exponent
+# operator given to Model, lift_jacobi, the charge and its residual,
+# BfvData, derived_brackets, evaluate or sj_bracket, a bool exponent, a
+# k_max above solver.MAX_ARITY, and an m_k argument that cannot be hashed
 BAD_LIBRARY_CALLS = """
 from jacobi_bfv.scalar import Chart, ScalarExpr
 from jacobi_bfv.ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
@@ -88,7 +90,8 @@ from jacobi_bfv.multideriv import (MultiDerivation, M, d_letter, e_letter,
                                    jacobi_from_pair, jacobi_from_words)
 from jacobi_bfv.contraction import BrstContraction, ConnectionSpec
 from jacobi_bfv.solver import (derived_brackets, v_immersion, omega_section,
-                               gauge_intertwine, lift_jacobi, lifting_problem)
+                               gauge_intertwine, lift_jacobi, lifting_problem,
+                               coisotropy_residual, BfvData, brst_charge)
 from jacobi_bfv.models import Model, t5_contact
 model = t5_contact()
 ch, J = model.chart, model.J
@@ -208,6 +211,14 @@ calls = [
     lambda: Model("x", "not an operator"),
     lambda: lift_jacobi("not an operator", model.conn),
     lambda: y1 ** True,
+    lambda: coisotropy_residual(Section.frame(ch, 2), (0, 0)),
+    lambda: BfvData(J, Section.frame(ch, 2)),
+    lambda: brst_charge("not an operator", (0, 0)),
+    lambda: derived_brackets("not an operator", 1),
+    lambda: evaluate("not an operator", [x_mu]),
+    lambda: sj_bracket("not an operator", J),
+    lambda: derived_brackets(J, 65),
+    lambda: derived_brackets(J, 1)[1]([1]),
 ]
 for call in calls:
     try:
@@ -222,7 +233,7 @@ def test_library_guards_survive_optimize(optimize):
     out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 93
+    assert len(lines) == 101
     assert all(ln.startswith("rejected:") for ln in lines), lines
 
 
@@ -563,6 +574,47 @@ def test_product_factors_are_ints():
             found += ["%s:%d %s" % (fname, line, call) for line, call in got]
             calls += n
     assert calls >= 6 and found == []
+
+
+def _operator_checks(tree, home):
+    """Line of each isinstance(..., MultiDerivation) call in tree, outside
+    the body of check_operator when home is true."""
+    allowed = {id(n) for f in ast.walk(tree) if home and
+               isinstance(f, ast.FunctionDef) and f.name == "check_operator"
+               for n in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in allowed and \
+                getattr(node.func, "id", None) == "isinstance" and \
+                "MultiDerivation" in {getattr(n, "id", getattr(n, "attr", None))
+                                      for n in ast.walk(node.args[-1])}:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_the_operator_rule_checks_for_an_operator():
+    # multideriv.check_operator is the one home of the rule that an
+    # operator is a MultiDerivation, and no other code in src/ tests it
+    bad = ("isinstance(J, MultiDerivation)\n"
+           "def check_operator(J):\n"
+           "    return isinstance(J, MultiDerivation)\n"
+           "isinstance(D, (Section, multideriv.MultiDerivation))\n")
+    assert _operator_checks(ast.parse(bad), home=True) == [1, 4]
+    assert _operator_checks(ast.parse(bad), home=False) == [1, 3, 4]
+    pkg = os.path.join(ROOT, "src", "jacobi_bfv")
+    found, homes = [], []
+    for fname in sorted(os.listdir(pkg)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, fname)) as fh:
+            tree = ast.parse(fh.read())
+        home = fname == "multideriv.py"
+        found += ["%s:%d" % (fname, line)
+                  for line in _operator_checks(tree, home)]
+        homes += [fname for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "check_operator"]
+    assert found == [] and homes == ["multideriv.py"]
 
 
 def test_src_has_no_test_only_code():
