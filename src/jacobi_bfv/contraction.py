@@ -13,8 +13,14 @@ letter.  With g^B the ghost xi^B, a_A the anti-ghost xi*_A and sign
 
 and e_A, f^A stay put.  The -g^A e_A term belongs to the image of m
 alone, and there to its e-terms only: a unit entry vert[A, A] = 1
-cancels g^A e_A but keeps -a_A f^A.  A substitution builds each
-distinct letter's image once and sums every term into one dict.
+cancels g^A e_A but keeps -a_A f^A.  A substitution expands each term
+in one pass: its word is its odd letters (m, d_i), then its e/f
+letters, and each odd letter is either kept or traded for one of its
+corrections c g x.  g joins the monomial through mono_mul (a repeated
+index kills the choice) with the sign (-1)^(odd letters kept before
+it), the word becomes the kept odd letters and then the sorted e/f
+letters, and only a chosen correction costs a ring product.  Each
+distinct letter's corrections are built once per call.
 imm_i_nabla also reads an operator written in the twisted letter basis
 back in the plain one; to_twisted inverts it.  The associated homotopy
 is one pass in the twisted basis: trade each e/f letter for a
@@ -30,7 +36,8 @@ t^(k + |T|) over [0, 1] does (ScalarExpr.over_degree), and shift back.
 check_section is the one check of a rank and a section, for this
 class, omega_section and Model; check_connection is the one check
 that J is an operator and that a connection's chart and rank are
-those of J, for lifting_problem and Model; check_reduced is the one
+those of J, for lifting_problem, Model and, before any work,
+imm_i_nabla, to_twisted and homotopy_H_nabla; check_reduced is the one
 check of a reduced section, for imm and solver.v_immersion.
 
 hpl_deform transfers a contraction through a perturbation of the
@@ -44,7 +51,7 @@ from fractions import Fraction
 from .scalar import ScalarExpr, add_term, as_ring
 from .ghost import (GhostMonomial, GradedFunction, Section, ONE_MONO,
                     mono_mul, check_mono)
-from .multideriv import (e_letter, f_letter, MultiDerivation, md_mul,
+from .multideriv import (M, e_letter, f_letter, letter_odd, MultiDerivation,
                          check_operator)
 
 
@@ -103,55 +110,64 @@ def check_connection(J, *conns):
                              "%r" % (J.chart, conn.chart))
 
 
-def _substitute_letters(D, image):
-    """Replace every letter by its image operator, keeping coefficients.
-    Each distinct letter's image is built once per call."""
-    chart, rank = D.chart, D.rank
-    letters = dict.fromkeys(ell for (_, word, _) in D.terms for ell in word)
-    images = {ell: image(ell) for ell in letters}
-    out = {}
-    for (mono, word, fr), c in D.terms.items():
-        cur = MultiDerivation._new(chart, rank, {(mono, (), fr): c})
-        for ell in word:
-            cur = md_mul(cur, images[ell])
-        for key, v in cur.terms.items():
-            add_term(out, key, v)
-    return MultiDerivation._new(chart, rank, out)
-
-
 def _conn_image(ell, conn, sign):
-    """Image of one letter under the connection twist (see the module
-    docstring): m and d_i gain ghost/anti-ghost terms, e and f stay
-    put."""
-    chart, rank = conn.chart, conn.rank
-    one = ScalarExpr.one(chart)
-    terms = {(ONE_MONO, (ell,), 0): one}
-    if ell[0] == "m":
-        for A in range(rank):
-            terms[(GhostMonomial((A,), ()), (e_letter(A),), 0)] = \
-                one.scale(-sign)
+    """The corrections of an m or d_i letter under the connection twist
+    (see the module docstring), as (one-index ghost monomial, e/f
+    letter, coefficient) triples; the letter itself is kept with
+    coefficient 1."""
+    terms = {}
+    if ell == M:
+        minus = ScalarExpr.one(conn.chart).scale(-sign)
+        for A in range(conn.rank):
+            terms[GhostMonomial((A,), ()), e_letter(A)] = minus
         entries = conn.vert.items()
-    elif ell[0] == "d":
+    else:
         entries = [((A, B), c) for (i, A, B), c in conn.coef.items()
                    if i == ell[1]]
-    else:
-        entries = ()
     for (A, B), c in entries:
-        add_term(terms, (GhostMonomial((B,), ()), (e_letter(A),), 0),
-                 c.scale(sign))
-        add_term(terms, (GhostMonomial((), (A,)), (f_letter(B),), 0),
-                 c.scale(-sign))
-    return MultiDerivation._new(chart, rank, terms)
+        add_term(terms, (GhostMonomial((B,), ()), e_letter(A)), c.scale(sign))
+        add_term(terms, (GhostMonomial((), (A,)), f_letter(B)), c.scale(-sign))
+    return [(g, x, c) for (g, x), c in terms.items()]
+
+
+def _substitute_letters(D, conn, sign):
+    """Replace every letter by its image under the connection twist,
+    keeping coefficients: one direct expansion per term (see the module
+    docstring)."""
+    images, out = {}, {}
+    for (mono, word, fr), c in D.terms.items():
+        odd = [ell for ell in word if letter_odd(ell)]
+        # per choice so far: sign, monomial, kept odd letters, e/f
+        # letters and coefficient
+        paths = [(1, mono, (), word[len(odd):], c)]
+        for ell in odd:
+            if ell not in images:
+                images[ell] = _conn_image(ell, conn, sign)
+            grown = []
+            for s, m, kept, even, cp in paths:
+                grown.append((s, m, kept + (ell,), even, cp))
+                for g, x, cg in images[ell]:
+                    s2, m2 = mono_mul(m, g)
+                    if s2:
+                        grown.append((-s * s2 if len(kept) % 2 else s * s2,
+                                      m2, kept, even + (x,), cp * cg))
+            paths = grown
+        for s, m, kept, even, cp in paths:
+            add_term(out, (m, kept + tuple(sorted(even)), fr),
+                     cp if s > 0 else -cp)
+    return MultiDerivation._new(D.chart, D.rank, out)
 
 
 def imm_i_nabla(D, conn):
-    "Immersion of a plain operator along the connection."
-    return _substitute_letters(D, lambda ell: _conn_image(ell, conn, 1))
+    "Immersion of a plain operator along the connection (checked first)."
+    check_connection(D, conn)
+    return _substitute_letters(D, conn, 1)
 
 
 def to_twisted(D, conn):
-    "Rewrite a plain-basis operator in the twisted letter basis."
-    return _substitute_letters(D, lambda ell: _conn_image(ell, conn, -1))
+    "Rewrite a plain-basis operator in the twisted basis (checked first)."
+    check_connection(D, conn)
+    return _substitute_letters(D, conn, -1)
 
 
 def proj_p(D):
@@ -192,7 +208,8 @@ def _h_twist(D):
 
 def homotopy_H_nabla(D, conn):
     """Homotopy of the connection contraction; _h_twist keeps the
-    weight of a term and kills weight 0."""
+    weight of a term and kills weight 0 (checked first)."""
+    check_connection(D, conn)
     h = _h_twist(to_twisted(D, conn))
     return imm_i_nabla(MultiDerivation._new(
         D.chart, D.rank,

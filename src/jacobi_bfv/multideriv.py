@@ -34,9 +34,7 @@ only of a coefficient that can depend on that coordinate
 accumulator: each product of every half bracket sums at its output key
 through scalar.add_product as soon as it is found, its signs,
 multiplicities and t-weight passed as one int factor, and the sums are
-wrapped once at the end (scalar.wrap_sums).  The graded product md_mul
-and the bracket share one term product, _term_mul; md_mul keeps the
-ring product * (see there).
+wrapped once at the end (scalar.wrap_sums).
 jacobi_from_words builds every structure operator J and brackets
 nothing: solver.lift_jacobi decides the Jacobi condition [[J, J]] = 0.
 """
@@ -152,6 +150,7 @@ class MultiDerivation(Combination):
 
     @classmethod
     def from_section(cls, sec):
+        check_argument(sec)
         terms = {(mono, (), 1): c for mono, c in sec.terms.items()}
         return cls(sec.chart, sec.rank, terms)
 
@@ -192,6 +191,13 @@ def check_operator(J):
         raise ValueError("J is a MultiDerivation, got %r" % (J,))
 
 
+def check_argument(lam):
+    """Raise ValueError unless lam is a Section: the rule for a section
+    argument, for evaluate, jacobi_bracket and from_section."""
+    if not isinstance(lam, Section):
+        raise ValueError("evaluate takes Section arguments, got %r" % (lam,))
+
+
 def _term_mul(t1, t2, chart):
     """Product of two (mono, word) terms as (sign, mono, word), sign 0
     when it vanishes.  The factor order is m1 w1 m2 w2: the odd letters
@@ -227,34 +233,6 @@ def _term_mul(t1, t2, chart):
     return sign, mono, tuple(word) + w2[j:]
 
 
-def md_mul(D1, D2):
-    """Graded product of word operators of one chart and rank; at most
-    one factor may carry the frame flag, else ValueError.
-
-    Its coefficients multiply with the ring product *, not through
-    scalar.add_product: they are mostly the constant 1 of a connection
-    image (_substitute_letters), where * returns the other factor as it
-    is, while add_product scales every coefficient into integer sums
-    that wrap_sums divides back.  Routed through add_product and
-    wrap_sums, a round of the lift-curved benchmark workload took about
-    9 % longer (calibrated median 0.062 -> 0.067 s, 4 alternating 8 s
-    runs each, a 2-core x86-64 machine, Python 3.11)."""
-    D1._check_like(D2)
-    chart, rank = D1.chart, D1.rank
-    terms = {}
-    for (m1, w1, fr1), c1 in D1.terms.items():
-        for (m2, w2, fr2), c2 in D2.terms.items():
-            if fr1 + fr2 > 1:
-                raise ValueError("the product of two frame-valued operators "
-                                 "is not a word operator")
-            sign, mono, word = _term_mul((m1, w1), (m2, w2), chart)
-            if sign:
-                c = c1 * c2
-                add_term(terms, (mono, word, fr1 + fr2),
-                         c if sign > 0 else -c)
-    return MultiDerivation._new(chart, rank, terms)
-
-
 # -- evaluation ------------------------------------------------------
 
 def _letter_apply(ell, fun):
@@ -273,7 +251,8 @@ def evaluate(D, args):
     frame-valued operator, a GradedFunction otherwise (a Section when D
     has no terms at all).  Before any choice of pieces it raises
     ValueError for a D that is not an operator (check_operator) or mixes
-    frame flags, an argument that is not a Section and a word whose
+    frame flags, an argument that is not a Section (check_argument) and
+    a word whose
     length is not the number of arguments, and a zero D returns.
 
     Each argument splits into its pieces of shifted parity 0 and 1, and
@@ -323,9 +302,7 @@ def evaluate(D, args):
 
     split = []
     for lam in args:
-        if not isinstance(lam, Section):
-            raise ValueError("evaluate takes Section arguments, got %r"
-                             % (lam,))
+        check_argument(lam)
         parts = []
         for par in (0, 1):
             sel = {m: c for m, c in lam.terms.items()
@@ -628,7 +605,9 @@ def hamiltonian(lam, J):
 
 def jacobi_bracket(l1, l2, J):
     """Bracket of two sections induced by a frame-valued biderivation:
-    J(l1, l2) with the shifted-odd part of l1 negated."""
+    J(l1, l2) with the shifted-odd part of l1 negated; l1 is checked
+    (check_argument) before it is read."""
+    check_argument(l1)
     signed = Section._new(
         l1.chart, l1.rank,
         {m: -c if shifted_parity(m) else c for m, c in l1.terms.items()})

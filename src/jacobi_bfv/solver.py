@@ -305,6 +305,7 @@ class BfvData:
                  "op", "con")
 
     def __init__(self, J, Jhat, max_iter=64):
+        check_operator(J)
         self.chart, self.rank = J.chart, J.rank
         self.J = J
         self.Jhat = Jhat

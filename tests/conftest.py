@@ -34,6 +34,15 @@ def random_scalar(rng, chart, max_terms=3, max_pow=2, allow_abstract=False):
     return e
 
 
+def _same_terms(X, Y):
+    # equal normal forms, each stored coefficient of the same exact type
+    # (int or Fraction); the order the terms were inserted in is no part
+    # of a result
+    return X == Y and all(
+        type(q) is type(Y.terms[key].terms[k])
+        for key, c in X.terms.items() for k, q in c.terms.items())
+
+
 def random_point(rng, chart):
     return {c: rng.uniform(-2.0, 2.0) for c in chart.coords}
 

@@ -12,10 +12,12 @@ from another side:
 - evaluate_by_term evaluates an operator term by term, peeling each
   word afresh for every choice of argument pieces;
 - eval_num evaluates a ring element at a floating-point point;
-- twist_by_occurrence substitutes the connection images letter by
-  letter, rebuilding a letter's image at each occurrence from every
-  (A, B) pair, and substitute_by_atom multiplies a ring element's atoms
-  in one at a time;
+- md_mul is the graded product of word operators, and
+  twist_by_occurrence substitutes the connection images letter by
+  letter through it, rebuilding a letter's image at each occurrence
+  from every (A, B) pair, where the engine expands each term directly;
+  substitute_by_atom multiplies a ring element's atoms in one at a
+  time;
 - mul_by_reduce and partial_by_reduce are the ring product and
   derivative that normalise every result in full, through the public
   constructor, and cos_atoms lists the cos atoms of a normal form;
@@ -52,13 +54,13 @@ from itertools import combinations, combinations_with_replacement
 from itertools import product as iproduct
 import math
 
-from jacobi_bfv.scalar import ScalarExpr
+from jacobi_bfv.scalar import ScalarExpr, add_term
 from jacobi_bfv.ghost import (GhostMonomial, GradedFunction, Section, ONE_MONO,
                               shifted_parity)
 from jacobi_bfv.multideriv import (M, d_letter, e_letter, f_letter,
                                    letter_odd, _letter_key, sort_word,
                                    word_parity, _letter_apply,
-                                   MultiDerivation, evaluate, md_mul,
+                                   _term_mul, MultiDerivation, evaluate,
                                    jacobi_from_pair)
 from jacobi_bfv.contraction import _weight
 from jacobi_bfv.solver import (sj_bracket, v_immersion, v_projection,
@@ -216,6 +218,35 @@ def _conn_entry(conn, i, A, B):
     if i is None:
         return conn.vert.get((A, B))
     return conn.coef.get((i, A, B))
+
+
+def md_mul(D1, D2):
+    """Graded product of word operators of one chart and rank; at most
+    one factor may carry the frame flag, else ValueError.
+
+    Its coefficients multiply with the ring product *, not through
+    scalar.add_product: they are mostly the constant 1 of a connection
+    image (twist_by_occurrence), where * returns the other factor as
+    it is, while add_product scales every coefficient into integer sums
+    that wrap_sums divides back.  Routed through add_product and
+    wrap_sums while the engine's letter substitution multiplied through
+    it, a round of the lift-curved benchmark workload took about 9 %
+    longer (calibrated median 0.062 -> 0.067 s, 4 alternating 8 s
+    runs each, a 2-core x86-64 machine, Python 3.11)."""
+    D1._check_like(D2)
+    chart, rank = D1.chart, D1.rank
+    terms = {}
+    for (m1, w1, fr1), c1 in D1.terms.items():
+        for (m2, w2, fr2), c2 in D2.terms.items():
+            if fr1 + fr2 > 1:
+                raise ValueError("the product of two frame-valued operators "
+                                 "is not a word operator")
+            sign, mono, word = _term_mul((m1, w1), (m2, w2), chart)
+            if sign:
+                c = c1 * c2
+                add_term(terms, (mono, word, fr1 + fr2),
+                         c if sign > 0 else -c)
+    return MultiDerivation._new(chart, rank, terms)
 
 
 def _ghost_term(chart, rank, A, B, coeff, kind):

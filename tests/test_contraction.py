@@ -1,22 +1,32 @@
 from fractions import Fraction
+import json
+import os
+import random
+import sys
 
 import pytest
 
-from jacobi_bfv.scalar import ScalarExpr
-from jacobi_bfv.ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
+from jacobi_bfv.scalar import Chart, ScalarExpr
+from jacobi_bfv.ghost import (GhostMonomial, GradedFunction, Section, ONE_MONO,
+                              mono_mul)
 from jacobi_bfv.multideriv import (
-    M, d_letter, e_letter, f_letter, sort_word, MultiDerivation, evaluate,
-    sj_bracket, build_G)
+    M, d_letter, e_letter, f_letter, letter_odd, sort_word, MultiDerivation,
+    evaluate, sj_bracket, build_G)
 from jacobi_bfv import contraction
 from jacobi_bfv.contraction import (
     ConnectionSpec, imm_i_nabla, to_twisted, proj_p,
     _h_twist, homotopy_H_nabla, BrstContraction, hpl_deform)
 from jacobi_bfv.models import t5_contact
+from jacobi_bfv.cli import parse_scenario
+from jacobi_bfv.solver import lift_jacobi
 from oracles import (twisted_weight_parts, twist_by_occurrence,
-                     hpl_dif_by_series, koszul_dif)
+                     _conn_image_by_pair, hpl_dif_by_series, koszul_dif)
 from conftest import (t5_chart, random_scalar, rng_for, random_ghost_fun,
                       random_md, random_connection, random_plain_md,
-                      random_base_scalar, random_reduced_section)
+                      random_base_scalar, random_reduced_section, _same_terms)
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
 
 CH = t5_chart()
 RANK = 2
@@ -132,6 +142,8 @@ def test_twist_matches_occurrence_oracle():
 
 
 def test_twist_builds_each_letter_image_once(monkeypatch):
+    # one image per distinct m or d_i letter per call; e and f letters
+    # stay put, so none of theirs is built
     calls = []
     image = contraction._conn_image
 
@@ -144,11 +156,165 @@ def test_twist_builds_each_letter_image_once(monkeypatch):
     for trial in range(8):
         conn = seeded_connection(rng, unit_diagonal=True)
         D = repeated_letter_md(rng)
-        letters = {ell for (_, w, _) in D.terms for ell in w}
+        letters = {ell for (_, w, _) in D.terms for ell in w
+                   if ell[0] in ("m", "d")}
         for substitute in (imm_i_nabla, to_twisted):
             calls.clear()
             substitute(D, conn)
             assert sorted(calls) == sorted(letters)
+
+
+# -- the direct expansion at rank 3 ---------------------------------
+
+CH3 = Chart(["x1", "x2", "y1", "y2", "y3"], angular=["x1"],
+            fiber=["y1", "y2", "y3"])
+ODD3 = [M] + [d_letter(x) for x in CH3.coords]
+EVEN3 = [e_letter(A) for A in range(3)] + [f_letter(A) for A in range(3)]
+
+
+def colliding_connection(rng, unit_diagonal):
+    """A rank-3 connection on CH3 whose m and d_i corrections share a
+    hot ghost index, so that products of two corrections often repeat
+    it; with unit_diagonal one vert entry (A, A) is 1."""
+    hot = rng.randrange(3)
+    vert = {(rng.randrange(3), hot): random_scalar(rng, CH3, max_terms=2)}
+    coef = {}
+    for x in rng.sample(CH3.coords, 3):
+        coef[(x, rng.randrange(3), hot)] = random_scalar(rng, CH3, max_terms=2)
+        coef[(x, hot, rng.randrange(3))] = random_scalar(rng, CH3, max_terms=2)
+    if unit_diagonal:
+        vert[(rng.randrange(3),) * 2] = 1
+    return ConnectionSpec(CH3, 3, vert, coef)
+
+
+def rank3_md(rng, fr):
+    """Terms of up to 4 odd letters and up to 2 e/f letters, with ghost
+    monomials of up to one ghost and one anti-ghost."""
+    terms = {}
+    for _ in range(rng.randint(2, 5)):
+        odd = rng.sample(ODD3, rng.randint(0, 4))
+        even = [rng.choice(EVEN3) for _ in range(rng.randint(0, 2))]
+        sgn, word = sort_word(tuple(odd + even), CH3)
+        mono = GhostMonomial(tuple(rng.sample(range(3), rng.randint(0, 1))),
+                             tuple(rng.sample(range(3), rng.randint(0, 1))))
+        c = random_scalar(rng, CH3, max_terms=2)
+        if not c.is_zero():
+            terms[(mono, word, fr)] = c.scale(sgn)
+    return MultiDerivation(CH3, 3, terms)
+
+
+def correction_choices(D, conn, sign):
+    """(surviving, killed): over every term of D and every choice, letter
+    by letter, of keeping an m or d_i letter or taking one of its
+    corrections (from the oracle's by-pair images), the correction
+    choices whose ghost monomial mono_mul keeps or kills."""
+    survived = killed = 0
+    for mono, word, _ in D.terms:
+        monos = [mono]
+        for ell in filter(letter_odd, word):
+            image = _conn_image_by_pair(ell, conn, sign)
+            gens = [g for g, w, _ in image.terms if w != (ell,)]
+            grown = list(monos)
+            for m in monos:
+                for g in gens:
+                    s, m2 = mono_mul(m, g)
+                    if s:
+                        survived += 1
+                        grown.append(m2)
+                    else:
+                        killed += 1
+            monos = grown
+    return survived, killed
+
+
+def test_direct_expansion_matches_occurrence_oracle_at_rank_3():
+    # words of up to 4 odd letters plus e/f letters, both frame flags,
+    # corrections that collide on a ghost index: the same terms and
+    # stored coefficient types as the letter-by-letter products
+    rng = rng_for("contr-rank3-oracle")
+    seen = {"fr0": 0, "fr1": 0, "four-odd": 0, "killed": 0, "unit": 0,
+            "nonzero": 0}
+    for trial in range(24):
+        fr = trial % 2
+        conn = colliding_connection(rng, unit_diagonal=trial % 3 == 0)
+        D = rank3_md(rng, fr)
+        for substitute, sign in ((imm_i_nabla, 1), (to_twisted, -1)):
+            got = substitute(D, conn)
+            assert _same_terms(got, twist_by_occurrence(D, conn, sign))
+        seen["fr%d" % fr] += 1
+        seen["four-odd"] += any(sum(map(letter_odd, w)) == 4
+                                for _, w, _ in D.terms)
+        seen["killed"] += correction_choices(D, conn, 1)[1] > 0
+        seen["unit"] += trial % 3 == 0
+        seen["nonzero"] += not got.is_zero()
+    assert min(seen.values()) >= 6, seen
+
+
+def test_substitution_multiplies_only_chosen_corrections(monkeypatch):
+    # one ring product per correction choice that survives mono_mul; a
+    # kept letter, an e/f letter and a killed choice make none
+    calls = []
+    mul = ScalarExpr.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(ScalarExpr, "__mul__", counted)
+    rng = rng_for("contr-rank3-products")
+    flat = ConnectionSpec(CH3, 3)
+    plain_d = MultiDerivation(CH3, 3, {
+        (ONE_MONO, (d_letter("x1"), d_letter("y2"), e_letter(0)), 1):
+        ScalarExpr.coord(CH3, "x2")})
+    calls.clear()
+    assert imm_i_nabla(plain_d, flat) == plain_d and not calls
+    for trial in range(12):
+        conn = colliding_connection(rng, unit_diagonal=trial % 2 == 0)
+        D = rank3_md(rng, trial % 2)
+        for substitute, sign in ((imm_i_nabla, 1), (to_twisted, -1)):
+            expect, _ = correction_choices(D, conn, sign)
+            calls.clear()
+            substitute(D, conn)
+            assert len(calls) == expect
+
+
+def test_substitution_matches_oracle_on_lift_curved_inputs(tmp_path):
+    # every R and every homotopy output of the lift-curved shapes at
+    # value seed 1, the inputs of the benchmark workload, both ways
+    import gen
+    import workloads
+    vals = random.Random(1)
+    seen = 0
+    for n, r, curved, sid in workloads.LIFT_CASES:
+        label = "n%d-r%d-c%d/%d" % (n, r, curved, sid)
+        doc = gen.poisson_lift(random.Random("lift/" + label), vals, n, r,
+                               curved)
+        path = tmp_path / (label.replace("/", "-") + ".json")
+        path.write_text(json.dumps(doc))
+        spec = parse_scenario(str(path))
+        _, trace = lift_jacobi(spec.J, spec.conn, spec.max_iter)
+        for step in trace:
+            R = step["residual"]
+            for X in (R, homotopy_H_nabla(R, spec.conn)):
+                for substitute, sign in ((imm_i_nabla, 1), (to_twisted, -1)):
+                    assert _same_terms(substitute(X, spec.conn),
+                                       twist_by_occurrence(X, spec.conn, sign))
+                seen += 1
+    assert seen >= 30
+
+
+def test_substitution_checks_its_connection_first():
+    # a rank-1 operator with a rank-2 connection, a foreign operator and
+    # a foreign connection are refused before any letter is substituted
+    one1 = MultiDerivation(CH, 1, {(ONE_MONO, (M,), 1): ScalarExpr.one(CH)})
+    conn = ConnectionSpec(CH, RANK, vert={(0, 1): 1})
+    for substitute in (imm_i_nabla, to_twisted, homotopy_H_nabla):
+        with pytest.raises(ValueError, match="rank of J, 1, got rank 2"):
+            substitute(one1, conn)
+        with pytest.raises(ValueError, match="J is a MultiDerivation"):
+            substitute("x", conn)
+        with pytest.raises(ValueError, match="is a ConnectionSpec"):
+            substitute(MODEL.J, "flat")
 
 
 def test_lift_section_and_closure():

@@ -14,7 +14,7 @@ from jacobi_bfv.ghost import (GhostMonomial, GradedFunction, Section, ONE_MONO,
 from jacobi_bfv.multideriv import (
     M, d_letter, e_letter, f_letter, sort_word, word_parity, _letter_key,
     _term_mul, _dR_mom, _dL_gen, _letter_apply,
-    MultiDerivation, md_mul, evaluate, sj_bracket,
+    MultiDerivation, evaluate, sj_bracket,
     build_G, is_jacobi, jacobi_from_pair, jacobi_from_words, hamiltonian,
     jacobi_bracket)
 from jacobi_bfv.solver import NotJacobiError, lift_jacobi
@@ -22,10 +22,10 @@ from jacobi_bfv.models import t5_contact
 from jacobi_bfv.cli import parse_scenario
 from oracles import (gerstenhaber_eval_oracle, reconstruct, arity, tau,
                      op_bidegrees, to_section, evaluate_by_term,
-                     term_mul_by_sort, _peel)
+                     term_mul_by_sort, md_mul, _peel)
 from conftest import (t5_chart, random_scalar, rng_for, random_ghost_fun,
                       random_homogeneous, random_md, random_hom_md,
-                      all_letters)
+                      all_letters, _same_terms)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
@@ -539,15 +539,6 @@ def _full_scan_bracket(D, E):
             _full_scan_half_bracket(FD, FE, chart, rank, out, 1)
             _full_scan_half_bracket(FE, FD, chart, rank, out, -flip)
     return _ref_from_symbols(out, chart, rank)
-
-
-def _same_terms(X, Y):
-    # equal normal forms, each stored coefficient of the same exact type
-    # (int or Fraction); the order the terms were inserted in is no part
-    # of a result
-    return X == Y and all(
-        type(q) is type(Y.terms[key].terms[k])
-        for key, c in X.terms.items() for k, q in c.terms.items())
 
 
 def _t_weight(key):

@@ -1,8 +1,9 @@
 """Checks that must hold when Python strips assert statements (-O),
 the acceptance suite among them, the contract between the engine and
 the benchmark's tracer, checks that the engine's modules import nothing
-they do not use and define no function that only the tests call, and
-the demos' output pinned byte for byte to tests/golden."""
+they do not use and define no function that only the tests call, that
+every oracle of tests/oracles.py is reached from a test, and the demos'
+output pinned byte for byte to tests/golden."""
 
 import ast
 from fractions import Fraction
@@ -68,7 +69,7 @@ def test_filtration_guard_survives_optimize():
 # order, names the chart does not declare in their role, binary floats,
 # also as operands of ring arithmetic, evaluation on the wrong number of
 # arguments or on a bare function, an operator of mixed frame flags, a
-# product of two frame-valued operators, a negative exponent, an atom
+# negative exponent, an atom
 # the target chart does not declare, operands of different charts or
 # ranks, a Section of a non-function or added to or subtracted from a
 # non-Section, a chart name that is not a string, a reduced section
@@ -76,19 +77,24 @@ def test_filtration_guard_survives_optimize():
 # bare function, a full-chart section or a number, a Model of a bad
 # count or section, ghost indices that are not ints, and a connection
 # off J's chart or rank, or not a ConnectionSpec, given to Model (conn
-# or conn2), lift_jacobi or lifting_problem, and a coefficient of
+# or conn2), lift_jacobi, lifting_problem, imm_i_nabla, to_twisted or
+# homotopy_H_nabla, and a coefficient of
 # another chart given to a section, a connection, a ghost-algebra
 # element, an operator or a structure builder, a J that is not an
 # operator given to Model, lift_jacobi, the charge and its residual,
-# BfvData, derived_brackets, evaluate or sj_bracket, a bool exponent, a
+# BfvData (J or Jhat), derived_brackets, evaluate, sj_bracket or
+# imm_i_nabla, a section that is not a Section given to hamiltonian,
+# jacobi_bracket or MultiDerivation.from_section, a bool exponent, a
 # k_max above solver.MAX_ARITY, and an m_k argument that cannot be hashed
 BAD_LIBRARY_CALLS = """
 from jacobi_bfv.scalar import Chart, ScalarExpr
 from jacobi_bfv.ghost import GhostMonomial, GradedFunction, Section, ONE_MONO
 from jacobi_bfv.multideriv import (MultiDerivation, M, d_letter, e_letter,
-                                   evaluate, md_mul, sj_bracket,
-                                   jacobi_from_pair, jacobi_from_words)
-from jacobi_bfv.contraction import BrstContraction, ConnectionSpec
+                                   evaluate, sj_bracket, hamiltonian,
+                                   jacobi_bracket, jacobi_from_pair,
+                                   jacobi_from_words)
+from jacobi_bfv.contraction import (BrstContraction, ConnectionSpec,
+                                    imm_i_nabla, to_twisted, homotopy_H_nabla)
 from jacobi_bfv.solver import (derived_brackets, v_immersion, omega_section,
                                gauge_intertwine, lift_jacobi, lifting_problem,
                                coisotropy_residual, BfvData, brst_charge)
@@ -145,7 +151,6 @@ calls = [
     lambda: evaluate(J, [x_mu]),
     lambda: evaluate(J, [x_mu, x_mu.fun]),
     lambda: mixed.frame(),
-    lambda: md_mul(d_phi1, d_phi2),
     lambda: y1 ** -1,
     lambda: y1.with_chart(red),
     lambda: v_immersion(with_antighost, ch),
@@ -174,7 +179,7 @@ calls = [
     lambda: x_mu + Section.frame(ch, 1),
     lambda: Section(1),
     lambda: sj_bracket(d_phi1, dfun_rank1),
-    lambda: md_mul(d_phi1, dfun_rank1),
+    lambda: imm_i_nabla(dfun_rank1, model.conn),
     lambda: x_mu.fun.ghost_mul(GradedFunction.one(ch, 1)),
     lambda: x_mu + x_mu.fun,
     lambda: x_mu - x_mu.fun,
@@ -219,6 +224,13 @@ calls = [
     lambda: sj_bracket("not an operator", J),
     lambda: derived_brackets(J, 65),
     lambda: derived_brackets(J, 1)[1]([1]),
+    lambda: imm_i_nabla("not an operator", model.conn),
+    lambda: to_twisted(J, "not a connection"),
+    lambda: homotopy_H_nabla(dfun_rank1, model.conn),
+    lambda: BfvData("not an operator", J),
+    lambda: hamiltonian(3, J),
+    lambda: jacobi_bracket(3, x_mu, J),
+    lambda: MultiDerivation.from_section(3),
 ]
 for call in calls:
     try:
@@ -233,7 +245,7 @@ def test_library_guards_survive_optimize(optimize):
     out = run_python(["-c", BAD_LIBRARY_CALLS], optimize=optimize)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 101
+    assert len(lines) == 107
     assert all(ln.startswith("rejected:") for ln in lines), lines
 
 
@@ -645,6 +657,57 @@ def test_src_has_no_test_only_code():
     unused = sorted("%s %s" % (where, name)
                     for name, where in defined.items() if name not in named)
     assert unused == []
+
+
+def _names(tree):
+    "Every name, attribute and imported name in tree."
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+    return out
+
+
+def _dead_oracles(oracles, tests):
+    """Top-level defs of the oracles tree that no test tree names, either
+    directly or through the body of another def that a test reaches."""
+    defs = {node.name: node for node in oracles.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    live = set().union(*map(_names, tests)) & set(defs)
+    todo = list(live)
+    while todo:
+        for name in _names(defs[todo.pop()]) & set(defs) - live:
+            live.add(name)
+            todo.append(name)
+    return sorted(set(defs) - live)
+
+
+def test_oracles_stay_live():
+    # every top-level def of tests/oracles.py is reached from a test
+    # module, so that an oracle the engine outgrew (md_mul among them)
+    # does not linger as dead code
+    bad = ast.parse("def a():\n    return b()\n"
+                    "def b():\n    return 1\n"
+                    "def c():\n    return d()\n"
+                    "def d():\n    return 2\n"
+                    "class E:\n    pass\n")
+    assert _dead_oracles(bad, [ast.parse("from oracles import a")]) == \
+        ["E", "c", "d"]
+    tests_dir = os.path.join(ROOT, "tests")
+    trees = []
+    for fname in sorted(os.listdir(tests_dir)):
+        if fname.endswith(".py"):
+            with open(os.path.join(tests_dir, fname)) as fh:
+                trees.append((fname, ast.parse(fh.read())))
+    oracles = dict(trees).pop("oracles.py")
+    assert len([node for node in oracles.body
+                if isinstance(node, ast.FunctionDef)]) >= 40
+    assert _dead_oracles(oracles, [t for f, t in trees
+                                   if f != "oracles.py"]) == []
 
 
 DEMOS = sorted(f[:-3] for f in os.listdir(os.path.join(ROOT, "demos"))
